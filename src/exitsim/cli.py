@@ -26,7 +26,6 @@ import argparse
 import copy
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -297,14 +296,8 @@ def stage_select_gamma(cfg: dict, traces_path: str, ep_path: str,
 
 def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple[float, ...]:
     """Unconstrained accuracy-maximizing lambda (ties: lexicographically first)."""
-    n_early = ts.topology.num_early_exits
-    best = None
-    best_acc = -1.0
-    for combo in itertools.product(sorted(float(v) for v in lambda_grid), repeat=n_early):
-        acc = engine.policy_stats(ts, combo).accuracy
-        if acc > best_acc:
-            best, best_acc = combo, acc
-    return best
+    table = engine.PolicyTable(ts, engine.grid_combos(lambda_grid, ts.topology.num_early_exits))
+    return table.combo(int(np.argmax(table.accuracy)))[0]
 
 
 def stage_evaluate(cfg: dict, trace_path: str, lam: Sequence[float], method: str = "plain",

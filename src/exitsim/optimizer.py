@@ -2,17 +2,19 @@
 
 ``grid_search`` exhaustively enumerates threshold combinations and returns
 the feasible point with the highest accuracy (ties: lower mean latency,
-then lexicographically smallest thresholds).  ``sweep_bandwidths`` repeats
-it across link rates, and ``fit_regressors`` distills the recorded optima
-into small per-interval regressors mapping log10(bandwidth) to threshold
-vectors, so one predictor serves every channel condition.
+then lexicographically smallest thresholds).  ``sweep_bandwidths`` answers
+the same question across link rates.  Both are queries on one
+``engine.PolicyTable``: each (lambda, gamma) pair is walked once and every
+bandwidth is priced from that walk, since only latency depends on the link.
+``fit_regressors`` distills the recorded optima into small per-interval
+regressors mapping log10(bandwidth) to threshold vectors, so one predictor
+serves every channel condition.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -61,6 +63,23 @@ def _as_scores(ts: TraceSet, ep) -> np.ndarray:
     return np.asarray(ep, dtype=np.float64)
 
 
+def _table(ts: TraceSet, scores, env: engine.Environment, bandwidths: Sequence[float],
+           lambda_grid: Sequence[float], gamma_grid: Sequence[float]) -> engine.PolicyTable:
+    n_early = ts.topology.num_early_exits
+    return engine.PolicyTable(
+        ts, engine.grid_combos(lambda_grid, n_early), engine.grid_combos(gamma_grid, n_early),
+        _as_scores(ts, scores), env.compute_speed, bandwidths)
+
+
+def _point(table: engine.PolicyTable, i: int, b: int, bandwidth: float,
+           budget: float) -> PolicyPoint:
+    lam, gamma = table.combo(i)
+    latency = float(table.mean_latency_s[i, b])
+    return PolicyPoint(bandwidth=bandwidth, lam=lam, gamma=gamma,
+                       accuracy=float(table.accuracy[i]), mean_latency_s=latency,
+                       feasible=latency <= budget)
+
+
 def grid_search(ts: TraceSet, scores, env: engine.Environment,
                 lambda_grid: Sequence[float], gamma_grid: Sequence[float]
                 ) -> tuple[PolicyPoint, list[PolicyPoint]]:
@@ -71,48 +90,18 @@ def grid_search(ts: TraceSet, scores, env: engine.Environment,
     the full list of evaluated points; raises InfeasibleError (with the
     minimum-latency point attached) when nothing fits the budget.
     """
-    n_early = ts.topology.num_early_exits
-    lam_values = sorted(float(v) for v in lambda_grid)
-    gam_values = sorted(float(v) for v in gamma_grid)
-    if not lam_values or not gam_values:
-        raise ValueError("threshold grids must be nonempty")
-    if any(not (0.0 < v < 1.0) for v in lam_values):
-        raise ValueError("lambda grid values must lie in (0, 1)")
-    if any(not (0.0 <= v <= 1.0) for v in gam_values):
-        raise ValueError("gamma grid values must lie in [0, 1]")
-    scores = _as_scores(ts, scores)
-
-    best: PolicyPoint | None = None
-    min_lat: PolicyPoint | None = None
-    frontier: list[PolicyPoint] = []
-    for lam in itertools.product(lam_values, repeat=n_early):
-        for gam in itertools.product(gam_values, repeat=n_early):
-            stats = engine.policy_stats(ts, lam, gam, scores, env)
-            point = PolicyPoint(
-                bandwidth=env.bandwidth,
-                lam=lam,
-                gamma=gam,
-                accuracy=stats.accuracy,
-                mean_latency_s=stats.mean_latency_s,
-                feasible=stats.mean_latency_s <= env.latency_budget,
-            )
-            frontier.append(point)
-            if min_lat is None or point.mean_latency_s < min_lat.mean_latency_s:
-                min_lat = point
-            if point.feasible and (
-                best is None
-                or point.accuracy > best.accuracy
-                or (point.accuracy == best.accuracy
-                    and point.mean_latency_s < best.mean_latency_s)
-            ):
-                best = point
-    if best is None:
+    table = _table(ts, scores, env, [env.bandwidth], lambda_grid, gamma_grid)
+    budget = env.latency_budget
+    frontier = [_point(table, i, 0, env.bandwidth, budget)
+                for i in range(len(table.accuracy))]
+    i, feasible = table.optimum(0, budget)
+    if not feasible:
         raise InfeasibleError(
-            f"no grid point meets the {env.latency_budget * 1e3:.3g} ms budget at "
-            f"{env.bandwidth:.6g} bit/s (closest: {min_lat.mean_latency_s * 1e3:.3g} ms)",
-            min_lat,
+            f"no grid point meets the {budget * 1e3:.3g} ms budget at "
+            f"{env.bandwidth:.6g} bit/s (closest: {frontier[i].mean_latency_s * 1e3:.3g} ms)",
+            frontier[i],
         )
-    return best, frontier
+    return frontier[i], frontier
 
 
 def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
@@ -121,23 +110,17 @@ def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
                      gamma_grid: Sequence[float]) -> list[PolicyPoint]:
     """grid_search per bandwidth, budget fixed; results in ascending order.
 
-    A bandwidth with no feasible point contributes its minimum-latency
-    point flagged infeasible instead of aborting the sweep.
+    Every bandwidth is a query on one table, so each (lambda, gamma) pair is
+    walked once however many bandwidths there are.  A bandwidth with no
+    feasible point contributes its minimum-latency point flagged infeasible
+    instead of aborting the sweep.
     """
     if not bandwidths:
         raise ValueError("bandwidth list must be nonempty")
-    if any(b <= 0 for b in bandwidths):
-        raise ValueError("bandwidths must be strictly positive")
-    scores = _as_scores(ts, ep)
-    points = []
-    for bw in sorted(float(b) for b in bandwidths):
-        env_bw = replace(env, bandwidth=bw)
-        try:
-            best, _ = grid_search(ts, scores, env_bw, lambda_grid, gamma_grid)
-            points.append(best)
-        except InfeasibleError as exc:
-            points.append(exc.min_latency_point)
-    return points
+    bws = sorted(float(b) for b in bandwidths)
+    table = _table(ts, ep, env, bws, lambda_grid, gamma_grid)
+    return [_point(table, table.optimum(b, env.latency_budget)[0], b, bw, env.latency_budget)
+            for b, bw in enumerate(bws)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ the final exit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -26,15 +25,6 @@ from .trace import TraceSet, atomic_write_text
 _SCORE_EPS = 1e-12
 
 
-def _check_lambda(lam, n_early: int) -> tuple[float, ...]:
-    lam = tuple(float(v) for v in lam)
-    if len(lam) != n_early:
-        raise ValueError(f"lambda must have length {n_early}, got {len(lam)}")
-    if any(not (0.0 < v < 1.0) for v in lam):
-        raise ValueError("lambda entries must lie in (0, 1)")
-    return lam
-
-
 @dataclass(frozen=True)
 class ExitPredictor:
     """Trained skip-score net plus the confidence thresholds it imitates."""
@@ -44,7 +34,8 @@ class ExitPredictor:
     predictor_flops: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _check_lambda(self.lam, self.net.out_dim))
+        object.__setattr__(
+            self, "lam", tuple(engine.check_lambda(self.lam, self.net.out_dim).tolist()))
         object.__setattr__(self, "predictor_flops", float(self.predictor_flops))
         if self.net.activations[-1] != "sigmoid":
             raise ValueError("predictor net must end in a sigmoid head")
@@ -55,8 +46,8 @@ class ExitPredictor:
 def make_labels(ts: TraceSet, lam) -> np.ndarray:
     """Binary targets per early exit: 1 exactly when confidence >= lambda."""
     n_early = ts.topology.num_early_exits
-    lam = _check_lambda(lam, n_early)
-    return (ts.conf_matrix[:, :n_early] >= np.asarray(lam)).astype(np.float64)
+    lam = engine.check_lambda(lam, n_early)
+    return (ts.conf_matrix[:, :n_early] >= lam).astype(np.float64)
 
 
 def train_predictor(ts: TraceSet, lam, hidden: int = 64,
@@ -68,7 +59,7 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
     if cfg is None:
         cfg = TrainConfig(weight_decay=2e-4)
     n_early = ts.topology.num_early_exits
-    lam = _check_lambda(lam, n_early)
+    lam = engine.check_lambda(lam, n_early)
     x = ts.feature_matrix
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
@@ -109,21 +100,12 @@ def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
     if not (0.0 < budget_fraction <= 1.0):
         raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
     n_early = ts.topology.num_early_exits
-    lam = _check_lambda(lam, n_early)
     scores = predict_scores(ep, ts) if isinstance(ep, ExitPredictor) else np.asarray(ep, dtype=np.float64)
     plain_last = engine.policy_stats(ts, lam).exit_distribution[-1]
-    grid = gamma_grid(grid_step)
-    best: tuple[float, ...] | None = None
-    best_flops = np.inf
-    for combo in itertools.product(grid, repeat=n_early):
-        stats = engine.policy_stats(ts, lam, combo, scores)
-        if stats.exit_distribution[-1] - plain_last >= budget_fraction:
-            continue
-        if stats.mean_on_device_mflops < best_flops:
-            best = tuple(float(v) for v in combo)
-            best_flops = stats.mean_on_device_mflops
-    assert best is not None  # gamma = 0 vector is always feasible
-    return best
+    table = engine.PolicyTable(ts, [lam], engine.grid_combos(gamma_grid(grid_step), n_early),
+                               scores)
+    extra = table.exit_distribution[:, -1] - plain_last
+    return table.combo(table.cheapest(extra < budget_fraction))[1]
 
 
 def save_predictor(ep: ExitPredictor, path: str | os.PathLike) -> None:

@@ -90,12 +90,12 @@ class ExitTopology:
         for name in ("segment_flops", "exit_flops"):
             if any(v < 0 or not math.isfinite(v) for v in getattr(self, name)):
                 raise ValueError(f"{name} entries must be finite and >= 0")
-        if self.server_flops < 0 or self.predictor_flops < 0:
-            raise ValueError("server_flops and predictor_flops must be >= 0")
+        if not (0 <= self.server_flops < math.inf and 0 <= self.predictor_flops < math.inf):
+            raise ValueError("server_flops and predictor_flops must be finite and >= 0")
         if self.raw_feature_bits <= 0:
             raise ValueError("raw_feature_bits must be > 0")
-        if self.compression_ratio < 1:
-            raise ValueError("compression_ratio must be >= 1")
+        if not 1 <= self.compression_ratio < math.inf:
+            raise ValueError("compression_ratio must be finite and >= 1")
 
     @property
     def num_early_exits(self) -> int:
@@ -157,6 +157,11 @@ class SampleTrace:
         object.__setattr__(self, "predicted", tuple(int(p) for p in self.predicted))
         if self.features is not None:
             object.__setattr__(self, "features", canon_seq(self.features))
+            # sum() is one C pass; only a non-finite sum (NaN, inf, or an
+            # overflow of finite values) needs the per-value test.
+            if not math.isfinite(sum(self.features)) and not all(
+                    map(math.isfinite, self.features)):
+                raise ValueError(f"sample {self.id}: features must be finite")
         if len(self.confidences) != len(self.predicted):
             raise ValueError(
                 f"sample {self.id}: confidences and predicted lengths differ "

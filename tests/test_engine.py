@@ -1,11 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim.engine import Environment, latency_of, policy_stats, run_oracle, run_plain, run_with_predictor
+from exitsim.engine import (
+    AggregateReport,
+    Environment,
+    PolicyTable,
+    latency_of,
+    policy_stats,
+    run_oracle,
+    run_plain,
+    run_with_predictor,
+)
+from exitsim.predictor import make_labels
 from exitsim.trace import SampleTrace, Thresholds, TraceSet
 
 from helpers import (
@@ -279,3 +290,97 @@ def test_predictor_latency_matches_literal_model():
             literal_latency(device, tx, topo, env), abs=1e-12)
     assert rep.mean_latency_s == pytest.approx(
         np.mean([r.latency_s for r in recs]), abs=1e-15)
+
+
+def test_wrong_length_gamma_rejected_by_policy_stats_and_table():
+    rng = np.random.default_rng(12)
+    ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
+    scores = rng.uniform(0.0, 1.0, (8, 2))
+    for gamma in ((0.3,), (0.3, 0.3, 0.3)):
+        with pytest.raises(ValueError, match="gamma must have length 2"):
+            policy_stats(ts, (0.9, 0.9), gamma, scores)
+        with pytest.raises(ValueError, match="gamma must have length 2"):
+            PolicyTable(ts, [(0.9, 0.9)], [(0.3, 0.3), gamma], scores)
+
+
+def test_non_finite_scores_and_thresholds_rejected():
+    rng = np.random.default_rng(13)
+    ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
+    scores = rng.uniform(0.0, 1.0, (8, 2))
+    scores[3, 1] = np.nan
+    with pytest.raises(ValueError, match="scores must lie in"):
+        run_with_predictor(ts, Thresholds((0.9, 0.9), (0.5, 0.5)), scores)
+    with pytest.raises(ValueError, match="scores must lie in"):
+        policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
+    with pytest.raises(ValueError, match="scores must lie in"):
+        PolicyTable(ts, [(0.9, 0.9)], [(0.5, 0.5)], scores)
+    with pytest.raises(ValueError, match="lambda entries"):
+        run_plain(ts, (0.9, math.nan))
+    with pytest.raises(ValueError, match="gamma entries"):
+        policy_stats(ts, (0.9, 0.9), (0.5, math.nan), rng.uniform(0.0, 1.0, (8, 2)))
+
+
+@pytest.mark.parametrize("field", ["compute_speed", "bandwidth", "latency_budget"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_environment_rejects_non_finite_and_non_positive(field, value):
+    args = {"compute_speed": 3.62e9, "bandwidth": 1e6, "latency_budget": 0.03, field: value}
+    with pytest.raises(ValueError, match=field):
+        Environment(**args)
+
+
+def plus_predictor(recs, report, topo, env):
+    """The records and report of ``recs`` with the predictor charged to each sample."""
+    shifted = []
+    for rec in recs:
+        rec = replace(rec, on_device_mflops=rec.on_device_mflops + topo.predictor_flops)
+        shifted.append(replace(rec, latency_s=latency_of(rec, topo, env)))
+    device = np.array([r.on_device_mflops for r in shifted])
+    transmitted = np.array([r.transmitted for r in shifted])
+    latency = float(np.mean([r.latency_s for r in shifted]))
+    return shifted, AggregateReport(
+        accuracy=report.accuracy,
+        mean_on_device_mflops=float(np.mean(device)),
+        mean_total_mflops=float(np.mean(device + np.where(transmitted, topo.server_flops, 0.0))),
+        mean_latency_s=latency,
+        exit_distribution=report.exit_distribution,
+        budget_satisfied=latency <= env.latency_budget,
+    )
+
+
+identity_cases = dict(
+    seed=st.integers(0, 2**16),
+    n_samples=st.integers(1, 40),
+    num_exits=st.integers(2, 4),
+    bandwidth=st.sampled_from([1e3, 1e5, 1e7]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**identity_cases)
+def test_zero_gamma_is_plain_plus_predictor_flops(seed, n_samples, num_exits, bandwidth):
+    rng = np.random.default_rng(seed)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    topo, n_early = ts.topology, num_exits - 1
+    lam = random_lambda(rng, n_early)
+    scores = rng.uniform(0.0, 1.0, (n_samples, n_early))
+    env = Environment(3.62e9, bandwidth, 0.03)
+    expected = plus_predictor(*run_plain(ts, lam, env), topo, env)
+    gamma = (0.0,) * n_early
+    assert run_with_predictor(ts, Thresholds(lam, gamma), scores, env) == expected
+    assert policy_stats(ts, lam, gamma, scores, env) == expected[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(0.0, 1.0, exclude_min=True), **identity_cases)
+def test_perfect_scores_are_oracle_plus_predictor_flops(gamma, seed, n_samples, num_exits,
+                                                        bandwidth):
+    rng = np.random.default_rng(seed)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    topo, n_early = ts.topology, num_exits - 1
+    lam = random_lambda(rng, n_early)
+    scores = make_labels(ts, lam)
+    env = Environment(3.62e9, bandwidth, 0.03)
+    expected = plus_predictor(*run_oracle(ts, lam, env), topo, env)
+    gamma = (gamma,) * n_early
+    assert run_with_predictor(ts, Thresholds(lam, gamma), scores, env) == expected
+    assert policy_stats(ts, lam, gamma, scores, env) == expected[1]

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exitsim import engine
 from exitsim.engine import Environment, policy_stats
 from exitsim.nncore import Mlp
 from exitsim.optimizer import (
@@ -18,12 +21,13 @@ from exitsim.optimizer import (
     save_regressors,
     sweep_bandwidths,
 )
-from exitsim.trace import Thresholds
+from exitsim.trace import SampleTrace, Thresholds, TraceSet
 
 from helpers import (
     literal_latency,
     literal_predictor_walk,
     random_trace_set,
+    small_topology_like,
 )
 
 
@@ -162,6 +166,77 @@ def test_sweep_records_infeasible_bandwidths_without_aborting():
     assert points[0].bandwidth == 1e3
     if not points[0].feasible:
         assert points[0].mean_latency_s > env.latency_budget
+
+
+def per_combination_optimum(ts, scores, env, lam_vals, gam_vals):
+    """The search as one policy_stats call per grid point, in grid order."""
+    n_early = ts.topology.num_early_exits
+    best = min_lat = None
+    for lam in itertools.product(sorted(lam_vals), repeat=n_early):
+        for gam in itertools.product(sorted(gam_vals), repeat=n_early):
+            stats = policy_stats(ts, lam, gam, scores, env)
+            point = PolicyPoint(env.bandwidth, lam, gam, stats.accuracy, stats.mean_latency_s,
+                                stats.mean_latency_s <= env.latency_budget)
+            if min_lat is None or point.mean_latency_s < min_lat.mean_latency_s:
+                min_lat = point
+            if point.feasible and (
+                    best is None or point.accuracy > best.accuracy
+                    or (point.accuracy == best.accuracy
+                        and point.mean_latency_s < best.mean_latency_s)):
+                best = point
+    return best or min_lat
+
+
+@st.composite
+def tied_searches(draw):
+    """Few samples on a coarse confidence and score lattice: many exact ties,
+    and at low bandwidths usually no point within the budget."""
+    num_exits = draw(st.integers(2, 3))
+    n_samples = draw(st.integers(1, 12))
+    lattice = st.sampled_from([0.5, 0.6, 0.8, 0.95])
+    samples = tuple(
+        SampleTrace(id=i, label=draw(st.integers(0, 1)),
+                    confidences=draw(st.lists(lattice, min_size=num_exits, max_size=num_exits)),
+                    predicted=draw(st.lists(st.integers(0, 1), min_size=num_exits,
+                                            max_size=num_exits)))
+        for i in range(n_samples))
+    ts = TraceSet(small_topology_like(num_exits, num_classes=2), samples)
+    scores = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=num_exits - 1,
+                 max_size=num_exits - 1), min_size=n_samples, max_size=n_samples)))
+    lam_vals = draw(st.lists(st.sampled_from([0.55, 0.7, 0.9]), min_size=1, max_size=3,
+                             unique=True))
+    gam_vals = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=3,
+                             unique=True))
+    bandwidths = draw(st.lists(st.sampled_from([1e1, 1e3, 1e4, 1e5, 1e6, 1e8]), min_size=1,
+                               max_size=6, unique=True))
+    env = Environment(1e9, 1e6, draw(st.sampled_from([0.002, 0.005, 0.05])))
+    return ts, scores, env, bandwidths, lam_vals, gam_vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(search=tied_searches())
+def test_sweep_equals_grid_search_per_bandwidth_bit_for_bit(search):
+    ts, scores, env, bandwidths, lam_vals, gam_vals = search
+    walk = engine._walk
+    walks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_walk", lambda *a: walks.append(a) or walk(*a))
+        points = sweep_bandwidths(ts, scores, env, bandwidths, lam_vals, gam_vals)
+    # one walk per (lambda, gamma) combination, however many bandwidths
+    assert len(walks) == (len(lam_vals) * len(gam_vals)) ** ts.topology.num_early_exits
+
+    expected = []
+    for bw in sorted(bandwidths):
+        env_bw = Environment(env.compute_speed, bw, env.latency_budget)
+        try:
+            expected.append(grid_search(ts, scores, env_bw, lam_vals, gam_vals)[0])
+        except InfeasibleError as exc:
+            expected.append(exc.min_latency_point)
+        reference = per_combination_optimum(ts, scores, env_bw, lam_vals, gam_vals)
+        # repr tells every float apart bit for bit, signed zeros included
+        assert repr(reference) == repr(expected[-1])
+    assert repr(points) == repr(expected)
 
 
 def constant_points(lam, gamma, bws):

@@ -71,6 +71,33 @@ def test_parse_error_carries_line_number(tmp_path):
         load_trace_set(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_features_rejected_naming_the_sample(bad):
+    with pytest.raises(ValueError, match="sample 7: features must be finite"):
+        SampleTrace(id=7, label=0, confidences=(0.5,) * 3, predicted=(0,) * 3,
+                    features=(1.0, bad, 2.0))
+    # finite values whose sum overflows are still finite features
+    huge = SampleTrace(id=8, label=0, confidences=(0.5,) * 3, predicted=(0,) * 3,
+                       features=(1.5e308, 1.5e308))
+    assert huge.features == (1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_feature_in_file_names_its_line(tmp_path, token):
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        '{"N":3,"P":10,"segment_flops":[1.0,2.0],"exit_flops":[0.5,0.5],'
+        '"server_flops":10,"predictor_flops":0.1,"raw_feature_bits":1024,'
+        '"compression_ratio":4}\n'
+        '{"id":0,"label":3,"confidences":[0.5,0.5,0.5],"predicted":[3,3,3],'
+        '"features":[0.1,0.2]}\n'
+        '{"id":1,"label":3,"confidences":[0.5,0.5,0.5],"predicted":[3,3,3],'
+        f'"features":[0.1,{token}]}}\n'
+    )
+    with pytest.raises(TraceFormatError, match="line 3: sample 1: features must be finite"):
+        load_trace_set(path)
+
+
 def test_round_trip_1000_samples_bit_identical(tmp_path):
     rng = np.random.default_rng(42)
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=1000, with_features=True)
@@ -178,6 +205,15 @@ def test_topology_validation():
         ExitTopology(num_exits=2, segment_flops=[1.0], exit_flops=[0.5],
                      server_flops=1, predictor_flops=0, num_classes=10,
                      raw_feature_bits=0, compression_ratio=2)
+    for costs in ({"server_flops": float("nan")}, {"predictor_flops": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            ExitTopology(**{"num_exits": 2, "segment_flops": [1.0], "exit_flops": [0.5],
+                            "server_flops": 1, "predictor_flops": 0, "num_classes": 10,
+                            "raw_feature_bits": 10, "compression_ratio": 2, **costs})
+    with pytest.raises(ValueError, match="compression_ratio"):
+        ExitTopology(num_exits=2, segment_flops=[1.0], exit_flops=[0.5],
+                     server_flops=1, predictor_flops=0, num_classes=10,
+                     raw_feature_bits=10, compression_ratio=float("nan"))
 
 
 def test_transmitted_bits_uses_ceiling():
