@@ -7,8 +7,8 @@ threshold trades accuracy against on-device computation.
 
 from dataclasses import replace
 
-from exitsim import ExitTopology, SynthSpec, ToyEarlyExitNet, TrainConfig, policy_stats
-from exitsim.zoo import emit_traces, generate_dataset, train_toy_net
+from exitsim import ExitTopology, SynthSpec, ToyEarlyExitNet, TrainConfig, policy_stats, train
+from exitsim.zoo import emit_traces, generate_dataset
 
 topology = ExitTopology(
     num_exits=3, segment_flops=(1.97, 56.98), exit_flops=(16.70, 14.23),
@@ -28,9 +28,8 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=600, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, curve = train_toy_net(x_train, y_train, net,
-                           TrainConfig(epochs=120, lr_end_epoch=110,
-                                       weight_decay=5e-4, seed=7))
+net, curve = train(net, x_train, y_train, "weighted_ce",
+                   TrainConfig(epochs=120, lr_end_epoch=110, weight_decay=5e-4, seed=7))
 print(f"joint training loss: {curve[0]:.3f} -> {curve[-1]:.3f} over {len(curve)} epochs")
 
 probs = net.exit_probs(x_test)

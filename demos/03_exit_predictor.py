@@ -18,10 +18,11 @@ from exitsim import (
     run_oracle,
     run_plain,
     run_with_predictor,
+    train,
 )
 from exitsim.predictor import predict_scores, select_gamma, train_predictor
 from exitsim.trace import split_trace_set
-from exitsim.zoo import emit_traces, generate_dataset, train_toy_net
+from exitsim.zoo import emit_traces, generate_dataset
 
 topology = ExitTopology(
     num_exits=3, segment_flops=(1.97, 56.98), exit_flops=(16.70, 14.23),
@@ -38,9 +39,8 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=700, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, _ = train_toy_net(x_train, y_train, net,
-                       TrainConfig(epochs=150, lr_end_epoch=140,
-                                   weight_decay=5e-4, seed=7))
+net, _ = train(net, x_train, y_train, "weighted_ce",
+               TrainConfig(epochs=150, lr_end_epoch=140, weight_decay=5e-4, seed=7))
 train_traces = emit_traces(net, x_train, y_train, topology, seed=7)
 test_traces = emit_traces(net, x_test, y_test, topology, seed=8)
 

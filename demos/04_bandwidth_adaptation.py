@@ -9,12 +9,12 @@ predictor serves every channel condition.
 
 from dataclasses import replace
 
-from exitsim import Environment, ExitTopology, SynthSpec, ToyEarlyExitNet, TrainConfig
+from exitsim import Environment, ExitTopology, SynthSpec, ToyEarlyExitNet, TrainConfig, train
 from exitsim.engine import policy_stats
 from exitsim.optimizer import adapt, fit_regressors, sweep_bandwidths
 from exitsim.predictor import predict_scores, train_predictor
 from exitsim.trace import split_trace_set
-from exitsim.zoo import emit_traces, generate_dataset, train_toy_net
+from exitsim.zoo import emit_traces, generate_dataset
 
 topology = ExitTopology(
     num_exits=3, segment_flops=(1.97, 56.98), exit_flops=(16.70, 14.23),
@@ -32,8 +32,7 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=1000, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, _ = train_toy_net(x_train, y_train, net,
-                       TrainConfig(weight_decay=5e-4, seed=7))
+net, _ = train(net, x_train, y_train, "weighted_ce", TrainConfig(weight_decay=5e-4, seed=7))
 train_traces = emit_traces(net, x_train, y_train, topology, seed=7)
 test_traces = emit_traces(net, x_test, y_test, topology, seed=8)
 fit_traces, _ = split_trace_set(train_traces, 0.2, seed=7)

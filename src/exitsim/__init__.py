@@ -37,7 +37,7 @@ from .trace import (
     save_trace_set,
     split_trace_set,
 )
-from .zoo import SynthSpec, ToyEarlyExitNet, emit_traces, generate_dataset, train_toy_net
+from .zoo import SynthSpec, ToyEarlyExitNet, emit_traces, generate_dataset
 
 __version__ = "0.1.0"
 
@@ -79,6 +79,5 @@ __all__ = [
     "sweep_bandwidths",
     "train",
     "train_predictor",
-    "train_toy_net",
     "weighted_ce_loss",
 ]

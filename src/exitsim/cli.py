@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import engine, optimizer, predictor, trace, zoo
-from .nncore import TrainConfig
+from .nncore import Mlp, TrainConfig, train
 from .trace import atomic_write_text
 
 CONFIG_ENV_VAR = "EXITSIM_CONFIG"
@@ -252,7 +252,7 @@ def stage_train_ee(cfg: dict, data_path: str, out: str) -> list[float]:
         weights=ee["exit_weights"],
         seed=cfg["seed"],
     )
-    net, curve = zoo.train_toy_net(x, y, net, train_config_from(ee["train"], cfg["seed"]))
+    net, curve = train(net, x, y, "weighted_ce", train_config_from(ee["train"], cfg["seed"]))
     net.save(out)
     return curve
 
@@ -511,6 +511,15 @@ def _validate_csv(path: str, required: Sequence[str]) -> None:
             raise ValueError(f"{path}: line {i}: expected {width} fields, got {len(row)}")
 
 
+# Whole-file JSON checkpoints, validated by loading them: kind -> loader.
+_CHECKPOINT_LOADERS = {
+    "mlp": Mlp.load,
+    "toy_early_exit": zoo.ToyEarlyExitNet.load,
+    "exit_predictor": predictor.load_predictor,
+    "threshold_regressors": optimizer.load_regressors,
+}
+
+
 def validate_artifact(path: str) -> str:
     """Validate one artifact; returns a short type tag or raises."""
     with open(path) as fh:
@@ -525,19 +534,9 @@ def validate_artifact(path: str) -> str:
             whole = None
         if isinstance(whole, dict):
             kind = whole.get("kind")
-            if kind == "mlp":
-                from .nncore import Mlp
-                Mlp.load(path)
-                return "mlp"
-            if kind == "toy_early_exit":
-                zoo.ToyEarlyExitNet.load(path)
-                return "toy_early_exit"
-            if kind == "exit_predictor":
-                predictor.load_predictor(path)
-                return "exit_predictor"
-            if kind == "threshold_regressors":
-                optimizer.load_regressors(path)
-                return "threshold_regressors"
+            if kind in _CHECKPOINT_LOADERS:
+                _CHECKPOINT_LOADERS[kind](path)
+                return kind
             if kind == "thresholds":
                 trace.Thresholds(tuple(whole["lambda"]), tuple(whole["gamma"]))
                 return "thresholds"
@@ -553,7 +552,7 @@ def validate_artifact(path: str) -> str:
                 return "trace_set"
             raise ValueError(f"{path}: unrecognized JSON artifact kind {kind!r}")
         # line-delimited: a trace or dataset file
-        header = json.loads(stripped.splitlines()[0])
+        _, header = next(trace.read_jsonl(path))
         if header.get("kind") == "dataset":
             zoo.load_dataset(path)
             return "dataset"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,15 +109,7 @@ def _check_gamma(gamma: Sequence[float], n_early: int) -> np.ndarray:
 
 def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     n_early = ts.topology.num_early_exits
-    if isinstance(scores, Mapping):
-        rows = []
-        for s in ts.samples:
-            if s.id not in scores:
-                raise ValueError(f"missing predictor scores for sample id {s.id}")
-            rows.append(scores[s.id])
-        mat = np.asarray(rows, dtype=np.float64)
-    else:
-        mat = np.asarray(scores, dtype=np.float64)
+    mat = np.asarray(scores, dtype=np.float64)
     if mat.shape != (len(ts.samples), n_early):
         raise ValueError(
             f"scores must have shape ({len(ts.samples)}, {n_early}), got {mat.shape}"
@@ -284,8 +276,7 @@ def run_with_predictor(ts: TraceSet, thresholds: Thresholds, scores,
                        env: Environment | None = None) -> tuple[list[DecisionRecord], AggregateReport]:
     """Skip-score gated walk; the predictor cost is charged to every sample.
 
-    ``scores`` is either an (samples, early_exits) array aligned with the
-    set order or a mapping from sample id to a score vector.
+    ``scores`` is a (samples, early_exits) array aligned with the set order.
     """
     return _evaluate(ts, thresholds.lam, thresholds.gamma, scores, env, records=True)
 

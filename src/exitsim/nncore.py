@@ -125,18 +125,12 @@ class Mlp:
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def parameters(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.activations, seed=self.seed)
 
     def _promote(self, x) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=np.float64)
@@ -152,13 +146,6 @@ class Mlp:
         for w, b, act in zip(self.weights, self.biases, self.activations):
             a = _apply_act(a @ w + b, act)
         return a[0] if single else a
-
-    def forward_logits(self, x) -> np.ndarray:
-        """Pre-activation output of the last layer."""
-        x2, single = self._promote(x)
-        pres, _ = self._forward_full(x2)
-        z = pres[-1]
-        return z[0] if single else z
 
     def _forward_full(self, x2: np.ndarray):
         acts = [x2]
@@ -228,10 +215,10 @@ class Mlp:
             return value, grads
         raise ValueError(f"unknown loss tag {loss!r} for Mlp")
 
-    def loss_value(self, x, target, loss: str, weights=None) -> float:
+    def loss_value(self, x, target, loss: str) -> float:
         return self._loss_parts(x, target, loss, want_grads=False)[0]
 
-    def loss_and_grads(self, x, target, loss: str, weights=None):
+    def loss_and_grads(self, x, target, loss: str):
         return self._loss_parts(x, target, loss, want_grads=True)
 
     # -- checkpointing -----------------------------------------------------
@@ -362,22 +349,26 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
-              rng: np.random.Generator, weights=None) -> None:
+              rng: np.random.Generator) -> None:
     """One shuffled pass of minibatch SGD over the dataset, in place."""
     n = inputs.shape[0]
     perm = rng.permutation(n)
     for start in range(0, n, cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
-        batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss, weights=weights)
+        batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
         if not math.isfinite(batch_loss):
             raise ValueError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
             p -= lr * (g + cfg.weight_decay * p)
 
 
-def train(net: Mlp, inputs, targets, loss: str = "bce",
-          cfg: TrainConfig = TrainConfig()) -> tuple[Mlp, list[float]]:
-    """Train the net in place; returns it plus the post-epoch full-set loss curve."""
+def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfig()):
+    """Train the net in place; returns it plus the post-epoch full-set loss curve.
+
+    The one epoch loop: ``net`` is anything exposing parameters() /
+    loss_value() / loss_and_grads(), an Mlp under "bce", "softmax_ce" or
+    "mse", or a ToyEarlyExitNet under "weighted_ce".
+    """
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -398,8 +389,7 @@ def train(net: Mlp, inputs, targets, loss: str = "bce",
     return net, curve
 
 
-def numeric_gradient_check(model, x, target, loss: str, weights=None,
-                           step: float = 1e-4) -> float:
+def numeric_gradient_check(model, x, target, loss: str, step: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Works on anything exposing parameters() / loss_value() / loss_and_grads()
@@ -409,15 +399,15 @@ def numeric_gradient_check(model, x, target, loss: str, weights=None,
     total = sum(p.size for p in params)
     if total >= 10_000:
         raise ValueError(f"gradient check is for small nets (< 1e4 params), got {total}")
-    _, grads = model.loss_and_grads(x, target, loss, weights=weights)
+    _, grads = model.loss_and_grads(x, target, loss)
     worst = 0.0
     for p, g in zip(params, grads):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + step
-            lp = model.loss_value(x, target, loss, weights=weights)
+            lp = model.loss_value(x, target, loss)
             p[idx] = orig - step
-            lm = model.loss_value(x, target, loss, weights=weights)
+            lm = model.loss_value(x, target, loss)
             p[idx] = orig
             num = (lp - lm) / (2.0 * step)
             ana = float(g[idx])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engine
 from .nncore import Mlp, TrainConfig, train
-from .predictor import ExitPredictor, predict_scores
+from .predictor import as_scores
 from .trace import Thresholds, TraceSet, atomic_write_text
 
 # Clamp for regressed confidence thresholds: keep them meaningfully inside
@@ -57,18 +57,12 @@ class PolicyPoint:
         object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
 
 
-def _as_scores(ts: TraceSet, ep) -> np.ndarray:
-    if isinstance(ep, ExitPredictor):
-        return predict_scores(ep, ts)
-    return np.asarray(ep, dtype=np.float64)
-
-
 def _table(ts: TraceSet, scores, env: engine.Environment, bandwidths: Sequence[float],
            lambda_grid: Sequence[float], gamma_grid: Sequence[float]) -> engine.PolicyTable:
     n_early = ts.topology.num_early_exits
     return engine.PolicyTable(
         ts, engine.grid_combos(lambda_grid, n_early), engine.grid_combos(gamma_grid, n_early),
-        _as_scores(ts, scores), env.compute_speed, bandwidths)
+        as_scores(ts, scores), env.compute_speed, bandwidths)
 
 
 def _point(table: engine.PolicyTable, i: int, b: int, bandwidth: float,
@@ -176,21 +170,18 @@ def fit_regressors(points: Sequence[PolicyPoint],
         x = (logb - center)[:, None]
         lam_targets = np.array([p.lam for p in members])
         gam_targets = np.array([p.gamma for p in members])
-        n_early = lam_targets.shape[1]
 
         # Zero output weights + bias at the target mean start the net on the
         # mean schedule, so constant threshold schedules are reproduced
         # exactly and only residuals remain to fit.
-        lam_net = Mlp.init([1, hidden, n_early], ["relu", "identity"],
-                           seed=cfg.seed + 2 * idx)
-        lam_net.weights[-1][:] = 0.0
-        lam_net.biases[-1][:] = lam_targets.mean(axis=0)
-        train(lam_net, x, lam_targets, "mse", replace(cfg, seed=cfg.seed + 2 * idx))
-        gamma_net = Mlp.init([1, hidden, n_early], ["relu", "identity"],
-                             seed=cfg.seed + 2 * idx + 1)
-        gamma_net.weights[-1][:] = 0.0
-        gamma_net.biases[-1][:] = gam_targets.mean(axis=0)
-        train(gamma_net, x, gam_targets, "mse", replace(cfg, seed=cfg.seed + 2 * idx + 1))
+        nets = []
+        for k, targets in enumerate((lam_targets, gam_targets)):
+            seed = cfg.seed + 2 * idx + k
+            net = Mlp.init([1, hidden, targets.shape[1]], ["relu", "identity"], seed=seed)
+            net.weights[-1][:] = 0.0
+            net.biases[-1][:] = targets.mean(axis=0)
+            nets.append(train(net, x, targets, "mse", replace(cfg, seed=seed))[0])
+        lam_net, gamma_net = nets
 
         lam_hat = _clamp_lam(lam_net.forward(x), num_classes)
         gam_hat = np.clip(gamma_net.forward(x), 0.0, 1.0)

@@ -89,6 +89,13 @@ def gamma_grid(step: float) -> np.ndarray:
     return np.unique(np.concatenate([np.arange(0.0, 1.0, step), [1.0]]))
 
 
+def as_scores(ts: TraceSet, ep) -> np.ndarray:
+    """Score matrix of ``ep``, an ExitPredictor or a precomputed score matrix."""
+    if isinstance(ep, ExitPredictor):
+        return predict_scores(ep, ts)
+    return np.asarray(ep, dtype=np.float64)
+
+
 def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
                  budget_fraction: float = 0.02) -> tuple[float, ...]:
     """Cheapest grid point pushing < budget_fraction extra samples to exit N.
@@ -100,7 +107,7 @@ def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
     if not (0.0 < budget_fraction <= 1.0):
         raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
     n_early = ts.topology.num_early_exits
-    scores = predict_scores(ep, ts) if isinstance(ep, ExitPredictor) else np.asarray(ep, dtype=np.float64)
+    scores = as_scores(ts, ep)
     plain_last = engine.policy_stats(ts, lam).exit_distribution[-1]
     table = engine.PolicyTable(ts, [lam], engine.grid_combos(gamma_grid(grid_step), n_early),
                                scores)

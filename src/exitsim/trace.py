@@ -18,7 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,12 @@ def fmt_real(x: float) -> str:
 
 class TraceFormatError(ValueError):
     """Malformed trace file or a record violating a data invariant."""
+
+
+def all_finite(values: Sequence[float]) -> bool:
+    # sum() is one C pass; only a non-finite sum (NaN, inf, or an overflow
+    # of finite values) needs the per-value test.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,7 @@ class SampleTrace:
         object.__setattr__(self, "predicted", tuple(int(p) for p in self.predicted))
         if self.features is not None:
             object.__setattr__(self, "features", canon_seq(self.features))
-            # sum() is one C pass; only a non-finite sum (NaN, inf, or an
-            # overflow of finite values) needs the per-value test.
-            if not math.isfinite(sum(self.features)) and not all(
-                    map(math.isfinite, self.features)):
+            if not all_finite(self.features):
                 raise ValueError(f"sample {self.id}: features must be finite")
         if len(self.confidences) != len(self.predicted):
             raise ValueError(
@@ -326,37 +329,52 @@ def save_trace_set(ts: TraceSet, path: str | os.PathLike) -> None:
     atomic_write_text(path, trace_set_text(ts))
 
 
+def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for the header and each record of a file.
+
+    The one reader of line-delimited JSON (trace and dataset files).  Line 1
+    is the header; blank lines after it are skipped.  Lines are counted at
+    newline bytes only.  An empty file, bytes that are not UTF-8, a line
+    that is not JSON or a value that is not an object raise
+    TraceFormatError naming the path and line.  Records are parsed as the
+    caller consumes them.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
+    if lines == [""]:
+        raise TraceFormatError(f"{path}: empty file")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno > 1 and not line.strip():
+            continue
+        what = "header" if lineno == 1 else "record"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{path}: line {lineno}: invalid JSON {what}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{path}: line {lineno}: {what} must be a JSON object")
+        yield lineno, obj
+
+
 def load_trace_set(path: str | os.PathLike) -> TraceSet:
     """Parse and validate a trace file.
 
     Raises TraceFormatError carrying the offending line number for parse
     failures and the field/sample id for invariant violations.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{path}: line 1: invalid JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise TraceFormatError(f"{path}: line 1: header must be a JSON object")
+    rows = read_jsonl(path)
+    _, header = next(rows)
     try:
         topo = ExitTopology.from_header(header)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
 
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise TraceFormatError(f"{path}: line {lineno}: record must be a JSON object")
+    for lineno, rec in rows:
         try:
             samples.append(
                 SampleTrace(
@@ -369,7 +387,7 @@ def load_trace_set(path: str | os.PathLike) -> TraceSet:
             )
         except KeyError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return TraceSet(topo, tuple(samples))

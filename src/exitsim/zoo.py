@@ -16,14 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .nncore import Mlp, TrainConfig, lr_at, sgd_epoch, softmax_ce_parts
+from .nncore import Mlp, softmax_ce_parts
 from .trace import (
     ExitTopology,
     SampleTrace,
     TraceFormatError,
     TraceSet,
+    all_finite,
     atomic_write_text,
     json_line,
+    read_jsonl,
 )
 
 # Emitted confidences stay strictly below 1 so 9-digit storage cannot round
@@ -140,40 +142,41 @@ def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
 
 
 def load_dataset(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, int]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{path}: line 1: invalid JSON header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("kind") != "dataset":
+    """Parse a dataset file; returns (features, labels, num_classes).
+
+    Raises TraceFormatError naming the path and line of the first bad line.
+    """
+    rows = read_jsonl(path)
+    _, header = next(rows)
+    if header.get("kind") != "dataset":
         raise TraceFormatError(f"{path}: line 1: not a dataset header")
-    p = int(header["num_classes"])
-    d = int(header["input_dim"])
+    try:
+        n, p, d = (int(header[k]) for k in ("num_samples", "num_classes", "input_dim"))
+    except KeyError as exc:
+        raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
     xs, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, rec in rows:
         try:
-            rec = json.loads(line)
             label = int(rec["label"])
             feats = rec["features"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if not isinstance(feats, list):
+                raise TypeError("features must be a list of numbers")
+            if len(feats) != d:
+                raise ValueError(f"features length {len(feats)} != {d}")
+            if not all_finite(feats):
+                raise ValueError("features must be finite")
+            if not 0 <= label < p:
+                raise ValueError(f"label {label} outside [0, {p})")
+        except KeyError as exc:
+            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not (0 <= label < p):
-            raise TraceFormatError(f"{path}: line {lineno}: label {label} outside [0, {p})")
-        if len(feats) != d:
-            raise TraceFormatError(
-                f"{path}: line {lineno}: features length {len(feats)} != {d}"
-            )
         xs.append(feats)
         ys.append(label)
-    if header["num_samples"] != len(xs):
-        raise TraceFormatError(
-            f"{path}: header claims {header['num_samples']} samples, file has {len(xs)}"
-        )
+    if n != len(xs):
+        raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(xs)}")
     return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64), p
 
 
@@ -245,16 +248,6 @@ class ToyEarlyExitNet:
         out.extend(self.final.parameters())
         return out
 
-    def exit_logits(self, x) -> list[np.ndarray]:
-        """Pre-softmax outputs of every exit, shallowest first."""
-        a = np.asarray(x, dtype=np.float64)
-        outs = []
-        for seg, head in zip(self.trunk, self.heads):
-            a = seg.forward(a)
-            outs.append(head.forward_logits(a))
-        outs.append(self.final.forward_logits(a))
-        return outs
-
     def exit_probs(self, x) -> list[np.ndarray]:
         a = np.asarray(x, dtype=np.float64)
         outs = []
@@ -264,11 +257,11 @@ class ToyEarlyExitNet:
         outs.append(self.final.forward(a))
         return outs
 
-    def _joint_parts(self, x, labels, weights, want_grads: bool):
+    def _joint_parts(self, x, labels, want_grads: bool):
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
         labels = np.asarray(labels, dtype=np.int64).reshape(x2.shape[0])
         batch = x2.shape[0]
-        w = self.weights_or(weights)
+        w = self.weights
         trunk_caches = []
         a = x2
         for seg in self.trunk:
@@ -316,23 +309,15 @@ class ToyEarlyExitNet:
         all_grads.extend(final_grads)
         return value, all_grads
 
-    def weights_or(self, weights) -> tuple[float, ...]:
-        if weights is None:
-            return self.weights
-        w = tuple(float(v) for v in weights)
-        if len(w) != self.num_exits:
-            raise ValueError(f"need {self.num_exits} exit weights, got {len(w)}")
-        return w
-
-    def loss_value(self, x, labels, loss: str = "weighted_ce", weights=None) -> float:
+    def loss_value(self, x, labels, loss: str = "weighted_ce") -> float:
         if loss != "weighted_ce":
             raise ValueError(f"toy net only supports weighted_ce, got {loss!r}")
-        return self._joint_parts(x, labels, weights, want_grads=False)[0]
+        return self._joint_parts(x, labels, want_grads=False)[0]
 
-    def loss_and_grads(self, x, labels, loss: str = "weighted_ce", weights=None):
+    def loss_and_grads(self, x, labels, loss: str = "weighted_ce"):
         if loss != "weighted_ce":
             raise ValueError(f"toy net only supports weighted_ce, got {loss!r}")
-        return self._joint_parts(x, labels, weights, want_grads=True)
+        return self._joint_parts(x, labels, want_grads=True)
 
     def to_dict(self) -> dict:
         return {
@@ -364,29 +349,6 @@ class ToyEarlyExitNet:
         if d.get("kind") != "toy_early_exit":
             raise ValueError(f"{path}: not a toy early-exit checkpoint")
         return cls.from_dict(d)
-
-
-def train_toy_net(x, y, net: ToyEarlyExitNet, cfg: TrainConfig,
-                  weights: Sequence[float] | None = None) -> tuple[ToyEarlyExitNet, list[float]]:
-    """Jointly train all exits; returns the net and post-epoch loss curve."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("inputs must be a nonempty (samples, dim) array")
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("inputs and labels disagree on sample count")
-    rng = np.random.default_rng(cfg.seed)
-    curve: list[float] = []
-    for epoch in range(cfg.epochs):
-        try:
-            sgd_epoch(net, x, y, "weighted_ce", cfg, lr_at(cfg, epoch), rng, weights=weights)
-            full = net.loss_value(x, y, weights=weights)
-        except ValueError as exc:
-            raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-        if not math.isfinite(full):
-            raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
-        curve.append(full)
-    return net, curve
 
 
 def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from exitsim.engine import Environment, policy_stats, run_oracle, run_plain, run_with_predictor
-from exitsim.nncore import Mlp, TrainConfig, numeric_gradient_check
+from exitsim.nncore import Mlp, TrainConfig, numeric_gradient_check, train
 from exitsim.optimizer import InfeasibleError, fit_regressors, adapt, grid_search, sweep_bandwidths
 from exitsim.predictor import predict_scores, select_gamma, train_predictor
 from exitsim.trace import Thresholds, split_trace_set
-from exitsim.zoo import SynthSpec, ToyEarlyExitNet, emit_traces, generate_dataset, train_toy_net
+from exitsim.zoo import SynthSpec, ToyEarlyExitNet, emit_traces, generate_dataset
 
 from helpers import (
     VGG_TOPOLOGY,
@@ -62,7 +62,7 @@ def toy_pipeline():
     x_train, y_train = generate_dataset(ring_spec(2000, seed=7))
     x_test, y_test = generate_dataset(ring_spec(1000, seed=8))
     net = ToyEarlyExitNet.build(8, 10, seed=7)
-    net, _ = train_toy_net(x_train, y_train, net, TrainConfig(weight_decay=5e-4, seed=7))
+    net, _ = train(net, x_train, y_train, "weighted_ce", TrainConfig(weight_decay=5e-4, seed=7))
     train_ts = emit_traces(net, x_train, y_train, VGG_TOPOLOGY, seed=7)
     test_ts = emit_traces(net, x_test, y_test, VGG_TOPOLOGY, seed=8)
     fit_ts, select_ts = split_trace_set(train_ts, 0.2, seed=7)

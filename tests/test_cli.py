@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -211,3 +212,13 @@ def test_validate_rejects_garbage(tmp_path):
         validate_artifact(str(bad))
     proc = run_cli("validate", str(bad))
     assert proc.returncode == 1
+
+
+def test_validate_truncated_json_names_the_path(tmp_path):
+    cut = tmp_path / "cut.json"
+    cut.write_text('{\n"kind": "mlp",\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: line 1: "):
+        validate_artifact(str(cut))
+    proc = run_cli("validate", str(cut))
+    assert proc.returncode == 1
+    assert str(cut) in json.loads(proc.stderr)["message"]

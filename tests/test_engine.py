@@ -253,17 +253,6 @@ def test_policy_stats_agrees_with_run_functions():
         ts, Thresholds(lam, gamma), scores, env)[1]
 
 
-def test_scores_accepted_as_mapping_and_errors_on_missing_id():
-    rng = np.random.default_rng(9)
-    ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=5)
-    mapping = {s.id: (0.5, 0.5) for s in ts.samples}
-    recs, _ = run_with_predictor(ts, Thresholds((0.9, 0.9), (0.4, 0.4)), mapping)
-    assert len(recs) == 5
-    del mapping[3]
-    with pytest.raises(ValueError, match="sample id 3"):
-        run_with_predictor(ts, Thresholds((0.9, 0.9), (0.4, 0.4)), mapping)
-
-
 def test_threshold_length_mismatch_errors():
     rng = np.random.default_rng(10)
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=5)

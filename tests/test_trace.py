@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from exitsim.trace import (
     split_trace_set,
     trace_set_text,
 )
+from exitsim.zoo import load_dataset, save_dataset
 
 from helpers import VGG_TOPOLOGY, random_trace_set
 
@@ -69,6 +73,26 @@ def test_parse_error_carries_line_number(tmp_path):
     )
     with pytest.raises(TraceFormatError, match="line 2"):
         load_trace_set(path)
+
+
+_HEADER = ('{"N":3,"P":10,"segment_flops":[1.0,2.0],"exit_flops":[0.5,0.5],'
+           '"server_flops":10,"predictor_flops":0.1,"raw_feature_bits":1024,'
+           '"compression_ratio":4}')
+_RECORD = '{"id":0,"label":3,"confidences":[0.5,0.5,0.5],"predicted":[3,3,3]}'
+
+
+@pytest.mark.parametrize("text, loader, lineno", [
+    (_HEADER.replace("[1.0,2.0]", "null") + "\n" + _RECORD, load_trace_set, 1),
+    (_HEADER.replace('"N":3', '"N":Infinity') + "\n" + _RECORD, load_trace_set, 1),
+    (_HEADER + "\n" + _RECORD.replace('"label":3', '"label":Infinity'), load_trace_set, 2),
+    ('{"kind":"dataset","num_samples":1,"num_classes":2,"input_dim":1}\n'
+     '{"id":0,"label":-Infinity,"features":[0.5]}', load_dataset, 2),
+], ids=["trace-header-null", "trace-header-inf", "trace-record-inf", "dataset-record-inf"])
+def test_malformed_field_names_its_line(tmp_path, text, loader, lineno):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text + "\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+        loader(path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -255,3 +279,53 @@ def test_split_trace_set_partitions_and_is_deterministic():
     assert len(b1) == 8 and len(a1) == 32
     ids = sorted(s.id for s in a1.samples + b1.samples)
     assert ids == sorted(s.id for s in ts.samples)
+
+
+@pytest.fixture(scope="module")
+def loadable_files(tmp_path_factory):
+    """which -> (scratch path, bytes of a small valid file, its loader)."""
+    base = tmp_path_factory.mktemp("fuzz")
+    ts = random_trace_set(np.random.default_rng(4), small_topology(), n_samples=3,
+                          with_features=True)
+    rng = np.random.default_rng(5)
+    save_dataset(base / "good.jsonl", rng.normal(size=(3, 2)), np.array([0, 2, 1]), 3)
+    return {
+        "trace": (base / "trace.jsonl", trace_set_text(ts).encode(), load_trace_set),
+        "dataset": (base / "dataset.jsonl", (base / "good.jsonl").read_bytes(), load_dataset),
+    }
+
+
+def _is_json_object(line: bytes) -> bool:
+    try:
+        return isinstance(json.loads(line.decode("utf-8")), dict)
+    except ValueError:
+        return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(which=st.sampled_from(["trace", "dataset"]), truncate=st.booleans(), data=st.data())
+def test_damaged_file_fails_only_with_trace_format_error(loadable_files, which, truncate,
+                                                         data):
+    """Truncate a valid file at any byte, or overwrite one byte other than a
+    newline: the loader returns or raises TraceFormatError, never anything
+    else, and names the damaged line when it is no longer a JSON object."""
+    path, good, loader = loadable_files[which]
+    if truncate:
+        pos = data.draw(st.integers(0, len(good) - 1), label="cut")
+        bad = good[:pos]
+    else:
+        pos = data.draw(st.integers(0, len(good) - 1).filter(lambda i: good[i] != 0x0A),
+                        label="pos")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != 0x0A), label="byte")
+        bad = good[:pos] + bytes([byte]) + good[pos + 1:]
+    lineno = bad.count(b"\n", 0, pos) + 1
+    path.write_bytes(bad)
+    line = bad.split(b"\n")[lineno - 1]
+    if line.strip() and not _is_json_object(line):
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+            loader(path)
+    else:
+        try:
+            loader(path)
+        except TraceFormatError:
+            pass

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from exitsim.nncore import Mlp, TrainConfig, numeric_gradient_check
-from exitsim.trace import TraceSet
+from exitsim.nncore import Mlp, TrainConfig, numeric_gradient_check, train
+from exitsim.trace import TraceFormatError, TraceSet
 from exitsim.zoo import (
     SynthSpec,
     ToyEarlyExitNet,
@@ -12,7 +12,6 @@ from exitsim.zoo import (
     generate_dataset,
     load_dataset,
     save_dataset,
-    train_toy_net,
 )
 
 from helpers import VGG_TOPOLOGY, small_topology_like
@@ -67,7 +66,7 @@ def test_train_separable_blobs_reaches_95_percent():
                                 weights=(0.2, 0.3, 0.5), seed=1)
     cfg = TrainConfig(lr=0.1, lr_end=1e-3, lr_end_epoch=60, epochs=60,
                       batch_size=32, seed=1)
-    net, curve = train_toy_net(x, y, net, cfg)
+    net, curve = train(net, x, y, "weighted_ce", cfg)
     assert curve[-1] < curve[0]
     final_acc = (net.exit_probs(x)[-1].argmax(axis=1) == y).mean()
     assert final_acc >= 0.95
@@ -94,7 +93,7 @@ def test_default_scale_training_completes_quickly():
     cfg = TrainConfig(lr=0.1, lr_end=1e-4, lr_end_epoch=200, epochs=220,
                       batch_size=128, weight_decay=5e-4, seed=7)
     start = time.monotonic()
-    net, curve = train_toy_net(x, y, net, cfg)
+    net, curve = train(net, x, y, "weighted_ce", cfg)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     assert len(curve) == 220
@@ -129,7 +128,7 @@ def test_trace_accuracy_at_final_exit_matches_direct_evaluation():
     net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=6)
     cfg = TrainConfig(lr=0.1, lr_end=1e-2, lr_end_epoch=30, epochs=30,
                       batch_size=64, seed=6)
-    net, _ = train_toy_net(x, y, net, cfg)
+    net, _ = train(net, x, y, "weighted_ce", cfg)
     topo = small_topology_like(num_exits=3, num_classes=2)
     ts = emit_traces(net, x, y, topo)
     direct = (net.exit_probs(x)[-1].argmax(axis=1) == y).mean()
@@ -152,7 +151,7 @@ def test_easy_samples_are_more_confident_at_exit_one():
     net = ToyEarlyExitNet.build(8, 10, seed=7)
     cfg = TrainConfig(lr=0.1, lr_end=1e-3, lr_end_epoch=80, epochs=80,
                       batch_size=128, weight_decay=5e-4, seed=7)
-    net, _ = train_toy_net(x, y, net, cfg)
+    net, _ = train(net, x, y, "weighted_ce", cfg)
     ts = emit_traces(net, x, y, VGG_TOPOLOGY)
     centers = np.array(spec.centers)
     dist = np.linalg.norm(x - centers[y], axis=1)
@@ -166,7 +165,7 @@ def test_final_flip_prob_degrades_only_final_exit():
     net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=9)
     cfg = TrainConfig(lr=0.1, lr_end=1e-2, lr_end_epoch=40, epochs=40,
                       batch_size=64, seed=9)
-    net, _ = train_toy_net(x, y, net, cfg)
+    net, _ = train(net, x, y, "weighted_ce", cfg)
     topo = small_topology_like(num_exits=3, num_classes=2)
     clean = emit_traces(net, x, y, topo, final_flip_prob=0.0, seed=1)
     bent = emit_traces(net, x, y, topo, final_flip_prob=0.3, seed=1)
@@ -223,3 +222,25 @@ def test_toy_net_weights_validation():
         ToyEarlyExitNet.build(2, 2, weights=(0.2, 0.3))
     with pytest.raises(ValueError, match="positive sum"):
         ToyEarlyExitNet.build(2, 2, weights=(0.0, 0.0, 0.0))
+
+
+_HEADER = '{"kind":"dataset","num_samples":1,"num_classes":2,"input_dim":2}'
+_RECORD = '{"id":0,"label":1,"features":[0.5,1.5]}'
+
+
+@pytest.mark.parametrize("header, record, message", [
+    ('{"kind":"dataset","num_samples":1,"input_dim":2}', _RECORD,
+     "line 1: header missing key 'num_classes'"),
+    ('{"kind":"dataset","num_classes":2,"input_dim":2}', _RECORD,
+     "line 1: header missing key 'num_samples'"),
+    (_HEADER, '{"id":0,"label":1,"features":5}', "line 2: features must be a list"),
+    (_HEADER, '{"id":0,"label":1,"features":["a","b"]}', "line 2: "),
+    (_HEADER, '{"id":0,"label":1,"features":[NaN,1]}', "line 2: features must be finite"),
+], ids=["no-num_classes", "no-num_samples", "scalar-features", "string-features",
+        "nan-feature"])
+def test_malformed_dataset_names_path_and_line(tmp_path, header, record, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(f"{header}\n{record}\n")
+    with pytest.raises(TraceFormatError) as exc:
+        load_dataset(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
