@@ -108,12 +108,17 @@ def _check_gamma(gamma: Sequence[float], n_early: int) -> np.ndarray:
 
 
 def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
-    n_early = ts.topology.num_early_exits
-    mat = np.asarray(scores, dtype=np.float64)
-    if mat.shape != (len(ts.samples), n_early):
-        raise ValueError(
-            f"scores must have shape ({len(ts.samples)}, {n_early}), got {mat.shape}"
-        )
+    shape = (len(ts), ts.topology.num_early_exits)
+    try:
+        mat = np.asarray(scores)
+    except ValueError:  # ragged nesting
+        mat = None
+    if mat is None or mat.dtype.kind not in "biuf":
+        raise ValueError(f"scores must be a {shape} array of numbers, "
+                         f"got {type(scores).__name__}")
+    mat = mat.astype(np.float64, copy=False)
+    if mat.shape != shape:
+        raise ValueError(f"scores must have shape {shape}, got {mat.shape}")
     # Written so that NaN fails too: NaN >= gamma is false, a silent skip.
     if not np.all((mat >= 0.0) & (mat <= 1.0)):
         raise ValueError("predictor scores must lie in [0, 1]")
@@ -126,7 +131,7 @@ def _checked(ts: TraceSet, lam, gamma, scores):
     Returns the lambda array, the gamma array (None for an ungated walk)
     and the score matrix (None likewise).
     """
-    if not ts.samples:
+    if not len(ts):
         raise ValueError("empty trace set")
     n_early = ts.topology.num_early_exits
     lam = check_lambda(lam, n_early)
@@ -151,7 +156,7 @@ def _walk(ts: TraceSet, lam: np.ndarray, computed: np.ndarray | None):
     computed mask restricted to reached exits, and the transmit mask.
     """
     topo = ts.topology
-    conf = ts.conf_matrix
+    conf = ts.conf
     n_samples = conf.shape[0]
     n_early = topo.num_early_exits
     device = np.zeros(n_samples, dtype=np.float64)
@@ -200,11 +205,11 @@ def _latencies(device: np.ndarray, transmitted: np.ndarray, topo: ExitTopology,
 
 
 def _correct(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
-    return ts.pred_matrix[np.arange(len(ts.samples)), exit_idx] == ts.label_vector
+    return ts.pred[np.arange(len(ts)), exit_idx] == ts.label
 
 
 def _exit_shares(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
-    return np.bincount(exit_idx, minlength=ts.topology.num_exits) / len(ts.samples)
+    return np.bincount(exit_idx, minlength=ts.topology.num_exits) / len(ts)
 
 
 def _aggregate(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
@@ -226,20 +231,12 @@ def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
              exits_done: np.ndarray, transmitted: np.ndarray,
              latencies: np.ndarray) -> list[DecisionRecord]:
     bits = ts.topology.transmitted_bits
-    correct = _correct(ts, exit_idx)
-    out = []
-    for i, s in enumerate(ts.samples):
-        out.append(DecisionRecord(
-            sample_id=s.id,
-            exit_taken=int(exit_idx[i]) + 1,
-            exits_computed=tuple(bool(v) for v in exits_done[i]),
-            on_device_mflops=float(device[i]),
-            transmitted=bool(transmitted[i]),
-            transmitted_bits=bits if transmitted[i] else 0,
-            correct=bool(correct[i]),
-            latency_s=float(latencies[i]),
-        ))
-    return out
+    columns = zip(ts.ids.tolist(), exit_idx.tolist(), map(tuple, exits_done.tolist()),
+                  device.tolist(), transmitted.tolist(), _correct(ts, exit_idx).tolist(),
+                  latencies.tolist())
+    return [DecisionRecord(sample_id, exit_taken + 1, computed, mflops, tx, bits if tx else 0,
+                           correct, latency)
+            for sample_id, exit_taken, computed, mflops, tx, correct, latency in columns]
 
 
 def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | None = None,
@@ -340,7 +337,7 @@ class PolicyTable:
         self.exit_distribution = np.empty((n_combos, ts.topology.num_exits))
         self.mean_latency_s = np.empty((n_combos, len(self.bandwidths)))
         tx = (ts.topology.transmitted_bits / np.asarray(self.bandwidths))[:, None]
-        lat = np.empty((len(self.bandwidths), len(ts.samples)))  # reused per walk
+        lat = np.empty((len(self.bandwidths), len(ts)))  # reused per walk
         i = 0
         for lam in lam_arrays:
             for gamma in gamma_arrays:

@@ -47,7 +47,7 @@ def make_labels(ts: TraceSet, lam) -> np.ndarray:
     """Binary targets per early exit: 1 exactly when confidence >= lambda."""
     n_early = ts.topology.num_early_exits
     lam = engine.check_lambda(lam, n_early)
-    return (ts.conf_matrix[:, :n_early] >= lam).astype(np.float64)
+    return (ts.conf[:, :n_early] >= lam).astype(np.float64)
 
 
 def train_predictor(ts: TraceSet, lam, hidden: int = 64,
@@ -60,7 +60,7 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
         cfg = TrainConfig(weight_decay=2e-4)
     n_early = ts.topology.num_early_exits
     lam = engine.check_lambda(lam, n_early)
-    x = ts.feature_matrix
+    x = ts.features
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
     net, curve = train(net, x, targets, "bce", cfg)
@@ -78,7 +78,7 @@ def predict_scores(ep: ExitPredictor, ts: TraceSet) -> np.ndarray:
             f"predictor covers {len(ep.lam)} early exits, trace set has "
             f"{ts.topology.num_early_exits}"
         )
-    out = ep.net.forward(ts.feature_matrix)
+    out = ep.net.forward(ts.features)
     return np.clip(out, _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 

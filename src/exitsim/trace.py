@@ -8,16 +8,22 @@ network.
 Reals are stored with 9 significant digits.  A 9-digit decimal round-trips
 exactly through an IEEE double, so values are canonicalised to that
 precision at construction time and save -> load is the identity.
+
+A ``TraceSet`` keeps its samples as read-only numpy columns.  Every way of
+building one (from ``SampleTrace`` objects, from arrays, from a file, as a
+subset) goes through one column canonicaliser and one column check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +33,9 @@ _FLOAT_FMT = ".9g"
 # Canonicalisation can round a confidence that equals 1/P (e.g. P=3) just
 # below it, so the softmax lower bound is checked with this slack.
 CONF_TOL = 1e-9
+
+# 10**k for k = 0..22, each exactly representable as a double.
+_POW10 = 10.0 ** np.arange(23)
 
 
 def canon(x: float) -> float:
@@ -38,8 +47,49 @@ def canon_seq(xs: Iterable[float]) -> tuple[float, ...]:
     return tuple(canon(x) for x in xs)
 
 
+def canon_array(values) -> np.ndarray:
+    """``canon`` applied element by element, as a new float64 array.
+
+    A value with at most 9 significant digits is already canonical: it is
+    the double nearest to m * 10**(e-8) for an integer |m| < 10**9, e its
+    decade.  That is tested exactly: m = rint(x * 10**(8-e)), then m scaled
+    back must equal x.  Scaling back by an exact power of ten is correctly
+    rounded, which holds for e in [-14, 30].  A decade estimate one too
+    high only coarsens the grid and one too low pushes |m| to 10**9, so
+    neither lets through a value canon would change.  Every other value
+    (more digits, zero, subnormal, huge, non-finite) goes through ``canon``.
+    """
+    out = np.array(values, dtype=np.float64)
+    flat = out.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decade = np.floor(np.log10(np.abs(flat)))
+    ok = (decade >= -14) & (decade <= 30)
+    k = 8 - np.where(ok, decade, 8).astype(np.int64)
+    scale = _POW10[np.abs(k)]
+    up = k >= 0
+    m = np.rint(np.where(up, flat * scale, flat / scale))
+    ok &= (np.abs(m) < 1e9) & (np.where(up, m / scale, m * scale) == flat)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        flat[slow] = [canon(v) for v in flat[slow].tolist()]
+    return out
+
+
 def fmt_real(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
+
+
+def as_int(value, field: str) -> int:
+    """An integer field's value; an integral float such as 3.0 is accepted.
+
+    A fractional or non-finite number, a bool or a non-number raises
+    ValueError naming ``field`` rather than being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 class TraceFormatError(ValueError):
@@ -72,9 +122,10 @@ class ExitTopology:
     compression_ratio: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_exits", int(self.num_exits))
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        object.__setattr__(self, "raw_feature_bits", int(self.raw_feature_bits))
+        object.__setattr__(self, "num_exits", as_int(self.num_exits, "num_exits"))
+        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
+        object.__setattr__(self, "raw_feature_bits",
+                           as_int(self.raw_feature_bits, "raw_feature_bits"))
         object.__setattr__(self, "segment_flops", canon_seq(self.segment_flops))
         object.__setattr__(self, "exit_flops", canon_seq(self.exit_flops))
         object.__setattr__(self, "server_flops", canon(self.server_flops))
@@ -128,8 +179,8 @@ class ExitTopology:
     def from_header(cls, header: Mapping) -> "ExitTopology":
         try:
             return cls(
-                num_exits=header["N"],
-                num_classes=header["P"],
+                num_exits=as_int(header["N"], "N"),
+                num_classes=as_int(header["P"], "P"),
                 segment_flops=header["segment_flops"],
                 exit_flops=header["exit_flops"],
                 server_flops=header["server_flops"],
@@ -157,10 +208,11 @@ class SampleTrace:
     features: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "id", int(self.id))
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "id", as_int(self.id, "id"))
+        object.__setattr__(self, "label", as_int(self.label, "label"))
         object.__setattr__(self, "confidences", canon_seq(self.confidences))
-        object.__setattr__(self, "predicted", tuple(int(p) for p in self.predicted))
+        object.__setattr__(self, "predicted",
+                           tuple(as_int(p, "predicted") for p in self.predicted))
         if self.features is not None:
             object.__setattr__(self, "features", canon_seq(self.features))
             if not all_finite(self.features):
@@ -185,79 +237,250 @@ class SampleTrace:
         return rec
 
 
-@dataclass(frozen=True)
+def _trusted_sample(id, label, confidences, predicted, features) -> SampleTrace:
+    """A SampleTrace of values a checked TraceSet holds, built without re-checking."""
+    s = object.__new__(SampleTrace)
+    s.__dict__.update(id=id, label=label, confidences=confidences, predicted=predicted,
+                      features=features)
+    return s
+
+
+# -- the column check ---------------------------------------------------------
+
+
+class _RowError(ValueError):
+    """An invariant broken by one sample (0-based ``row``) of a set being built."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _raise_first(checks) -> None:
+    """Raise _RowError at the first row any check flags.
+
+    ``checks`` holds (mask, message) pairs: a mask flags rows (any entry of
+    a 2-D row) and ``message(row)`` describes the reported row.  On one row
+    the earlier check wins, as in a per-sample loop over the checks.
+    """
+    hits = []
+    for k, (mask, _) in enumerate(checks):
+        rows = mask.any(axis=1) if mask.ndim > 1 else mask
+        if rows.any():
+            hits.append((int(np.argmax(rows)), k))
+    if hits:
+        row, k = min(hits)
+        raise _RowError(row, checks[k][1](row))
+
+
+def _entry(col: np.ndarray, mask: np.ndarray, row: int):
+    """The first entry of ``row`` that ``mask`` flags, as a Python value."""
+    return np.atleast_1d(col[row])[np.atleast_1d(mask[row])].tolist()[0]
+
+
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if value > 0 else -math.inf
+
+
+def _float64(values) -> np.ndarray:
+    """Numbers as a float64 array; an integer beyond the double range reads
+    as +-inf, so the range and finiteness checks flag its sample."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.vectorize(_as_float, otypes=[np.float64])(np.asarray(values, dtype=object))
+
+
+def _integral(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(the values as given, as int64, mask of entries that are not integers)."""
+    given = np.asarray(values)
+    if given.dtype.kind in "iu":
+        return given, given.astype(np.int64), np.zeros(given.shape, dtype=bool)
+    real = _float64(given)
+    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63))
+    return given, np.where(bad, 0.0, real).astype(np.int64), bad
+
+
+def _matrices(topology: ExitTopology, ids, conf, conf_len, pred, pred_len, features,
+              feat_len):
+    """Stack flat per-sample values into (samples, width) matrices.
+
+    The ``*_len`` lists give each sample's entry count; ``feat_len`` is -1
+    for a sample without features.  Raises _RowError for the first sample
+    whose lengths fit neither the topology nor the set's first sample.
+    """
+    n, n_exits = len(ids), topology.num_exits
+    conf_len, pred_len, feat_len = (np.asarray(v, dtype=np.int64).reshape(n)
+                                    for v in (conf_len, pred_len, feat_len))
+    dim = int(feat_len[0]) if n else -1
+    _raise_first([
+        (conf_len != pred_len, lambda i: f"sample {ids[i]}: confidences and predicted "
+                                         f"lengths differ ({conf_len[i]} vs {pred_len[i]})"),
+        (conf_len != n_exits,
+         lambda i: f"sample {ids[i]}: confidences length {conf_len[i]} != N={n_exits}"),
+        ((feat_len < 0) != (dim < 0),
+         lambda i: f"sample {ids[i]}: features present for only part of the set"),
+        (feat_len != dim, lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {dim}"),
+    ])
+    return (_float64(conf).reshape(n, n_exits), np.array(pred).reshape(n, n_exits),
+            None if dim < 0 else _float64(features).reshape(n, dim))
+
+
 class TraceSet:
-    """A topology plus the samples traced through it."""
+    """A topology plus the samples traced through it, kept as columns.
 
-    topology: ExitTopology
-    samples: tuple[SampleTrace, ...]
+    ``ids`` and ``label`` are (samples,) int64; ``conf`` holds the top-1
+    confidence and ``pred`` the predicted class at each exit, both
+    (samples, N); ``features`` is (samples, d) float64 or None.  The
+    columns are read-only.  ``samples`` is a sequence of ``SampleTrace``
+    built from the columns as it is read.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        topo = self.topology
-        n, p = topo.num_exits, topo.num_classes
-        seen: set[int] = set()
-        feat_dim: int | None = None
-        has_features: bool | None = None
-        lower = 1.0 / p - CONF_TOL
-        for s in self.samples:
-            if s.id in seen:
-                raise ValueError(f"sample {s.id}: duplicate id")
-            seen.add(s.id)
-            if len(s.confidences) != n:
-                raise ValueError(
-                    f"sample {s.id}: confidences length {len(s.confidences)} != N={n}"
-                )
-            if not (0 <= s.label < p):
-                raise ValueError(f"sample {s.id}: label {s.label} outside [0, {p})")
-            for c in s.confidences:
-                if not (lower <= c < 1.0):
-                    raise ValueError(
-                        f"sample {s.id}: confidences entry {c!r} outside [1/P, 1)"
-                    )
-            for q in s.predicted:
-                if not (0 <= q < p):
-                    raise ValueError(f"sample {s.id}: predicted class {q} outside [0, {p})")
-            present = s.features is not None
-            if has_features is None:
-                has_features = present
-            elif has_features != present:
-                raise ValueError(f"sample {s.id}: features present for only part of the set")
-            if present:
-                if feat_dim is None:
-                    feat_dim = len(s.features)
-                elif len(s.features) != feat_dim:
-                    raise ValueError(
-                        f"sample {s.id}: features length {len(s.features)} != {feat_dim}"
-                    )
+    def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
+        rows = tuple(samples)
+        ids = [s.id for s in rows]
+        conf, pred, features = _matrices(
+            topology, ids,
+            [v for s in rows for v in s.confidences], [len(s.confidences) for s in rows],
+            [v for s in rows for v in s.predicted], [len(s.predicted) for s in rows],
+            [v for s in rows for v in s.features or ()],
+            [-1 if s.features is None else len(s.features) for s in rows])
+        self._set(topology, ids, [s.label for s in rows], conf, pred, features)
+
+    @classmethod
+    def from_columns(cls, topology: ExitTopology, ids, label, conf, pred,
+                     features=None) -> "TraceSet":
+        """A set from arrays: ``ids`` and ``label`` (samples,), ``conf`` and
+        ``pred`` (samples, N), ``features`` (samples, d) or None."""
+        ts = cls.__new__(cls)
+        ts._set(topology, ids, label, conf, pred, features)
+        return ts
+
+    def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
+        """The one column canonicaliser and check; stores read-only copies."""
+        p, n_exits = topology.num_classes, topology.num_exits
+        id_given, ids, id_bad = _integral(ids)
+        label_given, label, label_bad = _integral(label)
+        pred_given, pred, pred_bad = _integral(pred)
+        conf = canon_array(conf)
+        features = None if features is None else canon_array(features)
+        n = len(ids)
+        if (ids.shape != (n,) or label.shape != (n,) or conf.shape != (n, n_exits)
+                or pred.shape != (n, n_exits)
+                or (features is not None and (features.ndim != 2 or len(features) != n))):
+            raise ValueError(
+                f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
+                f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
+                f"features {None if features is None else features.shape}")
+        first_use = np.zeros(n, dtype=bool)
+        first_use[np.unique(ids, return_index=True)[1]] = True
+        # Written so that NaN fails too.
+        conf_bad = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
+        pred_out = (pred < 0) | (pred >= p)
+        checks = [
+            (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
+            (~first_use, lambda i: f"sample {ids[i]}: duplicate id"),
+            (label_bad, lambda i: f"sample {ids[i]}: label must be an integer, "
+                                  f"got {_entry(label_given, label_bad, i)!r}"),
+            ((label < 0) | (label >= p),
+             lambda i: f"sample {ids[i]}: label {label[i]} outside [0, {p})"),
+            (conf_bad, lambda i: f"sample {ids[i]}: confidences entry "
+                                 f"{_entry(conf, conf_bad, i)!r} outside [1/P, 1)"),
+            (pred_bad, lambda i: f"sample {ids[i]}: predicted must be an integer, "
+                                 f"got {_entry(pred_given, pred_bad, i)!r}"),
+            (pred_out, lambda i: f"sample {ids[i]}: predicted class "
+                                 f"{_entry(pred, pred_out, i)} outside [0, {p})"),
+        ]
+        if features is not None:
+            checks.append((~np.isfinite(features),
+                           lambda i: f"sample {ids[i]}: features must be finite"))
+        _raise_first(checks)
+        for name, col in (("ids", ids), ("label", label), ("conf", conf), ("pred", pred),
+                          ("features", features)):
+            if col is not None:
+                col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "topology", topology)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TraceSet is read-only: cannot set {name!r}")
+
+    def _columns(self) -> tuple:
+        return self.ids, self.label, self.conf, self.pred, self.features
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        if self.topology != other.topology or self.has_features != other.has_features:
+            return False
+        return all(a is None or np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
 
     @property
     def has_features(self) -> bool:
-        return bool(self.samples) and self.samples[0].features is not None
+        return self.features is not None
 
-    @cached_property
-    def conf_matrix(self) -> np.ndarray:
-        return np.array([s.confidences for s in self.samples], dtype=np.float64)
+    @property
+    def samples(self) -> "_SampleView":
+        """The samples as a sequence of ``SampleTrace``, built on access."""
+        return _SampleView(self)
 
-    @cached_property
-    def pred_matrix(self) -> np.ndarray:
-        return np.array([s.predicted for s in self.samples], dtype=np.int64)
+    # The columns under their matrix names.
+    conf_matrix = property(operator.attrgetter("conf"))
+    pred_matrix = property(operator.attrgetter("pred"))
+    label_vector = property(operator.attrgetter("label"))
 
-    @cached_property
-    def label_vector(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    @cached_property
+    @property
     def feature_matrix(self) -> np.ndarray:
-        if not self.has_features:
+        if self.features is None:
             raise ValueError("trace set carries no features")
-        return np.array([s.features for s in self.samples], dtype=np.float64)
+        return self.features
 
     def subset(self, indices: Sequence[int]) -> "TraceSet":
-        return TraceSet(self.topology, tuple(self.samples[i] for i in indices))
+        rows = np.fromiter(map(operator.index, indices), dtype=np.intp)
+        return TraceSet.from_columns(
+            self.topology, *(None if c is None else c[rows] for c in self._columns()))
+
+
+class _SampleView(SequenceABC):
+    """A trace set's samples as ``SampleTrace``; each is built when read."""
+
+    __slots__ = ("_ts",)
+    _CHUNK = 4096  # rows converted at a time while iterating
+
+    def __init__(self, ts: TraceSet):
+        self._ts = ts
+
+    def __len__(self) -> int:
+        return len(self._ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        ts = self._ts
+        return _trusted_sample(
+            int(ts.ids[i]), int(ts.label[i]), tuple(ts.conf[i].tolist()),
+            tuple(ts.pred[i].tolist()),
+            None if ts.features is None else tuple(ts.features[i].tolist()))
+
+    def __iter__(self) -> Iterator[SampleTrace]:
+        ts = self._ts
+        for start in range(0, len(ts), self._CHUNK):
+            part = slice(start, start + self._CHUNK)
+            features = (repeat(None) if ts.features is None
+                        else map(tuple, ts.features[part].tolist()))
+            yield from map(_trusted_sample, ts.ids[part].tolist(), ts.label[part].tolist(),
+                           map(tuple, ts.conf[part].tolist()),
+                           map(tuple, ts.pred[part].tolist()), features)
+
+    def __add__(self, other) -> tuple[SampleTrace, ...]:
+        return tuple(self) + tuple(other)
 
 
 @dataclass(frozen=True)
@@ -320,8 +543,23 @@ def json_line(obj: dict) -> str:
 
 
 def trace_set_text(ts: TraceSet) -> str:
+    """The file text of a set: the header line, then one record per sample.
+
+    Records are rendered with one %-template, ``%d`` for integers and
+    ``%.9g`` for reals, which is what ``json_line`` writes for them.
+    """
+    n = ts.topology.num_exits
+    template = ('{"id":%d,"label":%d,"confidences":[' + ",".join(["%.9g"] * n)
+                + '],"predicted":[' + ",".join(["%d"] * n) + "]")
+    features = repeat(())
+    if ts.features is not None:
+        template += ',"features":[' + ",".join(["%.9g"] * ts.features.shape[1]) + "]"
+        features = ts.features.tolist()
+    template += "}"
     lines = [json_line(ts.topology.header_dict())]
-    lines.extend(json_line(s.record_dict()) for s in ts.samples)
+    lines.extend(template % (i, label, *conf, *pred, *feats) for i, label, conf, pred, feats
+                 in zip(ts.ids.tolist(), ts.label.tolist(), ts.conf.tolist(), ts.pred.tolist(),
+                        features))
     return "\n".join(lines) + "\n"
 
 
@@ -360,11 +598,33 @@ def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+_NUMBER = frozenset({int, float})
+
+
+def _numbers(value) -> bool:
+    """Whether a record value is a JSON list of numbers."""
+    return type(value) is list and _NUMBER.issuperset(map(type, value))
+
+
+def _type_error(rec: dict) -> str:
+    """What is wrong with a record whose fields are not all numbers or lists of them."""
+    for key in ("id", "label"):
+        if type(rec[key]) not in _NUMBER:
+            return f"{key} must be a number, got {rec[key]!r}"
+    for key in ("confidences", "predicted", "features"):
+        if rec.get(key) is not None and not _numbers(rec[key]):
+            return f"{key} must be a list of numbers"
+    return "confidences and predicted must be lists of numbers"
+
+
 def load_trace_set(path: str | os.PathLike) -> TraceSet:
     """Parse and validate a trace file.
 
-    Raises TraceFormatError carrying the offending line number for parse
-    failures and the field/sample id for invariant violations.
+    Each field is gathered into a flat list next to the record's line
+    number.  Keys and types are checked record by record as they are read,
+    then lengths, then values a column at a time.  A failure raises
+    TraceFormatError naming the path and the line of the first record that
+    fails the earliest failing stage.
     """
     rows = read_jsonl(path)
     _, header = next(rows)
@@ -373,25 +633,36 @@ def load_trace_set(path: str | os.PathLike) -> TraceSet:
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
 
-    samples = []
+    lines, ids, labels = [], [], []
+    conf, conf_len, pred, pred_len, feats, feat_len = [], [], [], [], [], []
     for lineno, rec in rows:
         try:
-            samples.append(
-                SampleTrace(
-                    id=rec["id"],
-                    label=rec["label"],
-                    confidences=rec["confidences"],
-                    predicted=rec["predicted"],
-                    features=rec.get("features"),
-                )
-            )
+            sid, label, c, p = rec["id"], rec["label"], rec["confidences"], rec["predicted"]
         except KeyError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
+        f = rec.get("features")
+        if not (type(sid) in _NUMBER and type(label) in _NUMBER and _numbers(c)
+                and _numbers(p) and (f is None or _numbers(f))):
+            raise TraceFormatError(f"{path}: line {lineno}: {_type_error(rec)}")
+        lines.append(lineno)
+        ids.append(sid)
+        labels.append(label)
+        conf.extend(c)
+        conf_len.append(len(c))
+        pred.extend(p)
+        pred_len.append(len(p))
+        if f is None:
+            feat_len.append(-1)
+        else:
+            feats.extend(f)
+            feat_len.append(len(f))
     try:
-        return TraceSet(topo, tuple(samples))
-    except ValueError as exc:
+        conf, pred, feats = _matrices(topo, ids, conf, conf_len, pred, pred_len, feats,
+                                      feat_len)
+        return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
+    except _RowError as exc:
+        raise TraceFormatError(f"{path}: line {lines[exc.row]}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 
 
@@ -403,7 +674,7 @@ def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[Trace
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    n = len(ts.samples)
+    n = len(ts)
     n_hold = max(1, int(round(n * fraction)))
     if n_hold >= n:
         raise ValueError(f"cannot hold out {n_hold} of {n} samples")
@@ -411,4 +682,4 @@ def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[Trace
     perm = rng.permutation(n)
     hold = np.sort(perm[:n_hold])
     keep = np.sort(perm[n_hold:])
-    return ts.subset(keep.tolist()), ts.subset(hold.tolist())
+    return ts.subset(keep), ts.subset(hold)

@@ -19,10 +19,10 @@ import numpy as np
 from .nncore import Mlp, softmax_ce_parts
 from .trace import (
     ExitTopology,
-    SampleTrace,
     TraceFormatError,
     TraceSet,
     all_finite,
+    as_int,
     atomic_write_text,
     json_line,
     read_jsonl,
@@ -151,7 +151,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, int]:
     if header.get("kind") != "dataset":
         raise TraceFormatError(f"{path}: line 1: not a dataset header")
     try:
-        n, p, d = (int(header[k]) for k in ("num_samples", "num_classes", "input_dim"))
+        n, p, d = (as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
     except KeyError as exc:
         raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -159,7 +159,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, int]:
     xs, ys = [], []
     for lineno, rec in rows:
         try:
-            label = int(rec["label"])
+            label = as_int(rec["label"], "label")
             feats = rec["features"]
             if not isinstance(feats, list):
                 raise TypeError("features must be a list of numbers")
@@ -361,7 +361,6 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
     untouched.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if net.num_exits != topology.num_exits:
         raise ValueError(
             f"net has {net.num_exits} exits but topology expects {topology.num_exits}"
@@ -380,13 +379,6 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
         flip = rng.random(x.shape[0]) < final_flip_prob
         offsets = rng.integers(1, p, size=x.shape[0])
         pred[:, -1] = np.where(flip, (pred[:, -1] + offsets) % p, pred[:, -1])
-    samples = []
-    for i in range(x.shape[0]):
-        samples.append(SampleTrace(
-            id=id_start + i,
-            label=int(y[i]),
-            confidences=conf[i],
-            predicted=pred[i],
-            features=x[i] if include_features else None,
-        ))
-    return TraceSet(topology, tuple(samples))
+    ids = np.arange(id_start, id_start + x.shape[0])
+    return TraceSet.from_columns(topology, ids, y, conf, pred,
+                                 x if include_features else None)

@@ -217,11 +217,12 @@ def test_criterion_5_latency_aware_adaptation(toy_pipeline):
 def brute_force_point(ts, scores, env, lam_vals, gam_vals):
     topo = ts.topology
     n_early = topo.num_early_exits
+    samples = tuple(ts.samples)  # built once, not once per combination
     best = None
     for lam in itertools.product(sorted(lam_vals), repeat=n_early):
         for gam in itertools.product(sorted(gam_vals), repeat=n_early):
             correct, lats = [], []
-            for i, s in enumerate(ts.samples):
+            for i, s in enumerate(samples):
                 taken, device, _, tx = literal_predictor_walk(
                     s.confidences, scores[i], lam, gam, topo)
                 correct.append(s.predicted[taken - 1] == s.label)

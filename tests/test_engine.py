@@ -309,6 +309,16 @@ def test_non_finite_scores_and_thresholds_rejected():
         policy_stats(ts, (0.9, 0.9), (0.5, math.nan), rng.uniform(0.0, 1.0, (8, 2)))
 
 
+@pytest.mark.parametrize("scores", [{0: (0.5, 0.5)}, [[0.5, 0.5]] * 3 + [[0.5]], "0.5"],
+                         ids=["mapping", "ragged", "string"])
+def test_non_numeric_scores_name_scores_and_shape(scores):
+    ts = random_trace_set(np.random.default_rng(14), VGG_TOPOLOGY, n_samples=4)
+    with pytest.raises(ValueError, match=r"^scores must be a \(4, 2\) array of numbers"):
+        run_with_predictor(ts, Thresholds((0.9, 0.9), (0.5, 0.5)), scores)
+    with pytest.raises(ValueError, match=r"^scores must be a \(4, 2\) array of numbers"):
+        policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
+
+
 @pytest.mark.parametrize("field", ["compute_speed", "bandwidth", "latency_budget"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
 def test_environment_rejects_non_finite_and_non_positive(field, value):

@@ -13,6 +13,8 @@ from exitsim.trace import (
     TraceFormatError,
     TraceSet,
     canon,
+    canon_array,
+    json_line,
     load_trace_set,
     save_trace_set,
     split_trace_set,
@@ -79,20 +81,96 @@ _HEADER = ('{"N":3,"P":10,"segment_flops":[1.0,2.0],"exit_flops":[0.5,0.5],'
            '"server_flops":10,"predictor_flops":0.1,"raw_feature_bits":1024,'
            '"compression_ratio":4}')
 _RECORD = '{"id":0,"label":3,"confidences":[0.5,0.5,0.5],"predicted":[3,3,3]}'
+_DATASET = '{"kind":"dataset","num_samples":1,"num_classes":2,"input_dim":1}'
+_FEATURES = ',"features":[0.1,0.2]}'
 
 
-@pytest.mark.parametrize("text, loader, lineno", [
-    (_HEADER.replace("[1.0,2.0]", "null") + "\n" + _RECORD, load_trace_set, 1),
-    (_HEADER.replace('"N":3', '"N":Infinity') + "\n" + _RECORD, load_trace_set, 1),
-    (_HEADER + "\n" + _RECORD.replace('"label":3', '"label":Infinity'), load_trace_set, 2),
-    ('{"kind":"dataset","num_samples":1,"num_classes":2,"input_dim":1}\n'
-     '{"id":0,"label":-Infinity,"features":[0.5]}', load_dataset, 2),
-], ids=["trace-header-null", "trace-header-inf", "trace-record-inf", "dataset-record-inf"])
-def test_malformed_field_names_its_line(tmp_path, text, loader, lineno):
+def _second(old, new):
+    """The header, a good record (line 2) and one with ``old`` replaced (line 3)."""
+    return _HEADER + "\n" + _RECORD + "\n" + _RECORD.replace('"id":0', '"id":1').replace(old, new)
+
+
+@pytest.mark.parametrize("text, loader, lineno, detail", [
+    (_HEADER.replace("[1.0,2.0]", "null") + "\n" + _RECORD, load_trace_set, 1, ""),
+    (_HEADER.replace('"N":3', '"N":Infinity') + "\n" + _RECORD, load_trace_set, 1, ""),
+    (_HEADER + "\n" + _RECORD.replace('"label":3', '"label":Infinity'), load_trace_set, 2, ""),
+    (_DATASET + '\n{"id":0,"label":-Infinity,"features":[0.5]}', load_dataset, 2, ""),
+    # Integer fields must be integral, not truncated.
+    (_HEADER + "\n" + _RECORD.replace('"id":0', '"id":0.5'), load_trace_set, 2,
+     "id must be an integer, got 0.5"),
+    (_second('"label":3', '"label":3.7'), load_trace_set, 3,
+     "sample 1: label must be an integer, got 3.7"),
+    (_second("[3,3,3]", "[3.2,3,3]"), load_trace_set, 3,
+     "sample 1: predicted must be an integer, got 3.2"),
+    (_HEADER.replace('"N":3', '"N":3.5') + "\n" + _RECORD, load_trace_set, 1,
+     "N must be an integer, got 3.5"),
+    (_HEADER.replace('"P":10', '"P":10.5') + "\n" + _RECORD, load_trace_set, 1,
+     "P must be an integer, got 10.5"),
+    (_DATASET + '\n{"id":0,"label":1.9,"features":[0.5]}', load_dataset, 2,
+     "label must be an integer, got 1.9"),
+    (_DATASET.replace('"num_samples":1', '"num_samples":1.5')
+     + '\n{"id":0,"label":1,"features":[0.5]}', load_dataset, 1,
+     "num_samples must be an integer, got 1.5"),
+    # Every record-level violation names its line.
+    (_second("[0.5,0.5,0.5]", "[0.5,NaN,0.5]"), load_trace_set, 3,
+     r"sample 1: confidences entry nan outside \[1/P, 1\)"),
+    (_second("[0.5,0.5,0.5]", "[0.5,0.5,1.2]"), load_trace_set, 3,
+     r"sample 1: confidences entry 1.2 outside \[1/P, 1\)"),
+    (_second('"label":3', '"label":10'), load_trace_set, 3,
+     r"sample 1: label 10 outside \[0, 10\)"),
+    (_second("[3,3,3]", "[3,-1,3]"), load_trace_set, 3,
+     r"sample 1: predicted class -1 outside \[0, 10\)"),
+    (_second('"id":1', '"id":0'), load_trace_set, 3, "sample 0: duplicate id"),
+    (_HEADER + "\n\n" + _RECORD + "\n\n" + _RECORD, load_trace_set, 5,
+     "sample 0: duplicate id"),
+    (_second("[0.5,0.5,0.5]", "[0.5,0.5]"), load_trace_set, 3,
+     r"sample 1: confidences and predicted lengths differ \(2 vs 3\)"),
+    (_second('[0.5,0.5,0.5],"predicted":[3,3,3]', '[0.5,0.5],"predicted":[3,3]'),
+     load_trace_set, 3, "sample 1: confidences length 2 != N=3"),
+    (_HEADER + "\n" + _RECORD[:-1] + _FEATURES + "\n"
+     + _RECORD.replace('"id":0', '"id":1')[:-1] + ',"features":[0.1]}', load_trace_set, 3,
+     "sample 1: features length 1 != 2"),
+    (_HEADER + "\n" + _RECORD[:-1] + _FEATURES + "\n" + _RECORD.replace('"id":0', '"id":1'),
+     load_trace_set, 3, "sample 1: features present for only part of the set"),
+    (_second("[0.5,0.5,0.5]", "[0.5,1" + "0" * 400 + ",0.5]"), load_trace_set, 3,
+     r"sample 1: confidences entry inf outside \[1/P, 1\)"),
+    (_second("[3,3,3]", '["3",3,3]'), load_trace_set, 3,
+     "predicted must be a list of numbers"),
+    (_second('"label":3', '"label":true'), load_trace_set, 3,
+     "label must be a number, got True"),
+], ids=["trace-header-null", "trace-header-inf", "trace-record-inf", "dataset-record-inf",
+        "fractional-id", "fractional-label", "fractional-predicted", "fractional-N",
+        "fractional-P", "dataset-fractional-label", "dataset-fractional-num_samples",
+        "nan-confidence", "confidence-above-range", "label-out-of-range",
+        "predicted-out-of-range", "duplicate-id", "duplicate-id-after-blank-lines",
+        "lengths-differ", "short-confidences", "ragged-features", "partial-features",
+        "huge-int-confidence", "string-predicted", "bool-label"])
+def test_malformed_field_names_its_line(tmp_path, text, loader, lineno, detail):
     path = tmp_path / "t.jsonl"
     path.write_text(text + "\n")
-    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+    with pytest.raises(TraceFormatError,
+                       match=f"^{re.escape(str(path))}: line {lineno}: {detail}"):
         loader(path)
+
+
+def test_integral_floats_are_accepted_as_integers(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_HEADER.replace('"N":3', '"N":3.0') + "\n"
+                    + _RECORD.replace('"id":0', '"id":7.0').replace('"label":3', '"label":3.0')
+                    .replace("[3,3,3]", "[3.0,2,1e0]") + "\n")
+    (sample,) = load_trace_set(path).samples
+    assert (sample.id, sample.label, sample.predicted) == (7, 3, (3, 2, 1))
+    path.write_text(_DATASET.replace('"num_samples":1', '"num_samples":1.0')
+                    + '\n{"id":0,"label":1.0,"features":[0.5]}\n')
+    assert load_dataset(path)[1].tolist() == [1]
+
+
+@pytest.mark.parametrize("field, value", [("id", 0.5), ("label", 2.5), ("predicted", (0, 1.5, 0))],
+                         ids=["id", "label", "predicted"])
+def test_sample_trace_rejects_fractional_integer_fields(field, value):
+    args = {"id": 0, "label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SampleTrace(**args)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -161,6 +239,95 @@ def test_canon_is_idempotent():
         assert canon(canon(x)) == canon(x)
 
 
+# Every power of ten from 1e-300 to 1e300 and its two neighbours, as parsed
+# (the double nearest each power), plus zeros and subnormals.
+_DECADES = np.array([float(f"1e{k}") for k in range(-300, 301)])
+_EDGES = np.concatenate([_DECADES, np.nextafter(_DECADES, 0.0), np.nextafter(_DECADES, np.inf),
+                         [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310]])
+
+
+def _digits(lo, hi, exponents=st.integers(-320, 300)):
+    """Decimals m * 10**e with lo <= |m| < hi, parsed as doubles."""
+    return st.builds(lambda m, sign, e: float(f"{sign * m}e{e}"), st.integers(lo, hi - 1),
+                     st.sampled_from([1, -1]), exponents)
+
+
+_REALS = st.one_of(
+    st.floats(),                              # anything, NaN, inf and subnormals included
+    st.sampled_from(_EDGES.tolist()),
+    _digits(1, 10**9),                        # at most 9 significant digits
+    _digits(10**9, 10**10),                   # 10 digits
+    _digits(10**16, 10**17),                  # 17 digits
+    _digits(10**10 - 60, 10**10),             # 10 digits just below a decade
+    _digits(10**9 - 60, 10**9 + 60),          # 9 or 10 digits straddling a decade
+)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_canon_array_matches_canon_at_every_decade():
+    assert _bits(canon_array(_EDGES)) == _bits([canon(v) for v in _EDGES])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_REALS, min_size=1, max_size=40))
+def test_canon_array_matches_canon(values):
+    got = canon_array(np.array(values).reshape(-1, 1))
+    assert got.shape == (len(values), 1)
+    assert _bits(got.ravel()) == _bits([canon(v) for v in values])
+
+
+@st.composite
+def _trace_sets(draw):
+    n_exits, p = draw(st.integers(2, 4)), draw(st.integers(2, 12))
+    n = draw(st.integers(0, 6))
+    dim = draw(st.none() | st.integers(0, 4))
+    ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n, unique=True))
+
+    def row(values, width):
+        return draw(st.lists(values, min_size=width, max_size=width))
+
+    samples = [SampleTrace(
+        id=i, label=draw(st.integers(0, p - 1)),
+        confidences=row(st.floats(1.0 / p, 0.999) | st.sampled_from([1.0 / p, 0.5]), n_exits),
+        predicted=row(st.integers(0, p - 1), n_exits),
+        features=None if dim is None else row(st.floats(allow_nan=False, allow_infinity=False)
+                                              | _digits(1, 10**9, st.integers(-30, 30)), dim),
+    ) for i in ids]
+    return TraceSet(small_topology(n_exits, p), samples)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_trace_sets())
+def test_trace_set_text_matches_record_rendering(ts):
+    lines = [json_line(ts.topology.header_dict())]
+    lines += [json_line(s.record_dict()) for s in ts.samples]
+    assert trace_set_text(ts) == "\n".join(lines) + "\n"
+
+
+def test_columns_are_read_only_and_samples_are_views():
+    rng = np.random.default_rng(8)
+    ts = random_trace_set(rng, small_topology(), n_samples=5, with_features=True)
+    rebuilt = TraceSet.from_columns(ts.topology, ts.ids, ts.label, ts.conf, ts.pred,
+                                    ts.features)
+    assert rebuilt == ts and TraceSet(ts.topology, ts.samples) == ts
+    for col in (ts.ids, ts.label, ts.conf, ts.pred, ts.features):
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0
+    with pytest.raises(AttributeError, match="read-only"):
+        ts.conf = ts.conf
+    assert ts.conf_matrix is ts.conf and ts.feature_matrix is ts.features
+    samples = tuple(ts.samples)
+    assert ts.samples is not ts.samples
+    assert [ts.samples[i] for i in range(-5, 5)] == list(samples * 2)
+    assert ts.samples[1:4] == samples[1:4]
+    assert samples[2].confidences == tuple(ts.conf[2].tolist())
+    with pytest.raises(IndexError):
+        ts.samples[5]
+
+
 def test_mismatched_lengths_rejected():
     topo = small_topology(n=3)
     with pytest.raises(ValueError, match="confidences length"):
@@ -217,6 +384,8 @@ def test_validation_rejects_randomized_corruption(kind, value, seed):
 def test_topology_validation():
     with pytest.raises(ValueError):
         small_topology(n=1)
+    with pytest.raises(ValueError, match="num_classes must be an integer, got 10.5"):
+        small_topology(p=10.5)
     with pytest.raises(ValueError, match="segment_flops"):
         ExitTopology(num_exits=3, segment_flops=[1.0], exit_flops=[0.5, 0.5],
                      server_flops=1, predictor_flops=0, num_classes=10,
