@@ -281,17 +281,21 @@ def stage_train_ep(cfg: dict, traces_path: str, lam: Sequence[float], out: str) 
     return curve
 
 
-def stage_select_gamma(cfg: dict, traces_path: str, ep_path: str,
-                       lam: Sequence[float] | None = None) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _load_scored(traces_path: str, ep_path: str
+                ) -> tuple[trace.TraceSet, predictor.ExitPredictor, np.ndarray]:
+    """A trace file, a predictor checkpoint and the predictor's scores on it."""
     ts = trace.load_trace_set(traces_path)
     ep = predictor.load_predictor(ep_path)
-    lam = tuple(lam) if lam is not None else ep.lam
-    gamma = predictor.select_gamma(
-        ts, ep, lam,
+    return ts, ep, predictor.predict_scores(ep, ts)
+
+
+def stage_select_gamma(cfg: dict, ts: trace.TraceSet, scores: np.ndarray,
+                       lam: Sequence[float]) -> tuple[float, ...]:
+    return predictor.select_gamma(
+        ts, scores, lam,
         grid_step=cfg["policy"]["gamma_step"],
         budget_fraction=cfg["policy"]["budget_fraction"],
     )
-    return lam, gamma
 
 
 def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple[float, ...]:
@@ -330,9 +334,7 @@ def stage_evaluate(cfg: dict, trace_path: str, lam: Sequence[float], method: str
 def stage_optimize(cfg: dict, traces_path: str, ep_path: str,
                    out_frontier: str | None,
                    bandwidth: float | None = None) -> optimizer.PolicyPoint:
-    ts = trace.load_trace_set(traces_path)
-    ep = predictor.load_predictor(ep_path)
-    scores = predictor.predict_scores(ep, ts)
+    ts, _, scores = _load_scored(traces_path, ep_path)
     env = environment_from_config(cfg, bandwidth)
     best, frontier = optimizer.grid_search(
         ts, scores, env, cfg["policy"]["lambda_grid"], cfg["policy"]["gamma_grid"])
@@ -341,11 +343,8 @@ def stage_optimize(cfg: dict, traces_path: str, ep_path: str,
     return best
 
 
-def stage_sweep(cfg: dict, traces_path: str, ep_path: str, out: str,
+def stage_sweep(cfg: dict, ts: trace.TraceSet, scores: np.ndarray, out: str,
                 bandwidths: Sequence[float] | None = None) -> list[optimizer.PolicyPoint]:
-    ts = trace.load_trace_set(traces_path)
-    ep = predictor.load_predictor(ep_path)
-    scores = predictor.predict_scores(ep, ts)
     env = environment_from_config(cfg)
     bws = bandwidths if bandwidths is not None else cfg["sweep_bandwidths"]
     points = optimizer.sweep_bandwidths(
@@ -354,11 +353,11 @@ def stage_sweep(cfg: dict, traces_path: str, ep_path: str, out: str,
     return points
 
 
-def stage_fit_adapt(cfg: dict, points_path: str, out_bundle: str,
-                    out_table: str | None = None,
-                    traces_path: str | None = None,
-                    ep_path: str | None = None) -> list[optimizer.ThresholdRegressor]:
-    points = optimizer.load_policy_points(points_path)
+def stage_fit_adapt(cfg: dict, points: Sequence[optimizer.PolicyPoint], out_bundle: str,
+                    out_table: str | None = None, ts: trace.TraceSet | None = None,
+                    scores: np.ndarray | None = None) -> list[optimizer.ThresholdRegressor]:
+    """Fit the regressors; with ``out_table``, re-evaluate them on ``ts``
+    under its predictor ``scores``."""
     regressors = optimizer.fit_regressors(
         [p for p in points if p.feasible],
         [tuple(iv) for iv in cfg["regressor_intervals"]],
@@ -368,11 +367,8 @@ def stage_fit_adapt(cfg: dict, points_path: str, out_bundle: str,
     )
     optimizer.save_regressors(regressors, out_bundle)
     if out_table:
-        if traces_path is None or ep_path is None:
+        if ts is None or scores is None:
             raise ValueError("--table needs --traces and --ep to re-evaluate policies")
-        ts = trace.load_trace_set(traces_path)
-        ep = predictor.load_predictor(ep_path)
-        scores = predictor.predict_scores(ep, ts)
         atomic_write_text(out_table, adapt_table_csv(cfg, ts, scores, regressors))
     return regressors
 
@@ -423,20 +419,21 @@ def stage_demo(cfg: dict, outdir: str) -> dict:
         train_ts, cfg["policy"]["holdout_fraction"], seed=cfg["seed"])
     trace.save_trace_set(fit_ts, path("traces_fit.jsonl"))
     trace.save_trace_set(select_ts, path("traces_select.jsonl"))
-    select_path = (path("traces_test.jsonl") if cfg["policy"]["gamma_split"] == "test"
-                   else path("traces_select.jsonl"))
-    select_set = trace.load_trace_set(select_path)
+    gamma_on_test = cfg["policy"]["gamma_split"] == "test"
+    select_set = trace.load_trace_set(
+        path("traces_test.jsonl" if gamma_on_test else "traces_select.jsonl"))
 
     lam_star = best_plain_lambda(select_set, cfg["policy"]["lambda_grid"])
     ep_curve = stage_train_ep(cfg, path("traces_fit.jsonl"), lam_star, path("ep.json"))
-    _, gamma_star = stage_select_gamma(cfg, select_path, path("ep.json"), lam_star)
+    ep = predictor.load_predictor(path("ep.json"))
+    select_scores = predictor.predict_scores(ep, select_set)
+    gamma_star = stage_select_gamma(cfg, select_set, select_scores, lam_star)
     atomic_write_text(path("thresholds.json"), json.dumps({
         "kind": "thresholds", "lambda": list(lam_star), "gamma": list(gamma_star),
     }) + "\n")
 
     # policy comparison and frontier on the held-back test traces
-    test_ts = trace.load_trace_set(path("traces_test.jsonl"))
-    ep = predictor.load_predictor(path("ep.json"))
+    test_ts = select_set if gamma_on_test else trace.load_trace_set(path("traces_test.jsonl"))
     scores = predictor.predict_scores(ep, test_ts)
     env = environment_from_config(cfg)
     _, plain_rep = engine.run_plain(test_ts, lam_star, env)
@@ -456,10 +453,7 @@ def stage_demo(cfg: dict, outdir: str) -> dict:
         lam = (float(lam_value),) * n_early
         _, p_rep = engine.run_plain(test_ts, lam, env)
         frontier_entries.append(("plain", lam, None, p_rep, 0.0))
-        gamma = predictor.select_gamma(
-            select_set, ep, lam,
-            grid_step=cfg["policy"]["gamma_step"],
-            budget_fraction=cfg["policy"]["budget_fraction"])
+        gamma = stage_select_gamma(cfg, select_set, select_scores, lam)
         _, e_rep = engine.run_with_predictor(
             test_ts, trace.Thresholds(lam, gamma), scores, env)
         frontier_entries.append(("predictor", lam, gamma, e_rep,
@@ -468,12 +462,9 @@ def stage_demo(cfg: dict, outdir: str) -> dict:
         frontier_entries.append(("oracle", lam, None, o_rep, 0.0))
     atomic_write_text(path("frontier.csv"), emit_frontier(frontier_entries))
 
-    sweep_points = stage_sweep(cfg, path("traces_test.jsonl"), path("ep.json"),
-                               path("sweep.csv"))
-    regressors = stage_fit_adapt(cfg, path("sweep.csv"), path("regressors.json"),
-                                 out_table=path("adapt_table.csv"),
-                                 traces_path=path("traces_test.jsonl"),
-                                 ep_path=path("ep.json"))
+    sweep_points = stage_sweep(cfg, test_ts, scores, path("sweep.csv"))
+    regressors = stage_fit_adapt(cfg, sweep_points, path("regressors.json"),
+                                 out_table=path("adapt_table.csv"), ts=test_ts, scores=scores)
 
     summary = {
         "kind": "summary",
@@ -517,6 +508,8 @@ _CHECKPOINT_LOADERS = {
     "toy_early_exit": zoo.ToyEarlyExitNet.load,
     "exit_predictor": predictor.load_predictor,
     "threshold_regressors": optimizer.load_regressors,
+    "thresholds": lambda path: trace.load_checkpoint(path, "thresholds", lambda doc: (
+        trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"])))),
 }
 
 
@@ -537,9 +530,6 @@ def validate_artifact(path: str) -> str:
             if kind in _CHECKPOINT_LOADERS:
                 _CHECKPOINT_LOADERS[kind](path)
                 return kind
-            if kind == "thresholds":
-                trace.Thresholds(tuple(whole["lambda"]), tuple(whole["gamma"]))
-                return "thresholds"
             if kind == "experiment_config":
                 cfg = _deep_merge(DEFAULT_CONFIG, {k: v for k, v in whole.items() if k != "kind"})
                 topology_from_config(cfg)
@@ -691,8 +681,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         curve = stage_train_ep(cfg, args.traces, _parse_vector(args.lam), args.out)
         print(f"wrote {args.out} (final loss {curve[-1]:.6f})")
     elif args.command == "select-gamma":
-        lam = _parse_vector(args.lam) if args.lam else None
-        lam, gamma = stage_select_gamma(cfg, args.traces, args.ep, lam)
+        ts, ep, scores = _load_scored(args.traces, args.ep)
+        lam = _parse_vector(args.lam) if args.lam else ep.lam
+        gamma = stage_select_gamma(cfg, ts, scores, lam)
         doc = {"kind": "thresholds", "lambda": list(lam), "gamma": list(gamma)}
         if args.out:
             atomic_write_text(args.out, json.dumps(doc) + "\n")
@@ -721,12 +712,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     elif args.command == "sweep":
         bws = ([float(v) for v in args.bandwidths.split(",")]
                if args.bandwidths else None)
-        points = stage_sweep(cfg, args.traces, args.ep, args.out, bandwidths=bws)
+        ts, _, scores = _load_scored(args.traces, args.ep)
+        points = stage_sweep(cfg, ts, scores, args.out, bandwidths=bws)
         print(f"wrote {args.out} ({len(points)} bandwidths, "
               f"{sum(p.feasible for p in points)} feasible)")
     elif args.command == "fit-adapt":
-        regs = stage_fit_adapt(cfg, args.points, args.out, out_table=args.table,
-                               traces_path=args.traces, ep_path=args.ep)
+        ts = scores = None
+        if args.table and args.traces and args.ep:
+            ts, _, scores = _load_scored(args.traces, args.ep)
+        regs = stage_fit_adapt(cfg, optimizer.load_policy_points(args.points), args.out,
+                               out_table=args.table, ts=ts, scores=scores)
         errs = ", ".join(f"{r.max_abs_error:.4f}" for r in regs)
         print(f"wrote {args.out} (max abs fit errors: {errs})")
     elif args.command == "demo":

@@ -3,6 +3,10 @@
 Big enough for a toy multi-exit classifier, a fully-connected skip
 predictor, and two-layer threshold regressors; deliberately nothing more.
 Training is single-threaded and bit-reproducible for a fixed seed.
+``train`` is the one epoch loop.  It also trains an ``MlpStack``: K
+same-shaped nets in lockstep, their parameters stacked on a leading net
+axis, each net with its own seed and shuffle and with the same bits as
+when trained alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import atomic_write_text
+from .trace import as_int, atomic_write_text, load_checkpoint
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
 
@@ -73,6 +77,45 @@ def _act_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.
     raise ValueError(f"unknown activation {act!r}")
 
 
+# Layer math shared by one net and a stack: x is (rows, d) for one net, or
+# (K, rows, d) for K nets whose parameters lead with the net axis (biases
+# (K, 1, fan_out)); np.matmul runs the same per-net product either way.
+
+
+def _forward_full(weights, biases, activations, x: np.ndarray):
+    acts = [x]
+    pres = []
+    a = x
+    for w, b, act in zip(weights, biases, activations):
+        z = a @ w + b
+        a = _apply_act(z, act)
+        pres.append(z)
+        acts.append(a)
+    return pres, acts
+
+
+def _backward(weights, activations, pres, acts, dout=None, dlogits=None):
+    """Backprop from either d(output activation) or d(last pre-activation).
+
+    Returns (d_input, grads) with grads aligned to parameters().
+    """
+    n_layers = len(weights)
+    if (dout is None) == (dlogits is None):
+        raise ValueError("provide exactly one of dout, dlogits")
+    if dlogits is not None:
+        dz = dlogits
+    else:
+        dz = _act_backward(dout, pres[-1], acts[-1], activations[-1])
+    grads: list[np.ndarray | None] = [None] * (2 * n_layers)
+    for i in range(n_layers - 1, -1, -1):
+        grads[2 * i] = np.swapaxes(acts[i], -1, -2) @ dz
+        grads[2 * i + 1] = dz.sum(axis=-2, keepdims=dz.ndim == 3)
+        da = dz @ np.swapaxes(weights[i], -1, -2)
+        if i > 0:
+            dz = _act_backward(da, pres[i - 1], acts[i - 1], activations[i - 1])
+    return da, grads
+
+
 class Mlp:
     """Fully-connected net with per-layer activation tags.
 
@@ -126,11 +169,7 @@ class Mlp:
         return self.weights[-1].shape[1]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def _promote(self, x) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=np.float64)
@@ -148,36 +187,10 @@ class Mlp:
         return a[0] if single else a
 
     def _forward_full(self, x2: np.ndarray):
-        acts = [x2]
-        pres = []
-        a = x2
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w + b
-            a = _apply_act(z, act)
-            pres.append(z)
-            acts.append(a)
-        return pres, acts
+        return _forward_full(self.weights, self.biases, self.activations, x2)
 
     def _backward(self, pres, acts, dout=None, dlogits=None):
-        """Backprop from either d(output activation) or d(last pre-activation).
-
-        Returns (d_input, grads) with grads aligned to parameters().
-        """
-        n_layers = len(self.weights)
-        if (dout is None) == (dlogits is None):
-            raise ValueError("provide exactly one of dout, dlogits")
-        if dlogits is not None:
-            dz = dlogits
-        else:
-            dz = _act_backward(dout, pres[-1], acts[-1], self.activations[-1])
-        grads: list[np.ndarray | None] = [None] * (2 * n_layers)
-        for i in range(n_layers - 1, -1, -1):
-            grads[2 * i] = acts[i].T @ dz
-            grads[2 * i + 1] = dz.sum(axis=0)
-            da = dz @ self.weights[i].T
-            if i > 0:
-                dz = _act_backward(da, pres[i - 1], acts[i - 1], self.activations[i - 1])
-        return da, grads
+        return _backward(self.weights, self.activations, pres, acts, dout, dlogits)
 
     # -- losses on this net ------------------------------------------------
 
@@ -251,8 +264,58 @@ class Mlp:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Mlp":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return load_checkpoint(path, "mlp", cls.from_dict)
+
+
+class MlpStack:
+    """K same-shaped Mlps trained in lockstep under "mse".
+
+    Every parameter gains a leading net axis.  Inputs and targets are K
+    row blocks of equal length, net-major: net k owns rows k*n .. (k+1)*n - 1.
+    Each net's loss and gradient are those it has alone, so ``train`` (which
+    shuffles each block with the net's own seed) leaves every member with
+    the bits that training it by itself gives.
+    """
+
+    def __init__(self, nets: Sequence[Mlp]):
+        if not nets:
+            raise ValueError("a stack needs at least one net")
+        shapes = [w.shape for w in nets[0].weights]
+        for net in nets:
+            if net.activations != nets[0].activations or [w.shape for w in net.weights] != shapes:
+                raise ValueError("stacked nets must share layer sizes and activations")
+        self.activations = nets[0].activations
+        self.seeds = tuple(net.seed for net in nets)
+        self.weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
+        self.biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
+
+    def nets(self) -> list[Mlp]:
+        """The members as separate Mlps, copied out of the stack."""
+        return [Mlp([w[k] for w in self.weights], [b[k, 0] for b in self.biases],
+                    self.activations, seed=seed) for k, seed in enumerate(self.seeds)]
+
+    def parameters(self) -> list[np.ndarray]:
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def _loss_parts(self, x, target, loss: str, want_grads: bool):
+        """Per-net MSE, shape (K,), and each net's gradient at its own scale."""
+        if loss != "mse":
+            raise ValueError(f"unknown loss tag {loss!r} for MlpStack")
+        x3 = np.asarray(x, dtype=np.float64).reshape(len(self.seeds), -1, self.weights[0].shape[1])
+        pres, acts = _forward_full(self.weights, self.biases, self.activations, x3)
+        diff = acts[-1] - np.asarray(target, dtype=np.float64).reshape(acts[-1].shape)
+        value = np.mean(diff * diff, axis=(1, 2))
+        if not want_grads:
+            return value, None
+        _, grads = _backward(self.weights, self.activations, pres, acts,
+                             dout=2.0 * diff / diff[0].size)
+        return value, grads
+
+    def loss_value(self, x, target, loss: str) -> np.ndarray:
+        return self._loss_parts(x, target, loss, want_grads=False)[0]
+
+    def loss_and_grads(self, x, target, loss: str):
+        return self._loss_parts(x, target, loss, want_grads=True)
 
 
 # -- loss functions ---------------------------------------------------------
@@ -326,8 +389,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.lr_end <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr", "lr_end", "weight_decay"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+        for name in ("lr_end_epoch", "epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("lr", "lr_end"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -338,6 +406,20 @@ class TrainConfig:
             raise ValueError("lr_end_epoch must not exceed epochs")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+def _as_real(value, field: str) -> float:
+    """A finite real field's value; NaN, an infinity, a bool or a non-number
+    raises ValueError naming ``field``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the double range
+            pass
+    raise ValueError(f"{field} must be a finite real number, got {value!r}")
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -349,14 +431,20 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
-              rng: np.random.Generator) -> None:
-    """One shuffled pass of minibatch SGD over the dataset, in place."""
-    n = inputs.shape[0]
-    perm = rng.permutation(n)
+              rngs: Sequence[np.random.Generator]) -> None:
+    """One shuffled pass of minibatch SGD over the dataset, in place.
+
+    ``rngs`` holds one generator per net: one for a single net, K for an
+    MlpStack whose rows are K blocks of n.  Each net shuffles its own block
+    with its own generator, and a minibatch is the next ``batch_size`` rows
+    of every block, net-major.
+    """
+    n = inputs.shape[0] // len(rngs)
+    perm = np.stack([rng.permutation(n) + k * n for k, rng in enumerate(rngs)])
     for start in range(0, n, cfg.batch_size):
-        idx = perm[start:start + cfg.batch_size]
+        idx = perm[:, start:start + cfg.batch_size].reshape(-1)
         batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
-        if not math.isfinite(batch_loss):
+        if not np.isfinite(batch_loss).all():
             raise ValueError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
             p -= lr * (g + cfg.weight_decay * p)
@@ -367,7 +455,11 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
 
     The one epoch loop: ``net`` is anything exposing parameters() /
     loss_value() / loss_and_grads(), an Mlp under "bce", "softmax_ce" or
-    "mse", or a ToyEarlyExitNet under "weighted_ce".
+    "mse", or a ToyEarlyExitNet under "weighted_ce".  A single net shuffles
+    with a generator seeded ``cfg.seed``.  An MlpStack of K nets under "mse"
+    takes its members' row blocks stacked net-major; member k shuffles with
+    a generator seeded by its own ``Mlp.seed``, and each curve entry holds
+    the K members' losses.  A member that diverges stops the whole stack.
     """
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets)
@@ -375,15 +467,18 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
         raise ValueError("inputs must be a nonempty (samples, dim) array")
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
-    rng = np.random.default_rng(cfg.seed)
-    curve: list[float] = []
+    seeds = net.seeds if isinstance(net, MlpStack) else (cfg.seed,)
+    if x.shape[0] % len(seeds):
+        raise ValueError(f"{x.shape[0]} rows do not split into {len(seeds)} equal blocks")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    curve: list = []
     for epoch in range(cfg.epochs):
         try:
-            sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rng)
+            sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rngs)
             full = net.loss_value(x, t, loss)
         except ValueError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-        if not math.isfinite(full):
+        if not np.isfinite(full).all():
             raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
         curve.append(full)
     return net, curve

@@ -18,15 +18,15 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import engine
-from .nncore import Mlp, TrainConfig, train
+from .nncore import Mlp, MlpStack, TrainConfig, train
 from .predictor import as_scores
-from .trace import Thresholds, TraceSet, atomic_write_text
+from .trace import Thresholds, TraceSet, atomic_write_text, load_checkpoint
 
 # Clamp for regressed confidence thresholds: keep them meaningfully inside
 # (1/P, 1) so the resulting Thresholds always validate.
@@ -145,12 +145,18 @@ def fit_regressors(points: Sequence[PolicyPoint],
     Interval membership is inclusive on both ends, so a bandwidth shared by
     two intervals trains both regressors.  The recorded max_abs_error is
     the worst clamped-prediction error over the interval's training points.
+
+    Net k of interval idx (k = 0 lambda, 1 gamma) is seeded
+    ``cfg.seed + 2*idx + k``.  Nets whose targets have the same shape train
+    in lockstep as one MlpStack, each with its own seed and shuffle, so every
+    net ends with the bits it would have trained to alone.
     """
     if cfg is None:
         cfg = TrainConfig(lr=0.1, lr_end=1e-4, lr_end_epoch=8000, epochs=8000,
                           batch_size=16, weight_decay=0.0, seed=0)
     ordered = sorted(intervals, key=lambda iv: (float(iv[0]), float(iv[1])))
-    out: list[ThresholdRegressor] = []
+    fits = []  # per interval: (lo, hi, bandwidths, log center, x, (lam, gamma targets))
+    jobs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, Mlp]] = {}  # (idx, k) -> x, y, net
     for idx, (lo, hi) in enumerate(ordered):
         lo, hi = float(lo), float(hi)
         if not (0 < lo < hi):
@@ -168,21 +174,32 @@ def fit_regressors(points: Sequence[PolicyPoint],
         logb = np.log10(bws)
         center = float(np.mean(logb))
         x = (logb - center)[:, None]
-        lam_targets = np.array([p.lam for p in members])
-        gam_targets = np.array([p.gamma for p in members])
+        targets = (np.array([p.lam for p in members]), np.array([p.gamma for p in members]))
+        fits.append((lo, hi, bws, center, x, targets))
 
         # Zero output weights + bias at the target mean start the net on the
         # mean schedule, so constant threshold schedules are reproduced
         # exactly and only residuals remain to fit.
-        nets = []
-        for k, targets in enumerate((lam_targets, gam_targets)):
-            seed = cfg.seed + 2 * idx + k
-            net = Mlp.init([1, hidden, targets.shape[1]], ["relu", "identity"], seed=seed)
+        for k, t in enumerate(targets):
+            net = Mlp.init([1, hidden, t.shape[1]], ["relu", "identity"],
+                           seed=cfg.seed + 2 * idx + k)
             net.weights[-1][:] = 0.0
-            net.biases[-1][:] = targets.mean(axis=0)
-            nets.append(train(net, x, targets, "mse", replace(cfg, seed=seed))[0])
-        lam_net, gamma_net = nets
+            net.biases[-1][:] = t.mean(axis=0)
+            jobs[idx, k] = (x, t, net)
 
+    stacks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for key, (_, t, _) in jobs.items():
+        stacks.setdefault(t.shape, []).append(key)
+    trained: dict[tuple[int, int], Mlp] = {}
+    for keys in stacks.values():
+        xs, ys, nets = zip(*(jobs[key] for key in keys))
+        stack = MlpStack(nets)
+        train(stack, np.concatenate(xs), np.concatenate(ys), "mse", cfg)
+        trained.update(zip(keys, stack.nets()))
+
+    out: list[ThresholdRegressor] = []
+    for idx, (lo, hi, bws, center, x, (lam_targets, gam_targets)) in enumerate(fits):
+        lam_net, gamma_net = trained[idx, 0], trained[idx, 1]
         lam_hat = _clamp_lam(lam_net.forward(x), num_classes)
         gam_hat = np.clip(gamma_net.forward(x), 0.0, 1.0)
         err = max(
@@ -302,13 +319,8 @@ def save_regressors(regressors: Sequence[ThresholdRegressor],
 
 
 def load_regressors(path: str | os.PathLike) -> list[ThresholdRegressor]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "threshold_regressors":
-        raise ValueError(f"{path}: not a threshold-regressor bundle")
-    out = []
-    for r in doc["regressors"]:
-        out.append(ThresholdRegressor(
+    return load_checkpoint(path, "threshold_regressors", lambda doc: [
+        ThresholdRegressor(
             interval=tuple(r["interval"]),
             train_bandwidths=tuple(r["train_bandwidths"]),
             lam_net=Mlp.from_dict(r["lam_net"]),
@@ -316,5 +328,6 @@ def load_regressors(path: str | os.PathLike) -> list[ThresholdRegressor]:
             log_center=r["log_center"],
             num_classes=r["num_classes"],
             max_abs_error=r["max_abs_error"],
-        ))
-    return out
+        )
+        for r in doc["regressors"]
+    ])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .nncore import Mlp, TrainConfig, train
-from .trace import TraceSet, atomic_write_text
+from .trace import TraceSet, atomic_write_text, load_checkpoint
 
 # Scores are kept strictly inside (0, 1); a saturated sigmoid would
 # otherwise defeat the gamma = 1 "skip everything" contract.
@@ -126,12 +126,8 @@ def save_predictor(ep: ExitPredictor, path: str | os.PathLike) -> None:
 
 
 def load_predictor(path: str | os.PathLike) -> ExitPredictor:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "exit_predictor":
-        raise ValueError(f"{path}: not an exit-predictor checkpoint")
-    return ExitPredictor(
+    return load_checkpoint(path, "exit_predictor", lambda doc: ExitPredictor(
         net=Mlp.from_dict(doc["net"]),
         lam=tuple(doc["lambda"]),
         predictor_flops=doc["predictor_flops"],
-    )
+    ))

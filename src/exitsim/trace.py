@@ -521,6 +521,24 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def load_checkpoint(path: str | os.PathLike, kind: str, build):
+    """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
+
+    A document of another kind, a missing field or a field of the wrong
+    type raises ValueError naming the path (and the missing field).
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind!r} document")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed {kind!r} document: {exc}") from exc
+
+
 def json_line(obj: dict) -> str:
     """Render one flat record as a JSON line, reals at stored precision."""
     parts = []

@@ -25,6 +25,7 @@ from .trace import (
     as_int,
     atomic_write_text,
     json_line,
+    load_checkpoint,
     read_jsonl,
 )
 
@@ -344,11 +345,7 @@ class ToyEarlyExitNet:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ToyEarlyExitNet":
-        with open(path) as fh:
-            d = json.load(fh)
-        if d.get("kind") != "toy_early_exit":
-            raise ValueError(f"{path}: not a toy early-exit checkpoint")
-        return cls.from_dict(d)
+        return load_checkpoint(path, "toy_early_exit", cls.from_dict)
 
 
 def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,

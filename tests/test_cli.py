@@ -10,6 +10,7 @@ from exitsim.cli import (
     DEFAULT_CONFIG,
     emit_frontier,
     load_config,
+    main,
     validate_artifact,
 )
 from exitsim.engine import run_oracle, run_plain, run_with_predictor
@@ -212,6 +213,33 @@ def test_validate_rejects_garbage(tmp_path):
         validate_artifact(str(bad))
     proc = run_cli("validate", str(bad))
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "threshold_regressors"}, "regressors"),
+    ({"kind": "threshold_regressors", "regressors": [{"interval": [1e5, 1e6]}]},
+     "train_bandwidths"),
+    ({"kind": "thresholds", "lambda": [0.5, 0.6]}, "gamma"),
+    ({"kind": "thresholds", "gamma": [0.5, 0.6]}, "lambda"),
+    ({"kind": "exit_predictor", "lambda": [0.5]}, "net"),
+    ({"kind": "mlp"}, "sizes"),
+    ({"kind": "toy_early_exit"}, "trunk"),
+])
+def test_validate_names_path_and_missing_field(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc) + "\n")
+    assert main(["validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{path}: missing field {field!r}"}
+
+
+def test_validate_names_path_of_malformed_regressor_bundle(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "threshold_regressors", "regressors": 5}) + "\n")
+    assert main(["validate", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: malformed 'threshold_regressors' document: ")
 
 
 def test_validate_truncated_json_names_the_path(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from exitsim.nncore import (
     BCE_CLAMP,
     Mlp,
+    MlpStack,
     TrainConfig,
     bce_loss,
     lr_at,
@@ -235,3 +238,57 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=10, lr_end_epoch=11)
     TrainConfig(epochs=0, lr_end_epoch=1)  # zero-epoch configs are allowed
+
+
+BAD_TRAIN_CONFIG_VALUES = {
+    "lr": [math.nan, math.inf, -math.inf, True, "0.1"],
+    "lr_end": [math.nan, math.inf, -math.inf],
+    "weight_decay": [math.nan, math.inf, -math.inf, 10 ** 400],
+    "epochs": [16.5, True, "16", math.inf],
+    "batch_size": [16.5, False, math.nan],
+    "lr_end_epoch": [16.5, True, None],
+    "seed": [0.5, True],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_TRAIN_CONFIG_VALUES))
+def test_train_config_names_the_bad_field(field):
+    for value in BAD_TRAIN_CONFIG_VALUES[field]:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_integral_floats_as_integers():
+    cfg = TrainConfig(epochs=16.0, lr_end_epoch=np.int64(8), batch_size=4.0, seed=np.float64(3))
+    assert (cfg.epochs, cfg.lr_end_epoch, cfg.batch_size, cfg.seed) == (16, 8, 4, 3)
+    assert all(type(v) is int for v in (cfg.epochs, cfg.lr_end_epoch, cfg.batch_size, cfg.seed))
+    assert TrainConfig(lr=1, weight_decay=np.float32(0.5)).lr == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_diverging_stack_member_stops_the_stack_at_its_epoch():
+    def member(seed):
+        return Mlp.init([2, 2], ["identity"], seed=seed)
+
+    # Inputs of 100 make this learning rate too large for member 1 only.
+    tame, wild, y = np.ones((4, 2)), np.ones((4, 2)) * 100, np.ones((4, 2))
+    cfg = TrainConfig(lr=0.01, lr_end=0.01, lr_end_epoch=40, epochs=40, batch_size=2)
+    with pytest.raises(ValueError, match="^training diverged at epoch ") as alone:
+        train(member(1), wild, y, "mse", replace(cfg, seed=1))
+    epoch = int(re.match(r"training diverged at epoch (\d+)", str(alone.value)).group(1))
+    assert epoch > 1
+    train(member(0), tame, y, "mse", cfg)  # the tame member alone trains fine
+    stack = MlpStack([member(0), member(1)])
+    with pytest.raises(ValueError, match=f"^training diverged at epoch {epoch}: "):
+        train(stack, np.concatenate([tame, wild]), np.concatenate([y, y]), "mse", cfg)
+
+
+def test_stack_rejects_mixed_shapes_and_other_losses():
+    with pytest.raises(ValueError, match="share"):
+        MlpStack([Mlp.init([1, 4, 2], ["relu", "identity"]), Mlp.init([1, 5, 2], ["relu", "identity"])])
+    stack = MlpStack([Mlp.init([1, 4, 2], ["relu", "identity"], seed=s) for s in (0, 1)])
+    with pytest.raises(ValueError, match="equal blocks"):
+        train(stack, np.zeros((5, 1)), np.zeros((5, 2)), "mse", TrainConfig(epochs=1, lr_end_epoch=1))
+    with pytest.raises(ValueError, match="unknown loss"):
+        train(stack, np.zeros((4, 1)), np.zeros((4, 2)), "bce", TrainConfig(epochs=1, lr_end_epoch=1))

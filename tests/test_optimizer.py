@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from exitsim import engine
 from exitsim.engine import Environment, policy_stats
-from exitsim.nncore import Mlp
+from exitsim.nncore import Mlp, TrainConfig, train
 from exitsim.optimizer import (
+    LAMBDA_CLAMP_EPS,
     InfeasibleError,
     PolicyPoint,
     ThresholdRegressor,
@@ -373,3 +375,64 @@ def test_regressor_bundle_round_trip(tmp_path):
     assert loaded[0].max_abs_error == regs[0].max_abs_error
     for bw in (1e5, 4.2e5, 1e6):
         assert adapt(loaded, bw) == adapt(regs, bw)
+
+
+def serial_regressors(points, intervals, num_classes, cfg, hidden):
+    """Each net trained alone through nncore.train: (lam_net, gamma_net, max_abs_error) per interval."""
+    out = []
+    for idx, (lo, hi) in enumerate(sorted(intervals)):
+        members = sorted((p for p in points if lo <= p.bandwidth <= hi), key=lambda p: p.bandwidth)
+        logb = np.log10([p.bandwidth for p in members])
+        x = (logb - np.mean(logb))[:, None]
+        targets = (np.array([p.lam for p in members]), np.array([p.gamma for p in members]))
+        nets = []
+        for k, t in enumerate(targets):
+            seed = cfg.seed + 2 * idx + k
+            net = Mlp.init([1, hidden, t.shape[1]], ["relu", "identity"], seed=seed)
+            net.weights[-1][:] = 0.0
+            net.biases[-1][:] = t.mean(axis=0)
+            nets.append(train(net, x, t, "mse", replace(cfg, seed=seed))[0])
+        lam_hat = np.clip(nets[0].forward(x), 1.0 / num_classes + LAMBDA_CLAMP_EPS,
+                          1.0 - LAMBDA_CLAMP_EPS)
+        gam_hat = np.clip(nets[1].forward(x), 0.0, 1.0)
+        err = max(float(np.max(np.abs(lam_hat - targets[0]))),
+                  float(np.max(np.abs(gam_hat - targets[1]))))
+        out.append((nets[0], nets[1], err))
+    return out
+
+
+@st.composite
+def regressor_problems(draw):
+    """Runs of 2-4 consecutive bandwidths per interval, so member counts differ
+    between intervals, with minibatches that can be smaller than an interval."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    n_early = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bws = np.geomspace(1e5, 1e8, sum(sizes)).tolist()
+    points = [PolicyPoint(bw, rng.uniform(0.15, 0.99, n_early), rng.uniform(0.0, 1.0, n_early),
+                          0.9, 0.01, True) for bw in bws]
+    ends = np.cumsum(sizes).tolist()
+    intervals = [(bws[end - size], bws[end - 1]) for size, end in zip(sizes, ends)]
+    epochs = draw(st.integers(1, 6))
+    cfg = TrainConfig(lr=draw(st.sampled_from([0.05, 0.3])), lr_end=1e-3,
+                      lr_end_epoch=draw(st.integers(1, epochs)), epochs=epochs,
+                      batch_size=draw(st.integers(1, 5)),
+                      weight_decay=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+                      seed=draw(st.integers(0, 50)))
+    return points, intervals, cfg, draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=regressor_problems())
+def test_stacked_regressors_equal_serial_training_bit_for_bit(problem):
+    points, intervals, cfg, hidden = problem
+    regs = fit_regressors(points, intervals, num_classes=10, cfg=cfg, hidden=hidden)
+    expected = serial_regressors(points, intervals, 10, cfg, hidden)
+    assert len(regs) == len(expected)
+    for reg, (lam_net, gamma_net, err) in zip(regs, expected):
+        assert reg.max_abs_error == err
+        for got, want in ((reg.lam_net, lam_net), (reg.gamma_net, gamma_net)):
+            assert got.seed == want.seed
+            for p, q in zip(got.parameters(), want.parameters(), strict=True):
+                assert p.shape == q.shape
+                assert np.array_equal(p, q)
