@@ -14,29 +14,34 @@ One verb per pipeline stage so stages stay independently scriptable:
     demo          the whole pipeline end to end into an output directory
     validate      check that artifacts parse and satisfy their invariants
 
-Configuration is a single JSON document; every flag overrides the matching
-config key.  All artifacts are written atomically and are byte-identical
-across reruns for a fixed config and seed.  Exit codes: 0 success, 1
-runtime failure (one JSON error line on stderr), 2 usage.
+The config is one JSON document merged over ``DEFAULT_CONFIG``, and every
+flag overrides its key.  ``check_config`` checks it once, before any stage
+runs, and builds the objects the stages use.  Stages take and return
+in-memory objects; only the verb branches of ``run`` read or write files,
+and ``demo`` chains the stages in memory, writing every artifact and reading
+none back.  Artifacts are written atomically and are byte-identical across
+reruns for a fixed config and seed.  Exit codes: 0 success, 1 runtime
+failure (one JSON error line on stderr), 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import engine, optimizer, predictor, trace, zoo
 from .nncore import Mlp, TrainConfig, train
-from .trace import atomic_write_text
+from .trace import as_int, as_real, atomic_write_text
 
 CONFIG_ENV_VAR = "EXITSIM_CONFIG"
 
@@ -109,67 +114,132 @@ def _deep_merge(base: dict, override: Mapping) -> dict:
     return out
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path) as fh:
-        user = json.load(fh)
-    if not isinstance(user, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    user.pop("kind", None)
-    return _deep_merge(DEFAULT_CONFIG, user)
+@dataclass(frozen=True)
+class Config:
+    """A checked config: its merged JSON document and the objects built from it."""
+
+    doc: dict
+    seed: int
+    topology: trace.ExitTopology
+    env: engine.Environment
+    specs: dict[str, zoo.SynthSpec]  # "train", "test"
+    training: dict[str, TrainConfig]  # "ee", "ep", "regressor"
 
 
-def topology_from_config(cfg: dict) -> trace.ExitTopology:
-    t = cfg["topology"]
-    return trace.ExitTopology(
-        num_exits=t["num_exits"],
-        segment_flops=t["segment_flops"],
-        exit_flops=t["exit_flops"],
-        server_flops=t["server_flops"],
-        predictor_flops=t["predictor_flops"],
-        num_classes=t["num_classes"],
-        raw_feature_bits=t["raw_feature_bits"],
-        compression_ratio=t["compression_ratio"],
-    )
+@contextlib.contextmanager
+def _at(path: str):
+    """Re-raise a complaint as a ValueError naming the key path ``path``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config {path}: {exc}" if path else f"config: {exc}") from exc
 
 
-def synth_spec_from_config(cfg: dict, samples: int, seed: int) -> zoo.SynthSpec:
-    s = cfg["synth"]
-    base = zoo.SynthSpec.ring(1, s["num_classes"], s["input_dim"], radius=s["radius"])
-    return zoo.SynthSpec(
-        num_samples=samples,
-        num_classes=s["num_classes"],
-        input_dim=s["input_dim"],
-        centers=base.centers,
-        spreads=s["spreads"],
-        label_noise=s["label_noise"],
-        final_flip_prob=s["final_flip_prob"],
-        seed=seed,
-    )
+# Value rules beyond the type a key's default implies, by key path; a list
+# key's rule holds for each entry.
+_RULES = {
+    **dict.fromkeys(["seed", "ee.exit_weights"], (lambda v: v >= 0, "must be >= 0")),
+    **dict.fromkeys(["synth.train_samples", "synth.test_samples", "ee.trunk_widths",
+                     "ee.final_hidden", "ep.hidden", "regressor.hidden", "ee.train.epochs",
+                     "ep.train.epochs", "regressor.train.epochs"],
+                    (lambda v: v >= 1, "must be >= 1")),
+    "policy.budget_fraction": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "policy.gamma_split": (lambda v: v in ("holdout", "test"), "must be 'holdout' or 'test'"),
+    **dict.fromkeys(["policy.holdout_fraction", "policy.frontier_lambdas",
+                     "policy.lambda_grid"], (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+    "policy.gamma_grid": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "sweep_bandwidths": (lambda v: v > 0, "must be > 0"),
+    "regressor_intervals": (lambda v: len(v) == 2 and 0 < v[0] < v[1],
+                            "must be [lo, hi] with 0 < lo < hi"),
+}
 
 
-def train_config_from(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lr=section["lr"],
-        lr_end=section["lr_end"],
-        lr_end_epoch=section["lr_end_epoch"],
-        epochs=section["epochs"],
-        batch_size=section["batch_size"],
-        weight_decay=section["weight_decay"],
-        seed=seed,
-    )
+def _check_value(value, default, name: str, rule=None) -> None:
+    """``value`` has the JSON type of ``default`` (a string, an integer, a finite
+    real, or a nonempty list of these) and passes ``rule``, entry by entry."""
+    entries = [value]
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{name} must be a nonempty list, got {value!r}")
+        for i, v in enumerate(value):
+            _check_value(v, default[0], f"{name}[{i}]")
+        entries, name = value, f"{name} entries"
+    elif not isinstance(default, str):
+        (as_int if isinstance(default, int) else as_real)(value, name)
+    elif not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    for v in entries:
+        if rule and not rule[0](v):
+            raise ValueError(f"{name} {rule[1]}, got {v!r}")
 
 
-def environment_from_config(cfg: dict, bandwidth: float | None = None) -> engine.Environment:
-    e = cfg["environment"]
-    return engine.Environment(
-        compute_speed=e["compute_speed"],
-        bandwidth=bandwidth if bandwidth is not None else e["bandwidth"],
-        latency_budget=e["latency_budget"],
-    )
+def _check_section(doc, default: dict, path: str) -> None:
+    """Every key of ``doc`` is one of ``default``'s, with a value of its type."""
+    where = f"config {path}" if path else "config"
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where}: must be an object, got {doc!r}")
+    for key, value in doc.items():
+        sub = f"{path}.{key}" if path else key
+        if key not in default:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if isinstance(default[key], dict):
+            _check_section(value, default[key], sub)
+        else:
+            with _at(path):
+                _check_value(value, default[key], key, _RULES.get(sub))
+
+
+def check_config(*docs: Mapping) -> Config:
+    """The one config check: ``docs`` merged in order over DEFAULT_CONFIG.
+
+    An unknown key, a non-object where a section belongs, a value of the
+    wrong type or range, or one an object built here rejects raises
+    ValueError naming the key path: ``config ee.train: lr must be positive``.
+    """
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for doc in docs:
+        _check_section(doc, DEFAULT_CONFIG, "")
+        cfg = _deep_merge(cfg, doc)
+    seed = as_int(cfg["seed"], "seed")
+    with _at("topology"):
+        topology = trace.ExitTopology(**cfg["topology"])
+    with _at("environment"):
+        env = engine.Environment(**cfg["environment"])
+    s, ee = cfg["synth"], cfg["ee"]
+    with _at("synth"):
+        if s["num_classes"] != topology.num_classes:
+            raise ValueError(f"num_classes must equal topology.num_classes, got {s['num_classes']}")
+        ring = zoo.SynthSpec.ring(1, topology.num_classes, as_int(s["input_dim"], "input_dim"),
+                                  radius=s["radius"])
+        specs = {which: replace(ring, num_samples=as_int(s[f"{which}_samples"], "samples"),
+                                spreads=s["spreads"], label_noise=s["label_noise"],
+                                final_flip_prob=s["final_flip_prob"], seed=seed + k)
+                 for k, which in enumerate(("train", "test"))}
+    with _at("ee"):
+        if [len(ee["trunk_widths"]) + 1, len(ee["exit_weights"])] != [topology.num_exits] * 2:
+            raise ValueError("trunk_widths needs one entry per early exit, exit_weights per exit")
+    training = {}
+    for name, offset in (("ee", 0), ("ep", 4), ("regressor", 0)):
+        with _at(f"{name}.train"):
+            training[name] = TrainConfig(**cfg[name]["train"], seed=seed + offset)
+    with _at("policy.gamma_step"):
+        predictor.gamma_grid(cfg["policy"]["gamma_step"])
+    return Config(doc=cfg, seed=seed, topology=topology, env=env, specs=specs,
+                  training=training)
+
+
+def load_config(path: str | None, overrides: Mapping | None = None) -> Config:
+    """The config file at ``path`` (default: $EXITSIM_CONFIG, else none),
+    with ``overrides`` on top, through ``check_config``."""
+    path = path if path is not None else os.environ.get(CONFIG_ENV_VAR)
+    user: dict = {}
+    if path is not None:
+        with open(path) as fh:
+            user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        user.pop("kind", None)
+    return check_config(user, overrides or {})
 
 
 def _parse_vector(text: str) -> tuple[float, ...]:
@@ -230,72 +300,37 @@ def emit_frontier(entries: Sequence[tuple[str, Sequence[float], Sequence[float] 
 # -- pipeline stages ----------------------------------------------------------
 
 
-def stage_gen_data(cfg: dict, out: str, which: str = "train",
-                   samples: int | None = None, seed: int | None = None) -> None:
-    base_seed = cfg["seed"] if seed is None else seed
-    data_seed = base_seed if which == "train" else base_seed + 1
-    count = samples if samples is not None else cfg["synth"][f"{which}_samples"]
-    spec = synth_spec_from_config(cfg, count, data_seed)
-    x, y = zoo.generate_dataset(spec)
-    zoo.save_dataset(out, x, y, spec.num_classes)
+def stage_gen_data(cfg: Config, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``which`` dataset, features at the precision a dataset file stores."""
+    x, y = zoo.generate_dataset(cfg.specs[which])
+    return trace.canon_array(x), y
 
 
-def stage_train_ee(cfg: dict, data_path: str, out: str) -> list[float]:
-    x, y, p = zoo.load_dataset(data_path)
-    ee = cfg["ee"]
+def stage_train_ee(cfg: Config, x: np.ndarray, y: np.ndarray,
+                   num_classes: int) -> tuple[zoo.ToyEarlyExitNet, list[float]]:
+    ee = cfg.doc["ee"]
     net = zoo.ToyEarlyExitNet.build(
-        input_dim=x.shape[1],
-        num_classes=p,
-        num_exits=cfg["topology"]["num_exits"],
-        trunk_widths=ee["trunk_widths"],
-        final_hidden=ee["final_hidden"],
-        weights=ee["exit_weights"],
-        seed=cfg["seed"],
-    )
-    net, curve = train(net, x, y, "weighted_ce", train_config_from(ee["train"], cfg["seed"]))
-    net.save(out)
-    return curve
+        x.shape[1], num_classes, cfg.topology.num_exits, trunk_widths=ee["trunk_widths"],
+        final_hidden=ee["final_hidden"], weights=ee["exit_weights"], seed=cfg.seed)
+    return train(net, x, y, "weighted_ce", cfg.training["ee"])
 
 
-def stage_emit_traces(cfg: dict, net_path: str, data_path: str, out: str,
-                      final_flip_prob: float | None = None,
-                      flip_seed: int | None = None) -> None:
-    net = zoo.ToyEarlyExitNet.load(net_path)
-    x, y, _ = zoo.load_dataset(data_path)
-    topo = topology_from_config(cfg)
-    flip = cfg["synth"]["final_flip_prob"] if final_flip_prob is None else final_flip_prob
-    ts = zoo.emit_traces(net, x, y, topo,
-                         final_flip_prob=flip,
-                         seed=cfg["seed"] if flip_seed is None else flip_seed)
-    trace.save_trace_set(ts, out)
+def stage_emit_traces(cfg: Config, net: zoo.ToyEarlyExitNet, x: np.ndarray, y: np.ndarray,
+                      flip_seed: int) -> trace.TraceSet:
+    return zoo.emit_traces(net, x, y, cfg.topology,
+                           final_flip_prob=cfg.doc["synth"]["final_flip_prob"], seed=flip_seed)
 
 
-def stage_train_ep(cfg: dict, traces_path: str, lam: Sequence[float], out: str) -> list[float]:
-    ts = trace.load_trace_set(traces_path)
-    ep, curve = predictor.train_predictor(
-        ts, lam,
-        hidden=cfg["ep"]["hidden"],
-        cfg=train_config_from(cfg["ep"]["train"], cfg["seed"] + 4),
-    )
-    predictor.save_predictor(ep, out)
-    return curve
+def stage_train_ep(cfg: Config, ts: trace.TraceSet, lam: Sequence[float]
+                   ) -> tuple[predictor.ExitPredictor, list[float]]:
+    return predictor.train_predictor(ts, lam, hidden=cfg.doc["ep"]["hidden"],
+                                     cfg=cfg.training["ep"])
 
 
-def _load_scored(traces_path: str, ep_path: str
-                ) -> tuple[trace.TraceSet, predictor.ExitPredictor, np.ndarray]:
-    """A trace file, a predictor checkpoint and the predictor's scores on it."""
-    ts = trace.load_trace_set(traces_path)
-    ep = predictor.load_predictor(ep_path)
-    return ts, ep, predictor.predict_scores(ep, ts)
-
-
-def stage_select_gamma(cfg: dict, ts: trace.TraceSet, scores: np.ndarray,
+def stage_select_gamma(cfg: Config, ts: trace.TraceSet, scores: np.ndarray,
                        lam: Sequence[float]) -> tuple[float, ...]:
-    return predictor.select_gamma(
-        ts, scores, lam,
-        grid_step=cfg["policy"]["gamma_step"],
-        budget_fraction=cfg["policy"]["budget_fraction"],
-    )
+    return predictor.select_gamma(ts, scores, lam, cfg.doc["policy"]["gamma_step"],
+                                  cfg.doc["policy"]["budget_fraction"])
 
 
 def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple[float, ...]:
@@ -304,86 +339,43 @@ def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple
     return table.combo(int(np.argmax(table.accuracy)))[0]
 
 
-def stage_evaluate(cfg: dict, trace_path: str, lam: Sequence[float], method: str = "plain",
-                   ep_path: str | None = None, gamma: Sequence[float] | None = None,
-                   bandwidth: float | None = None) -> dict:
-    ts = trace.load_trace_set(trace_path)
-    env = environment_from_config(cfg, bandwidth)
-    if method == "plain":
-        _, report = engine.run_plain(ts, lam, env)
-    elif method == "oracle":
-        _, report = engine.run_oracle(ts, lam, env)
-    elif method == "predictor":
-        if ep_path is None:
-            raise ValueError("--method predictor requires --ep")
-        ep = predictor.load_predictor(ep_path)
-        scores = predictor.predict_scores(ep, ts)
-        if gamma is None:
-            raise ValueError("--method predictor requires --gamma")
-        _, report = engine.run_with_predictor(
-            ts, trace.Thresholds(tuple(lam), tuple(gamma)), scores, env)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    row = {"method": method, "lambda": list(lam)}
+def stage_evaluate(cfg: Config, ts: trace.TraceSet, lam: Sequence[float], method: str,
+                   scores: np.ndarray | None, gamma: Sequence[float] | None) -> dict:
+    """One policy's report as a JSON row; "predictor" needs ``scores`` and ``gamma``."""
     if method == "predictor":
-        row["gamma"] = list(gamma)
-    row.update(report.to_dict())
-    return row
+        _, report = engine.run_with_predictor(ts, trace.Thresholds(lam, gamma), scores, cfg.env)
+        return {"method": method, "lambda": list(lam), "gamma": list(gamma), **report.to_dict()}
+    _, report = {"plain": engine.run_plain, "oracle": engine.run_oracle}[method](ts, lam, cfg.env)
+    return {"method": method, "lambda": list(lam), **report.to_dict()}
 
 
-def stage_optimize(cfg: dict, traces_path: str, ep_path: str,
-                   out_frontier: str | None,
-                   bandwidth: float | None = None) -> optimizer.PolicyPoint:
-    ts, _, scores = _load_scored(traces_path, ep_path)
-    env = environment_from_config(cfg, bandwidth)
-    best, frontier = optimizer.grid_search(
-        ts, scores, env, cfg["policy"]["lambda_grid"], cfg["policy"]["gamma_grid"])
-    if out_frontier:
-        optimizer.save_policy_points(frontier, out_frontier)
-    return best
+def stage_sweep(cfg: Config, ts: trace.TraceSet,
+                scores: np.ndarray) -> list[optimizer.PolicyPoint]:
+    policy = cfg.doc["policy"]
+    return optimizer.sweep_bandwidths(ts, scores, cfg.env, cfg.doc["sweep_bandwidths"],
+                                      policy["lambda_grid"], policy["gamma_grid"])
 
 
-def stage_sweep(cfg: dict, ts: trace.TraceSet, scores: np.ndarray, out: str,
-                bandwidths: Sequence[float] | None = None) -> list[optimizer.PolicyPoint]:
-    env = environment_from_config(cfg)
-    bws = bandwidths if bandwidths is not None else cfg["sweep_bandwidths"]
-    points = optimizer.sweep_bandwidths(
-        ts, scores, env, bws, cfg["policy"]["lambda_grid"], cfg["policy"]["gamma_grid"])
-    optimizer.save_policy_points(points, out)
-    return points
-
-
-def stage_fit_adapt(cfg: dict, points: Sequence[optimizer.PolicyPoint], out_bundle: str,
-                    out_table: str | None = None, ts: trace.TraceSet | None = None,
-                    scores: np.ndarray | None = None) -> list[optimizer.ThresholdRegressor]:
-    """Fit the regressors; with ``out_table``, re-evaluate them on ``ts``
-    under its predictor ``scores``."""
-    regressors = optimizer.fit_regressors(
-        [p for p in points if p.feasible],
-        [tuple(iv) for iv in cfg["regressor_intervals"]],
-        num_classes=cfg["topology"]["num_classes"],
-        cfg=train_config_from(cfg["regressor"]["train"], cfg["seed"]),
-        hidden=cfg["regressor"]["hidden"],
-    )
-    optimizer.save_regressors(regressors, out_bundle)
-    if out_table:
-        if ts is None or scores is None:
-            raise ValueError("--table needs --traces and --ep to re-evaluate policies")
-        atomic_write_text(out_table, adapt_table_csv(cfg, ts, scores, regressors))
-    return regressors
+def stage_fit_adapt(cfg: Config, points: Sequence[optimizer.PolicyPoint]
+                    ) -> list[optimizer.ThresholdRegressor]:
+    """Per-interval threshold regressors fitted to the feasible ``points``."""
+    return optimizer.fit_regressors(
+        [p for p in points if p.feasible], cfg.doc["regressor_intervals"],
+        num_classes=cfg.topology.num_classes, cfg=cfg.training["regressor"],
+        hidden=cfg.doc["regressor"]["hidden"])
 
 
 ADAPT_COLUMNS = ["bandwidth_bps", "lambda", "gamma", "accuracy", "mean_latency_s", "feasible"]
 
 
-def adapt_table_csv(cfg: dict, ts: trace.TraceSet, scores,
+def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
                     regressors: Sequence[optimizer.ThresholdRegressor]) -> str:
     """Re-evaluate adapted thresholds at every sweep bandwidth."""
-    env = environment_from_config(cfg)
+    env = cfg.env
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ADAPT_COLUMNS)
-    for bw in sorted(float(b) for b in cfg["sweep_bandwidths"]):
+    for bw in sorted(float(b) for b in cfg.doc["sweep_bandwidths"]):
         th = optimizer.adapt(regressors, bw)
         stats = engine.policy_stats(ts, th.lam, th.gamma, scores,
                                     replace(env, bandwidth=bw))
@@ -398,34 +390,46 @@ def adapt_table_csv(cfg: dict, ts: trace.TraceSet, scores,
     return buf.getvalue()
 
 
-def stage_demo(cfg: dict, outdir: str) -> dict:
-    """Full pipeline; returns the summary also written to summary.json."""
+def _policy_entries(cfg: Config, ts: trace.TraceSet, scores: np.ndarray,
+                    lam: tuple[float, ...], gamma: tuple[float, ...]) -> list[tuple]:
+    """``emit_frontier`` entries of the plain, predictor and oracle policies."""
+    return [
+        ("plain", lam, None, engine.run_plain(ts, lam, cfg.env)[1], 0.0),
+        ("predictor", lam, gamma, engine.run_with_predictor(
+            ts, trace.Thresholds(lam, gamma), scores, cfg.env)[1], ts.topology.predictor_flops),
+        ("oracle", lam, None, engine.run_oracle(ts, lam, cfg.env)[1], 0.0),
+    ]
+
+
+def stage_demo(cfg: Config, outdir: str) -> dict:
+    """The pipeline, stage to stage in memory: writes every artifact into
+    ``outdir``, reads none back, and returns the summary.json document."""
     os.makedirs(outdir, exist_ok=True)
     path = lambda name: os.path.join(outdir, name)
 
     atomic_write_text(path("config.json"),
-                      json.dumps({"kind": "experiment_config", **cfg}, indent=2) + "\n")
+                      json.dumps({"kind": "experiment_config", **cfg.doc}, indent=2) + "\n")
 
-    stage_gen_data(cfg, path("dataset_train.jsonl"), "train")
-    stage_gen_data(cfg, path("dataset_test.jsonl"), "test")
-    ee_curve = stage_train_ee(cfg, path("dataset_train.jsonl"), path("ee.json"))
-    stage_emit_traces(cfg, path("ee.json"), path("dataset_train.jsonl"),
-                      path("traces_train.jsonl"))
-    stage_emit_traces(cfg, path("ee.json"), path("dataset_test.jsonl"),
-                      path("traces_test.jsonl"), flip_seed=cfg["seed"] + 1)
+    data = {}
+    for which in ("train", "test"):
+        x, y = data[which] = stage_gen_data(cfg, which)
+        zoo.save_dataset(path(f"dataset_{which}.jsonl"), x, y, cfg.specs[which].num_classes)
+    net, ee_curve = stage_train_ee(cfg, *data["train"], cfg.specs["train"].num_classes)
+    net.save(path("ee.json"))
+    train_ts = stage_emit_traces(cfg, net, *data["train"], flip_seed=cfg.seed)
+    trace.save_trace_set(train_ts, path("traces_train.jsonl"))
+    test_ts = stage_emit_traces(cfg, net, *data["test"], flip_seed=cfg.seed + 1)
+    trace.save_trace_set(test_ts, path("traces_test.jsonl"))
 
-    train_ts = trace.load_trace_set(path("traces_train.jsonl"))
     fit_ts, select_ts = trace.split_trace_set(
-        train_ts, cfg["policy"]["holdout_fraction"], seed=cfg["seed"])
+        train_ts, cfg.doc["policy"]["holdout_fraction"], seed=cfg.seed)
     trace.save_trace_set(fit_ts, path("traces_fit.jsonl"))
     trace.save_trace_set(select_ts, path("traces_select.jsonl"))
-    gamma_on_test = cfg["policy"]["gamma_split"] == "test"
-    select_set = trace.load_trace_set(
-        path("traces_test.jsonl" if gamma_on_test else "traces_select.jsonl"))
+    select_set = test_ts if cfg.doc["policy"]["gamma_split"] == "test" else select_ts
 
-    lam_star = best_plain_lambda(select_set, cfg["policy"]["lambda_grid"])
-    ep_curve = stage_train_ep(cfg, path("traces_fit.jsonl"), lam_star, path("ep.json"))
-    ep = predictor.load_predictor(path("ep.json"))
+    lam_star = best_plain_lambda(select_set, cfg.doc["policy"]["lambda_grid"])
+    ep, ep_curve = stage_train_ep(cfg, fit_ts, lam_star)
+    predictor.save_predictor(ep, path("ep.json"))
     select_scores = predictor.predict_scores(ep, select_set)
     gamma_star = stage_select_gamma(cfg, select_set, select_scores, lam_star)
     atomic_write_text(path("thresholds.json"), json.dumps({
@@ -433,51 +437,30 @@ def stage_demo(cfg: dict, outdir: str) -> dict:
     }) + "\n")
 
     # policy comparison and frontier on the held-back test traces
-    test_ts = select_set if gamma_on_test else trace.load_trace_set(path("traces_test.jsonl"))
     scores = predictor.predict_scores(ep, test_ts)
-    env = environment_from_config(cfg)
-    _, plain_rep = engine.run_plain(test_ts, lam_star, env)
-    _, pred_rep = engine.run_with_predictor(
-        test_ts, trace.Thresholds(lam_star, gamma_star), scores, env)
-    _, oracle_rep = engine.run_oracle(test_ts, lam_star, env)
-    entries = [
-        ("plain", lam_star, None, plain_rep, 0.0),
-        ("predictor", lam_star, gamma_star, pred_rep, test_ts.topology.predictor_flops),
-        ("oracle", lam_star, None, oracle_rep, 0.0),
-    ]
-    atomic_write_text(path("report.csv"), emit_frontier(entries))
-
+    report = _policy_entries(cfg, test_ts, scores, lam_star, gamma_star)
+    atomic_write_text(path("report.csv"), emit_frontier(report))
     frontier_entries = []
-    n_early = test_ts.topology.num_early_exits
-    for lam_value in cfg["policy"]["frontier_lambdas"]:
-        lam = (float(lam_value),) * n_early
-        _, p_rep = engine.run_plain(test_ts, lam, env)
-        frontier_entries.append(("plain", lam, None, p_rep, 0.0))
+    for lam_value in cfg.doc["policy"]["frontier_lambdas"]:
+        lam = (float(lam_value),) * test_ts.topology.num_early_exits
         gamma = stage_select_gamma(cfg, select_set, select_scores, lam)
-        _, e_rep = engine.run_with_predictor(
-            test_ts, trace.Thresholds(lam, gamma), scores, env)
-        frontier_entries.append(("predictor", lam, gamma, e_rep,
-                                 test_ts.topology.predictor_flops))
-        _, o_rep = engine.run_oracle(test_ts, lam, env)
-        frontier_entries.append(("oracle", lam, None, o_rep, 0.0))
+        frontier_entries += _policy_entries(cfg, test_ts, scores, lam, gamma)
     atomic_write_text(path("frontier.csv"), emit_frontier(frontier_entries))
 
-    sweep_points = stage_sweep(cfg, test_ts, scores, path("sweep.csv"))
-    regressors = stage_fit_adapt(cfg, sweep_points, path("regressors.json"),
-                                 out_table=path("adapt_table.csv"), ts=test_ts, scores=scores)
+    sweep_points = stage_sweep(cfg, test_ts, scores)
+    optimizer.save_policy_points(sweep_points, path("sweep.csv"))
+    regressors = stage_fit_adapt(cfg, sweep_points)
+    optimizer.save_regressors(regressors, path("regressors.json"))
+    atomic_write_text(path("adapt_table.csv"), adapt_table_csv(cfg, test_ts, scores, regressors))
 
     summary = {
         "kind": "summary",
-        "seed": cfg["seed"],
+        "seed": cfg.seed,
         "lambda_star": list(lam_star),
         "gamma_star": list(gamma_star),
         "ee_final_loss": ee_curve[-1],
         "ep_final_loss": ep_curve[-1],
-        "test": {
-            "plain": plain_rep.to_dict(),
-            "predictor": pred_rep.to_dict(),
-            "oracle": oracle_rep.to_dict(),
-        },
+        "test": {method: rep.to_dict() for method, _, _, rep, _ in report},
         "sweep_feasible": [p.feasible for p in sweep_points],
         "regressor_max_abs_errors": [r.max_abs_error for r in regressors],
     }
@@ -531,9 +514,7 @@ def validate_artifact(path: str) -> str:
                 _CHECKPOINT_LOADERS[kind](path)
                 return kind
             if kind == "experiment_config":
-                cfg = _deep_merge(DEFAULT_CONFIG, {k: v for k, v in whole.items() if k != "kind"})
-                topology_from_config(cfg)
-                environment_from_config(cfg)
+                check_config({k: v for k, v in whole.items() if k != "kind"})
                 return "experiment_config"
             if kind == "summary":
                 return "summary"
@@ -647,38 +628,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "grid_step", None) is not None:
-        cfg["policy"]["gamma_step"] = args.grid_step
-    if getattr(args, "budget_fraction", None) is not None:
-        cfg["policy"]["budget_fraction"] = args.budget_fraction
-    return cfg
+def _overrides(args: argparse.Namespace) -> dict:
+    """The config document of the flags given, each at the key it overrides."""
+    flag = lambda name: getattr(args, name, None)
+    keys = {
+        "seed": flag("seed"),
+        f"synth.{flag('which') or 'train'}_samples": flag("samples"),
+        "synth.final_flip_prob": flag("final_flip_prob"),
+        "policy.gamma_step": flag("grid_step"),
+        "policy.budget_fraction": flag("budget_fraction"),
+        "environment.bandwidth": flag("bandwidth"),
+        "sweep_bandwidths": flag("bandwidths") and list(_parse_vector(flag("bandwidths"))),
+    }
+    doc: dict = {}
+    for path, value in keys.items():
+        section, _, key = path.rpartition(".")
+        if value is not None:
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+def _load_scored(traces_path: str, ep_path: str
+                ) -> tuple[trace.TraceSet, predictor.ExitPredictor, np.ndarray]:
+    """A trace file, a predictor checkpoint and the predictor's scores on it."""
+    ts = trace.load_trace_set(traces_path)
+    ep = predictor.load_predictor(ep_path)
+    return ts, ep, predictor.predict_scores(ep, ts)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Parse ``argv`` and run its verb.  The verb branches are the only code
+    that reads or writes files outside ``stage_demo``."""
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         for p in args.paths:
-            tag = validate_artifact(p)
-            print(f"ok {p} ({tag})")
+            print(f"ok {p} ({validate_artifact(p)})")
         return 0
 
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, _overrides(args))
 
     if args.command == "gen-data":
-        stage_gen_data(cfg, args.out, args.which, samples=args.samples)
+        x, y = stage_gen_data(cfg, args.which)
+        zoo.save_dataset(args.out, x, y, cfg.specs[args.which].num_classes)
         print(f"wrote {args.out}")
     elif args.command == "train-ee":
-        curve = stage_train_ee(cfg, args.data, args.out)
+        net, curve = stage_train_ee(cfg, *zoo.load_dataset(args.data))
+        net.save(args.out)
         print(f"wrote {args.out} (final loss {curve[-1]:.6f})")
     elif args.command == "emit-traces":
-        stage_emit_traces(cfg, args.net, args.data, args.out,
-                          final_flip_prob=args.final_flip_prob)
+        net = zoo.ToyEarlyExitNet.load(args.net)
+        x, y, _ = zoo.load_dataset(args.data)
+        trace.save_trace_set(stage_emit_traces(cfg, net, x, y, flip_seed=cfg.seed), args.out)
         print(f"wrote {args.out}")
     elif args.command == "train-ep":
-        curve = stage_train_ep(cfg, args.traces, _parse_vector(args.lam), args.out)
+        ep, curve = stage_train_ep(cfg, trace.load_trace_set(args.traces),
+                                   _parse_vector(args.lam))
+        predictor.save_predictor(ep, args.out)
         print(f"wrote {args.out} (final loss {curve[-1]:.6f})")
     elif args.command == "select-gamma":
         ts, ep, scores = _load_scored(args.traces, args.ep)
@@ -689,18 +694,23 @@ def run(argv: Sequence[str] | None = None) -> int:
             atomic_write_text(args.out, json.dumps(doc) + "\n")
         _print_json(doc)
     elif args.command == "evaluate":
-        row = stage_evaluate(
-            cfg, args.trace, _parse_vector(args.lam), args.method,
-            ep_path=args.ep,
-            gamma=_parse_vector(args.gamma) if args.gamma else None,
-            bandwidth=args.bandwidth,
-        )
+        ts, scores, gamma = trace.load_trace_set(args.trace), None, None
+        if args.method == "predictor":
+            if not (args.ep and args.gamma):
+                raise ValueError("--method predictor requires --ep and --gamma")
+            scores = predictor.predict_scores(predictor.load_predictor(args.ep), ts)
+            gamma = _parse_vector(args.gamma)
+        row = stage_evaluate(cfg, ts, _parse_vector(args.lam), args.method, scores, gamma)
         if args.out:
             atomic_write_text(args.out, json.dumps(row) + "\n")
         _print_json(row)
     elif args.command == "optimize":
-        best = stage_optimize(cfg, args.traces, args.ep, args.frontier,
-                              bandwidth=args.bandwidth)
+        ts, _, scores = _load_scored(args.traces, args.ep)
+        policy = cfg.doc["policy"]
+        best, frontier = optimizer.grid_search(ts, scores, cfg.env, policy["lambda_grid"],
+                                               policy["gamma_grid"])
+        if args.frontier:
+            optimizer.save_policy_points(frontier, args.frontier)
         _print_json({
             "bandwidth_bps": best.bandwidth,
             "lambda": list(best.lam),
@@ -710,54 +720,44 @@ def run(argv: Sequence[str] | None = None) -> int:
             "feasible": best.feasible,
         })
     elif args.command == "sweep":
-        bws = ([float(v) for v in args.bandwidths.split(",")]
-               if args.bandwidths else None)
         ts, _, scores = _load_scored(args.traces, args.ep)
-        points = stage_sweep(cfg, ts, scores, args.out, bandwidths=bws)
+        points = stage_sweep(cfg, ts, scores)
+        optimizer.save_policy_points(points, args.out)
         print(f"wrote {args.out} ({len(points)} bandwidths, "
               f"{sum(p.feasible for p in points)} feasible)")
     elif args.command == "fit-adapt":
-        ts = scores = None
-        if args.table and args.traces and args.ep:
+        if args.table and not (args.traces and args.ep):
+            raise ValueError("--table needs --traces and --ep to re-evaluate policies")
+        regs = stage_fit_adapt(cfg, optimizer.load_policy_points(args.points))
+        optimizer.save_regressors(regs, args.out)
+        if args.table:
             ts, _, scores = _load_scored(args.traces, args.ep)
-        regs = stage_fit_adapt(cfg, optimizer.load_policy_points(args.points), args.out,
-                               out_table=args.table, ts=ts, scores=scores)
+            atomic_write_text(args.table, adapt_table_csv(cfg, ts, scores, regs))
         errs = ", ".join(f"{r.max_abs_error:.4f}" for r in regs)
         print(f"wrote {args.out} (max abs fit errors: {errs})")
     elif args.command == "demo":
-        outdir = args.out if args.out else cfg["output_dir"]
+        outdir = args.out if args.out else cfg.doc["output_dir"]
         summary = stage_demo(cfg, outdir)
         pred = summary["test"]["predictor"]
         plain = summary["test"]["plain"]
         print(f"demo complete in {outdir}: plain {plain['mean_on_device_mflops']:.2f} "
               f"MFLOPs vs predictor {pred['mean_on_device_mflops']:.2f} MFLOPs "
               f"at accuracy {pred['accuracy']:.4f} (plain {plain['accuracy']:.4f})")
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unhandled command {args.command}")
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(argv)
-    except (optimizer.InfeasibleError,) as exc:
-        sys.stderr.write(json.dumps({
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "min_latency_point": {
-                "lambda": list(exc.min_latency_point.lam),
-                "gamma": list(exc.min_latency_point.gamma),
-                "mean_latency_s": exc.min_latency_point.mean_latency_s,
-            },
-        }) + "\n")
-        return 1
     except BrokenPipeError:
         return 1
     except Exception as exc:  # single machine-readable error record
-        sys.stderr.write(json.dumps({
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }) + "\n")
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, optimizer.InfeasibleError):
+            point = exc.min_latency_point
+            record["min_latency_point"] = {"lambda": list(point.lam), "gamma": list(point.gamma),
+                                           "mean_latency_s": point.mean_latency_s}
+        sys.stderr.write(json.dumps(record) + "\n")
         return 1
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import as_int, atomic_write_text, load_checkpoint
+from .trace import as_int, as_real, atomic_write_text, load_checkpoint
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
 
@@ -390,7 +390,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("lr", "lr_end", "weight_decay"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         for name in ("lr_end_epoch", "epochs", "batch_size", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("lr", "lr_end"):
@@ -410,18 +410,6 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _as_real(value, field: str) -> float:
-    """A finite real field's value; NaN, an infinity, a bool or a non-number
-    raises ValueError naming ``field``."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the double range
-            pass
-    raise ValueError(f"{field} must be a finite real number, got {value!r}")
-
-
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
     """Learning rate for a 0-based epoch index."""
     if epoch >= cfg.lr_end_epoch:
@@ -437,7 +425,8 @@ def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
     ``rngs`` holds one generator per net: one for a single net, K for an
     MlpStack whose rows are K blocks of n.  Each net shuffles its own block
     with its own generator, and a minibatch is the next ``batch_size`` rows
-    of every block, net-major.
+    of every block, net-major.  A non-finite minibatch loss raises
+    FloatingPointError.
     """
     n = inputs.shape[0] // len(rngs)
     perm = np.stack([rng.permutation(n) + k * n for k, rng in enumerate(rngs)])
@@ -445,7 +434,7 @@ def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
         idx = perm[:, start:start + cfg.batch_size].reshape(-1)
         batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
         if not np.isfinite(batch_loss).all():
-            raise ValueError("non-finite minibatch loss")
+            raise FloatingPointError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
             p -= lr * (g + cfg.weight_decay * p)
 
@@ -459,7 +448,8 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
     with a generator seeded ``cfg.seed``.  An MlpStack of K nets under "mse"
     takes its members' row blocks stacked net-major; member k shuffles with
     a generator seeded by its own ``Mlp.seed``, and each curve entry holds
-    the K members' losses.  A member that diverges stops the whole stack.
+    the K members' losses.  Only a non-finite loss reads ``training diverged
+    at epoch N``, and a member that diverges stops the whole stack.
     """
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets)
@@ -475,9 +465,9 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
     for epoch in range(cfg.epochs):
         try:
             sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rngs)
-            full = net.loss_value(x, t, loss)
-        except ValueError as exc:
+        except FloatingPointError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
+        full = net.loss_value(x, t, loss)
         if not np.isfinite(full).all():
             raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
         curve.append(full)

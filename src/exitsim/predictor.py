@@ -51,8 +51,7 @@ def make_labels(ts: TraceSet, lam) -> np.ndarray:
 
 
 def train_predictor(ts: TraceSet, lam, hidden: int = 64,
-                    cfg: TrainConfig | None = None,
-                    predictor_flops: float | None = None) -> tuple[ExitPredictor, list[float]]:
+                    cfg: TrainConfig | None = None) -> tuple[ExitPredictor, list[float]]:
     """Fit the skip-score net on the traced features against step labels."""
     if not ts.has_features:
         raise ValueError("trace set carries no features; cannot train the predictor")
@@ -64,9 +63,7 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
     net, curve = train(net, x, targets, "bce", cfg)
-    if predictor_flops is None:
-        predictor_flops = ts.topology.predictor_flops
-    return ExitPredictor(net=net, lam=lam, predictor_flops=predictor_flops), curve
+    return ExitPredictor(net=net, lam=lam, predictor_flops=ts.topology.predictor_flops), curve
 
 
 def predict_scores(ep: ExitPredictor, ts: TraceSet) -> np.ndarray:

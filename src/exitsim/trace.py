@@ -92,6 +92,18 @@ def as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def as_real(value, field: str) -> float:
+    """A finite real field's value; NaN, an infinity, a bool or a non-number
+    raises ValueError naming ``field``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the double range
+            pass
+    raise ValueError(f"{field} must be a finite real number, got {value!r}")
+
+
 class TraceFormatError(ValueError):
     """Malformed trace file or a record violating a data invariant."""
 

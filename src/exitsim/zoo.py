@@ -65,7 +65,7 @@ class SynthSpec:
         if any(len(c) != self.input_dim for c in self.centers):
             raise ValueError("center dimension must equal input_dim")
         if len(self.spreads) != self.num_classes:
-            raise ValueError("need one spread per class")
+            raise ValueError(f"spreads must have one entry per class, got {len(self.spreads)}")
         if any(s < 0 for s in self.spreads):
             raise ValueError("spreads must be >= 0")
         for name in ("label_noise", "final_flip_prob"):
@@ -349,8 +349,7 @@ class ToyEarlyExitNet:
 
 
 def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
-                final_flip_prob: float = 0.0, seed: int = 0,
-                include_features: bool = True, id_start: int = 0) -> TraceSet:
+                final_flip_prob: float = 0.0, seed: int = 0) -> TraceSet:
     """Run every sample through all exits and record confidences/argmaxes.
 
     ``final_flip_prob`` flips that fraction of final-exit predictions to a
@@ -376,6 +375,4 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
         flip = rng.random(x.shape[0]) < final_flip_prob
         offsets = rng.integers(1, p, size=x.shape[0])
         pred[:, -1] = np.where(flip, (pred[:, -1] + offsets) % p, pred[:, -1])
-    ids = np.arange(id_start, id_start + x.shape[0])
-    return TraceSet.from_columns(topology, ids, y, conf, pred,
-                                 x if include_features else None)
+    return TraceSet.from_columns(topology, np.arange(x.shape[0]), y, conf, pred, x)

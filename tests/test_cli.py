@@ -1,16 +1,21 @@
+import ast
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exitsim
 from exitsim.cli import (
     DEFAULT_CONFIG,
+    check_config,
     emit_frontier,
     load_config,
     main,
+    stage_demo,
     validate_artifact,
 )
 from exitsim.engine import run_oracle, run_plain, run_with_predictor
@@ -145,6 +150,25 @@ def test_demo_is_reproducible_with_small_config(small_config_path, tmp_path):
     assert files_a == files_b
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    proc = run_cli("validate", *(str(out_a / name) for name in files_a))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("ok ") == len(files_a) and "config.json" in proc.stdout
+
+
+def test_demo_reads_back_none_of_its_outputs(small_config_path, tmp_path, monkeypatch):
+    calls = []
+    targets = [(exitsim.trace, "load_trace_set"), (exitsim.zoo, "load_dataset")]
+    targets += [(module, "load_checkpoint") for module in (
+        exitsim.trace, exitsim.nncore, exitsim.zoo, exitsim.predictor, exitsim.optimizer)
+        if hasattr(module, "load_checkpoint")]
+    for module, name in targets:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    stage_demo(load_config(small_config_path), str(tmp_path))
+    assert calls == []
+    assert len(list(tmp_path.iterdir())) == 16
 
 
 def test_config_env_var_supplies_default(small_config_path, tmp_path):
@@ -165,7 +189,7 @@ def test_seed_flag_overrides_config(small_config_path, tmp_path):
 
 
 def test_load_config_merges_over_defaults(small_config_path):
-    cfg = load_config(small_config_path)
+    cfg = load_config(small_config_path).doc
     assert cfg["synth"]["train_samples"] == 240
     # untouched keys keep their defaults
     assert cfg["topology"] == DEFAULT_CONFIG["topology"]
@@ -250,3 +274,42 @@ def test_validate_truncated_json_names_the_path(tmp_path):
     proc = run_cli("validate", str(cut))
     assert proc.returncode == 1
     assert str(cut) in json.loads(proc.stderr)["message"]
+
+
+def _perfbench_warmup_config() -> dict:
+    """perfbench's WARMUP_CONFIG literal, read without importing perfbench."""
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "WARMUP_CONFIG":
+            return ast.literal_eval(node.value)
+    raise AssertionError("WARMUP_CONFIG not found")
+
+
+def test_shipped_configs_pass_the_check():
+    for doc in (DEFAULT_CONFIG, SMALL_CONFIG, _perfbench_warmup_config()):
+        check_config(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"regressor": {"train": {"epochs": 16.5}}}, "config regressor.train: epochs "),
+    ({"ee": {"train": {"lr": -1}}}, "config ee.train: lr "),
+    ({"policy": {"lambda_grid": [1.5]}}, "config policy: lambda_grid "),
+    ({"sweep_bandwidths": [-1]}, "config: sweep_bandwidths "),
+    ({"synth": {"spreads": [1]}}, "config synth: spreads "),
+    ({"policy": {"gamma_split": "tset"}}, "config policy: gamma_split "),
+    ({"polcy": {"gamma_step": 0.1}}, "config: unknown key 'polcy'"),
+    ({"topology": 5}, "config topology: must be an object"),
+    ({"ee": {"train": {"epochs": 0}}}, "config ee.train: epochs "),
+    ({"ee": {"train": {"seed": 1}}}, "config ee.train: unknown key 'seed'"),
+])
+def test_malformed_config_fails_at_the_check(tmp_path, capsys, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": "experiment_config", **doc}))
+    out = tmp_path / "demo"
+    for argv in (["validate", str(path)], ["demo", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and err["message"].startswith(message), err
+        assert "ok" not in captured.out
+    assert not out.exists()

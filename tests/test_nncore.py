@@ -164,6 +164,18 @@ def test_train_divergence_reports_epoch():
         train(net, x, y, "mse", cfg)
 
 
+@pytest.mark.parametrize("loss, targets, message", [
+    ("msee", np.ones((4, 2)), "unknown loss tag 'msee'"),
+    ("mse", np.ones((4, 3)), "cannot reshape"),
+])
+def test_train_reports_a_bad_loss_or_target_shape_as_itself(loss, targets, message):
+    net = Mlp.init([2, 2], ["identity"], seed=0)
+    cfg = TrainConfig(epochs=3, lr_end_epoch=3, batch_size=4)
+    with pytest.raises(ValueError, match=message) as err:
+        train(net, np.ones((4, 2)), targets, loss, cfg)
+    assert "diverged" not in str(err.value)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gradient_check_bce(seed):
     net = Mlp.init([5, 8, 3], ["relu", "sigmoid"], seed=seed)
