@@ -234,8 +234,11 @@ def load_config(path: str | None, overrides: Mapping | None = None) -> Config:
     path = path if path is not None else os.environ.get(CONFIG_ENV_VAR)
     user: dict = {}
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: invalid JSON config: {exc.msg}") from exc
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         user.pop("kind", None)
@@ -471,9 +474,8 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 # -- validate -----------------------------------------------------------------
 
 
-def _validate_csv(path: str, required: Sequence[str]) -> None:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _validate_csv(path: str, text: str, required: Sequence[str]) -> None:
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     missing = [c for c in required if c not in rows[0]]
@@ -485,21 +487,24 @@ def _validate_csv(path: str, required: Sequence[str]) -> None:
             raise ValueError(f"{path}: line {i}: expected {width} fields, got {len(row)}")
 
 
-# Whole-file JSON checkpoints, validated by loading them: kind -> loader.
+# Whole-file JSON checkpoints, validated by loading them from the parsed
+# document: kind -> loader(path, doc).
 _CHECKPOINT_LOADERS = {
     "mlp": Mlp.load,
     "toy_early_exit": zoo.ToyEarlyExitNet.load,
     "exit_predictor": predictor.load_predictor,
     "threshold_regressors": optimizer.load_regressors,
-    "thresholds": lambda path: trace.load_checkpoint(path, "thresholds", lambda doc: (
-        trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"])))),
+    "thresholds": lambda path, doc: trace.load_checkpoint(path, "thresholds", lambda doc: (
+        trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"]))), doc),
 }
 
 
 def validate_artifact(path: str) -> str:
-    """Validate one artifact; returns a short type tag or raises."""
-    with open(path) as fh:
-        text = fh.read()
+    """Validate one artifact; returns a short type tag or raises.
+
+    The file is read once; every check parses that text.
+    """
+    text = trace.read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty file")
@@ -511,7 +516,7 @@ def validate_artifact(path: str) -> str:
         if isinstance(whole, dict):
             kind = whole.get("kind")
             if kind in _CHECKPOINT_LOADERS:
-                _CHECKPOINT_LOADERS[kind](path)
+                _CHECKPOINT_LOADERS[kind](path, whole)
                 return kind
             if kind == "experiment_config":
                 check_config({k: v for k, v in whole.items() if k != "kind"})
@@ -519,26 +524,26 @@ def validate_artifact(path: str) -> str:
             if kind == "summary":
                 return "summary"
             if "N" in whole and "P" in whole and "segment_flops" in whole:
-                trace.load_trace_set(path)
+                trace.load_trace_set(path, text)
                 return "trace_set"
             raise ValueError(f"{path}: unrecognized JSON artifact kind {kind!r}")
         # line-delimited: a trace or dataset file
-        _, header = next(trace.read_jsonl(path))
+        _, header = next(trace.read_jsonl(path, text))
         if header.get("kind") == "dataset":
-            zoo.load_dataset(path)
+            zoo.load_dataset(path, text)
             return "dataset"
-        trace.load_trace_set(path)
+        trace.load_trace_set(path, text)
         return "trace_set"
     # CSV artifacts
     first_line = stripped.splitlines()[0]
     if first_line.startswith("bandwidth_bps,lambda_1"):
-        optimizer.load_policy_points(path)
+        optimizer.load_policy_points(path, text)
         return "policy_points"
     if first_line.startswith("bandwidth_bps,lambda,"):
-        _validate_csv(path, ADAPT_COLUMNS)
+        _validate_csv(path, text, ADAPT_COLUMNS)
         return "adapt_table"
     if first_line.startswith("method,"):
-        _validate_csv(path, FRONTIER_COLUMNS)
+        _validate_csv(path, text, FRONTIER_COLUMNS)
         return "frontier"
     raise ValueError(f"{path}: unrecognized artifact")
 

@@ -7,6 +7,13 @@ Training is single-threaded and bit-reproducible for a fixed seed.
 same-shaped nets in lockstep, their parameters stacked on a leading net
 axis, each net with its own seed and shuffle and with the same bits as
 when trained alone.
+
+Each loss piece is computed once per step.  A softmax-CE head takes its
+softmax and log-sum-exp from one max, exp and sum, and its gradient from
+that softmax; BCE clamps once for its value and its gradient.  The value
+path (``loss_value``, the post-epoch full-set loss) keeps no caches,
+builds no gradients, and stops a softmax-CE head at its logits.  Every
+value and gradient has the bits of the straightforward form.
 """
 
 from __future__ import annotations
@@ -53,6 +60,18 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
+def _softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(z)`` and ``_logsumexp(z)`` from one max, exp and sum.
+
+    Both functions run exactly these operations on the same inputs, so the
+    pair has the bits each returns alone.
+    """
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, (m + np.log(s))[..., 0]
+
+
 def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
     if act == "relu":
         return relu(z)
@@ -82,15 +101,30 @@ def _act_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.
 # (K, 1, fan_out)); np.matmul runs the same per-net product either way.
 
 
-def _forward_full(weights, biases, activations, x: np.ndarray):
+def _logits(weights, biases, activations, x: np.ndarray) -> np.ndarray:
+    """The last layer's pre-activation, keeping nothing for backprop."""
+    a = x
+    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
+        a = _apply_act(a @ w + b, act)
+    return a @ weights[-1] + biases[-1]
+
+
+def _output(weights, biases, activations, x: np.ndarray) -> np.ndarray:
+    return _apply_act(_logits(weights, biases, activations, x), activations[-1])
+
+
+def _forward_full(weights, biases, activations, x: np.ndarray, last: bool = True):
+    """Every layer's pre-activation and input, for ``_backward``.
+
+    ``acts`` ends with the net's output; with ``last=False`` it ends at the
+    last layer's input, for a loss that starts backprop from the logits.
+    """
     acts = [x]
     pres = []
-    a = x
-    for w, b, act in zip(weights, biases, activations):
-        z = a @ w + b
-        a = _apply_act(z, act)
-        pres.append(z)
-        acts.append(a)
+    for i, (w, b, act) in enumerate(zip(weights, biases, activations)):
+        pres.append(acts[-1] @ w + b)
+        if last or i < len(weights) - 1:
+            acts.append(_apply_act(pres[-1], act))
     return pres, acts
 
 
@@ -108,11 +142,12 @@ def _backward(weights, activations, pres, acts, dout=None, dlogits=None):
         dz = _act_backward(dout, pres[-1], acts[-1], activations[-1])
     grads: list[np.ndarray | None] = [None] * (2 * n_layers)
     for i in range(n_layers - 1, -1, -1):
-        grads[2 * i] = np.swapaxes(acts[i], -1, -2) @ dz
+        grads[2 * i] = acts[i].swapaxes(-1, -2) @ dz
         grads[2 * i + 1] = dz.sum(axis=-2, keepdims=dz.ndim == 3)
-        da = dz @ np.swapaxes(weights[i], -1, -2)
+        da = dz @ weights[i].swapaxes(-1, -2)
         if i > 0:
-            dz = _act_backward(da, pres[i - 1], acts[i - 1], activations[i - 1])
+            # acts[i] is layer i-1's output, which sigmoid and softmax read.
+            dz = _act_backward(da, pres[i - 1], acts[i], activations[i - 1])
     return da, grads
 
 
@@ -181,13 +216,14 @@ class Mlp:
 
     def forward(self, x) -> np.ndarray:
         x2, single = self._promote(x)
-        a = x2
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            a = _apply_act(a @ w + b, act)
+        a = _output(self.weights, self.biases, self.activations, x2)
         return a[0] if single else a
 
-    def _forward_full(self, x2: np.ndarray):
-        return _forward_full(self.weights, self.biases, self.activations, x2)
+    def _logits(self, x2: np.ndarray) -> np.ndarray:
+        return _logits(self.weights, self.biases, self.activations, x2)
+
+    def _forward_full(self, x2: np.ndarray, last: bool = True):
+        return _forward_full(self.weights, self.biases, self.activations, x2, last)
 
     def _backward(self, pres, acts, dout=None, dlogits=None):
         return _backward(self.weights, self.activations, pres, acts, dout, dlogits)
@@ -195,38 +231,39 @@ class Mlp:
     # -- losses on this net ------------------------------------------------
 
     def _loss_parts(self, x, target, loss: str, want_grads: bool):
+        """The loss and, with ``want_grads``, its gradients (else None).
+
+        The value path keeps no caches; softmax_ce stops at the logits.
+        """
         x2, _ = self._promote(x)
-        pres, acts = self._forward_full(x2)
-        out = acts[-1]
-        if loss == "bce":
-            y = np.asarray(target, dtype=np.float64).reshape(out.shape)
-            value = bce_loss(out, y)
-            if not want_grads:
-                return value, None
-            dout = bce_grad(out, y)
-            _, grads = self._backward(pres, acts, dout=dout)
-            return value, grads
         if loss == "softmax_ce":
             if self.activations[-1] not in ("softmax", "identity"):
                 raise ValueError("softmax_ce expects a softmax or identity head")
-            labels = np.asarray(target, dtype=np.int64).reshape(x2.shape[0])
-            logits = pres[-1]
-            losses, dlogits = softmax_ce_parts(logits, labels)
-            value = float(np.mean(losses))
+            labels = class_labels(target, x2.shape[0], self.out_dim)
             if not want_grads:
-                return value, None
+                return float(np.mean(softmax_ce_parts(self._logits(x2), labels)[0])), None
+            pres, acts = self._forward_full(x2, last=False)
+            losses, dlogits = softmax_ce_parts(pres[-1], labels, want_grad=True)
             _, grads = self._backward(pres, acts, dlogits=dlogits / len(labels))
-            return value, grads
-        if loss == "mse":
-            y = np.asarray(target, dtype=np.float64).reshape(out.shape)
+            return float(np.mean(losses)), grads
+        if loss not in ("bce", "mse"):
+            raise ValueError(f"unknown loss tag {loss!r} for Mlp")
+        if want_grads:
+            pres, acts = self._forward_full(x2)
+            out = acts[-1]
+        else:
+            out = _output(self.weights, self.biases, self.activations, x2)
+        y = np.asarray(target, dtype=np.float64).reshape(out.shape)
+        if loss == "bce":
+            value, dout = bce_parts(out, y, want_grads)
+        else:
             diff = out - y
             value = float(np.mean(diff * diff))
-            if not want_grads:
-                return value, None
-            dout = 2.0 * diff / diff.size
-            _, grads = self._backward(pres, acts, dout=dout)
-            return value, grads
-        raise ValueError(f"unknown loss tag {loss!r} for Mlp")
+            dout = 2.0 * diff / diff.size if want_grads else None
+        if not want_grads:
+            return value, None
+        _, grads = self._backward(pres, acts, dout=dout)
+        return value, grads
 
     def loss_value(self, x, target, loss: str) -> float:
         return self._loss_parts(x, target, loss, want_grads=False)[0]
@@ -263,8 +300,9 @@ class Mlp:
         atomic_write_text(path, json.dumps({"kind": "mlp", **self.to_dict()}) + "\n")
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "Mlp":
-        return load_checkpoint(path, "mlp", cls.from_dict)
+    def load(cls, path: str | os.PathLike, doc: dict | None = None) -> "Mlp":
+        """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
+        return load_checkpoint(path, "mlp", cls.from_dict, doc)
 
 
 class MlpStack:
@@ -302,8 +340,12 @@ class MlpStack:
         if loss != "mse":
             raise ValueError(f"unknown loss tag {loss!r} for MlpStack")
         x3 = np.asarray(x, dtype=np.float64).reshape(len(self.seeds), -1, self.weights[0].shape[1])
-        pres, acts = _forward_full(self.weights, self.biases, self.activations, x3)
-        diff = acts[-1] - np.asarray(target, dtype=np.float64).reshape(acts[-1].shape)
+        if want_grads:
+            pres, acts = _forward_full(self.weights, self.biases, self.activations, x3)
+            out = acts[-1]
+        else:
+            out = _output(self.weights, self.biases, self.activations, x3)
+        diff = out - np.asarray(target, dtype=np.float64).reshape(out.shape)
         value = np.mean(diff * diff, axis=(1, 2))
         if not want_grads:
             return value, None
@@ -327,27 +369,57 @@ def bce_loss(scores, targets) -> float:
     y = np.asarray(targets, dtype=np.float64)
     if s.shape != y.shape:
         raise ValueError(f"scores shape {s.shape} != targets shape {y.shape}")
-    sc = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(np.mean(-(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc))))
+    return bce_parts(s, y, want_grad=False)[0]
 
 
-def bce_grad(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d(bce_loss)/d(scores); zero where the clamp is active."""
+def bce_parts(scores: np.ndarray, targets: np.ndarray, want_grad: bool):
+    """``bce_loss`` of same-shaped arrays and, with ``want_grad``, its
+    gradient in the scores, zero where the clamp is active (else None).
+    The value and the gradient share one clamp."""
     sc = np.clip(scores, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    value = float(np.mean(-(targets * np.log(sc) + (1.0 - targets) * np.log(1.0 - sc))))
+    if not want_grad:
+        return value, None
     grad = (sc - targets) / (sc * (1.0 - sc)) / scores.size
     inside = (scores > BCE_CLAMP) & (scores < 1.0 - BCE_CLAMP)
-    return np.where(inside, grad, 0.0)
+    return value, np.where(inside, grad, 0.0)
 
 
-def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray):
-    """Per-row cross entropy of softmax(logits) and its gradient in logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = np.arange(logits.shape[0])
-    losses = _logsumexp(logits) - logits[rows, labels]
-    dlogits = softmax(logits)
+def class_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as (rows,) int64 class indices.
+
+    A label that is not an integer in [0, classes) raises ValueError naming
+    ``labels``: indexing would read -1 as the last class, and a cast would
+    truncate 1.7 to 1.
+    """
+    given = np.asarray(labels).reshape(rows)
+    if given.dtype.kind in "iu":
+        bad = (given < 0) | (given >= classes)
+    elif given.dtype.kind == "f":
+        # Written so that NaN fails too.
+        bad = ~((given >= 0) & (given < classes) & (given == np.rint(given)))
+    else:
+        raise ValueError(f"labels must be integers, got dtype {given.dtype}")
+    if bad.any():
+        raise ValueError(f"labels must be integers in [0, {classes}), "
+                         f"got {given[bad][0].item()!r}")
+    return given.astype(np.int64, copy=False)
+
+
+def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = False):
+    """Per-row cross entropy of softmax(logits) against checked int64
+    ``labels`` and, with ``want_grad``, its gradient in the logits (else None).
+
+    The value alone needs only the log-sum-exp; the gradient takes the
+    softmax and the log-sum-exp from one pass.
+    """
+    rows = np.arange(len(labels))
+    picked = logits[rows, labels]
+    if not want_grad:
+        return _logsumexp(logits) - picked, None
+    dlogits, lse = _softmax_lse(logits)
     dlogits[rows, labels] -= 1.0
-    return losses, dlogits
+    return lse - picked, dlogits
 
 
 def weighted_ce_loss(per_exit_logits: Sequence, label: int, weights: Sequence[float]) -> float:
@@ -356,15 +428,13 @@ def weighted_ce_loss(per_exit_logits: Sequence, label: int, weights: Sequence[fl
         raise ValueError(
             f"{len(per_exit_logits)} exit outputs but {len(weights)} weights"
         )
-    label = int(label)
     total = 0.0
     for z, w in zip(per_exit_logits, weights):
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 1:
             raise ValueError("per-exit logits must be vectors")
-        if not (0 <= label < z.shape[0]):
-            raise ValueError(f"label {label} outside logit width {z.shape[0]}")
-        total += w * float(_logsumexp(z[None, :])[0] - z[label])
+        (k,) = class_labels(label, 1, z.shape[0])
+        total += w * float(_logsumexp(z[None, :])[0] - z[k])
     return total
 
 
@@ -429,14 +499,23 @@ def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
     FloatingPointError.
     """
     n = inputs.shape[0] // len(rngs)
-    perm = np.stack([rng.permutation(n) + k * n for k, rng in enumerate(rngs)])
+    # rng.permutation(n) shuffles arange(n), and a shuffle moves positions
+    # whatever the values, so each block's row numbers shuffled in place
+    # are rng.permutation(n) + k * n.
+    perm = np.arange(len(rngs) * n).reshape(len(rngs), n)
+    for rng, block in zip(rngs, perm):
+        rng.shuffle(block)
     for start in range(0, n, cfg.batch_size):
         idx = perm[:, start:start + cfg.batch_size].reshape(-1)
         batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
         if not np.isfinite(batch_loss).all():
             raise FloatingPointError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
-            p -= lr * (g + cfg.weight_decay * p)
+            # p -= lr * (g + wd * p), in place on the fresh gradient: the
+            # same products and sums, and products commute exactly.
+            g += cfg.weight_decay * p
+            g *= lr
+            p -= g
 
 
 def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfig()):
@@ -461,6 +540,9 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
     if x.shape[0] % len(seeds):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(seeds)} equal blocks")
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    # The loss at the starting parameters checks the loss tag, the target
+    # shape and every label before any parameter moves.
+    net.loss_value(x, t, loss)
     curve: list = []
     for epoch in range(cfg.epochs):
         try:

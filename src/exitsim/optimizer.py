@@ -26,7 +26,7 @@ import numpy as np
 from . import engine
 from .nncore import Mlp, MlpStack, TrainConfig, train
 from .predictor import as_scores
-from .trace import Thresholds, TraceSet, atomic_write_text, load_checkpoint
+from .trace import Thresholds, TraceSet, atomic_write_text, load_checkpoint, read_text
 
 # Clamp for regressed confidence thresholds: keep them meaningfully inside
 # (1/P, 1) so the resulting Thresholds always validate.
@@ -265,9 +265,11 @@ def save_policy_points(points: Sequence[PolicyPoint], path: str | os.PathLike) -
     atomic_write_text(path, policy_points_csv(points))
 
 
-def load_policy_points(path: str | os.PathLike) -> list[PolicyPoint]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def load_policy_points(path: str | os.PathLike, text: str | None = None
+                       ) -> list[PolicyPoint]:
+    """The policy table at ``path``; ``text`` is its ``read_text``, if already read."""
+    text = read_text(path) if text is None else text
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty policy table")
     header = rows[0]
@@ -318,7 +320,9 @@ def save_regressors(regressors: Sequence[ThresholdRegressor],
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
-def load_regressors(path: str | os.PathLike) -> list[ThresholdRegressor]:
+def load_regressors(path: str | os.PathLike, doc: dict | None = None
+                    ) -> list[ThresholdRegressor]:
+    """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
     return load_checkpoint(path, "threshold_regressors", lambda doc: [
         ThresholdRegressor(
             interval=tuple(r["interval"]),
@@ -330,4 +334,4 @@ def load_regressors(path: str | os.PathLike) -> list[ThresholdRegressor]:
             max_abs_error=r["max_abs_error"],
         )
         for r in doc["regressors"]
-    ])
+    ], doc)

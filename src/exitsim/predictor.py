@@ -122,9 +122,10 @@ def save_predictor(ep: ExitPredictor, path: str | os.PathLike) -> None:
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
-def load_predictor(path: str | os.PathLike) -> ExitPredictor:
+def load_predictor(path: str | os.PathLike, doc: dict | None = None) -> ExitPredictor:
+    """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
     return load_checkpoint(path, "exit_predictor", lambda doc: ExitPredictor(
         net=Mlp.from_dict(doc["net"]),
         lam=tuple(doc["lambda"]),
         predictor_flops=doc["predictor_flops"],
-    ))
+    ), doc)

@@ -316,6 +316,13 @@ def _integral(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return given, np.where(bad, 0.0, real).astype(np.int64), bad
 
 
+def _duplicate_ids(ids: np.ndarray):
+    """The check that flags every use of an id after its first."""
+    first_use = np.zeros(len(ids), dtype=bool)
+    first_use[np.unique(ids, return_index=True)[1]] = True
+    return ~first_use, lambda i: f"sample {ids[i]}: duplicate id"
+
+
 def _matrices(topology: ExitTopology, ids, conf, conf_len, pred, pred_len, features,
               feat_len):
     """Stack flat per-sample values into (samples, width) matrices.
@@ -387,14 +394,12 @@ class TraceSet:
                 f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
                 f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
                 f"features {None if features is None else features.shape}")
-        first_use = np.zeros(n, dtype=bool)
-        first_use[np.unique(ids, return_index=True)[1]] = True
         # Written so that NaN fails too.
         conf_bad = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
         pred_out = (pred < 0) | (pred >= p)
         checks = [
             (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
-            (~first_use, lambda i: f"sample {ids[i]}: duplicate id"),
+            _duplicate_ids(ids),
             (label_bad, lambda i: f"sample {ids[i]}: label must be an integer, "
                                   f"got {_entry(label_given, label_bad, i)!r}"),
             ((label < 0) | (label >= p),
@@ -410,6 +415,10 @@ class TraceSet:
             checks.append((~np.isfinite(features),
                            lambda i: f"sample {ids[i]}: features must be finite"))
         _raise_first(checks)
+        self._store(topology, ids, label, conf, pred, features)
+
+    def _store(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
+        """Keep checked columns, made read-only; the caller hands them over."""
         for name, col in (("ids", ids), ("label", label), ("conf", conf), ("pred", pred),
                           ("features", features)):
             if col is not None:
@@ -455,9 +464,17 @@ class TraceSet:
         return self.features
 
     def subset(self, indices: Sequence[int]) -> "TraceSet":
+        """The samples at ``indices``, in that order.
+
+        Rows of a checked set stay canonical and in range, so only a
+        repeated index can break the new set: it raises as a duplicate id.
+        """
         rows = np.fromiter(map(operator.index, indices), dtype=np.intp)
-        return TraceSet.from_columns(
-            self.topology, *(None if c is None else c[rows] for c in self._columns()))
+        columns = [None if c is None else c[rows] for c in self._columns()]
+        _raise_first([_duplicate_ids(columns[0])])
+        ts = TraceSet.__new__(TraceSet)
+        ts._store(self.topology, *columns)
+        return ts
 
 
 class _SampleView(SequenceABC):
@@ -533,14 +550,16 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def load_checkpoint(path: str | os.PathLike, kind: str, build):
+def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
     """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
 
-    A document of another kind, a missing field or a field of the wrong
-    type raises ValueError naming the path (and the missing field).
+    ``doc`` is the document already parsed from ``path``, if the caller has
+    it.  A document of another kind, a missing field or a field of the
+    wrong type raises ValueError naming the path (and the missing field).
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    if doc is None:
+        with open(path) as fh:
+            doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind!r} document")
     try:
@@ -597,22 +616,31 @@ def save_trace_set(ts: TraceSet, path: str | os.PathLike) -> None:
     atomic_write_text(path, trace_set_text(ts))
 
 
-def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for the header and each record of a file.
+def read_text(path: str | os.PathLike) -> str:
+    """The whole file as UTF-8 text, line ends kept as written.
 
-    The one reader of line-delimited JSON (trace and dataset files).  Line 1
-    is the header; blank lines after it are skipped.  Lines are counted at
-    newline bytes only.  An empty file, bytes that are not UTF-8, a line
-    that is not JSON or a value that is not an object raise
-    TraceFormatError naming the path and line.  Records are parsed as the
-    caller consumes them.
+    Bytes that are not UTF-8 raise TraceFormatError naming the path and line.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
+            return fh.read()
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise TraceFormatError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
+
+
+def read_jsonl(path: str | os.PathLike, text: str | None = None
+               ) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for the header and each record of a file.
+
+    The one reader of line-delimited JSON (trace and dataset files); ``text``
+    is the file's ``read_text``, if the caller has read it.  Line 1 is the
+    header; blank lines after it are skipped.  Lines are counted at newline
+    bytes only.  An empty file, bytes that are not UTF-8, a line that is not
+    JSON or a value that is not an object raise TraceFormatError naming the
+    path and line.  Records are parsed as the caller consumes them.
+    """
+    lines = (read_text(path) if text is None else text).split("\n")
     if lines == [""]:
         raise TraceFormatError(f"{path}: empty file")
     for lineno, line in enumerate(lines, start=1):
@@ -647,8 +675,8 @@ def _type_error(rec: dict) -> str:
     return "confidences and predicted must be lists of numbers"
 
 
-def load_trace_set(path: str | os.PathLike) -> TraceSet:
-    """Parse and validate a trace file.
+def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
+    """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
     Each field is gathered into a flat list next to the record's line
     number.  Keys and types are checked record by record as they are read,
@@ -656,7 +684,7 @@ def load_trace_set(path: str | os.PathLike) -> TraceSet:
     TraceFormatError naming the path and the line of the first record that
     fails the earliest failing stage.
     """
-    rows = read_jsonl(path)
+    rows = read_jsonl(path, text)
     _, header = next(rows)
     try:
         topo = ExitTopology.from_header(header)

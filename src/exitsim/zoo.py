@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nncore import Mlp, softmax_ce_parts
+from .nncore import Mlp, class_labels, softmax_ce_parts
 from .trace import (
     ExitTopology,
     TraceFormatError,
@@ -142,12 +142,14 @@ def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_dataset(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, int]:
+def load_dataset(path: str | os.PathLike, text: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a dataset file; returns (features, labels, num_classes).
 
-    Raises TraceFormatError naming the path and line of the first bad line.
+    ``text`` is as for ``read_jsonl``.  Raises TraceFormatError naming the
+    path and line of the first bad line.
     """
-    rows = read_jsonl(path)
+    rows = read_jsonl(path, text)
     _, header = next(rows)
     if header.get("kind") != "dataset":
         raise TraceFormatError(f"{path}: line 1: not a dataset header")
@@ -259,56 +261,47 @@ class ToyEarlyExitNet:
         return outs
 
     def _joint_parts(self, x, labels, want_grads: bool):
+        """The weighted sum of the exits' mean cross entropies and, with
+        ``want_grads``, its gradients aligned to parameters() (else None).
+
+        Each exit's softmax and log-sum-exp come from one pass over its
+        logits; the value path stops at the logits and keeps no caches.
+        """
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64).reshape(x2.shape[0])
-        batch = x2.shape[0]
-        w = self.weights
+        labels = class_labels(labels, x2.shape[0], self.num_classes)
+        if not want_grads:
+            value, a = 0.0, x2
+            for w, seg, head in zip(self.weights, self.trunk, self.heads):
+                a = seg.forward(a)
+                value += w * float(np.mean(softmax_ce_parts(head._logits(a), labels)[0]))
+            final = softmax_ce_parts(self.final._logits(a), labels)[0]
+            return value + self.weights[-1] * float(np.mean(final)), None
+
         trunk_caches = []
         a = x2
         for seg in self.trunk:
             pres, acts = seg._forward_full(a)
             trunk_caches.append((pres, acts))
             a = acts[-1]
-        head_caches = []
         value = 0.0
-        head_dlogits = []
-        for i, head in enumerate(self.heads):
-            inp = trunk_caches[i][1][-1]
-            pres, acts = head._forward_full(inp)
-            head_caches.append((pres, acts))
-            losses, dlogits = softmax_ce_parts(pres[-1], labels)
-            value += w[i] * float(np.mean(losses))
-            head_dlogits.append(dlogits)
-        fpres, facts = self.final._forward_full(a)
-        flosses, fdlogits = softmax_ce_parts(fpres[-1], labels)
-        value += w[-1] * float(np.mean(flosses))
-        if not want_grads:
-            return value, None
-
-        head_grads = []
-        head_dx = []
-        for i, head in enumerate(self.heads):
-            dlog = head_dlogits[i] * (w[i] / batch)
-            dx, grads = head._backward(*head_caches[i], dlogits=dlog)
-            head_grads.append(grads)
-            head_dx.append(dx)
-        final_dx, final_grads = self.final._backward(
-            fpres, facts, dlogits=fdlogits * (w[-1] / batch)
-        )
-        trunk_grads: list[list[np.ndarray]] = [None] * len(self.trunk)
-        da = final_dx + head_dx[-1]
+        exit_dx, exit_grads = [], []
+        exit_inputs = [acts[-1] for _, acts in trunk_caches] + [a]
+        for w, head, inp in zip(self.weights, [*self.heads, self.final], exit_inputs):
+            pres, acts = head._forward_full(inp, last=False)
+            losses, dlogits = softmax_ce_parts(pres[-1], labels, want_grad=True)
+            value += w * float(np.mean(losses))
+            dlogits *= w / len(labels)
+            dx, grads = head._backward(pres, acts, dlogits=dlogits)
+            exit_dx.append(dx)
+            exit_grads.extend(grads)
+        trunk_grads: list[np.ndarray] = []
+        da = exit_dx[-1] + exit_dx[-2]
         for i in range(len(self.trunk) - 1, -1, -1):
-            dxi, grads = self.trunk[i]._backward(*trunk_caches[i], dout=da)
-            trunk_grads[i] = grads
+            dx, grads = self.trunk[i]._backward(*trunk_caches[i], dout=da)
+            trunk_grads[:0] = grads
             if i > 0:
-                da = dxi + head_dx[i - 1]
-        all_grads: list[np.ndarray] = []
-        for g in trunk_grads:
-            all_grads.extend(g)
-        for g in head_grads:
-            all_grads.extend(g)
-        all_grads.extend(final_grads)
-        return value, all_grads
+                da = dx + exit_dx[i - 1]
+        return value, trunk_grads + exit_grads
 
     def loss_value(self, x, labels, loss: str = "weighted_ce") -> float:
         if loss != "weighted_ce":
@@ -344,8 +337,9 @@ class ToyEarlyExitNet:
         atomic_write_text(path, json.dumps(self.to_dict()) + "\n")
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "ToyEarlyExitNet":
-        return load_checkpoint(path, "toy_early_exit", cls.from_dict)
+    def load(cls, path: str | os.PathLike, doc: dict | None = None) -> "ToyEarlyExitNet":
+        """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
+        return load_checkpoint(path, "toy_early_exit", cls.from_dict, doc)
 
 
 def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,

@@ -1,8 +1,13 @@
-"""Shared test utilities: independent policy walkers and trace builders.
+"""Shared test utilities: independent policy walkers, trace builders and
+a reference copy of the training losses.
 
 The walkers below transliterate the skip/terminate procedure step by step
 in plain Python, deliberately independent from the vectorized engine they
-are used to check.
+are used to check.  The ``ref_*`` loss functions are the straightforward
+form of the nncore/zoo losses: every layer's activation is computed in the
+forward pass, and each softmax-CE head takes a log-sum-exp and a second
+softmax of its logits.  The package computes each piece once; its values
+and gradients must equal these bit for bit.
 """
 
 from __future__ import annotations
@@ -151,3 +156,176 @@ def random_lambda(rng, n_early):
 
 def random_gamma(rng, n_early):
     return tuple(rng.uniform(0.0, 1.0, n_early).tolist())
+
+
+# -- reference losses ------------------------------------------------------------
+
+REF_BCE_CLAMP = 1e-7
+
+
+def ref_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_logsumexp(z):
+    m = z.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+def ref_sigmoid(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_apply_act(z, act):
+    return {"relu": lambda: np.maximum(z, 0.0), "sigmoid": lambda: ref_sigmoid(z),
+            "softmax": lambda: ref_softmax(z), "identity": lambda: z}[act]()
+
+
+def ref_act_backward(da, z, a, act):
+    if act == "relu":
+        return da * (z > 0)
+    if act == "sigmoid":
+        return da * a * (1.0 - a)
+    if act == "softmax":
+        return a * (da - (da * a).sum(axis=-1, keepdims=True))
+    return da
+
+
+def ref_forward_full(weights, biases, activations, x):
+    acts = [x]
+    pres = []
+    a = x
+    for w, b, act in zip(weights, biases, activations):
+        z = a @ w + b
+        a = ref_apply_act(z, act)
+        pres.append(z)
+        acts.append(a)
+    return pres, acts
+
+
+def ref_backward(weights, activations, pres, acts, dout=None, dlogits=None):
+    """Backprop from d(output) or d(logits); returns (d_input, grads)."""
+    n = len(weights)
+    dz = dlogits if dlogits is not None else ref_act_backward(dout, pres[-1], acts[-1],
+                                                              activations[-1])
+    grads = [None] * (2 * n)
+    for i in range(n - 1, -1, -1):
+        grads[2 * i] = np.swapaxes(acts[i], -1, -2) @ dz
+        grads[2 * i + 1] = dz.sum(axis=-2, keepdims=dz.ndim == 3)
+        da = dz @ np.swapaxes(weights[i], -1, -2)
+        if i > 0:
+            dz = ref_act_backward(da, pres[i - 1], acts[i], activations[i - 1])
+    return da, grads
+
+
+def ref_softmax_ce_parts(logits, labels):
+    rows = np.arange(logits.shape[0])
+    losses = ref_logsumexp(logits) - logits[rows, labels]
+    dlogits = ref_softmax(logits)
+    dlogits[rows, labels] -= 1.0
+    return losses, dlogits
+
+
+def ref_mlp_loss(net, x, target, loss):
+    """(value, grads) of an Mlp under "bce", "softmax_ce" or "mse"."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    pres, acts = ref_forward_full(net.weights, net.biases, net.activations, x2)
+    out = acts[-1]
+    if loss == "softmax_ce":
+        labels = np.asarray(target, dtype=np.int64).reshape(x2.shape[0])
+        losses, dlogits = ref_softmax_ce_parts(pres[-1], labels)
+        _, grads = ref_backward(net.weights, net.activations, pres, acts,
+                                dlogits=dlogits / len(labels))
+        return float(np.mean(losses)), grads
+    y = np.asarray(target, dtype=np.float64).reshape(out.shape)
+    if loss == "bce":
+        sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
+        value = float(np.mean(-(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc))))
+        sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
+        grad = (sc - y) / (sc * (1.0 - sc)) / out.size
+        inside = (out > REF_BCE_CLAMP) & (out < 1.0 - REF_BCE_CLAMP)
+        dout = np.where(inside, grad, 0.0)
+    else:
+        diff = out - y
+        value = float(np.mean(diff * diff))
+        dout = 2.0 * diff / diff.size
+    _, grads = ref_backward(net.weights, net.activations, pres, acts, dout=dout)
+    return value, grads
+
+
+def ref_stack_loss(stack, x, target):
+    """(per-net MSE, grads) of an MlpStack whose rows are K equal blocks."""
+    x3 = np.asarray(x, dtype=np.float64).reshape(len(stack.seeds), -1,
+                                                 stack.weights[0].shape[1])
+    pres, acts = ref_forward_full(stack.weights, stack.biases, stack.activations, x3)
+    diff = acts[-1] - np.asarray(target, dtype=np.float64).reshape(acts[-1].shape)
+    _, grads = ref_backward(stack.weights, stack.activations, pres, acts,
+                            dout=2.0 * diff / diff[0].size)
+    return np.mean(diff * diff, axis=(1, 2)), grads
+
+
+def ref_toy_loss(net, x, labels):
+    """(value, grads) of a ToyEarlyExitNet under "weighted_ce"."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64).reshape(x2.shape[0])
+    batch, w = x2.shape[0], net.weights
+
+    def forward(m, inp):
+        return ref_forward_full(m.weights, m.biases, m.activations, inp)
+
+    trunk_caches = []
+    a = x2
+    for seg in net.trunk:
+        trunk_caches.append(forward(seg, a))
+        a = trunk_caches[-1][1][-1]
+    exit_caches = [forward(h, c[1][-1]) for h, c in zip(net.heads, trunk_caches)]
+    exit_caches.append(forward(net.final, a))
+    value = 0.0
+    exit_dx, exit_grads = [], []
+    for m, wi, (pres, acts) in zip([*net.heads, net.final], w, exit_caches):
+        losses, dlogits = ref_softmax_ce_parts(pres[-1], labels)
+        value += wi * float(np.mean(losses))
+        dx, grads = ref_backward(m.weights, m.activations, pres, acts,
+                                 dlogits=dlogits * (wi / batch))
+        exit_dx.append(dx)
+        exit_grads.extend(grads)
+    trunk_grads = [None] * len(net.trunk)
+    da = exit_dx[-1] + exit_dx[-2]
+    for i in range(len(net.trunk) - 1, -1, -1):
+        seg = net.trunk[i]
+        dxi, trunk_grads[i] = ref_backward(seg.weights, seg.activations, *trunk_caches[i],
+                                           dout=da)
+        if i > 0:
+            da = dxi + exit_dx[i - 1]
+    return value, [g for grads in trunk_grads for g in grads] + exit_grads
+
+
+def ref_train(model, x, y, cfg, seeds, ref_loss):
+    """The epoch loop in its straightforward form; returns the loss curve.
+
+    Each net k of ``seeds`` shuffles its block of rows with
+    ``rng.permutation(n) + k * n``; the update is
+    ``p -= lr * (g + weight_decay * p)``.
+    """
+    from exitsim.nncore import lr_at
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n = len(x) // len(seeds)
+    curve = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(cfg, epoch)
+        perm = np.stack([rng.permutation(n) + k * n for k, rng in enumerate(rngs)])
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[:, start:start + cfg.batch_size].reshape(-1)
+            _, grads = ref_loss(model, x[idx], y[idx])
+            for p, g in zip(model.parameters(), grads):
+                p -= lr * (g + cfg.weight_decay * p)
+        curve.append(ref_loss(model, x, y)[0])
+    return curve

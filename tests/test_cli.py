@@ -1,4 +1,5 @@
 import ast
+import builtins
 import json
 import re
 import subprocess
@@ -155,20 +156,56 @@ def test_demo_is_reproducible_with_small_config(small_config_path, tmp_path):
     assert proc.stdout.count("ok ") == len(files_a) and "config.json" in proc.stdout
 
 
-def test_demo_reads_back_none_of_its_outputs(small_config_path, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def small_demo(small_config_path, tmp_path_factory):
+    """A SMALL_CONFIG demo run in-process: (output dir, loads it made)."""
+    out = tmp_path_factory.mktemp("demo")
     calls = []
     targets = [(exitsim.trace, "load_trace_set"), (exitsim.zoo, "load_dataset")]
     targets += [(module, "load_checkpoint") for module in (
         exitsim.trace, exitsim.nncore, exitsim.zoo, exitsim.predictor, exitsim.optimizer)
         if hasattr(module, "load_checkpoint")]
-    for module, name in targets:
-        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    stage_demo(load_config(small_config_path), str(tmp_path))
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in targets:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            mp.setattr(module, name, counted)
+        stage_demo(load_config(small_config_path), str(out))
+    return out, calls
+
+
+def test_demo_reads_back_none_of_its_outputs(small_demo):
+    out, calls = small_demo
     assert calls == []
-    assert len(list(tmp_path.iterdir())) == 16
+    assert len(list(out.iterdir())) == 16
+
+
+def test_validate_opens_each_file_once(small_demo, monkeypatch):
+    paths = sorted(str(p) for p in small_demo[0].iterdir())
+    opened = []
+
+    def counted_open(file, *args, _real=builtins.open, **kwargs):
+        opened.append(str(file))
+        return _real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    kinds = [validate_artifact(p) for p in paths]
+    monkeypatch.undo()
+    assert sorted(opened) == paths
+    assert {"trace_set", "dataset", "toy_early_exit", "exit_predictor", "policy_points",
+            "adapt_table", "frontier", "experiment_config"} <= set(kinds)
+
+
+def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"seed": 3,\n"synth": }\n')
+    out = tmp_path / "data.jsonl"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: line 2: invalid JSON config: ")
+    assert not out.exists()
 
 
 def test_config_env_var_supplies_default(small_config_path, tmp_path):

@@ -116,8 +116,9 @@ def test_weighted_ce_matches_per_exit_loop_oracle():
 def test_weighted_ce_dimension_errors():
     with pytest.raises(ValueError, match="weights"):
         weighted_ce_loss([np.zeros(3)], 0, [0.5, 0.5])
-    with pytest.raises(ValueError, match="label"):
-        weighted_ce_loss([np.zeros(3)], 3, [1.0])
+    for label in (3, -1, 1.7):
+        with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 3\)"):
+            weighted_ce_loss([np.zeros(3)], label, [1.0])
 
 
 def test_train_separable_two_point_task_converges():
@@ -191,6 +192,25 @@ def test_gradient_check_softmax_ce(seed):
     rng = np.random.default_rng(seed + 50)
     x = rng.normal(size=4)
     assert numeric_gradient_check(net, x, 3, "softmax_ce") < 1e-5
+
+
+@pytest.mark.parametrize("hidden", ["relu", "sigmoid", "softmax", "identity"])
+def test_gradient_check_through_each_hidden_activation(hidden):
+    # Equal widths, so reading a layer's input where its output belongs
+    # would run and give wrong gradients rather than fail on a shape.
+    net = Mlp.init([4, 4, 4, 3], [hidden, hidden, "identity"], seed=3)
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    assert numeric_gradient_check(net, x, y, "mse") < 1e-5
+
+
+@pytest.mark.parametrize("label", [-1, 1.7, 4])
+def test_softmax_ce_rejects_a_label_outside_the_classes(label):
+    net = Mlp.init([2, 4], ["softmax"], seed=0)
+    labels = np.array([0.0, 3.0, label])
+    for call in (net.loss_value, net.loss_and_grads):
+        with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 4\), got "):
+            call(np.ones((3, 2)), labels, "softmax_ce")
 
 
 def test_gradient_check_linear_identity_bce_at_half():

@@ -439,6 +439,27 @@ def test_features_must_be_uniform():
         TraceSet(topo, (good, short))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), features=st.booleans(), data=st.data())
+def test_subset_equals_from_columns_on_the_same_rows(seed, features, data):
+    ts = random_trace_set(np.random.default_rng(seed), small_topology(), n_samples=12,
+                          with_features=features)
+    rows = data.draw(st.lists(st.integers(-12, 11), max_size=12, unique_by=lambda i: i % 12))
+    part = ts.subset(rows)
+    assert part == TraceSet.from_columns(
+        ts.topology, *(None if c is None else c[rows] for c in ts._columns()))
+    for col in part._columns():
+        if col is not None:
+            assert not col.flags.writeable
+            assert all(not np.shares_memory(col, c) for c in ts._columns() if c is not None)
+
+
+def test_subset_with_a_repeated_index_is_a_duplicate_id():
+    ts = random_trace_set(np.random.default_rng(3), small_topology(), n_samples=6)
+    with pytest.raises(ValueError, match=f"^sample {ts.ids[4]}: duplicate id$"):
+        ts.subset([1, 4, 2, -2])
+
+
 def test_split_trace_set_partitions_and_is_deterministic():
     rng = np.random.default_rng(5)
     ts = random_trace_set(rng, n_samples=40)

@@ -182,6 +182,25 @@ def test_toy_net_gradient_check_weighted_ce():
         assert numeric_gradient_check(net, x, 2, "weighted_ce") < 1e-5
 
 
+@pytest.mark.parametrize("bad", [-1, 1.7, 3])
+def test_bad_class_label_is_rejected_before_any_parameter_moves(bad):
+    # -1 would read as the last class, 1.7 as class 1, and 3 (= P) would
+    # escape as an IndexError.
+    x, y = generate_dataset(SynthSpec.ring(40, 3, 2, seed=0))
+    y = y.astype(type(bad))
+    y[-1] = bad
+    net = ToyEarlyExitNet.build(2, 3, trunk_widths=(4, 4), final_hidden=4, seed=0)
+    before = [p.copy() for p in net.parameters()]
+    message = rf"^labels must be integers in \[0, 3\), got {bad}$"
+    for call in (net.loss_value, net.loss_and_grads):
+        with pytest.raises(ValueError, match=message):
+            call(x, y)
+    cfg = TrainConfig(epochs=2, lr_end_epoch=2, batch_size=8)
+    with pytest.raises(ValueError, match=message):
+        train(net, x, y, "weighted_ce", cfg)
+    assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), before))
+
+
 def test_toy_net_checkpoint_round_trip(tmp_path):
     net = ToyEarlyExitNet.build(3, 4, trunk_widths=(5, 5), final_hidden=5, seed=13)
     path = tmp_path / "toy.json"
