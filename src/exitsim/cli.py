@@ -20,8 +20,11 @@ runs, and builds the objects the stages use.  Stages take and return
 in-memory objects; only the verb branches of ``run`` read or write files,
 and ``demo`` chains the stages in memory, writing every artifact and reading
 none back.  Artifacts are written atomically and are byte-identical across
-reruns for a fixed config and seed.  Exit codes: 0 success, 1 runtime
-failure (one JSON error line on stderr), 2 usage.
+reruns for a fixed config and seed.  The CSV tables (``report.csv``,
+``frontier.csv``, ``adapt_table.csv``, ``sweep.csv``) go through the one
+table codec in ``trace``; ``validate`` knows a table by its exact header and
+parses every row.  Exit codes: 0 success, 1 runtime failure (one JSON error
+line on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
-import io
 import json
 import os
 import sys
@@ -259,14 +260,14 @@ def _print_json(obj: dict) -> None:
 # -- frontier -----------------------------------------------------------------
 
 FRONTIER_COLUMNS = [
-    "method",            # plain | predictor | oracle
-    "lambda",            # threshold vector, entries joined with '|'
-    "gamma",             # prediction thresholds, '|'-joined ('' for plain/oracle)
-    "accuracy",
-    "on_device_mflops",  # includes the predictor cost for predictor rows
-    "total_mflops",
-    "predictor_mflops",  # the predictor share of on_device, reported separately
-    "last_exit_share",
+    ("method", trace.choice("plain", "predictor", "oracle")),
+    ("lambda", trace.LAMBDA),
+    ("gamma", lambda text: text and trace.GAMMA(text)),  # '' for plain and oracle
+    ("accuracy", trace.SHARE),
+    ("on_device_mflops", trace.COST),      # includes the predictor cost for predictor rows
+    ("total_mflops", trace.COST),
+    ("predictor_mflops", trace.COST),      # the predictor share of on_device, reported separately
+    ("last_exit_share", trace.SHARE),
 ]
 
 
@@ -280,24 +281,11 @@ def emit_frontier(entries: Sequence[tuple[str, Sequence[float], Sequence[float] 
     """
     if not entries:
         raise ValueError("no reports to emit")
-    rows = []
-    for method, lam, gamma, report, ep_flops in entries:
-        rows.append({
-            "method": method,
-            "lambda": "|".join(repr(float(v)) for v in lam),
-            "gamma": "" if gamma is None else "|".join(repr(float(v)) for v in gamma),
-            "accuracy": repr(report.accuracy),
-            "on_device_mflops": repr(report.mean_on_device_mflops),
-            "total_mflops": repr(report.mean_total_mflops),
-            "predictor_mflops": repr(float(ep_flops)),
-            "last_exit_share": repr(report.exit_distribution[-1]),
-        })
-    rows.sort(key=lambda r: float(r["on_device_mflops"]))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=FRONTIER_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = sorted(([method, lam, gamma, report.accuracy, report.mean_on_device_mflops,
+                    report.mean_total_mflops, ep_flops, report.exit_distribution[-1]]
+                   for method, lam, gamma, report, ep_flops in entries),
+                  key=lambda row: row[4])
+    return trace.table_text(FRONTIER_COLUMNS, rows)
 
 
 # -- pipeline stages ----------------------------------------------------------
@@ -368,29 +356,23 @@ def stage_fit_adapt(cfg: Config, points: Sequence[optimizer.PolicyPoint]
         hidden=cfg.doc["regressor"]["hidden"])
 
 
-ADAPT_COLUMNS = ["bandwidth_bps", "lambda", "gamma", "accuracy", "mean_latency_s", "feasible"]
+ADAPT_COLUMNS = [("bandwidth_bps", trace.RATE), ("lambda", trace.LAMBDA),
+                 ("gamma", trace.GAMMA), ("accuracy", trace.SHARE),
+                 ("mean_latency_s", trace.COST), ("feasible", trace.FLAG)]
 
 
 def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
                     regressors: Sequence[optimizer.ThresholdRegressor]) -> str:
     """Re-evaluate adapted thresholds at every sweep bandwidth."""
     env = cfg.env
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ADAPT_COLUMNS)
+    rows = []
     for bw in sorted(float(b) for b in cfg.doc["sweep_bandwidths"]):
         th = optimizer.adapt(regressors, bw)
         stats = engine.policy_stats(ts, th.lam, th.gamma, scores,
                                     replace(env, bandwidth=bw))
-        writer.writerow([
-            repr(bw),
-            "|".join(repr(v) for v in th.lam),
-            "|".join(repr(v) for v in th.gamma),
-            repr(stats.accuracy),
-            repr(stats.mean_latency_s),
-            "true" if stats.mean_latency_s <= env.latency_budget else "false",
-        ])
-    return buf.getvalue()
+        rows.append([bw, th.lam, th.gamma, stats.accuracy, stats.mean_latency_s,
+                     stats.mean_latency_s <= env.latency_budget])
+    return trace.table_text(ADAPT_COLUMNS, rows)
 
 
 def _policy_entries(cfg: Config, ts: trace.TraceSet, scores: np.ndarray,
@@ -474,28 +456,18 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 # -- validate -----------------------------------------------------------------
 
 
-def _validate_csv(path: str, text: str, required: Sequence[str]) -> None:
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    missing = [c for c in required if c not in rows[0]]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
-    width = len(rows[0])
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: line {i}: expected {width} fields, got {len(row)}")
-
-
-# Whole-file JSON checkpoints, validated by loading them from the parsed
-# document: kind -> loader(path, doc).
-_CHECKPOINT_LOADERS = {
+# Whole-file JSON documents, validated by loading them from the parsed
+# document: kind -> loader(path, doc).  A summary is only recognised.
+_JSON_LOADERS = {
     "mlp": Mlp.load,
     "toy_early_exit": zoo.ToyEarlyExitNet.load,
     "exit_predictor": predictor.load_predictor,
     "threshold_regressors": optimizer.load_regressors,
     "thresholds": lambda path, doc: trace.load_checkpoint(path, "thresholds", lambda doc: (
         trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"]))), doc),
+    "experiment_config": lambda path, doc: check_config(
+        {k: v for k, v in doc.items() if k != "kind"}),
+    "summary": lambda path, doc: None,
 }
 
 
@@ -515,14 +487,9 @@ def validate_artifact(path: str) -> str:
             whole = None
         if isinstance(whole, dict):
             kind = whole.get("kind")
-            if kind in _CHECKPOINT_LOADERS:
-                _CHECKPOINT_LOADERS[kind](path, whole)
+            if kind in _JSON_LOADERS:
+                _JSON_LOADERS[kind](path, whole)
                 return kind
-            if kind == "experiment_config":
-                check_config({k: v for k, v in whole.items() if k != "kind"})
-                return "experiment_config"
-            if kind == "summary":
-                return "summary"
             if "N" in whole and "P" in whole and "segment_flops" in whole:
                 trace.load_trace_set(path, text)
                 return "trace_set"
@@ -534,17 +501,15 @@ def validate_artifact(path: str) -> str:
             return "dataset"
         trace.load_trace_set(path, text)
         return "trace_set"
-    # CSV artifacts
-    first_line = stripped.splitlines()[0]
-    if first_line.startswith("bandwidth_bps,lambda_1"):
+    # CSV tables, recognised by their exact header; every row is parsed
+    header = text.partition("\n")[0]
+    if header.startswith("bandwidth_bps,lambda_1,"):
         optimizer.load_policy_points(path, text)
         return "policy_points"
-    if first_line.startswith("bandwidth_bps,lambda,"):
-        _validate_csv(path, text, ADAPT_COLUMNS)
-        return "adapt_table"
-    if first_line.startswith("method,"):
-        _validate_csv(path, text, FRONTIER_COLUMNS)
-        return "frontier"
+    for tag, columns in (("adapt_table", ADAPT_COLUMNS), ("frontier", FRONTIER_COLUMNS)):
+        if header == ",".join(name for name, _ in columns):
+            trace.read_table(path, text, columns)
+            return tag
     raise ValueError(f"{path}: unrecognized artifact")
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import ExitTopology, Thresholds, TraceSet
+from .trace import ExitTopology, Thresholds, TraceSet, check_gamma, check_lambda
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,6 @@ class AggregateReport:
 # -- validation ---------------------------------------------------------------
 
 
-def check_lambda(lam: Sequence[float], n_early: int) -> np.ndarray:
-    """Confidence thresholds as an array: one per early exit, each in (0, 1)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (n_early,):
-        raise ValueError(f"lambda must have length {n_early}, got shape {lam.shape}")
-    if not np.all((lam > 0.0) & (lam < 1.0)):
-        raise ValueError("lambda entries must lie in (0, 1)")
-    return lam
-
-
-def _check_gamma(gamma: Sequence[float], n_early: int) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.shape != (n_early,):
-        raise ValueError(f"gamma must have length {n_early}, got shape {gamma.shape}")
-    if not np.all((gamma >= 0.0) & (gamma <= 1.0)):
-        raise ValueError("gamma entries must lie in [0, 1]")
-    return gamma
-
-
 def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     shape = (len(ts), ts.topology.num_early_exits)
     try:
@@ -137,7 +118,7 @@ def _checked(ts: TraceSet, lam, gamma, scores):
     lam = check_lambda(lam, n_early)
     if gamma is None:
         return lam, None, None
-    gamma = _check_gamma(gamma, n_early)
+    gamma = check_gamma(gamma, n_early)
     if scores is None:
         raise ValueError("gamma given without predictor scores")
     return lam, gamma, _scores_matrix(ts, scores)
@@ -322,7 +303,7 @@ class PolicyTable:
         # The empty-set, gamma and score checks run once, every lambda once.
         _, _, mat = _checked(ts, lams[0], None if gammas is None else gammas[0], scores)
         lam_arrays = [check_lambda(lam, n_early) for lam in lams]
-        gamma_arrays = [None] if gammas is None else [_check_gamma(g, n_early) for g in gammas]
+        gamma_arrays = [None] if gammas is None else [check_gamma(g, n_early) for g in gammas]
         self.lams = [tuple(float(v) for v in lam) for lam in lams]
         self.gammas = None if gammas is None else [tuple(float(v) for v in g) for g in gammas]
         self.bandwidths = tuple(float(b) for b in bandwidths)

@@ -13,8 +13,6 @@ serves every channel condition.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -23,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
+from . import engine, trace
 from .nncore import Mlp, MlpStack, TrainConfig, train
 from .predictor import as_scores
-from .trace import Thresholds, TraceSet, atomic_write_text, load_checkpoint, read_text
+from .trace import Thresholds, TraceSet, as_int, as_real, atomic_write_text, load_checkpoint
 
 # Clamp for regressed confidence thresholds: keep them meaningfully inside
 # (1/P, 1) so the resulting Thresholds always validate.
@@ -119,7 +117,8 @@ def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
 
 @dataclass(frozen=True)
 class ThresholdRegressor:
-    """Per-interval pair of two-layer nets: log10(bandwidth) -> thresholds."""
+    """Per-interval pair of two-layer nets: log10(bandwidth) -> thresholds,
+    checked so that ``adapt`` can use it."""
 
     interval: tuple[float, float]
     train_bandwidths: tuple[float, ...]
@@ -128,6 +127,17 @@ class ThresholdRegressor:
     log_center: float
     num_classes: int
     max_abs_error: float
+
+    def __post_init__(self) -> None:
+        iv, lam_net, gamma_net = self.interval, self.lam_net, self.gamma_net
+        object.__setattr__(self, "log_center", as_real(self.log_center, "log_center"))
+        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
+        if not (len(iv) == 2 and 0 < as_real(iv[0], "interval") < as_real(iv[1], "interval")):
+            raise ValueError(f"interval must be [lo, hi] with 0 < lo < hi, got {list(iv)}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not (lam_net.in_dim == gamma_net.in_dim == 1 and lam_net.out_dim == gamma_net.out_dim):
+            raise ValueError("lam_net and gamma_net must take 1 input and have equal output widths")
 
 
 def _clamp_lam(raw: np.ndarray, num_classes: int) -> np.ndarray:
@@ -241,24 +251,21 @@ def adapt(regressors: Sequence[ThresholdRegressor], bandwidth: float) -> Thresho
 # -- serialization ------------------------------------------------------------
 
 
+def _point_columns(n_early: int) -> list:
+    """The policy table's columns for ``n_early`` early exits, one per threshold entry."""
+    lam = lambda text: float(trace.check_lambda([text])[0])
+    gamma = lambda text: float(trace.check_gamma([text])[0])
+    return ([("bandwidth_bps", trace.RATE)] + [(f"lambda_{i + 1}", lam) for i in range(n_early)]
+            + [(f"gamma_{i + 1}", gamma) for i in range(n_early)]
+            + [("accuracy", trace.SHARE), ("mean_latency_s", trace.COST), ("feasible", trace.FLAG)])
+
+
 def policy_points_csv(points: Sequence[PolicyPoint]) -> str:
     if not points:
         raise ValueError("no policy points to serialize")
-    n_early = len(points[0].lam)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (["bandwidth_bps"]
-              + [f"lambda_{i + 1}" for i in range(n_early)]
-              + [f"gamma_{i + 1}" for i in range(n_early)]
-              + ["accuracy", "mean_latency_s", "feasible"])
-    writer.writerow(header)
-    for p in points:
-        writer.writerow([repr(p.bandwidth)]
-                        + [repr(v) for v in p.lam]
-                        + [repr(v) for v in p.gamma]
-                        + [repr(p.accuracy), repr(p.mean_latency_s),
-                           "true" if p.feasible else "false"])
-    return buf.getvalue()
+    return trace.table_text(_point_columns(len(points[0].lam)), (
+        [p.bandwidth, *p.lam, *p.gamma, p.accuracy, p.mean_latency_s, p.feasible]
+        for p in points))
 
 
 def save_policy_points(points: Sequence[PolicyPoint], path: str | os.PathLike) -> None:
@@ -267,37 +274,12 @@ def save_policy_points(points: Sequence[PolicyPoint], path: str | os.PathLike) -
 
 def load_policy_points(path: str | os.PathLike, text: str | None = None
                        ) -> list[PolicyPoint]:
-    """The policy table at ``path``; ``text`` is its ``read_text``, if already read."""
-    text = read_text(path) if text is None else text
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
-        raise ValueError(f"{path}: empty policy table")
-    header = rows[0]
-    lam_cols = [i for i, name in enumerate(header) if name.startswith("lambda_")]
-    gam_cols = [i for i, name in enumerate(header) if name.startswith("gamma_")]
-    try:
-        bw_col = header.index("bandwidth_bps")
-        acc_col = header.index("accuracy")
-        lat_col = header.index("mean_latency_s")
-        feas_col = header.index("feasible")
-    except ValueError as exc:
-        raise ValueError(f"{path}: missing policy table column: {exc}") from exc
-    if not lam_cols or len(lam_cols) != len(gam_cols):
-        raise ValueError(f"{path}: malformed threshold columns")
-    points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            points.append(PolicyPoint(
-                bandwidth=float(row[bw_col]),
-                lam=tuple(float(row[i]) for i in lam_cols),
-                gamma=tuple(float(row[i]) for i in gam_cols),
-                accuracy=float(row[acc_col]),
-                mean_latency_s=float(row[lat_col]),
-                feasible=row[feas_col] == "true",
-            ))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return points
+    """The policy table at ``path``; ``text`` is its ``read_text``, if already read.
+    The header must be exactly the table's for as many exits as it names."""
+    text = trace.read_text(path) if text is None else text
+    n = max(1, text.partition("\n")[0].count(",lambda_"))
+    return [PolicyPoint(bw, row[:n], row[n:], acc, latency, feasible == "true")
+            for bw, *row, acc, latency, feasible in trace.read_table(path, text, _point_columns(n))]
 
 
 def save_regressors(regressors: Sequence[ThresholdRegressor],
@@ -322,16 +304,20 @@ def save_regressors(regressors: Sequence[ThresholdRegressor],
 
 def load_regressors(path: str | os.PathLike, doc: dict | None = None
                     ) -> list[ThresholdRegressor]:
-    """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
+    """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``); a
+    malformed entry raises ValueError naming the path and the entry."""
+    def entry(i: int, r: dict) -> ThresholdRegressor:
+        try:
+            return ThresholdRegressor(
+                interval=tuple(r["interval"]),
+                train_bandwidths=tuple(r["train_bandwidths"]),
+                lam_net=Mlp.from_dict(r["lam_net"]),
+                gamma_net=Mlp.from_dict(r["gamma_net"]),
+                log_center=r["log_center"],
+                num_classes=r["num_classes"],
+                max_abs_error=r["max_abs_error"],
+            )
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ValueError(f"regressors[{i}]: {exc}") from exc
     return load_checkpoint(path, "threshold_regressors", lambda doc: [
-        ThresholdRegressor(
-            interval=tuple(r["interval"]),
-            train_bandwidths=tuple(r["train_bandwidths"]),
-            lam_net=Mlp.from_dict(r["lam_net"]),
-            gamma_net=Mlp.from_dict(r["gamma_net"]),
-            log_center=r["log_center"],
-            num_classes=r["num_classes"],
-            max_abs_error=r["max_abs_error"],
-        )
-        for r in doc["regressors"]
-    ], doc)
+        entry(i, r) for i, r in enumerate(doc["regressors"])], doc)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .nncore import Mlp, TrainConfig, train
-from .trace import TraceSet, atomic_write_text, load_checkpoint
+from .trace import TraceSet, atomic_write_text, check_lambda, load_checkpoint
 
 # Scores are kept strictly inside (0, 1); a saturated sigmoid would
 # otherwise defeat the gamma = 1 "skip everything" contract.
@@ -35,7 +35,7 @@ class ExitPredictor:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "lam", tuple(engine.check_lambda(self.lam, self.net.out_dim).tolist()))
+            self, "lam", tuple(check_lambda(self.lam, self.net.out_dim).tolist()))
         object.__setattr__(self, "predictor_flops", float(self.predictor_flops))
         if self.net.activations[-1] != "sigmoid":
             raise ValueError("predictor net must end in a sigmoid head")
@@ -46,7 +46,7 @@ class ExitPredictor:
 def make_labels(ts: TraceSet, lam) -> np.ndarray:
     """Binary targets per early exit: 1 exactly when confidence >= lambda."""
     n_early = ts.topology.num_early_exits
-    lam = engine.check_lambda(lam, n_early)
+    lam = check_lambda(lam, n_early)
     return (ts.conf[:, :n_early] >= lam).astype(np.float64)
 
 
@@ -58,7 +58,6 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
     if cfg is None:
         cfg = TrainConfig(weight_decay=2e-4)
     n_early = ts.topology.num_early_exits
-    lam = engine.check_lambda(lam, n_early)
     x = ts.features
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
@@ -104,11 +103,10 @@ def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
     if not (0.0 < budget_fraction <= 1.0):
         raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
     n_early = ts.topology.num_early_exits
-    scores = as_scores(ts, ep)
-    plain_last = engine.policy_stats(ts, lam).exit_distribution[-1]
     table = engine.PolicyTable(ts, [lam], engine.grid_combos(gamma_grid(grid_step), n_early),
-                               scores)
-    extra = table.exit_distribution[:, -1] - plain_last
+                               as_scores(ts, ep))
+    # Row 0 is gamma = 0: every score passes, so it is the plain walk.
+    extra = table.exit_distribution[:, -1] - table.exit_distribution[0, -1]
     return table.combo(table.cheapest(extra < budget_fraction))[1]
 
 

@@ -12,10 +12,16 @@ precision at construction time and save -> load is the identity.
 A ``TraceSet`` keeps its samples as read-only numpy columns.  Every way of
 building one (from ``SampleTrace`` objects, from arrays, from a file, as a
 subset) goes through one column canonicaliser and one column check.
+
+Each input kind read back has one check here, naming the path and the line,
+column or field: line-delimited records (``load_trace_set``,
+``load_dataset``), CSV tables (``read_table``), threshold vectors
+(``check_lambda``, ``check_gamma``) and JSON checkpoints (``load_checkpoint``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -24,7 +30,7 @@ import tempfile
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -512,6 +518,26 @@ class _SampleView(SequenceABC):
         return tuple(self) + tuple(other)
 
 
+def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.ndim != 1 or not len(vec) or len(vec) != (n_early or len(vec)):
+        raise ValueError(f"{name} must have length {n_early or '>= 1'}, got shape {vec.shape}")
+    if not np.all(inside(vec)):  # written so that NaN fails too
+        raise ValueError(f"{name} entries must lie in {bounds}, got {tuple(vec.tolist())}")
+    return vec
+
+
+def check_lambda(lam, n_early: int | None = None) -> np.ndarray:
+    """The one lambda check: a float64 vector of ``n_early`` (default: >= 1)
+    confidence thresholds, each in (0, 1)."""
+    return _check_vector(lam, n_early, "lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
+
+
+def check_gamma(gamma, n_early: int | None = None) -> np.ndarray:
+    """The one gamma check: as ``check_lambda``, each prediction threshold in [0, 1]."""
+    return _check_vector(gamma, n_early, "gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Paired confidence (lam) and prediction (gamma) threshold vectors."""
@@ -520,18 +546,9 @@ class Thresholds:
     gamma: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
-        if len(self.lam) != len(self.gamma):
-            raise ValueError(
-                f"lam and gamma lengths differ ({len(self.lam)} vs {len(self.gamma)})"
-            )
-        if not self.lam:
-            raise ValueError("thresholds must cover at least one early exit")
-        if any(not (0.0 < v < 1.0) for v in self.lam):
-            raise ValueError(f"lam entries must lie in (0, 1): {self.lam}")
-        if any(not (0.0 <= v <= 1.0) for v in self.gamma):
-            raise ValueError(f"gamma entries must lie in [0, 1]: {self.gamma}")
+        lam = check_lambda(self.lam)
+        object.__setattr__(self, "lam", tuple(lam.tolist()))
+        object.__setattr__(self, "gamma", tuple(check_gamma(self.gamma, len(lam)).tolist()))
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -554,8 +571,9 @@ def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
     """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
 
     ``doc`` is the document already parsed from ``path``, if the caller has
-    it.  A document of another kind, a missing field or a field of the
-    wrong type raises ValueError naming the path (and the missing field).
+    it.  A document of another kind, a missing field, or a field of the
+    wrong type, shape or value raises ValueError naming the path and the
+    kind (or the missing field).
     """
     if doc is None:
         with open(path) as fh:
@@ -566,7 +584,7 @@ def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
         return build(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {kind!r} document: {exc}") from exc
 
 
@@ -591,29 +609,45 @@ def json_line(obj: dict) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def trace_set_text(ts: TraceSet) -> str:
-    """The file text of a set: the header line, then one record per sample.
-
-    Records are rendered with one %-template, ``%d`` for integers and
-    ``%.9g`` for reals, which is what ``json_line`` writes for them.
-    """
-    n = ts.topology.num_exits
-    template = ('{"id":%d,"label":%d,"confidences":[' + ",".join(["%.9g"] * n)
-                + '],"predicted":[' + ",".join(["%d"] * n) + "]")
-    features = repeat(())
-    if ts.features is not None:
-        template += ',"features":[' + ",".join(["%.9g"] * ts.features.shape[1]) + "]"
-        features = ts.features.tolist()
-    template += "}"
-    lines = [json_line(ts.topology.header_dict())]
-    lines.extend(template % (i, label, *conf, *pred, *feats) for i, label, conf, pred, feats
-                 in zip(ts.ids.tolist(), ts.label.tolist(), ts.conf.tolist(), ts.pred.tolist(),
-                        features))
+def records_text(header: dict, fields: Sequence[tuple[str, np.ndarray]]) -> str:
+    """A line-delimited file: ``header``, then a record per row of the
+    (key, column) ``fields``, a (rows, width) column as a list."""
+    keys, columns = [], []
+    for key, col in fields:
+        fmt = "%d" if col.dtype.kind in "iu" else "%.9g"
+        if col.ndim == 1:
+            keys.append(f'"{key}":{fmt}')
+            columns.append(col.tolist())
+        else:
+            keys.append(f'"{key}":[' + ",".join([fmt] * col.shape[1]) + "]")
+            columns.extend(col.T.tolist())
+    template = "{" + ",".join(keys) + "}"
+    lines = [json_line(header)]
+    lines.extend(template % row for row in zip(*columns, strict=True))
     return "\n".join(lines) + "\n"
+
+
+def trace_set_text(ts: TraceSet) -> str:
+    """The file text of a set: the header line, then one record per sample."""
+    fields = [("id", ts.ids), ("label", ts.label), ("confidences", ts.conf),
+              ("predicted", ts.pred)]
+    if ts.features is not None:
+        fields.append(("features", ts.features))
+    return records_text(ts.topology.header_dict(), fields)
 
 
 def save_trace_set(ts: TraceSet, path: str | os.PathLike) -> None:
     atomic_write_text(path, trace_set_text(ts))
+
+
+def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
+                 num_classes: int) -> None:
+    x = np.asarray(x, dtype=np.float64)
+    header = {"kind": "dataset", "num_samples": int(x.shape[0]),
+              "num_classes": int(num_classes), "input_dim": int(x.shape[1])}
+    atomic_write_text(path, records_text(header, [
+        ("id", np.arange(x.shape[0])), ("label", np.asarray(y, dtype=np.int64)),
+        ("features", x)]))
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -675,6 +709,18 @@ def _type_error(rec: dict) -> str:
     return "confidences and predicted must be lists of numbers"
 
 
+@contextlib.contextmanager
+def _record_errors(path, lines: Sequence[int]):
+    """Re-raise a complaint about gathered records as TraceFormatError naming
+    ``path`` and, for a _RowError, the line ``lines[row]`` of its record."""
+    try:
+        yield
+    except _RowError as exc:
+        raise TraceFormatError(f"{path}: line {lines[exc.row]}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc
+
+
 def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
     """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
@@ -714,14 +760,57 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
         else:
             feats.extend(f)
             feat_len.append(len(f))
-    try:
+    with _record_errors(path, lines):
         conf, pred, feats = _matrices(topo, ids, conf, conf_len, pred, pred_len, feats,
                                       feat_len)
         return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
-    except _RowError as exc:
-        raise TraceFormatError(f"{path}: line {lines[exc.row]}: {exc}") from exc
+
+
+def load_dataset(path: str | os.PathLike, text: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse a dataset file; returns (features, labels, num_classes).
+
+    ``text`` is as for ``read_jsonl``.  Records are checked as in
+    ``load_trace_set``: keys and types as they are read, then feature
+    lengths, then values a column at a time, naming the path and line.
+    """
+    rows = read_jsonl(path, text)
+    _, header = next(rows)
+    if header.get("kind") != "dataset":
+        raise TraceFormatError(f"{path}: line 1: not a dataset header")
+    try:
+        n, p, d = (as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
+    except KeyError as exc:
+        raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
+    lines, labels, feats = [], [], []
+    for lineno, rec in rows:
+        try:
+            label, f = rec["label"], rec["features"]
+        except KeyError as exc:
+            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
+        if type(label) not in _NUMBER:
+            raise TraceFormatError(
+                f"{path}: line {lineno}: label must be an integer, got {label!r}")
+        if not _numbers(f):
+            raise TraceFormatError(f"{path}: line {lineno}: features must be a list of numbers")
+        lines.append(lineno)
+        labels.append(label)
+        feats.append(f)
+    with _record_errors(path, lines):
+        feat_len = np.array([len(f) for f in feats], dtype=np.int64)
+        _raise_first([(feat_len != d, lambda i: f"features length {feat_len[i]} != {d}")])
+        given, y, bad = _integral(labels)
+        x = _float64(feats).reshape(len(lines), d)
+        _raise_first([
+            (bad, lambda i: f"label must be an integer, got {_entry(given, bad, i)!r}"),
+            ((y < 0) | (y >= p), lambda i: f"label {y[i]} outside [0, {p})"),
+            (~np.isfinite(x), lambda i: "features must be finite"),
+        ])
+    if n != len(lines):
+        raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")
+    return x, y, p
 
 
 def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[TraceSet, TraceSet]:
@@ -741,3 +830,73 @@ def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[Trace
     hold = np.sort(perm[:n_hold])
     keep = np.sort(perm[n_hold:])
     return ts.subset(keep), ts.subset(hold)
+
+
+# -- CSV tables ---------------------------------------------------------------
+# A table's columns are (name, parse) pairs; parse maps a field's text to its
+# value or raises ValueError.  Values render by type: a bool as true/false,
+# None as '', a vector as its entries joined by '|', a real by repr.  No value
+# renders with a comma, quote or newline, so fields are never quoted.
+
+
+def _real(inside: Callable[[float], bool], bounds: str) -> Callable[[str], float]:
+    def parse(text: str) -> float:
+        if not inside(value := float(text)):  # written so that NaN fails too
+            raise ValueError(f"{text!r} outside {bounds}")
+        return value
+    return parse
+
+
+def choice(*texts: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in texts:
+            raise ValueError(f"must be one of {', '.join(texts)}, got {text!r}")
+        return text
+    return parse
+
+
+RATE = _real(lambda v: 0.0 < v < math.inf, "(0, inf)")
+COST = _real(lambda v: 0.0 <= v < math.inf, "[0, inf)")
+SHARE = _real(lambda v: 0.0 <= v <= 1.0, "[0, 1]")
+FLAG = choice("true", "false")
+LAMBDA = lambda text: tuple(check_lambda(text.split("|")).tolist())
+GAMMA = lambda text: tuple(check_gamma(text.split("|")).tolist())
+
+
+def _render(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return "|".join(repr(float(v)) for v in value)
+    if value is None or isinstance(value, str):
+        return value or ""
+    return repr(float(value))
+
+
+def table_text(columns: Sequence[tuple[str, Callable]], rows: Iterable[Sequence]) -> str:
+    """A CSV table: the column names, then a line per row of values."""
+    return "".join(",".join(map(_render, row)) + "\n"
+                   for row in [[name for name, _ in columns], *rows])
+
+
+def read_table(path: str | os.PathLike, text: str,
+               columns: Sequence[tuple[str, Callable]]) -> list[list]:
+    """The rows of a CSV table (no quoting), parsed by ``columns``.  The
+    header must be exactly their names and every row as wide; a failure
+    raises ValueError naming the path, the line and, for a field, its column."""
+    names = [name for name, _ in columns]
+    lines = text.split("\n")
+    if lines[0].split(",") != names:
+        raise ValueError(f"{path}: line 1: header is not {','.join(names)}")
+    rows = []
+    for lineno, line in enumerate(lines[1:-1] if lines[-1] == "" else lines[1:], start=2):
+        if len(fields := line.split(",")) != len(columns):
+            raise ValueError(f"{path}: line {lineno}: expected {len(columns)} fields, "
+                             f"got {len(fields)}")
+        rows.append([])
+        for (name, parse), field in zip(columns, fields):
+            try:
+                rows[-1].append(parse(field))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {name}: {exc}") from exc
+    return rows

@@ -3,7 +3,9 @@
 The classifier is a small dense trunk with one softmax head per exit, the
 desk-scale stand-in that makes the whole pipeline runnable end to end.  The
 FLOP costs attached to emitted traces are configuration, not measurements
-of the toy net itself.
+of the toy net itself.  A dataset file is line-delimited like a trace
+file, so ``save_dataset`` and ``load_dataset`` live in ``trace`` (and are
+imported here, beside the generator).
 """
 
 from __future__ import annotations
@@ -17,17 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .nncore import Mlp, class_labels, softmax_ce_parts
-from .trace import (
-    ExitTopology,
-    TraceFormatError,
-    TraceSet,
-    all_finite,
-    as_int,
-    atomic_write_text,
-    json_line,
-    load_checkpoint,
-    read_jsonl,
-)
+from .trace import (ExitTopology, TraceSet, atomic_write_text, load_checkpoint, load_dataset,
+                    save_dataset)
 
 # Emitted confidences stay strictly below 1 so 9-digit storage cannot round
 # them onto the open bound.
@@ -120,67 +113,6 @@ def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
         offsets = rng_noise.integers(1, p, size=n)
         y = np.where(flip, (y + offsets) % p, y)
     return x, y
-
-
-def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
-                 num_classes: int) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    header = {
-        "kind": "dataset",
-        "num_samples": int(x.shape[0]),
-        "num_classes": int(num_classes),
-        "input_dim": int(x.shape[1]),
-    }
-    lines = [json_line(header)]
-    for i in range(x.shape[0]):
-        lines.append(json_line({
-            "id": i,
-            "label": int(y[i]),
-            "features": [float(v) for v in x[i]],
-        }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_dataset(path: str | os.PathLike, text: str | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse a dataset file; returns (features, labels, num_classes).
-
-    ``text`` is as for ``read_jsonl``.  Raises TraceFormatError naming the
-    path and line of the first bad line.
-    """
-    rows = read_jsonl(path, text)
-    _, header = next(rows)
-    if header.get("kind") != "dataset":
-        raise TraceFormatError(f"{path}: line 1: not a dataset header")
-    try:
-        n, p, d = (as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
-    except KeyError as exc:
-        raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-    xs, ys = [], []
-    for lineno, rec in rows:
-        try:
-            label = as_int(rec["label"], "label")
-            feats = rec["features"]
-            if not isinstance(feats, list):
-                raise TypeError("features must be a list of numbers")
-            if len(feats) != d:
-                raise ValueError(f"features length {len(feats)} != {d}")
-            if not all_finite(feats):
-                raise ValueError("features must be finite")
-            if not 0 <= label < p:
-                raise ValueError(f"label {label} outside [0, {p})")
-        except KeyError as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-        xs.append(feats)
-        ys.append(label)
-    if n != len(xs):
-        raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(xs)}")
-    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64), p
 
 
 class ToyEarlyExitNet:

@@ -197,6 +197,73 @@ def test_validate_opens_each_file_once(small_demo, monkeypatch):
             "adapt_table", "frontier", "experiment_config"} <= set(kinds)
 
 
+def _set_field(line: int, column: str, value: str | None):
+    """A corruption of a CSV table: ``column`` of file line ``line`` set to
+    ``value``, or dropped when it is None."""
+    def corrupt(text):
+        rows = [row.split(",") for row in text.splitlines()]
+        rows[line - 1][rows[0].index(column)] = value
+        rows[line - 1] = [field for field in rows[line - 1] if field is not None]
+        return "".join(",".join(row) + "\n" for row in rows)
+    return corrupt
+
+
+def _edit_json(edit):
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc) + "\n"
+    return corrupt
+
+
+def _drop_last_weight(doc):
+    doc["net"]["layers"][-1]["w"] = doc["net"]["layers"][-1]["w"][:-1]
+
+
+@pytest.mark.parametrize("name, corrupt, where", [
+    ("sweep.csv", _set_field(2, "lambda_1", "1.5"), r"line 2: lambda_1: lambda entries "),
+    ("sweep.csv", _set_field(3, "accuracy", "nan"), r"line 3: accuracy: 'nan' outside"),
+    ("sweep.csv", _set_field(2, "feasible", "yes"), r"line 2: feasible: must be one of true, "),
+    ("frontier.csv", _set_field(2, "accuracy", "banana"), r"line 2: accuracy: could not "),
+    ("report.csv", _set_field(3, "method", "psychic"), r"line 3: method: must be one of "),
+    ("adapt_table.csv", _set_field(4, "feasible", "maybe"), r"line 4: feasible: must be "),
+    ("adapt_table.csv", _set_field(2, "gamma", None), r"line 2: expected 6 fields, got 5"),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][1].update(interval=[5])),
+     r"malformed 'threshold_regressors' document: regressors\[1\]: interval "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][0].update(num_classes=1)),
+     r"malformed 'threshold_regressors' document: regressors\[0\]: num_classes "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][2]["lam_net"].update(sizes=[1])),
+     r"malformed 'threshold_regressors' document: regressors\[2\]: list index "),
+    ("ep.json", _edit_json(_drop_last_weight),
+     r"malformed 'exit_predictor' document: cannot reshape "),
+    ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
+     r"malformed 'thresholds' document: gamma entries must lie in \[0, 1\]"),
+], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
+        "report-method", "adapt-feasible-maybe", "adapt-short-row", "regressors-interval",
+        "regressors-num-classes", "regressors-sizes", "ep-short-weights", "thresholds-gamma"])
+def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
+        small_demo, tmp_path, capsys, name, corrupt, where):
+    path = tmp_path / name
+    path.write_text(corrupt((small_demo[0] / name).read_text()))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and captured.out == ""
+    assert re.match(f"{re.escape(str(path))}: {where}", err["message"]), err["message"]
+
+
+def test_fit_adapt_on_a_corrupted_sweep_fails_instead_of_training(small_demo, small_config_path,
+                                                                   tmp_path, capsys):
+    points = tmp_path / "sweep.csv"
+    text = (small_demo[0] / "sweep.csv").read_text()
+    points.write_text(_set_field(2, "feasible", "yes")(_set_field(2, "lambda_1", "1.5")(text)))
+    out = tmp_path / "regs.json"
+    assert main(["fit-adapt", "--config", small_config_path, "--points", str(points),
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["message"].startswith(f"{points}: line 2: ")
+    assert not out.exists()
+
+
 def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"seed": 3,\n"synth": }\n')

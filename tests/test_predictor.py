@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exitsim import engine
 from exitsim.engine import policy_stats, run_oracle
 from exitsim.nncore import Mlp, TrainConfig
 from exitsim.predictor import (
     ExitPredictor,
+    gamma_grid,
     load_predictor,
     make_labels,
     predict_scores,
@@ -215,6 +217,18 @@ def test_select_gamma_unconstrained_budget_skips_everything():
     # the default 2% budget forbids that much re-routing to the last exit
     tight = select_gamma(ts, scores, lam, grid_step=0.5, budget_fraction=0.02)
     assert tight == (0.0, 0.0)
+
+
+def test_select_gamma_walks_each_gamma_combination_once(monkeypatch):
+    ts = mixture_traces()
+    scores = np.random.default_rng(8).uniform(0.0, 1.0, (len(ts), 2))
+    walk = engine._walk
+    walks = []
+    monkeypatch.setattr(engine, "_walk", lambda *a: walks.append(a) or walk(*a))
+    for step in (0.5, 0.25, 0.05):
+        walks.clear()
+        select_gamma(ts, scores, (0.9, 0.9), grid_step=step)
+        assert len(walks) == len(gamma_grid(step)) ** ts.topology.num_early_exits
 
 
 def test_select_gamma_result_respects_budget_under_engine():

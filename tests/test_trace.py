@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exitsim.cli import ADAPT_COLUMNS, emit_frontier, validate_artifact
+from exitsim.engine import AggregateReport
+from exitsim.nncore import Mlp
+from exitsim.optimizer import PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors
 from exitsim.trace import (
     ExitTopology,
     SampleTrace,
@@ -18,6 +22,7 @@ from exitsim.trace import (
     load_trace_set,
     save_trace_set,
     split_trace_set,
+    table_text,
     trace_set_text,
 )
 from exitsim.zoo import load_dataset, save_dataset
@@ -479,9 +484,25 @@ def loadable_files(tmp_path_factory):
                           with_features=True)
     rng = np.random.default_rng(5)
     save_dataset(base / "good.jsonl", rng.normal(size=(3, 2)), np.array([0, 2, 1]), 3)
+    points = [PolicyPoint(1e5, (0.2, 0.9), (0.0, 1.0), 0.8125, 0.0291, True),
+              PolicyPoint(1e6, (0.5, 0.5), (0.25, 0.75), 0.85, 0.011, False)]
+    report = AggregateReport(0.75, 12.5, 40.25, 0.0125, (0.5, 0.25, 0.25), True)
+    regressor = ThresholdRegressor(
+        (1e5, 1e6), (1e5, 1e6), Mlp.init([1, 2, 2], ["relu", "identity"], seed=1),
+        Mlp.init([1, 2, 2], ["relu", "identity"], seed=2), 5.5, 10, 0.0)
+    save_regressors([regressor], base / "regressors.json")
     return {
         "trace": (base / "trace.jsonl", trace_set_text(ts).encode(), load_trace_set),
         "dataset": (base / "dataset.jsonl", (base / "good.jsonl").read_bytes(), load_dataset),
+        "sweep": (base / "sweep.csv", policy_points_csv(points).encode(), validate_artifact),
+        "frontier": (base / "frontier.csv", emit_frontier([
+            ("plain", (0.5, 0.5), None, report, 0.0),
+            ("predictor", (0.5, 0.5), (0.25, 0.5), report, 0.4)]).encode(), validate_artifact),
+        "adapt_table": (base / "adapt_table.csv", table_text(ADAPT_COLUMNS, [
+            [1e5, (0.5, 0.6), (0.0, 0.25), 0.75, 0.025, True],
+            [1e6, (0.5, 0.5), (0.5, 1.0), 0.875, 0.0125, False]]).encode(), validate_artifact),
+        "regressors": (base / "regressors.json", (base / "regressors.json").read_bytes(),
+                       validate_artifact),
     }
 
 
@@ -492,13 +513,16 @@ def _is_json_object(line: bytes) -> bool:
         return False
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(which=st.sampled_from(["trace", "dataset"]), truncate=st.booleans(), data=st.data())
+@settings(max_examples=900, deadline=None, derandomize=True)
+@given(which=st.sampled_from(["trace", "dataset", "sweep", "frontier", "adapt_table",
+                              "regressors"]),
+       truncate=st.booleans(), data=st.data())
 def test_damaged_file_fails_only_with_trace_format_error(loadable_files, which, truncate,
                                                          data):
     """Truncate a valid file at any byte, or overwrite one byte other than a
-    newline: the loader returns or raises TraceFormatError, never anything
-    else, and names the damaged line when it is no longer a JSON object."""
+    newline: the loader returns or raises a ValueError naming the path,
+    never anything else.  A trace or dataset loader raises TraceFormatError,
+    and names the damaged line when it is no longer a JSON object."""
     path, good, loader = loadable_files[which]
     if truncate:
         pos = data.draw(st.integers(0, len(good) - 1), label="cut")
@@ -511,7 +535,12 @@ def test_damaged_file_fails_only_with_trace_format_error(loadable_files, which, 
     lineno = bad.count(b"\n", 0, pos) + 1
     path.write_bytes(bad)
     line = bad.split(b"\n")[lineno - 1]
-    if line.strip() and not _is_json_object(line):
+    if which not in ("trace", "dataset"):
+        try:
+            loader(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+    elif line.strip() and not _is_json_object(line):
         with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line {lineno}: "):
             loader(path)
     else:

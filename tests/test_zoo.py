@@ -2,9 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from exitsim.nncore import Mlp, TrainConfig, numeric_gradient_check, train
-from exitsim.trace import TraceFormatError, TraceSet
+from exitsim.trace import TraceFormatError, TraceSet, json_line
 from exitsim.zoo import (
     SynthSpec,
     ToyEarlyExitNet,
@@ -222,6 +225,26 @@ def test_dataset_file_round_trip(tmp_path):
     assert np.allclose(x, x2, rtol=1e-8, atol=1e-12)
     save_dataset(tmp_path / "d2.jsonl", x2, y2, num_classes=2)
     assert (tmp_path / "d2.jsonl").read_text() == path.read_text()
+
+
+def _per_record_text(x, y, num_classes) -> str:
+    """A dataset file rendered record by record with ``json_line``."""
+    header = {"kind": "dataset", "num_samples": x.shape[0], "num_classes": num_classes,
+              "input_dim": x.shape[1]}
+    lines = [json_line(header)]
+    lines += [json_line({"id": i, "label": int(y[i]), "features": [float(v) for v in x[i]]})
+              for i in range(x.shape[0])]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(0, 6), dim=st.integers(1, 4))
+def test_save_dataset_bytes_equal_per_record_rendering(tmp_path_factory, data, rows, dim):
+    x = data.draw(arrays(np.float64, (rows, dim)), label="x")
+    y = data.draw(arrays(np.int64, rows), label="y")
+    path = tmp_path_factory.mktemp("ds") / "d.jsonl"
+    save_dataset(path, x, y, num_classes=3)
+    assert path.read_text() == _per_record_text(x, y, 3)
 
 
 def test_synth_spec_validation():
