@@ -144,6 +144,7 @@ _RULES = {
                      "ee.final_hidden", "ep.hidden", "regressor.hidden", "ee.train.epochs",
                      "ep.train.epochs", "regressor.train.epochs"],
                     (lambda v: v >= 1, "must be >= 1")),
+    "synth.final_flip_prob": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "policy.budget_fraction": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "policy.gamma_split": (lambda v: v in ("holdout", "test"), "must be 'holdout' or 'test'"),
     **dict.fromkeys(["policy.holdout_fraction", "policy.frontier_lambdas",
@@ -213,8 +214,7 @@ def check_config(*docs: Mapping) -> Config:
         ring = zoo.SynthSpec.ring(1, topology.num_classes, as_int(s["input_dim"], "input_dim"),
                                   radius=s["radius"])
         specs = {which: replace(ring, num_samples=as_int(s[f"{which}_samples"], "samples"),
-                                spreads=s["spreads"], label_noise=s["label_noise"],
-                                final_flip_prob=s["final_flip_prob"], seed=seed + k)
+                                spreads=s["spreads"], label_noise=s["label_noise"], seed=seed + k)
                  for k, which in enumerate(("train", "test"))}
     with _at("ee"):
         if [len(ee["trunk_widths"]) + 1, len(ee["exit_weights"])] != [topology.num_exits] * 2:
@@ -259,8 +259,10 @@ def _print_json(obj: dict) -> None:
 
 # -- frontier -----------------------------------------------------------------
 
+METHODS = ("plain", "predictor", "oracle")
+
 FRONTIER_COLUMNS = [
-    ("method", trace.choice("plain", "predictor", "oracle")),
+    ("method", trace.choice(*METHODS)),
     ("lambda", trace.LAMBDA),
     ("gamma", lambda text: text and trace.GAMMA(text)),  # '' for plain and oracle
     ("accuracy", trace.SHARE),
@@ -331,13 +333,14 @@ def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple
 
 
 def stage_evaluate(cfg: Config, ts: trace.TraceSet, lam: Sequence[float], method: str,
-                   scores: np.ndarray | None, gamma: Sequence[float] | None) -> dict:
-    """One policy's report as a JSON row; "predictor" needs ``scores`` and ``gamma``."""
+                   scores: np.ndarray | None, gamma: Sequence[float] | None) -> tuple:
+    """One policy's ``emit_frontier`` entry: (method, lambda, gamma or None,
+    report, predictor MFLOPs); "predictor" needs ``scores`` and ``gamma``."""
     if method == "predictor":
         _, report = engine.run_with_predictor(ts, trace.Thresholds(lam, gamma), scores, cfg.env)
-        return {"method": method, "lambda": list(lam), "gamma": list(gamma), **report.to_dict()}
+        return method, lam, gamma, report, ts.topology.predictor_flops
     _, report = {"plain": engine.run_plain, "oracle": engine.run_oracle}[method](ts, lam, cfg.env)
-    return {"method": method, "lambda": list(lam), **report.to_dict()}
+    return method, lam, None, report, 0.0
 
 
 def stage_sweep(cfg: Config, ts: trace.TraceSet,
@@ -373,17 +376,6 @@ def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
         rows.append([bw, th.lam, th.gamma, stats.accuracy, stats.mean_latency_s,
                      stats.mean_latency_s <= env.latency_budget])
     return trace.table_text(ADAPT_COLUMNS, rows)
-
-
-def _policy_entries(cfg: Config, ts: trace.TraceSet, scores: np.ndarray,
-                    lam: tuple[float, ...], gamma: tuple[float, ...]) -> list[tuple]:
-    """``emit_frontier`` entries of the plain, predictor and oracle policies."""
-    return [
-        ("plain", lam, None, engine.run_plain(ts, lam, cfg.env)[1], 0.0),
-        ("predictor", lam, gamma, engine.run_with_predictor(
-            ts, trace.Thresholds(lam, gamma), scores, cfg.env)[1], ts.topology.predictor_flops),
-        ("oracle", lam, None, engine.run_oracle(ts, lam, cfg.env)[1], 0.0),
-    ]
 
 
 def stage_demo(cfg: Config, outdir: str) -> dict:
@@ -423,13 +415,14 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 
     # policy comparison and frontier on the held-back test traces
     scores = predictor.predict_scores(ep, test_ts)
-    report = _policy_entries(cfg, test_ts, scores, lam_star, gamma_star)
+    entries = lambda lam, gamma: [stage_evaluate(cfg, test_ts, lam, method, scores, gamma)
+                                  for method in METHODS]
+    report = entries(lam_star, gamma_star)
     atomic_write_text(path("report.csv"), emit_frontier(report))
     frontier_entries = []
     for lam_value in cfg.doc["policy"]["frontier_lambdas"]:
         lam = (float(lam_value),) * test_ts.topology.num_early_exits
-        gamma = stage_select_gamma(cfg, select_set, select_scores, lam)
-        frontier_entries += _policy_entries(cfg, test_ts, scores, lam, gamma)
+        frontier_entries += entries(lam, stage_select_gamma(cfg, select_set, select_scores, lam))
     atomic_write_text(path("frontier.csv"), emit_frontier(frontier_entries))
 
     sweep_points = stage_sweep(cfg, test_ts, scores)
@@ -465,8 +458,9 @@ _JSON_LOADERS = {
     "threshold_regressors": optimizer.load_regressors,
     "thresholds": lambda path, doc: trace.load_checkpoint(path, "thresholds", lambda doc: (
         trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"]))), doc),
-    "experiment_config": lambda path, doc: check_config(
-        {k: v for k, v in doc.items() if k != "kind"}),
+    "experiment_config": lambda path, doc: trace.load_checkpoint(
+        path, "experiment_config",
+        lambda doc: check_config({k: v for k, v in doc.items() if k != "kind"}), doc),
     "summary": lambda path, doc: None,
 }
 
@@ -508,7 +502,17 @@ def validate_artifact(path: str) -> str:
         return "policy_points"
     for tag, columns in (("adapt_table", ADAPT_COLUMNS), ("frontier", FRONTIER_COLUMNS)):
         if header == ",".join(name for name, _ in columns):
-            trace.read_table(path, text, columns)
+            # A row's lambda and gamma are one pair: a Thresholds for the
+            # predictor policy (every adaptation row), no gamma otherwise.
+            for lineno, row in enumerate(trace.read_table(path, text, columns), start=2):
+                method, lam, gamma = row[:3] if tag == "frontier" else ("predictor", *row[1:3])
+                try:
+                    if method == "predictor":
+                        trace.Thresholds(lam, gamma or ())
+                    elif gamma:
+                        raise ValueError(f"{method} rows take no gamma")
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             return tag
     raise ValueError(f"{path}: unrecognized artifact")
 
@@ -563,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("evaluate", "run one policy over a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--method", choices=["plain", "predictor", "oracle"], default="plain")
+    p.add_argument("--method", choices=METHODS, default="plain")
     p.add_argument("--ep", default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--bandwidth", type=float, default=None)
@@ -670,7 +674,10 @@ def run(argv: Sequence[str] | None = None) -> int:
                 raise ValueError("--method predictor requires --ep and --gamma")
             scores = predictor.predict_scores(predictor.load_predictor(args.ep), ts)
             gamma = _parse_vector(args.gamma)
-        row = stage_evaluate(cfg, ts, _parse_vector(args.lam), args.method, scores, gamma)
+        lam = _parse_vector(args.lam)
+        report = stage_evaluate(cfg, ts, lam, args.method, scores, gamma)[3]
+        row = {"method": args.method, "lambda": list(lam),
+               **({} if gamma is None else {"gamma": list(gamma)}), **report.to_dict()}
         if args.out:
             atomic_write_text(args.out, json.dumps(row) + "\n")
         _print_json(row)

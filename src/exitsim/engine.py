@@ -1,6 +1,7 @@
 """Exit-policy execution over stored traces with exact cost accounting.
 
-Three policies share one cost model:
+Three policies are three modes of one exit walk, which is the only place
+a FLOP is charged:
 
 * plain      -- walk the exits in order; every reached exit is computed;
                 terminate at the first exit whose confidence clears its
@@ -18,11 +19,13 @@ never toward latency (the server is assumed fast); transmission charges
 ceil(raw_feature_bits / compression_ratio) bits against the link.
 
 Every entry point (``run_plain``, ``run_with_predictor``, ``run_oracle``,
-``policy_stats``) goes through one evaluator: one validation of lambda,
-gamma and scores, then one exit walk.  A sample's exit does not depend on
-the link, only its latency does, so ``PolicyTable`` walks each (lambda,
-gamma) pair once and prices every bandwidth from that walk; threshold
-searches are queries on it.
+``policy_stats``) and every ``PolicyTable`` row takes the same three
+steps: one validation of lambda, gamma and scores, one walk, then one
+aggregation (accuracy, mean device MFLOPs, exit shares) and one pricing of
+the walk's (bandwidths x samples) latencies.  A sample's exit does not
+depend on the link, only its latency does, so ``PolicyTable`` walks each
+(lambda, gamma) pair once and prices every bandwidth from that walk;
+threshold searches are queries on it.
 """
 
 from __future__ import annotations
@@ -106,35 +109,37 @@ def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     return mat
 
 
-def _checked(ts: TraceSet, lam, gamma, scores):
-    """The one argument check: lambda, plus gamma and scores when gated.
+def _checked(ts: TraceSet, lams, gammas, scores):
+    """The one argument check: each lambda, plus each gamma and the scores
+    when gated.
 
-    Returns the lambda array, the gamma array (None for an ungated walk)
+    Returns the lambda arrays, the gamma arrays ([None] for an ungated walk)
     and the score matrix (None likewise).
     """
     if not len(ts):
         raise ValueError("empty trace set")
     n_early = ts.topology.num_early_exits
-    lam = check_lambda(lam, n_early)
-    if gamma is None:
-        return lam, None, None
-    gamma = check_gamma(gamma, n_early)
+    lams = [check_lambda(lam, n_early) for lam in lams]
+    if gammas is None:
+        return lams, [None], None
+    gammas = [check_gamma(gamma, n_early) for gamma in gammas]
     if scores is None:
         raise ValueError("gamma given without predictor scores")
-    return lam, gamma, _scores_matrix(ts, scores)
+    return lams, gammas, _scores_matrix(ts, scores)
 
 
-# -- the walk -----------------------------------------------------------------
+# -- the walk and its aggregates ----------------------------------------------
 
 
-def _walk(ts: TraceSet, lam: np.ndarray, computed: np.ndarray | None):
-    """The exit walk every policy shares.
+def _walk(ts: TraceSet, lam: np.ndarray, gate: np.ndarray | None, oracle: bool):
+    """The exit walk every policy shares, and the only place a FLOP is charged.
 
-    ``computed`` masks which reached exits are evaluated; None evaluates
-    every reached exit (the plain walk), a mask also charges the predictor.
-    Returns the 0-based exit index (n_early means the server exit), the
-    per-sample device MFLOPs accumulated left to right in walk order, the
-    computed mask restricted to reached exits, and the transmit mask.
+    ``gate`` masks which reached exits are computed; None computes every
+    reached exit (the plain walk), a mask also charges the predictor.
+    ``oracle`` terminates as the plain walk but charges only the terminating
+    exit's classifier.  Returns the 0-based exit index (n_early means the
+    server exit), the per-sample device MFLOPs accumulated left to right in
+    walk order, and the transmit mask.
     """
     topo = ts.topology
     conf = ts.conf
@@ -143,30 +148,37 @@ def _walk(ts: TraceSet, lam: np.ndarray, computed: np.ndarray | None):
     device = np.zeros(n_samples, dtype=np.float64)
     alive = np.ones(n_samples, dtype=bool)
     exit_idx = np.full(n_samples, n_early, dtype=np.int64)
-    exits_done = np.zeros((n_samples, n_early), dtype=bool)
     for n in range(n_early):
         # Adding cost * mask adds 0.0 where the mask is off: same sums as
         # masked in-place adds, without the fancy indexing.
         device += topo.segment_flops[n] * alive
-        comp = alive if computed is None else alive & computed[:, n]
-        device += topo.exit_flops[n] * comp
-        exits_done[:, n] = comp
+        comp = alive if gate is None else alive & gate[:, n]
         term = comp & (conf[:, n] >= lam[n])
+        device += topo.exit_flops[n] * (term if oracle else comp)
         exit_idx[term] = n
         alive &= ~term
-    if computed is not None:
+    if gate is not None:
         device = device + topo.predictor_flops
-    return exit_idx, device, exits_done, alive
+    return exit_idx, device, alive
 
 
-def _oracle_costs(topo: ExitTopology, exit_idx: np.ndarray) -> np.ndarray:
-    seg_prefix = np.cumsum(topo.segment_flops)
-    n_early = topo.num_early_exits
-    per_exit = np.empty(n_early + 1, dtype=np.float64)
-    for k in range(n_early):
-        per_exit[k] = seg_prefix[k] + topo.exit_flops[k]
-    per_exit[n_early] = seg_prefix[n_early - 1]
-    return per_exit[exit_idx]
+def _correct(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
+    return ts.pred[np.arange(len(ts)), exit_idx] == ts.label
+
+
+def _walk_stats(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray):
+    """A walk's accuracy, mean device MFLOPs and exit shares."""
+    return (float(np.mean(_correct(ts, exit_idx))), float(np.mean(device)),
+            np.bincount(exit_idx, minlength=ts.topology.num_exits) / len(ts))
+
+
+def _walk_latencies(ts: TraceSet, device: np.ndarray, transmitted: np.ndarray,
+                    compute_speed: float, bandwidths: Sequence[float]) -> np.ndarray:
+    """(bandwidths x samples) seconds: device compute plus transmission."""
+    tx = (ts.topology.transmitted_bits / np.asarray(bandwidths))[:, None]
+    lat = tx * transmitted  # tx where transmitted, else 0.0
+    lat += device * 1e6 / compute_speed
+    return lat
 
 
 def latency_of(record: DecisionRecord, topology: ExitTopology, env: Environment) -> float:
@@ -177,42 +189,11 @@ def latency_of(record: DecisionRecord, topology: ExitTopology, env: Environment)
     return lat
 
 
-def _latencies(device: np.ndarray, transmitted: np.ndarray, topo: ExitTopology,
-               env: Environment | None) -> np.ndarray:
-    if env is None:
-        return np.zeros_like(device)
-    lat = device * 1e6 / env.compute_speed
-    return lat + np.where(transmitted, topo.transmitted_bits / env.bandwidth, 0.0)
-
-
-def _correct(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
-    return ts.pred[np.arange(len(ts)), exit_idx] == ts.label
-
-
-def _exit_shares(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
-    return np.bincount(exit_idx, minlength=ts.topology.num_exits) / len(ts)
-
-
-def _aggregate(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
-               transmitted: np.ndarray, latencies: np.ndarray,
-               env: Environment | None) -> AggregateReport:
-    total = device + np.where(transmitted, ts.topology.server_flops, 0.0)
-    mean_latency = float(np.mean(latencies))
-    return AggregateReport(
-        accuracy=float(np.mean(_correct(ts, exit_idx))),
-        mean_on_device_mflops=float(np.mean(device)),
-        mean_total_mflops=float(np.mean(total)),
-        mean_latency_s=mean_latency,
-        exit_distribution=tuple(_exit_shares(ts, exit_idx).tolist()),
-        budget_satisfied=(env is None) or (mean_latency <= env.latency_budget),
-    )
-
-
 def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
-             exits_done: np.ndarray, transmitted: np.ndarray,
+             computed: np.ndarray, transmitted: np.ndarray,
              latencies: np.ndarray) -> list[DecisionRecord]:
     bits = ts.topology.transmitted_bits
-    columns = zip(ts.ids.tolist(), exit_idx.tolist(), map(tuple, exits_done.tolist()),
+    columns = zip(ts.ids.tolist(), exit_idx.tolist(), map(tuple, computed.tolist()),
                   device.tolist(), transmitted.tolist(), _correct(ts, exit_idx).tolist(),
                   latencies.tolist())
     return [DecisionRecord(sample_id, exit_taken + 1, computed, mflops, tx, bits if tx else 0,
@@ -229,19 +210,32 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     otherwise exits are gated by ``scores >= gamma``.  Per-sample records
     are built only when ``records`` is set.
     """
-    lam, gamma, scores = _checked(ts, lam, gamma, scores)
-    exit_idx, device, exits_done, transmitted = _walk(
-        ts, lam, None if gamma is None else scores >= gamma)
-    if oracle:
-        device = _oracle_costs(ts.topology, exit_idx)
-        exits_done = np.zeros_like(exits_done)
-        early = exit_idx < ts.topology.num_early_exits
-        exits_done[np.nonzero(early)[0], exit_idx[early]] = True
-    latencies = _latencies(device, transmitted, ts.topology, env)
-    report = _aggregate(ts, exit_idx, device, transmitted, latencies, env)
+    (lam,), (gamma,), scores = _checked(ts, [lam], None if gamma is None else [gamma], scores)
+    gate = None if gamma is None else scores >= gamma
+    exit_idx, device, transmitted = _walk(ts, lam, gate, oracle)
+    accuracy, mean_device, shares = _walk_stats(ts, exit_idx, device)
+    if env is None:
+        latencies, mean_latency = np.zeros(len(ts)), 0.0
+    else:
+        lat = _walk_latencies(ts, device, transmitted, env.compute_speed, [env.bandwidth])
+        latencies, mean_latency = lat[0], float(lat.mean(axis=1)[0])
+    report = AggregateReport(
+        accuracy=accuracy,
+        mean_on_device_mflops=mean_device,
+        mean_total_mflops=float(np.mean(
+            device + np.where(transmitted, ts.topology.server_flops, 0.0))),
+        mean_latency_s=mean_latency,
+        exit_distribution=tuple(shares.tolist()),
+        budget_satisfied=(env is None) or (mean_latency <= env.latency_budget),
+    )
     if not records:
         return None, report
-    return _records(ts, exit_idx, device, exits_done, transmitted, latencies), report
+    # A sample computes exit n when it reaches n (exit index >= n) and its
+    # gate passes; the oracle computes only the exit it terminates at.
+    exits = np.arange(ts.topology.num_early_exits)
+    computed = (exit_idx[:, None] == exits if oracle else
+                (exit_idx[:, None] >= exits) & (True if gate is None else gate))
+    return _records(ts, exit_idx, device, computed, transmitted, latencies), report
 
 
 def run_plain(ts: TraceSet, lam: Sequence[float],
@@ -288,10 +282,10 @@ class PolicyTable:
     Combinations run lambda-major in the order given.  ``gammas`` None
     tabulates the plain policy (one ungated walk per lambda).  With a
     ``compute_speed`` and ``bandwidths``, each combination's mean latency
-    is taken at every bandwidth as one (bandwidths x samples) reduction
-    over that walk's device time and transmit mask -- the float operations
-    of ``policy_stats`` at each bandwidth, row by row.  Only aggregates are
-    kept, never per-sample arrays.
+    is taken at every bandwidth from that one walk.  Rows come from the
+    walk, aggregation and pricing of ``policy_stats``, so each row equals
+    its report bit for bit.  Only aggregates are kept, never per-sample
+    arrays.
     """
 
     def __init__(self, ts: TraceSet, lams: Sequence[Sequence[float]],
@@ -299,11 +293,7 @@ class PolicyTable:
                  compute_speed: float | None = None, bandwidths: Sequence[float] = ()):
         if not lams or (gammas is not None and not gammas):
             raise ValueError("threshold grids must be nonempty")
-        n_early = ts.topology.num_early_exits
-        # The empty-set, gamma and score checks run once, every lambda once.
-        _, _, mat = _checked(ts, lams[0], None if gammas is None else gammas[0], scores)
-        lam_arrays = [check_lambda(lam, n_early) for lam in lams]
-        gamma_arrays = [None] if gammas is None else [check_gamma(g, n_early) for g in gammas]
+        lam_arrays, gamma_arrays, mat = _checked(ts, lams, gammas, scores)
         self.lams = [tuple(float(v) for v in lam) for lam in lams]
         self.gammas = None if gammas is None else [tuple(float(v) for v in g) for g in gammas]
         self.bandwidths = tuple(float(b) for b in bandwidths)
@@ -317,22 +307,14 @@ class PolicyTable:
         self.on_device_mflops = np.empty(n_combos)
         self.exit_distribution = np.empty((n_combos, ts.topology.num_exits))
         self.mean_latency_s = np.empty((n_combos, len(self.bandwidths)))
-        tx = (ts.topology.transmitted_bits / np.asarray(self.bandwidths))[:, None]
-        lat = np.empty((len(self.bandwidths), len(ts)))  # reused per walk
-        i = 0
-        for lam in lam_arrays:
-            for gamma in gamma_arrays:
-                exit_idx, device, _, transmitted = _walk(
-                    ts, lam, None if gamma is None else mat >= gamma)
-                self.accuracy[i] = np.mean(_correct(ts, exit_idx))
-                self.on_device_mflops[i] = np.mean(device)
-                self.exit_distribution[i] = _exit_shares(ts, exit_idx)
-                if self.bandwidths:
-                    # tx * transmitted is tx or 0.0, as _latencies' np.where.
-                    np.multiply(tx, transmitted, out=lat)
-                    np.add(lat, device * 1e6 / compute_speed, out=lat)
-                    self.mean_latency_s[i] = lat.mean(axis=1)
-                i += 1
+        for i, (lam, gamma) in enumerate(itertools.product(lam_arrays, gamma_arrays)):
+            exit_idx, device, transmitted = _walk(
+                ts, lam, None if gamma is None else mat >= gamma, False)
+            self.accuracy[i], self.on_device_mflops[i], self.exit_distribution[i] = (
+                _walk_stats(ts, exit_idx, device))
+            if self.bandwidths:
+                self.mean_latency_s[i] = _walk_latencies(
+                    ts, device, transmitted, compute_speed, self.bandwidths).mean(axis=1)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
         """(lambda, gamma) of combination ``i``; gamma None for the plain policy."""

@@ -773,6 +773,7 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
     ``text`` is as for ``read_jsonl``.  Records are checked as in
     ``load_trace_set``: keys and types as they are read, then feature
     lengths, then values a column at a time, naming the path and line.
+    Record ids must be distinct integers, as in a trace file.
     """
     rows = read_jsonl(path, text)
     _, header = next(rows)
@@ -784,26 +785,31 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
         raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-    lines, labels, feats = [], [], []
+    lines, ids, labels, feats = [], [], [], []
     for lineno, rec in rows:
         try:
-            label, f = rec["label"], rec["features"]
+            sid, label, f = rec["id"], rec["label"], rec["features"]
         except KeyError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        if type(label) not in _NUMBER:
-            raise TraceFormatError(
-                f"{path}: line {lineno}: label must be an integer, got {label!r}")
+        for key, value in (("id", sid), ("label", label)):
+            if type(value) not in _NUMBER:
+                raise TraceFormatError(
+                    f"{path}: line {lineno}: {key} must be an integer, got {value!r}")
         if not _numbers(f):
             raise TraceFormatError(f"{path}: line {lineno}: features must be a list of numbers")
         lines.append(lineno)
+        ids.append(sid)
         labels.append(label)
         feats.append(f)
     with _record_errors(path, lines):
         feat_len = np.array([len(f) for f in feats], dtype=np.int64)
         _raise_first([(feat_len != d, lambda i: f"features length {feat_len[i]} != {d}")])
+        id_given, id_int, id_bad = _integral(ids)
         given, y, bad = _integral(labels)
         x = _float64(feats).reshape(len(lines), d)
         _raise_first([
+            (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
+            _duplicate_ids(id_int),
             (bad, lambda i: f"label must be an integer, got {_entry(given, bad, i)!r}"),
             ((y < 0) | (y >= p), lambda i: f"label {y[i]} outside [0, {p})"),
             (~np.isfinite(x), lambda i: "features must be finite"),

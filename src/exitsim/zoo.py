@@ -29,11 +29,7 @@ _CONF_CEIL = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Gaussian-blob dataset description, fully determined by its seed.
-
-    ``final_flip_prob`` is an accuracy-penalty knob applied to final-exit
-    predictions at trace-emission time, modelling lossy feature compression.
-    """
+    """Gaussian-blob dataset description, fully determined by its seed."""
 
     num_samples: int
     num_classes: int
@@ -41,7 +37,6 @@ class SynthSpec:
     centers: tuple[tuple[float, ...], ...]
     spreads: tuple[float, ...]
     label_noise: float = 0.0
-    final_flip_prob: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -61,15 +56,13 @@ class SynthSpec:
             raise ValueError(f"spreads must have one entry per class, got {len(self.spreads)}")
         if any(s < 0 for s in self.spreads):
             raise ValueError("spreads must be >= 0")
-        for name in ("label_noise", "final_flip_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not (0.0 <= self.label_noise <= 1.0):
+            raise ValueError("label_noise must lie in [0, 1]")
 
     @classmethod
     def ring(cls, num_samples: int, num_classes: int, input_dim: int,
              radius: float = 2.5, spread: float = 0.55, label_noise: float = 0.0,
-             final_flip_prob: float = 0.0, seed: int = 0) -> "SynthSpec":
+             seed: int = 0) -> "SynthSpec":
         """Class centers evenly spaced on a circle in the first two dims."""
         if input_dim < 2:
             raise ValueError("ring layout needs input_dim >= 2")
@@ -85,7 +78,6 @@ class SynthSpec:
             centers=tuple(centers),
             spreads=(spread,) * num_classes,
             label_noise=label_noise,
-            final_flip_prob=final_flip_prob,
             seed=seed,
         )
 
@@ -282,6 +274,8 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
     random wrong class (the compression accuracy penalty); earlier exits are
     untouched.
     """
+    if not 0.0 <= final_flip_prob <= 1.0:  # written so that NaN fails too
+        raise ValueError(f"final_flip_prob must lie in [0, 1], got {final_flip_prob!r}")
     x = np.asarray(x, dtype=np.float64)
     if net.num_exits != topology.num_exits:
         raise ValueError(

@@ -31,15 +31,18 @@ VGG_TOPOLOGY = ExitTopology(
 
 
 def literal_plain_walk(conf, lam, topo):
-    """Stepwise plain policy for one sample: (exit_taken, device_mflops, transmitted)."""
+    """Stepwise plain policy for one sample:
+    (exit_taken, device_mflops, computed_exits, transmitted)."""
     n_early = topo.num_early_exits
     device = 0.0
+    computed = []
     for n in range(n_early):
         device += topo.segment_flops[n]
+        computed.append(n)
         device += topo.exit_flops[n]
         if conf[n] >= lam[n]:
-            return n + 1, device, False
-    return n_early + 1, device, True
+            return n + 1, device, computed, False
+    return n_early + 1, device, computed, True
 
 
 def literal_predictor_walk(conf, scores, lam, gamma, topo):
@@ -63,7 +66,8 @@ def literal_predictor_walk(conf, scores, lam, gamma, topo):
 
 
 def literal_oracle_walk(conf, lam, topo):
-    """Stepwise idealized policy: only the terminating exit is computed."""
+    """Stepwise idealized policy: only the terminating exit is computed, none
+    for the server exit.  Returns as ``literal_plain_walk``."""
     n_early = topo.num_early_exits
     taken = n_early + 1
     for n in range(n_early):
@@ -71,9 +75,11 @@ def literal_oracle_walk(conf, lam, topo):
             taken = n + 1
             break
     device = sum(topo.segment_flops[: min(taken, n_early)])
+    computed = []
     if taken <= n_early:
+        computed.append(taken - 1)
         device += topo.exit_flops[taken - 1]
-    return taken, device, taken == n_early + 1
+    return taken, device, computed, taken == n_early + 1
 
 
 def literal_latency(device_mflops, transmitted, topo, env):

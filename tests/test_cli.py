@@ -208,6 +208,12 @@ def _set_field(line: int, column: str, value: str | None):
     return corrupt
 
 
+def _set_method_gamma(line: int, method: str, gamma: str):
+    """A corruption of a frontier table: line ``line`` set to ``method`` with
+    ``gamma``."""
+    return lambda text: _set_field(line, "gamma", gamma)(_set_field(line, "method", method)(text))
+
+
 def _edit_json(edit):
     def corrupt(text):
         doc = json.loads(text)
@@ -228,6 +234,10 @@ def _drop_last_weight(doc):
     ("report.csv", _set_field(3, "method", "psychic"), r"line 3: method: must be one of "),
     ("adapt_table.csv", _set_field(4, "feasible", "maybe"), r"line 4: feasible: must be "),
     ("adapt_table.csv", _set_field(2, "gamma", None), r"line 2: expected 6 fields, got 5"),
+    ("adapt_table.csv", _set_field(2, "gamma", "0.5"), r"line 2: gamma must have length 2, "),
+    ("frontier.csv", _set_method_gamma(3, "plain", "0.5|0.5"), r"line 3: plain rows take no "),
+    ("frontier.csv", _set_method_gamma(2, "predictor", "0.5"), r"line 2: gamma must have "),
+    ("frontier.csv", _set_method_gamma(4, "predictor", ""), r"line 4: gamma must have "),
     ("regressors.json", _edit_json(lambda d: d["regressors"][1].update(interval=[5])),
      r"malformed 'threshold_regressors' document: regressors\[1\]: interval "),
     ("regressors.json", _edit_json(lambda d: d["regressors"][0].update(num_classes=1)),
@@ -239,7 +249,9 @@ def _drop_last_weight(doc):
     ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
      r"malformed 'thresholds' document: gamma entries must lie in \[0, 1\]"),
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
-        "report-method", "adapt-feasible-maybe", "adapt-short-row", "regressors-interval",
+        "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
+        "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
+        "regressors-interval",
         "regressors-num-classes", "regressors-sizes", "ep-short-weights", "thresholds-gamma"])
 def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
         small_demo, tmp_path, capsys, name, corrupt, where):
@@ -405,15 +417,20 @@ def test_shipped_configs_pass_the_check():
     ({"topology": 5}, "config topology: must be an object"),
     ({"ee": {"train": {"epochs": 0}}}, "config ee.train: epochs "),
     ({"ee": {"train": {"seed": 1}}}, "config ee.train: unknown key 'seed'"),
+    ({"seed": -1}, "config: seed must be >= 0, got -1"),
+    ({"synth": {"final_flip_prob": 1.5}}, "config synth: final_flip_prob must lie in [0, 1]"),
 ])
 def test_malformed_config_fails_at_the_check(tmp_path, capsys, doc, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"kind": "experiment_config", **doc}))
     out = tmp_path / "demo"
-    for argv in (["validate", str(path)], ["demo", "--config", str(path), "--out", str(out)]):
+    # validate names the file, as for every JSON artifact kind
+    for argv, prefix in ((["validate", str(path)],
+                          f"{path}: malformed 'experiment_config' document: "),
+                         (["demo", "--config", str(path), "--out", str(out)], "")):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         err = json.loads(captured.err)
-        assert err["error"] == "ValueError" and err["message"].startswith(message), err
+        assert err["error"] == "ValueError" and err["message"].startswith(prefix + message), err
         assert "ok" not in captured.out
     assert not out.exists()

@@ -125,13 +125,39 @@ def test_plain_and_oracle_match_literal_walks():
         oracle_recs, _ = run_oracle(ts, lam)
         for i in range(50):
             conf = ts.samples[i].confidences
-            taken, device, transmitted = literal_plain_walk(conf, lam, ts.topology)
+            taken, device, computed, transmitted = literal_plain_walk(conf, lam, ts.topology)
             assert plain_recs[i].exit_taken == taken
             assert plain_recs[i].on_device_mflops == pytest.approx(device, abs=1e-9)
-            o_taken, o_device, o_tx = literal_oracle_walk(conf, lam, ts.topology)
+            assert [n for n, f in enumerate(plain_recs[i].exits_computed) if f] == computed
+            o_taken, o_device, o_computed, o_tx = literal_oracle_walk(conf, lam, ts.topology)
             assert oracle_recs[i].exit_taken == o_taken
             assert oracle_recs[i].on_device_mflops == pytest.approx(o_device, abs=1e-9)
+            assert [n for n, f in enumerate(oracle_recs[i].exits_computed) if f] == o_computed
             assert oracle_recs[i].transmitted == o_tx == transmitted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n_samples=st.integers(1, 40), num_exits=st.integers(2, 4),
+       gated=st.booleans())
+def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated):
+    rng = np.random.default_rng(seed)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    n_early = num_exits - 1
+    lams = [random_lambda(rng, n_early) for _ in range(3)]
+    gammas = [random_gamma(rng, n_early) for _ in range(3)] if gated else None
+    scores = rng.uniform(0.0, 1.0, (n_samples, n_early)) if gated else None
+    bandwidths = (1e3, 1e5, 1e7)
+    table = PolicyTable(ts, lams, gammas, scores, 3.62e9, bandwidths)
+    for i in range(len(table.accuracy)):
+        lam, gamma = table.combo(i)
+        for b, bandwidth in enumerate(bandwidths):
+            rep = policy_stats(ts, lam, gamma, scores, Environment(3.62e9, bandwidth, 0.03))
+            # repr tells every float apart bit for bit
+            assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
+                         tuple(table.exit_distribution[i].tolist()),
+                         float(table.mean_latency_s[i, b]))) == repr(
+                (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
+                 rep.mean_latency_s))
 
 
 def test_oracle_equals_plain_when_everything_exits_first():

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -177,6 +178,15 @@ def test_final_flip_prob_degrades_only_final_exit():
     assert 0.25 <= changed <= 0.35
 
 
+@pytest.mark.parametrize("prob", [1.5, -0.5, math.nan])
+def test_emit_traces_rejects_flip_probability_outside_unit_interval(prob):
+    x, y = generate_dataset(two_blob_spec(n=20, seed=9))
+    net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=9)
+    topo = small_topology_like(num_exits=3, num_classes=2)
+    with pytest.raises(ValueError, match=r"final_flip_prob must lie in \[0, 1\]"):
+        emit_traces(net, x, y, topo, final_flip_prob=prob, seed=1)
+
+
 def test_toy_net_gradient_check_weighted_ce():
     for seed in (0, 1):
         net = ToyEarlyExitNet.build(4, 3, trunk_widths=(6, 5), final_hidden=5,
@@ -278,8 +288,13 @@ _RECORD = '{"id":0,"label":1,"features":[0.5,1.5]}'
     (_HEADER, '{"id":0,"label":1,"features":5}', "line 2: features must be a list"),
     (_HEADER, '{"id":0,"label":1,"features":["a","b"]}', "line 2: "),
     (_HEADER, '{"id":0,"label":1,"features":[NaN,1]}', "line 2: features must be finite"),
+    (_HEADER, '{"label":1,"features":[0.5,1.5]}', "line 2: record missing key 'id'"),
+    (_HEADER, '{"id":"x","label":1,"features":[0.5,1.5]}', "line 2: id must be an integer"),
+    (_HEADER, '{"id":0.5,"label":1,"features":[0.5,1.5]}', "line 2: id must be an integer"),
+    (_HEADER.replace('"num_samples":1', '"num_samples":2'), f"{_RECORD}\n{_RECORD}",
+     "line 3: sample 0: duplicate id"),
 ], ids=["no-num_classes", "no-num_samples", "scalar-features", "string-features",
-        "nan-feature"])
+        "nan-feature", "no-id", "string-id", "fractional-id", "duplicate-id"])
 def test_malformed_dataset_names_path_and_line(tmp_path, header, record, message):
     path = tmp_path / "d.jsonl"
     path.write_text(f"{header}\n{record}\n")
