@@ -33,6 +33,7 @@ import argparse
 import contextlib
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -128,12 +129,17 @@ class Config:
 
 
 @contextlib.contextmanager
-def _at(path: str):
-    """Re-raise a complaint as a ValueError naming the key path ``path``."""
+def _named(name: str):
+    """Re-raise a complaint as a ValueError prefixed with ``name``."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config {path}: {exc}" if path else f"config: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _at(path: str):
+    """Re-raise a complaint as a ValueError naming the config key path ``path``."""
+    return _named(f"config {path}" if path else "config")
 
 
 # Value rules beyond the type a key's default implies, by key path; a list
@@ -233,16 +239,8 @@ def load_config(path: str | None, overrides: Mapping | None = None) -> Config:
     """The config file at ``path`` (default: $EXITSIM_CONFIG, else none),
     with ``overrides`` on top, through ``check_config``."""
     path = path if path is not None else os.environ.get(CONFIG_ENV_VAR)
-    user: dict = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: invalid JSON config: {exc.msg}") from exc
-        if not isinstance(user, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        user.pop("kind", None)
+    user = {} if path is None else trace.read_json(path)
+    user.pop("kind", None)
     return check_config(user, overrides or {})
 
 
@@ -449,8 +447,50 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 # -- validate -----------------------------------------------------------------
 
 
+_NONNEGATIVE = ("finite and >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf)
+_UNIT = ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+_BOOL = ("a bool", lambda v: type(v) is bool)
+
+
+def _check(name: str, value, rule) -> None:
+    what, ok = rule
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_list(name: str, values, rule, length: int | None = None) -> None:
+    """``values`` is a nonempty list (of ``length`` entries, if given), each
+    entry passing ``rule``."""
+    what = "a nonempty list" if length is None else f"a list of {length} entries"
+    _check(name, values, (what, lambda v: type(v) is list and (len(v) == length if length
+                                                                else len(v) > 0)))
+    for i, value in enumerate(values):
+        _check(f"{name}[{i}]", value, rule)
+
+
+def check_summary(doc: Mapping) -> None:
+    """The summary.json check, field by field: a failure names the field."""
+    _check("seed", doc["seed"], ("an integer >= 0", lambda v: type(v) is int and v >= 0))
+    with _named("lambda_star and gamma_star"):
+        n_early = len(trace.Thresholds(tuple(doc["lambda_star"]), tuple(doc["gamma_star"])).lam)
+    for name in ("ee_final_loss", "ep_final_loss"):
+        _check(name, doc[name], _NONNEGATIVE)
+    _check("test", doc["test"], (f"an object of {', '.join(METHODS)} reports",
+                                 lambda v: isinstance(v, dict) and sorted(v) == sorted(METHODS)))
+    for method in METHODS:
+        report, name = doc["test"][method], f"test.{method}"
+        _check(name, report, ("an object", lambda v: isinstance(v, dict)))
+        _check(f"{name}.accuracy", report["accuracy"], _UNIT)
+        for key in ("mean_on_device_mflops", "mean_total_mflops", "mean_latency_s"):
+            _check(f"{name}.{key}", report[key], _NONNEGATIVE)
+        _check_list(f"{name}.exit_distribution", report["exit_distribution"], _UNIT, n_early + 1)
+        _check(f"{name}.budget_satisfied", report["budget_satisfied"], _BOOL)
+    _check_list("sweep_feasible", doc["sweep_feasible"], _BOOL)
+    _check_list("regressor_max_abs_errors", doc["regressor_max_abs_errors"], _NONNEGATIVE)
+
+
 # Whole-file JSON documents, validated by loading them from the parsed
-# document: kind -> loader(path, doc).  A summary is only recognised.
+# document: kind -> loader(path, doc).
 _JSON_LOADERS = {
     "mlp": Mlp.load,
     "toy_early_exit": zoo.ToyEarlyExitNet.load,
@@ -461,7 +501,7 @@ _JSON_LOADERS = {
     "experiment_config": lambda path, doc: trace.load_checkpoint(
         path, "experiment_config",
         lambda doc: check_config({k: v for k, v in doc.items() if k != "kind"}), doc),
-    "summary": lambda path, doc: None,
+    "summary": lambda path, doc: trace.load_checkpoint(path, "summary", check_summary, doc),
 }
 
 
@@ -476,25 +516,22 @@ def validate_artifact(path: str) -> str:
         raise ValueError(f"{path}: empty file")
     if stripped.startswith("{"):
         try:
-            whole = json.loads(text)
-        except json.JSONDecodeError:
-            whole = None
-        if isinstance(whole, dict):
-            kind = whole.get("kind")
-            if kind in _JSON_LOADERS:
-                _JSON_LOADERS[kind](path, whole)
-                return kind
-            if "N" in whole and "P" in whole and "segment_flops" in whole:
-                trace.load_trace_set(path, text)
-                return "trace_set"
-            raise ValueError(f"{path}: unrecognized JSON artifact kind {kind!r}")
-        # line-delimited: a trace or dataset file
-        _, header = next(trace.read_jsonl(path, text))
-        if header.get("kind") == "dataset":
-            zoo.load_dataset(path, text)
-            return "dataset"
-        trace.load_trace_set(path, text)
-        return "trace_set"
+            whole = trace.read_json(path, text)
+        except ValueError:  # line-delimited: a trace or dataset file
+            _, header = next(trace.read_jsonl(path, text))
+            if header.get("kind") == "dataset":
+                zoo.load_dataset(path, text)
+                return "dataset"
+            trace.load_trace_set(path, text)
+            return "trace_set"
+        kind = whole.get("kind")
+        if kind in _JSON_LOADERS:
+            _JSON_LOADERS[kind](path, whole)
+            return kind
+        if "N" in whole and "P" in whole and "segment_flops" in whole:
+            trace.load_trace_set(path, text)
+            return "trace_set"
+        raise ValueError(f"{path}: unrecognized JSON artifact kind {kind!r}")
     # CSV tables, recognised by their exact header; every row is parsed
     header = text.partition("\n")[0]
     if header.startswith("bandwidth_bps,lambda_1,"):
@@ -705,10 +742,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     elif args.command == "fit-adapt":
         if args.table and not (args.traces and args.ep):
             raise ValueError("--table needs --traces and --ep to re-evaluate policies")
-        regs = stage_fit_adapt(cfg, optimizer.load_policy_points(args.points))
+        points = optimizer.load_policy_points(args.points)
+        scored = _load_scored(args.traces, args.ep) if args.table else None
+        regs = stage_fit_adapt(cfg, points)
         optimizer.save_regressors(regs, args.out)
-        if args.table:
-            ts, _, scores = _load_scored(args.traces, args.ep)
+        if scored:
+            ts, _, scores = scored
             atomic_write_text(args.table, adapt_table_csv(cfg, ts, scores, regs))
         errs = ", ".join(f"{r.max_abs_error:.4f}" for r in regs)
         print(f"wrote {args.out} (max abs fit errors: {errs})")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class Environment:
                 raise ValueError(f"{name} must be finite and strictly positive")
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     """Outcome of running one sample under one policy."""
 
     sample_id: int
@@ -192,13 +191,11 @@ def latency_of(record: DecisionRecord, topology: ExitTopology, env: Environment)
 def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
              computed: np.ndarray, transmitted: np.ndarray,
              latencies: np.ndarray) -> list[DecisionRecord]:
-    bits = ts.topology.transmitted_bits
-    columns = zip(ts.ids.tolist(), exit_idx.tolist(), map(tuple, computed.tolist()),
-                  device.tolist(), transmitted.tolist(), _correct(ts, exit_idx).tolist(),
-                  latencies.tolist())
-    return [DecisionRecord(sample_id, exit_taken + 1, computed, mflops, tx, bits if tx else 0,
-                           correct, latency)
-            for sample_id, exit_taken, computed, mflops, tx, correct, latency in columns]
+    bits = transmitted * ts.topology.transmitted_bits
+    return list(map(DecisionRecord._make, zip(
+        ts.ids.tolist(), (exit_idx + 1).tolist(), map(tuple, computed.tolist()), device.tolist(),
+        transmitted.tolist(), bits.tolist(), _correct(ts, exit_idx).tolist(),
+        latencies.tolist())))
 
 
 def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | None = None,

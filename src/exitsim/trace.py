@@ -13,10 +13,13 @@ A ``TraceSet`` keeps its samples as read-only numpy columns.  Every way of
 building one (from ``SampleTrace`` objects, from arrays, from a file, as a
 subset) goes through one column canonicaliser and one column check.
 
-Each input kind read back has one check here, naming the path and the line,
-column or field: line-delimited records (``load_trace_set``,
-``load_dataset``), CSV tables (``read_table``), threshold vectors
-(``check_lambda``, ``check_gamma``) and JSON checkpoints (``load_checkpoint``).
+Each input shape has one reader here: ``read_json`` for whole-file JSON
+documents, ``read_jsonl`` for line-delimited files (whose records
+``load_trace_set`` and ``load_dataset`` walk in one loop) and
+``read_table`` for CSV tables.  Each input kind read back has one check,
+naming the path and the line, column or field: line-delimited records,
+CSV tables, threshold vectors (``check_lambda``, ``check_gamma``) and JSON
+checkpoints (``load_checkpoint``).
 """
 
 from __future__ import annotations
@@ -329,17 +332,41 @@ def _duplicate_ids(ids: np.ndarray):
     return ~first_use, lambda i: f"sample {ids[i]}: duplicate id"
 
 
-def _matrices(topology: ExitTopology, ids, conf, conf_len, pred, pred_len, features,
-              feat_len):
-    """Stack flat per-sample values into (samples, width) matrices.
+def _sample_checks(ids, label, p: int, features):
+    """The checks a trace set and a dataset share: integral, distinct ids;
+    integral labels in [0, p); finite features (None: none to check).
 
-    The ``*_len`` lists give each sample's entry count; ``feat_len`` is -1
-    for a sample without features.  Raises _RowError for the first sample
-    whose lengths fit neither the topology nor the set's first sample.
+    The columns must fit one sample count.  Returns the ids and labels as
+    int64 and the (mask, message) checks for ``_raise_first``, in order.
+    """
+    id_given, ids, id_bad = _integral(ids)
+    label_given, label, label_bad = _integral(label)
+    checks = [
+        (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
+        _duplicate_ids(ids),
+        (label_bad, lambda i: f"sample {ids[i]}: label must be an integer, "
+                              f"got {_entry(label_given, label_bad, i)!r}"),
+        ((label < 0) | (label >= p),
+         lambda i: f"sample {ids[i]}: label {label[i]} outside [0, {p})"),
+    ]
+    if features is not None:
+        checks.append((~np.isfinite(features),
+                       lambda i: f"sample {ids[i]}: features must be finite"))
+    return ids, label, checks
+
+
+def _matrices(topology: ExitTopology, ids, conf, pred, features):
+    """Stack per-sample values into (samples, width) matrices.
+
+    ``conf``, ``pred`` and ``features`` are each (entries end to end, each
+    sample's length), a length of -1 marking a sample without features.
+    Raises _RowError for the first sample whose lengths fit neither the
+    topology nor the set's first sample.
     """
     n, n_exits = len(ids), topology.num_exits
-    conf_len, pred_len, feat_len = (np.asarray(v, dtype=np.int64).reshape(n)
-                                    for v in (conf_len, pred_len, feat_len))
+    (conf, conf_len), (pred, pred_len), (features, feat_len) = (
+        (values, np.array(lengths, dtype=np.int64).reshape(n))
+        for values, lengths in (conf, pred, features))
     dim = int(feat_len[0]) if n else -1
     _raise_first([
         (conf_len != pred_len, lambda i: f"sample {ids[i]}: confidences and predicted "
@@ -369,10 +396,10 @@ class TraceSet:
         ids = [s.id for s in rows]
         conf, pred, features = _matrices(
             topology, ids,
-            [v for s in rows for v in s.confidences], [len(s.confidences) for s in rows],
-            [v for s in rows for v in s.predicted], [len(s.predicted) for s in rows],
-            [v for s in rows for v in s.features or ()],
-            [-1 if s.features is None else len(s.features) for s in rows])
+            ([v for s in rows for v in s.confidences], [len(s.confidences) for s in rows]),
+            ([v for s in rows for v in s.predicted], [len(s.predicted) for s in rows]),
+            ([v for s in rows for v in s.features or ()],
+             [-1 if s.features is None else len(s.features) for s in rows]))
         self._set(topology, ids, [s.label for s in rows], conf, pred, features)
 
     @classmethod
@@ -387,8 +414,7 @@ class TraceSet:
     def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
         """The one column canonicaliser and check; stores read-only copies."""
         p, n_exits = topology.num_classes, topology.num_exits
-        id_given, ids, id_bad = _integral(ids)
-        label_given, label, label_bad = _integral(label)
+        ids, label = np.asarray(ids), np.asarray(label)
         pred_given, pred, pred_bad = _integral(pred)
         conf = canon_array(conf)
         features = None if features is None else canon_array(features)
@@ -400,27 +426,18 @@ class TraceSet:
                 f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
                 f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
                 f"features {None if features is None else features.shape}")
+        ids, label, checks = _sample_checks(ids, label, p, features)
         # Written so that NaN fails too.
         conf_bad = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
         pred_out = (pred < 0) | (pred >= p)
-        checks = [
-            (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
-            _duplicate_ids(ids),
-            (label_bad, lambda i: f"sample {ids[i]}: label must be an integer, "
-                                  f"got {_entry(label_given, label_bad, i)!r}"),
-            ((label < 0) | (label >= p),
-             lambda i: f"sample {ids[i]}: label {label[i]} outside [0, {p})"),
+        _raise_first(checks + [
             (conf_bad, lambda i: f"sample {ids[i]}: confidences entry "
                                  f"{_entry(conf, conf_bad, i)!r} outside [1/P, 1)"),
             (pred_bad, lambda i: f"sample {ids[i]}: predicted must be an integer, "
                                  f"got {_entry(pred_given, pred_bad, i)!r}"),
             (pred_out, lambda i: f"sample {ids[i]}: predicted class "
                                  f"{_entry(pred, pred_out, i)} outside [0, {p})"),
-        ]
-        if features is not None:
-            checks.append((~np.isfinite(features),
-                           lambda i: f"sample {ids[i]}: features must be finite"))
-        _raise_first(checks)
+        ])
         self._store(topology, ids, label, conf, pred, features)
 
     def _store(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
@@ -567,27 +584,6 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
-    """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
-
-    ``doc`` is the document already parsed from ``path``, if the caller has
-    it.  A document of another kind, a missing field, or a field of the
-    wrong type, shape or value raises ValueError naming the path and the
-    kind (or the missing field).
-    """
-    if doc is None:
-        with open(path) as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind!r} document")
-    try:
-        return build(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed {kind!r} document: {exc}") from exc
-
-
 def json_line(obj: dict) -> str:
     """Render one flat record as a JSON line, reals at stored precision."""
     parts = []
@@ -663,6 +659,49 @@ def read_text(path: str | os.PathLike) -> str:
         raise TraceFormatError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
 
 
+def read_json(path: str | os.PathLike, text: str | None = None) -> dict:
+    """The whole-file JSON object at ``path``.
+
+    The one reader of JSON documents (checkpoints, configs, summaries);
+    ``text`` is the file's ``read_text``, if the caller has read it.  Bytes
+    that are not UTF-8, text that is not JSON or a value that is not an
+    object raise ValueError naming the path and line.
+    """
+    text = read_text(path) if text is None else text
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: invalid JSON document: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        lineno = text.count("\n", 0, len(text) - len(text.lstrip())) + 1
+        raise ValueError(f"{path}: line {lineno}: document must be a JSON object")
+    return doc
+
+
+def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
+    """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
+
+    ``doc`` is the ``read_json`` of ``path``, if the caller has read it.  A
+    file ``read_json`` rejects, a document of another kind, a missing field,
+    or a field of the wrong type, shape or value raises ValueError naming
+    the path and the kind (or the missing field).
+    """
+    if doc is None:
+        doc = read_json(path)
+    if doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind!r} document")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed {kind!r} document: {exc}") from exc
+
+
+# The scanner json.loads runs, called without its wrappers.
+_SCAN = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path: str | os.PathLike, text: str | None = None
                ) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for the header and each record of a file.
@@ -681,10 +720,19 @@ def read_jsonl(path: str | os.PathLike, text: str | None = None
         if lineno > 1 and not line.strip():
             continue
         what = "header" if lineno == 1 else "record"
+        # A line that is one JSON value from its first character to its last
+        # parses as json.loads would parse it; any other line goes through
+        # json.loads, which accepts surrounding blanks and words the error.
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: invalid JSON {what}: {exc}") from exc
+            obj, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(
+                    f"{path}: line {lineno}: invalid JSON {what}: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceFormatError(f"{path}: line {lineno}: {what} must be a JSON object")
         yield lineno, obj
@@ -698,15 +746,64 @@ def _numbers(value) -> bool:
     return type(value) is list and _NUMBER.issuperset(map(type, value))
 
 
-def _type_error(rec: dict) -> str:
-    """What is wrong with a record whose fields are not all numbers or lists of them."""
-    for key in ("id", "label"):
-        if type(rec[key]) not in _NUMBER:
-            return f"{key} must be a number, got {rec[key]!r}"
-    for key in ("confidences", "predicted", "features"):
-        if rec.get(key) is not None and not _numbers(rec[key]):
-            return f"{key} must be a list of numbers"
-    return "confidences and predicted must be lists of numbers"
+def _type_error(names: Sequence[str], fields: Sequence) -> str:
+    """What is wrong with a record whose fields, under ``names``, are not
+    all numbers (id, label) or lists of numbers."""
+    for name, value in zip(names, fields):
+        if name in ("id", "label"):
+            if type(value) not in _NUMBER:
+                return f"{name} must be an integer, got {value!r}"
+        elif not _numbers(value):
+            return f"{name} must be a list of numbers"
+
+
+def _read_records(path, text: str | None, header: Callable[[dict], object],
+                  lists: Sequence[str], optional: str | None = None) -> tuple:
+    """The one record loop of a trace or dataset file (``text``: as for ``read_jsonl``).
+
+    ``header(line 1)`` reads the header; a KeyError, TypeError, ValueError
+    or OverflowError it raises names line 1.  Each record needs a number
+    under "id" and "label" and a list of numbers under each of ``lists``;
+    the ``optional`` list may be absent or null.  Keys and types are
+    checked record by record as they are read, raising TraceFormatError
+    naming the path and line.  Returns what ``header`` returned, the
+    records' line numbers, ids and labels, and per list (``lists``, then
+    ``optional``) its entries end to end and each record's length, -1
+    where absent.  Only numbers are kept: a load that kept each record's
+    lists would leave the garbage collector a container per field to scan.
+    """
+    rows = read_jsonl(path, text)
+    _, first = next(rows)
+    try:
+        head = header(first)
+    except KeyError as exc:
+        raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
+    names = ("id", "label", *lists, *([optional] if optional else []))
+    get = operator.itemgetter("id", "label", *lists)
+    lines, ids, labels = [], [], []
+    columns = [([], []) for _ in names[2:]]
+    for lineno, rec in rows:
+        try:
+            sid, label, *values = get(rec)
+        except KeyError as exc:
+            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
+        value = rec.get(optional) if optional else None
+        if value is not None:
+            values.append(value)
+        if not (type(sid) in _NUMBER and type(label) in _NUMBER and all(map(_numbers, values))):
+            raise TraceFormatError(
+                f"{path}: line {lineno}: {_type_error(names, (sid, label, *values))}")
+        lines.append(lineno)
+        ids.append(sid)
+        labels.append(label)
+        for (entries, lengths), v in zip(columns, values):
+            entries.extend(v)
+            lengths.append(len(v))
+        if len(values) < len(columns):
+            columns[-1][1].append(-1)
+    return head, lines, ids, labels, columns
 
 
 @contextlib.contextmanager
@@ -724,96 +821,42 @@ def _record_errors(path, lines: Sequence[int]):
 def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
     """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
-    Each field is gathered into a flat list next to the record's line
-    number.  Keys and types are checked record by record as they are read,
-    then lengths, then values a column at a time.  A failure raises
-    TraceFormatError naming the path and the line of the first record that
-    fails the earliest failing stage.
+    Keys and types are checked record by record as they are read
+    (``_read_records``), then lengths, then values a column at a time.  A
+    failure raises TraceFormatError naming the path and the line of the
+    first record that fails the earliest failing stage.
     """
-    rows = read_jsonl(path, text)
-    _, header = next(rows)
-    try:
-        topo = ExitTopology.from_header(header)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-
-    lines, ids, labels = [], [], []
-    conf, conf_len, pred, pred_len, feats, feat_len = [], [], [], [], [], []
-    for lineno, rec in rows:
-        try:
-            sid, label, c, p = rec["id"], rec["label"], rec["confidences"], rec["predicted"]
-        except KeyError as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        f = rec.get("features")
-        if not (type(sid) in _NUMBER and type(label) in _NUMBER and _numbers(c)
-                and _numbers(p) and (f is None or _numbers(f))):
-            raise TraceFormatError(f"{path}: line {lineno}: {_type_error(rec)}")
-        lines.append(lineno)
-        ids.append(sid)
-        labels.append(label)
-        conf.extend(c)
-        conf_len.append(len(c))
-        pred.extend(p)
-        pred_len.append(len(p))
-        if f is None:
-            feat_len.append(-1)
-        else:
-            feats.extend(f)
-            feat_len.append(len(f))
+    topo, lines, ids, labels, (conf, pred, feats) = _read_records(
+        path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
     with _record_errors(path, lines):
-        conf, pred, feats = _matrices(topo, ids, conf, conf_len, pred, pred_len, feats,
-                                      feat_len)
+        # Rebinding frees the gathered entries before the set is built.
+        conf, pred, feats = _matrices(topo, ids, conf, pred, feats)
         return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
+
+
+def _dataset_header(header: dict) -> tuple[int, int, int]:
+    if header.get("kind") != "dataset":
+        raise ValueError("not a dataset header")
+    return tuple(as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
 
 
 def load_dataset(path: str | os.PathLike, text: str | None = None
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a dataset file; returns (features, labels, num_classes).
 
-    ``text`` is as for ``read_jsonl``.  Records are checked as in
-    ``load_trace_set``: keys and types as they are read, then feature
-    lengths, then values a column at a time, naming the path and line.
-    Record ids must be distinct integers, as in a trace file.
+    ``text`` is as for ``read_jsonl``.  Records go through the record loop
+    and the id, label and feature checks of ``load_trace_set``, after a
+    check of feature lengths against the header, naming the path and line.
     """
-    rows = read_jsonl(path, text)
-    _, header = next(rows)
-    if header.get("kind") != "dataset":
-        raise TraceFormatError(f"{path}: line 1: not a dataset header")
-    try:
-        n, p, d = (as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
-    except KeyError as exc:
-        raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-    lines, ids, labels, feats = [], [], [], []
-    for lineno, rec in rows:
-        try:
-            sid, label, f = rec["id"], rec["label"], rec["features"]
-        except KeyError as exc:
-            raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        for key, value in (("id", sid), ("label", label)):
-            if type(value) not in _NUMBER:
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: {key} must be an integer, got {value!r}")
-        if not _numbers(f):
-            raise TraceFormatError(f"{path}: line {lineno}: features must be a list of numbers")
-        lines.append(lineno)
-        ids.append(sid)
-        labels.append(label)
-        feats.append(f)
+    (n, p, d), lines, ids, labels, [(feats, feat_len)] = _read_records(
+        path, text, _dataset_header, ("features",))
     with _record_errors(path, lines):
-        feat_len = np.array([len(f) for f in feats], dtype=np.int64)
-        _raise_first([(feat_len != d, lambda i: f"features length {feat_len[i]} != {d}")])
-        id_given, id_int, id_bad = _integral(ids)
-        given, y, bad = _integral(labels)
+        feat_len = np.array(feat_len, dtype=np.int64)
+        _raise_first([(feat_len != d,
+                       lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {d}")])
         x = _float64(feats).reshape(len(lines), d)
-        _raise_first([
-            (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
-            _duplicate_ids(id_int),
-            (bad, lambda i: f"label must be an integer, got {_entry(given, bad, i)!r}"),
-            ((y < 0) | (y >= p), lambda i: f"label {y[i]} outside [0, {p})"),
-            (~np.isfinite(x), lambda i: "features must be finite"),
-        ])
+        _, y, checks = _sample_checks(ids, labels, p, x)
+        _raise_first(checks)
     if n != len(lines):
         raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")
     return x, y, p

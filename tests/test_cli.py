@@ -161,17 +161,19 @@ def small_demo(small_config_path, tmp_path_factory):
     """A SMALL_CONFIG demo run in-process: (output dir, loads it made)."""
     out = tmp_path_factory.mktemp("demo")
     calls = []
-    targets = [(exitsim.trace, "load_trace_set"), (exitsim.zoo, "load_dataset")]
+    targets = [(exitsim.trace, "load_trace_set"), (exitsim.zoo, "load_dataset"),
+               (exitsim.trace, "read_json")]
     targets += [(module, "load_checkpoint") for module in (
         exitsim.trace, exitsim.nncore, exitsim.zoo, exitsim.predictor, exitsim.optimizer)
         if hasattr(module, "load_checkpoint")]
+    cfg = load_config(small_config_path)
     with pytest.MonkeyPatch.context() as mp:
         for module, name in targets:
             def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             mp.setattr(module, name, counted)
-        stage_demo(load_config(small_config_path), str(out))
+        stage_demo(cfg, str(out))
     return out, calls
 
 
@@ -248,11 +250,36 @@ def _drop_last_weight(doc):
      r"malformed 'exit_predictor' document: cannot reshape "),
     ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
      r"malformed 'thresholds' document: gamma entries must lie in \[0, 1\]"),
+    ("summary.json", _edit_json(lambda d: d.update(lambda_star=[7])),
+     r"malformed 'summary' document: lambda_star and gamma_star: lambda entries must lie "),
+    ("summary.json", _edit_json(lambda d: d["test"]["plain"].update(accuracy=-3)),
+     r"malformed 'summary' document: test.plain.accuracy must be in \[0, 1\], got -3$"),
+    ("summary.json", _edit_json(lambda d: d.update(sweep_feasible="x")),
+     r"malformed 'summary' document: sweep_feasible must be a nonempty list, got 'x'$"),
+    ("summary.json", _edit_json(lambda d: d.update(sweep_feasible=[True, 1])),
+     r"malformed 'summary' document: sweep_feasible\[1\] must be a bool, got 1$"),
+    ("summary.json", _edit_json(lambda d: d.update(seed=-1)),
+     r"malformed 'summary' document: seed must be an integer >= 0, got -1$"),
+    ("summary.json", _edit_json(lambda d: d.update(ep_final_loss=float("nan"))),
+     r"malformed 'summary' document: ep_final_loss must be finite and >= 0, got nan$"),
+    ("summary.json", _edit_json(lambda d: d["test"].pop("oracle")),
+     r"malformed 'summary' document: test must be an object of plain, predictor, oracle "),
+    ("summary.json", _edit_json(lambda d: d["test"]["oracle"]["exit_distribution"].pop()),
+     r"malformed 'summary' document: test.oracle.exit_distribution must be a list of 3 "),
+    ("summary.json", _edit_json(lambda d: d["test"]["predictor"].update(mean_latency_s=-1)),
+     r"malformed 'summary' document: test.predictor.mean_latency_s must be finite and >= 0"),
+    ("summary.json", _edit_json(lambda d: d["test"]["plain"].update(budget_satisfied=1)),
+     r"malformed 'summary' document: test.plain.budget_satisfied must be a bool, got 1$"),
+    ("summary.json", _edit_json(lambda d: d.update(regressor_max_abs_errors=[0.1, True])),
+     r"malformed 'summary' document: regressor_max_abs_errors\[1\] must be finite and "),
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
         "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
         "regressors-interval",
-        "regressors-num-classes", "regressors-sizes", "ep-short-weights", "thresholds-gamma"])
+        "regressors-num-classes", "regressors-sizes", "ep-short-weights", "thresholds-gamma",
+        "summary-lambda", "summary-accuracy", "summary-sweep-string", "summary-sweep-int",
+        "summary-seed", "summary-nan-loss", "summary-no-oracle", "summary-short-shares",
+        "summary-negative-latency", "summary-budget-int", "summary-regressor-bool"])
 def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
         small_demo, tmp_path, capsys, name, corrupt, where):
     path = tmp_path / name
@@ -283,8 +310,61 @@ def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
     assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert err["message"].startswith(f"{path}: line 2: invalid JSON config: ")
+    assert err["message"].startswith(f"{path}: line 2: invalid JSON document: ")
     assert not out.exists()
+
+
+def _json_input_argv(demo, verb: str, bad: str, out: str, config: str) -> list[str]:
+    """``verb`` reading its JSON input (--ep, --net or --config) from ``bad``
+    and every other input from the demo output ``demo``."""
+    traces = str(demo / "traces_test.jsonl")
+    return {
+        "select-gamma": ["select-gamma", "--traces", traces, "--ep", bad, "--out", out],
+        "optimize": ["optimize", "--traces", traces, "--ep", bad, "--frontier", out],
+        "sweep": ["sweep", "--traces", traces, "--ep", bad, "--out", out],
+        "evaluate": ["evaluate", "--trace", traces, "--lambda", "0.5,0.5", "--method",
+                     "predictor", "--ep", bad, "--gamma", "0.5,0.5", "--out", out],
+        "fit-adapt": ["fit-adapt", "--points", str(demo / "sweep.csv"), "--out", out,
+                      "--table", out + ".csv", "--traces", traces, "--ep", bad],
+        "emit-traces": ["emit-traces", "--net", bad, "--data", str(demo / "dataset_test.jsonl"),
+                        "--out", out],
+        "gen-data": ["gen-data", "--out", out],
+    }[verb] + ["--config", bad if verb == "gen-data" else config]
+
+
+# The demo file each verb's damaged input is made from.
+_GOOD_INPUT = {"emit-traces": "ee.json", "gen-data": "config.json"}
+
+
+def _damaged(good: bytes, how: str) -> tuple[bytes, int]:
+    """``good`` damaged ``how``, and the line the damage is on."""
+    if how == "non-utf8":
+        pos = good.index(b"\n") + 3
+        return good[:pos] + b"\xff" + good[pos:], 2
+    if how == "non-json":
+        return b'{\n"kind": oops\n}\n', 2
+    cut = good[:len(good) // 2]
+    return cut, cut.count(b"\n") + 1
+
+
+@pytest.mark.parametrize("how", ["non-utf8", "non-json", "truncated"])
+@pytest.mark.parametrize("verb", ["select-gamma", "optimize", "sweep", "evaluate", "fit-adapt",
+                                  "emit-traces", "gen-data"])
+def test_every_verb_names_the_path_and_line_of_a_bad_json_input(small_demo, small_config_path,
+                                                                tmp_path, capsys, verb, how):
+    demo = small_demo[0]
+    good = json.dumps(json.loads((demo / _GOOD_INPUT.get(verb, "ep.json")).read_text()),
+                      indent=1).encode()
+    bad = tmp_path / "input.json"
+    damaged, lineno = _damaged(good, how)
+    bad.write_bytes(damaged)
+    argv = _json_input_argv(demo, verb, str(bad), str(tmp_path / "out"), small_config_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    message = json.loads(captured.err)["message"]
+    assert message.startswith(f"{bad}: line {lineno}: "), message
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_config_env_var_supplies_default(small_config_path, tmp_path):
@@ -364,6 +444,7 @@ def test_validate_rejects_garbage(tmp_path):
     ({"kind": "exit_predictor", "lambda": [0.5]}, "net"),
     ({"kind": "mlp"}, "sizes"),
     ({"kind": "toy_early_exit"}, "trunk"),
+    ({"kind": "summary"}, "seed"),
 ])
 def test_validate_names_path_and_missing_field(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"

@@ -1,12 +1,20 @@
 """The demos and the benchmark use only names the package still has (checked
-without running them)."""
+without running them), and the run results the benchmark reads keep their
+shape (checked by running them on a small set)."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import exitsim
+from exitsim import (Environment, ExitPredictor, Mlp, Thresholds, run_oracle, run_plain,
+                     run_with_predictor)
+
+from helpers import (literal_oracle_walk, literal_plain_walk, literal_predictor_walk,
+                     random_trace_set, small_topology_like)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -60,3 +68,32 @@ def test_every_program_name_the_benchmark_uses_exists():
         if obj is None:
             missing.append(".".join(chain))
     assert missing == []
+
+
+def test_the_runtime_interface_the_benchmark_reads_holds():
+    """What ``perfbench/workloads.py`` and ``perfbench/selftest.py`` read off
+    a run, on a small set: one record per sample, integer exits, tuples of
+    computed exits (a selftest compares them with ``==`` to lists of tuples),
+    samples exposing ``.id`` and the predictor's keyword constructor."""
+    rng = np.random.default_rng(11)
+    ts = random_trace_set(rng, small_topology_like(), n_samples=40)
+    n_early = ts.topology.num_early_exits
+    lam, gamma = (0.6,) * n_early, (0.4,) * n_early
+    scores = rng.random((len(ts), n_early))
+    env = Environment(3.62e9, 1e6, 0.03)
+    walks = [
+        (run_plain(ts, lam, env), lambda i: literal_plain_walk(ts.conf[i], lam, ts.topology)),
+        (run_with_predictor(ts, Thresholds(lam, gamma), scores, env),
+         lambda i: literal_predictor_walk(ts.conf[i], scores[i], lam, gamma, ts.topology)),
+        (run_oracle(ts, lam, env), lambda i: literal_oracle_walk(ts.conf[i], lam, ts.topology)),
+    ]
+    for (records, _), walk in walks:
+        assert len(records) == len(ts)
+        assert all(type(r.exit_taken) is int for r in records)
+        assert [r.exit_taken for r in records] == [walk(i)[0] for i in range(len(ts))]
+        assert [r.exits_computed for r in records] == [
+            tuple(n in walk(i)[2] for n in range(n_early)) for i in range(len(ts))]
+    assert [s.id for s in ts.samples] == ts.ids.tolist()
+    net = Mlp.init([2, 4, n_early], ["relu", "sigmoid"], seed=0)
+    ep = ExitPredictor(net, lam=lam, predictor_flops=ts.topology.predictor_flops)
+    assert ep.lam == lam

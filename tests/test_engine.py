@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,8 +356,8 @@ def plus_predictor(recs, report, topo, env):
     """The records and report of ``recs`` with the predictor charged to each sample."""
     shifted = []
     for rec in recs:
-        rec = replace(rec, on_device_mflops=rec.on_device_mflops + topo.predictor_flops)
-        shifted.append(replace(rec, latency_s=latency_of(rec, topo, env)))
+        rec = rec._replace(on_device_mflops=rec.on_device_mflops + topo.predictor_flops)
+        shifted.append(rec._replace(latency_s=latency_of(rec, topo, env)))
     device = np.array([r.on_device_mflops for r in shifted])
     transmitted = np.array([r.transmitted for r in shifted])
     latency = float(np.mean([r.latency_s for r in shifted]))

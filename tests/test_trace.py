@@ -112,7 +112,7 @@ def _second(old, new):
     (_HEADER.replace('"P":10', '"P":10.5') + "\n" + _RECORD, load_trace_set, 1,
      "P must be an integer, got 10.5"),
     (_DATASET + '\n{"id":0,"label":1.9,"features":[0.5]}', load_dataset, 2,
-     "label must be an integer, got 1.9"),
+     "sample 0: label must be an integer, got 1.9"),
     (_DATASET.replace('"num_samples":1', '"num_samples":1.5')
      + '\n{"id":0,"label":1,"features":[0.5]}', load_dataset, 1,
      "num_samples must be an integer, got 1.5"),
@@ -142,7 +142,7 @@ def _second(old, new):
     (_second("[3,3,3]", '["3",3,3]'), load_trace_set, 3,
      "predicted must be a list of numbers"),
     (_second('"label":3', '"label":true'), load_trace_set, 3,
-     "label must be a number, got True"),
+     "label must be an integer, got True"),
 ], ids=["trace-header-null", "trace-header-inf", "trace-record-inf", "dataset-record-inf",
         "fractional-id", "fractional-label", "fractional-predicted", "fractional-N",
         "fractional-P", "dataset-fractional-label", "dataset-fractional-num_samples",
