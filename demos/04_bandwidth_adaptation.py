@@ -2,9 +2,10 @@
 """Latency-aware thresholds across three decades of link bandwidth.
 
 Solves the accuracy-maximization problem under a 30 ms mean-latency budget
-at each bandwidth, fits one small regressor pair per bandwidth interval to
-the recorded optima, and re-evaluates the regressed thresholds so one
-predictor serves every channel condition.
+at each bandwidth, turns the recorded optima into one threshold schedule
+per bandwidth interval (piecewise linear in log10 bandwidth, nothing
+trained), and re-evaluates the scheduled thresholds between and at the
+sweep bandwidths so one predictor serves every channel condition.
 """
 
 from dataclasses import replace
@@ -53,16 +54,16 @@ for p in points:
     print(f"{p.bandwidth / 1e6:>8.1f}{str(p.lam):>16}{str(p.gamma):>16}"
           f"{p.accuracy:>10.4f}{p.mean_latency_s * 1e3:>12.2f}")
 
-regressors = fit_regressors([p for p in points if p.feasible], intervals,
-                            num_classes=10)
-print("\nregressor max-abs training errors:",
-      ["%.4f" % r.max_abs_error for r in regressors])
+regressors = fit_regressors([p for p in points if p.feasible], intervals)
 
-print("\nadapted thresholds re-evaluated at queried bandwidths:")
-print(f"{'Mbit/s':>8}{'accuracy':>10}{'latency ms':>12}{'within budget':>15}")
+print("\nscheduled thresholds re-evaluated at queried bandwidths:")
+print(f"{'Mbit/s':>8}{'lambda':>14}{'gamma':>14}{'accuracy':>10}{'latency ms':>12}"
+      f"{'within budget':>15}")
 for bw in [1e5, 2e5, 7e5, 1e6, 2e6, 1e7, 4e7, 1e8]:
     th = adapt(regressors, bw)
     stats = policy_stats(test_traces, th.lam, th.gamma, scores,
                          replace(env, bandwidth=bw))
-    print(f"{bw / 1e6:>8.1f}{stats.accuracy:>10.4f}{stats.mean_latency_s * 1e3:>12.2f}"
+    lam, gamma = (", ".join(f"{v:.3f}" for v in vec) for vec in (th.lam, th.gamma))
+    print(f"{bw / 1e6:>8.1f}{lam:>14}{gamma:>14}{stats.accuracy:>10.4f}"
+          f"{stats.mean_latency_s * 1e3:>12.2f}"
           f"{str(stats.mean_latency_s <= env.latency_budget):>15}")

@@ -82,6 +82,8 @@ DEFAULT_CONFIG: dict = {
         "train": {"lr": 0.1, "lr_end": 1e-4, "lr_end_epoch": 200, "epochs": 220,
                   "batch_size": 128, "weight_decay": 2e-4},
     },
+    # Checked and unread: the threshold regressors train nothing.  The section
+    # stays so that configs written when they did still load.
     "regressor": {
         "hidden": 16,
         "train": {"lr": 0.1, "lr_end": 1e-4, "lr_end_epoch": 8000, "epochs": 8000,
@@ -125,7 +127,7 @@ class Config:
     topology: trace.ExitTopology
     env: engine.Environment
     specs: dict[str, zoo.SynthSpec]  # "train", "test"
-    training: dict[str, TrainConfig]  # "ee", "ep", "regressor"
+    training: dict[str, TrainConfig]  # "ee", "ep"
 
 
 @contextlib.contextmanager
@@ -226,7 +228,7 @@ def check_config(*docs: Mapping) -> Config:
         if [len(ee["trunk_widths"]) + 1, len(ee["exit_weights"])] != [topology.num_exits] * 2:
             raise ValueError("trunk_widths needs one entry per early exit, exit_weights per exit")
     training = {}
-    for name, offset in (("ee", 0), ("ep", 4), ("regressor", 0)):
+    for name, offset in (("ee", 0), ("ep", 4)):
         with _at(f"{name}.train"):
             training[name] = TrainConfig(**cfg[name]["train"], seed=seed + offset)
     with _at("policy.gamma_step"):
@@ -334,11 +336,10 @@ def stage_evaluate(cfg: Config, ts: trace.TraceSet, lam: Sequence[float], method
                    scores: np.ndarray | None, gamma: Sequence[float] | None) -> tuple:
     """One policy's ``emit_frontier`` entry: (method, lambda, gamma or None,
     report, predictor MFLOPs); "predictor" needs ``scores`` and ``gamma``."""
-    if method == "predictor":
-        _, report = engine.run_with_predictor(ts, trace.Thresholds(lam, gamma), scores, cfg.env)
-        return method, lam, gamma, report, ts.topology.predictor_flops
-    _, report = {"plain": engine.run_plain, "oracle": engine.run_oracle}[method](ts, lam, cfg.env)
-    return method, lam, None, report, 0.0
+    if method != "predictor":
+        scores = gamma = None
+    report = engine.policy_stats(ts, lam, gamma, scores, cfg.env, oracle=method == "oracle")
+    return method, lam, gamma, report, 0.0 if gamma is None else ts.topology.predictor_flops
 
 
 def stage_sweep(cfg: Config, ts: trace.TraceSet,
@@ -350,30 +351,24 @@ def stage_sweep(cfg: Config, ts: trace.TraceSet,
 
 def stage_fit_adapt(cfg: Config, points: Sequence[optimizer.PolicyPoint]
                     ) -> list[optimizer.ThresholdRegressor]:
-    """Per-interval threshold regressors fitted to the feasible ``points``."""
-    return optimizer.fit_regressors(
-        [p for p in points if p.feasible], cfg.doc["regressor_intervals"],
-        num_classes=cfg.topology.num_classes, cfg=cfg.training["regressor"],
-        hidden=cfg.doc["regressor"]["hidden"])
-
-
-ADAPT_COLUMNS = [("bandwidth_bps", trace.RATE), ("lambda", trace.LAMBDA),
-                 ("gamma", trace.GAMMA), ("accuracy", trace.SHARE),
-                 ("mean_latency_s", trace.COST), ("feasible", trace.FLAG)]
+    """Per-interval threshold schedules through the feasible ``points``."""
+    return optimizer.fit_regressors([p for p in points if p.feasible],
+                                    cfg.doc["regressor_intervals"])
 
 
 def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
                     regressors: Sequence[optimizer.ThresholdRegressor]) -> str:
-    """Re-evaluate adapted thresholds at every sweep bandwidth."""
+    """Adapted thresholds re-evaluated at every sweep bandwidth, as a policy table."""
     env = cfg.env
-    rows = []
+    points = []
     for bw in sorted(float(b) for b in cfg.doc["sweep_bandwidths"]):
         th = optimizer.adapt(regressors, bw)
         stats = engine.policy_stats(ts, th.lam, th.gamma, scores,
                                     replace(env, bandwidth=bw))
-        rows.append([bw, th.lam, th.gamma, stats.accuracy, stats.mean_latency_s,
-                     stats.mean_latency_s <= env.latency_budget])
-    return trace.table_text(ADAPT_COLUMNS, rows)
+        points.append(optimizer.PolicyPoint(bw, th.lam, th.gamma, stats.accuracy,
+                                            stats.mean_latency_s,
+                                            stats.mean_latency_s <= env.latency_budget))
+    return optimizer.policy_points_csv(points)
 
 
 def stage_demo(cfg: Config, outdir: str) -> dict:
@@ -505,25 +500,38 @@ _JSON_LOADERS = {
 }
 
 
+def _json_object(line: str) -> dict | None:
+    """``line`` parsed, if it is one JSON object on its own; else None."""
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
 def validate_artifact(path: str) -> str:
     """Validate one artifact; returns a short type tag or raises.
 
-    The file is read once; every check parses that text.
+    The file is read once; every check parses that text.  A JSON file is
+    line-delimited (a trace or dataset file) when more lines follow a line 1
+    that is a JSON object on its own, or a damaged line 1 followed by a
+    line 2 that is; any other JSON file is one document.  Either way a
+    damaged file is named at the line of the damage.
     """
     text = trace.read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty file")
     if stripped.startswith("{"):
-        try:
-            whole = trace.read_json(path, text)
-        except ValueError:  # line-delimited: a trace or dataset file
-            _, header = next(trace.read_jsonl(path, text))
-            if header.get("kind") == "dataset":
+        first, _, rest = text.partition("\n")
+        header, second = _json_object(first), rest.partition("\n")[0]
+        if rest.strip() and (header is not None or _json_object(second) is not None):
+            if header is not None and header.get("kind") == "dataset":
                 zoo.load_dataset(path, text)
                 return "dataset"
             trace.load_trace_set(path, text)
             return "trace_set"
+        whole = trace.read_json(path, text)
         kind = whole.get("kind")
         if kind in _JSON_LOADERS:
             _JSON_LOADERS[kind](path, whole)
@@ -537,20 +545,19 @@ def validate_artifact(path: str) -> str:
     if header.startswith("bandwidth_bps,lambda_1,"):
         optimizer.load_policy_points(path, text)
         return "policy_points"
-    for tag, columns in (("adapt_table", ADAPT_COLUMNS), ("frontier", FRONTIER_COLUMNS)):
-        if header == ",".join(name for name, _ in columns):
-            # A row's lambda and gamma are one pair: a Thresholds for the
-            # predictor policy (every adaptation row), no gamma otherwise.
-            for lineno, row in enumerate(trace.read_table(path, text, columns), start=2):
-                method, lam, gamma = row[:3] if tag == "frontier" else ("predictor", *row[1:3])
-                try:
-                    if method == "predictor":
-                        trace.Thresholds(lam, gamma or ())
-                    elif gamma:
-                        raise ValueError(f"{method} rows take no gamma")
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            return tag
+    if header == ",".join(name for name, _ in FRONTIER_COLUMNS):
+        # A row's lambda and gamma are one pair: a Thresholds for the
+        # predictor policy, no gamma otherwise.
+        for lineno, (method, lam, gamma, *_) in enumerate(
+                trace.read_table(path, text, FRONTIER_COLUMNS), start=2):
+            try:
+                if method == "predictor":
+                    trace.Thresholds(lam, gamma or ())
+                elif gamma:
+                    raise ValueError(f"{method} rows take no gamma")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        return "frontier"
     raise ValueError(f"{path}: unrecognized artifact")
 
 

@@ -257,12 +257,16 @@ def run_oracle(ts: TraceSet, lam: Sequence[float],
 
 
 def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | None = None,
-                 scores=None, env: Environment | None = None) -> AggregateReport:
+                 scores=None, env: Environment | None = None,
+                 oracle: bool = False) -> AggregateReport:
     """Aggregate report without materializing per-sample records.
 
-    With ``gamma`` None it reproduces run_plain, otherwise run_with_predictor.
+    With ``gamma`` None it reproduces run_plain, or run_oracle when
+    ``oracle``; otherwise run_with_predictor.
     """
-    return _evaluate(ts, lam, gamma, scores, env)[1]
+    if oracle and gamma is not None:
+        raise ValueError("oracle routing takes no gamma")
+    return _evaluate(ts, lam, gamma, scores, env, oracle)[1]
 
 
 # -- the policy table ---------------------------------------------------------

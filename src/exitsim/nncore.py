@@ -1,12 +1,8 @@
 """Minimal dense network core: batched forward/backward, losses, plain SGD.
 
-Big enough for a toy multi-exit classifier, a fully-connected skip
-predictor, and two-layer threshold regressors; deliberately nothing more.
-Training is single-threaded and bit-reproducible for a fixed seed.
-``train`` is the one epoch loop.  It also trains an ``MlpStack``: K
-same-shaped nets in lockstep, their parameters stacked on a leading net
-axis, each net with its own seed and shuffle and with the same bits as
-when trained alone.
+Big enough for a toy multi-exit classifier and a fully-connected skip
+predictor; deliberately nothing more.  Training is single-threaded and
+bit-reproducible for a fixed seed.  ``train`` is the one epoch loop.
 
 Each loss piece is computed once per step.  A softmax-CE head takes its
 softmax and log-sum-exp from one max, exp and sum, and its gradient from
@@ -96,61 +92,6 @@ def _act_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.
     raise ValueError(f"unknown activation {act!r}")
 
 
-# Layer math shared by one net and a stack: x is (rows, d) for one net, or
-# (K, rows, d) for K nets whose parameters lead with the net axis (biases
-# (K, 1, fan_out)); np.matmul runs the same per-net product either way.
-
-
-def _logits(weights, biases, activations, x: np.ndarray) -> np.ndarray:
-    """The last layer's pre-activation, keeping nothing for backprop."""
-    a = x
-    for w, b, act in zip(weights[:-1], biases[:-1], activations[:-1]):
-        a = _apply_act(a @ w + b, act)
-    return a @ weights[-1] + biases[-1]
-
-
-def _output(weights, biases, activations, x: np.ndarray) -> np.ndarray:
-    return _apply_act(_logits(weights, biases, activations, x), activations[-1])
-
-
-def _forward_full(weights, biases, activations, x: np.ndarray, last: bool = True):
-    """Every layer's pre-activation and input, for ``_backward``.
-
-    ``acts`` ends with the net's output; with ``last=False`` it ends at the
-    last layer's input, for a loss that starts backprop from the logits.
-    """
-    acts = [x]
-    pres = []
-    for i, (w, b, act) in enumerate(zip(weights, biases, activations)):
-        pres.append(acts[-1] @ w + b)
-        if last or i < len(weights) - 1:
-            acts.append(_apply_act(pres[-1], act))
-    return pres, acts
-
-
-def _backward(weights, activations, pres, acts, dout=None, dlogits=None):
-    """Backprop from either d(output activation) or d(last pre-activation).
-
-    Returns (d_input, grads) with grads aligned to parameters().
-    """
-    n_layers = len(weights)
-    if (dout is None) == (dlogits is None):
-        raise ValueError("provide exactly one of dout, dlogits")
-    if dlogits is not None:
-        dz = dlogits
-    else:
-        dz = _act_backward(dout, pres[-1], acts[-1], activations[-1])
-    grads: list[np.ndarray | None] = [None] * (2 * n_layers)
-    for i in range(n_layers - 1, -1, -1):
-        grads[2 * i] = acts[i].swapaxes(-1, -2) @ dz
-        grads[2 * i + 1] = dz.sum(axis=-2, keepdims=dz.ndim == 3)
-        da = dz @ weights[i].swapaxes(-1, -2)
-        if i > 0:
-            # acts[i] is layer i-1's output, which sigmoid and softmax read.
-            dz = _act_backward(da, pres[i - 1], acts[i], activations[i - 1])
-    return da, grads
-
-
 class Mlp:
     """Fully-connected net with per-layer activation tags.
 
@@ -216,17 +157,53 @@ class Mlp:
 
     def forward(self, x) -> np.ndarray:
         x2, single = self._promote(x)
-        a = _output(self.weights, self.biases, self.activations, x2)
+        a = self._output(x2)
         return a[0] if single else a
 
     def _logits(self, x2: np.ndarray) -> np.ndarray:
-        return _logits(self.weights, self.biases, self.activations, x2)
+        """The last layer's pre-activation, keeping nothing for backprop."""
+        a = x2
+        for w, b, act in zip(self.weights[:-1], self.biases[:-1], self.activations[:-1]):
+            a = _apply_act(a @ w + b, act)
+        return a @ self.weights[-1] + self.biases[-1]
+
+    def _output(self, x2: np.ndarray) -> np.ndarray:
+        return _apply_act(self._logits(x2), self.activations[-1])
 
     def _forward_full(self, x2: np.ndarray, last: bool = True):
-        return _forward_full(self.weights, self.biases, self.activations, x2, last)
+        """Every layer's pre-activation and input, for ``_backward``.
+
+        ``acts`` ends with the net's output; with ``last=False`` it ends at the
+        last layer's input, for a loss that starts backprop from the logits.
+        """
+        acts = [x2]
+        pres = []
+        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+            pres.append(acts[-1] @ w + b)
+            if last or i < len(self.weights) - 1:
+                acts.append(_apply_act(pres[-1], act))
+        return pres, acts
 
     def _backward(self, pres, acts, dout=None, dlogits=None):
-        return _backward(self.weights, self.activations, pres, acts, dout, dlogits)
+        """Backprop from either d(output activation) or d(last pre-activation).
+
+        Returns (d_input, grads) with grads aligned to parameters().
+        """
+        if (dout is None) == (dlogits is None):
+            raise ValueError("provide exactly one of dout, dlogits")
+        if dlogits is not None:
+            dz = dlogits
+        else:
+            dz = _act_backward(dout, pres[-1], acts[-1], self.activations[-1])
+        grads: list[np.ndarray | None] = [None] * (2 * len(self.weights))
+        for i in range(len(self.weights) - 1, -1, -1):
+            grads[2 * i] = acts[i].T @ dz
+            grads[2 * i + 1] = dz.sum(axis=0)
+            da = dz @ self.weights[i].T
+            if i > 0:
+                # acts[i] is layer i-1's output, which sigmoid and softmax read.
+                dz = _act_backward(da, pres[i - 1], acts[i], self.activations[i - 1])
+        return da, grads
 
     # -- losses on this net ------------------------------------------------
 
@@ -252,7 +229,7 @@ class Mlp:
             pres, acts = self._forward_full(x2)
             out = acts[-1]
         else:
-            out = _output(self.weights, self.biases, self.activations, x2)
+            out = self._output(x2)
         y = np.asarray(target, dtype=np.float64).reshape(out.shape)
         if loss == "bce":
             value, dout = bce_parts(out, y, want_grads)
@@ -303,61 +280,6 @@ class Mlp:
     def load(cls, path: str | os.PathLike, doc: dict | None = None) -> "Mlp":
         """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
         return load_checkpoint(path, "mlp", cls.from_dict, doc)
-
-
-class MlpStack:
-    """K same-shaped Mlps trained in lockstep under "mse".
-
-    Every parameter gains a leading net axis.  Inputs and targets are K
-    row blocks of equal length, net-major: net k owns rows k*n .. (k+1)*n - 1.
-    Each net's loss and gradient are those it has alone, so ``train`` (which
-    shuffles each block with the net's own seed) leaves every member with
-    the bits that training it by itself gives.
-    """
-
-    def __init__(self, nets: Sequence[Mlp]):
-        if not nets:
-            raise ValueError("a stack needs at least one net")
-        shapes = [w.shape for w in nets[0].weights]
-        for net in nets:
-            if net.activations != nets[0].activations or [w.shape for w in net.weights] != shapes:
-                raise ValueError("stacked nets must share layer sizes and activations")
-        self.activations = nets[0].activations
-        self.seeds = tuple(net.seed for net in nets)
-        self.weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
-        self.biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
-
-    def nets(self) -> list[Mlp]:
-        """The members as separate Mlps, copied out of the stack."""
-        return [Mlp([w[k] for w in self.weights], [b[k, 0] for b in self.biases],
-                    self.activations, seed=seed) for k, seed in enumerate(self.seeds)]
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    def _loss_parts(self, x, target, loss: str, want_grads: bool):
-        """Per-net MSE, shape (K,), and each net's gradient at its own scale."""
-        if loss != "mse":
-            raise ValueError(f"unknown loss tag {loss!r} for MlpStack")
-        x3 = np.asarray(x, dtype=np.float64).reshape(len(self.seeds), -1, self.weights[0].shape[1])
-        if want_grads:
-            pres, acts = _forward_full(self.weights, self.biases, self.activations, x3)
-            out = acts[-1]
-        else:
-            out = _output(self.weights, self.biases, self.activations, x3)
-        diff = out - np.asarray(target, dtype=np.float64).reshape(out.shape)
-        value = np.mean(diff * diff, axis=(1, 2))
-        if not want_grads:
-            return value, None
-        _, grads = _backward(self.weights, self.activations, pres, acts,
-                             dout=2.0 * diff / diff[0].size)
-        return value, grads
-
-    def loss_value(self, x, target, loss: str) -> np.ndarray:
-        return self._loss_parts(x, target, loss, want_grads=False)[0]
-
-    def loss_and_grads(self, x, target, loss: str):
-        return self._loss_parts(x, target, loss, want_grads=True)
 
 
 # -- loss functions ---------------------------------------------------------
@@ -489,26 +411,17 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
-              rngs: Sequence[np.random.Generator]) -> None:
+              rng: np.random.Generator) -> None:
     """One shuffled pass of minibatch SGD over the dataset, in place.
 
-    ``rngs`` holds one generator per net: one for a single net, K for an
-    MlpStack whose rows are K blocks of n.  Each net shuffles its own block
-    with its own generator, and a minibatch is the next ``batch_size`` rows
-    of every block, net-major.  A non-finite minibatch loss raises
-    FloatingPointError.
+    ``rng`` shuffles the rows, and a minibatch is the next ``batch_size`` of
+    them.  A non-finite minibatch loss raises FloatingPointError.
     """
-    n = inputs.shape[0] // len(rngs)
-    # rng.permutation(n) shuffles arange(n), and a shuffle moves positions
-    # whatever the values, so each block's row numbers shuffled in place
-    # are rng.permutation(n) + k * n.
-    perm = np.arange(len(rngs) * n).reshape(len(rngs), n)
-    for rng, block in zip(rngs, perm):
-        rng.shuffle(block)
-    for start in range(0, n, cfg.batch_size):
-        idx = perm[:, start:start + cfg.batch_size].reshape(-1)
+    perm = rng.permutation(inputs.shape[0])
+    for start in range(0, len(perm), cfg.batch_size):
+        idx = perm[start:start + cfg.batch_size]
         batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
-        if not np.isfinite(batch_loss).all():
+        if not np.isfinite(batch_loss):
             raise FloatingPointError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
             # p -= lr * (g + wd * p), in place on the fresh gradient: the
@@ -523,12 +436,9 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
 
     The one epoch loop: ``net`` is anything exposing parameters() /
     loss_value() / loss_and_grads(), an Mlp under "bce", "softmax_ce" or
-    "mse", or a ToyEarlyExitNet under "weighted_ce".  A single net shuffles
-    with a generator seeded ``cfg.seed``.  An MlpStack of K nets under "mse"
-    takes its members' row blocks stacked net-major; member k shuffles with
-    a generator seeded by its own ``Mlp.seed``, and each curve entry holds
-    the K members' losses.  Only a non-finite loss reads ``training diverged
-    at epoch N``, and a member that diverges stops the whole stack.
+    "mse", or a ToyEarlyExitNet under "weighted_ce".  Rows are shuffled by
+    one generator seeded ``cfg.seed``.  Only a non-finite loss reads
+    ``training diverged at epoch N``.
     """
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets)
@@ -536,21 +446,18 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
         raise ValueError("inputs must be a nonempty (samples, dim) array")
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
-    seeds = net.seeds if isinstance(net, MlpStack) else (cfg.seed,)
-    if x.shape[0] % len(seeds):
-        raise ValueError(f"{x.shape[0]} rows do not split into {len(seeds)} equal blocks")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rng = np.random.default_rng(cfg.seed)
     # The loss at the starting parameters checks the loss tag, the target
     # shape and every label before any parameter moves.
     net.loss_value(x, t, loss)
-    curve: list = []
+    curve: list[float] = []
     for epoch in range(cfg.epochs):
         try:
-            sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rngs)
+            sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rng)
         except FloatingPointError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
         full = net.loss_value(x, t, loss)
-        if not np.isfinite(full).all():
+        if not np.isfinite(full):
             raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
         curve.append(full)
     return net, curve

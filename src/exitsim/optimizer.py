@@ -6,13 +6,15 @@ then lexicographically smallest thresholds).  ``sweep_bandwidths`` answers
 the same question across link rates.  Both are queries on one
 ``engine.PolicyTable``: each (lambda, gamma) pair is walked once and every
 bandwidth is priced from that walk, since only latency depends on the link.
-``fit_regressors`` distills the recorded optima into small per-interval
-regressors mapping log10(bandwidth) to threshold vectors, so one predictor
-serves every channel condition.
+``fit_regressors`` turns the recorded optima into one schedule per
+bandwidth interval, piecewise linear in log10(bandwidth) through the optima
+themselves, so one predictor serves every channel condition and nothing is
+trained.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -22,13 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, trace
-from .nncore import Mlp, MlpStack, TrainConfig, train
 from .predictor import as_scores
-from .trace import Thresholds, TraceSet, as_int, as_real, atomic_write_text, load_checkpoint
-
-# Clamp for regressed confidence thresholds: keep them meaningfully inside
-# (1/P, 1) so the resulting Thresholds always validate.
-LAMBDA_CLAMP_EPS = 1e-6
+from .trace import Thresholds, TraceSet, as_real, atomic_write_text, load_checkpoint
 
 
 class InfeasibleError(RuntimeError):
@@ -117,135 +114,107 @@ def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
 
 @dataclass(frozen=True)
 class ThresholdRegressor:
-    """Per-interval pair of two-layer nets: log10(bandwidth) -> thresholds,
-    checked so that ``adapt`` can use it."""
+    """One interval's threshold schedule: a (lambda, gamma) row per training
+    bandwidth, read piecewise linearly in log10(bandwidth) by ``adapt``.
+
+    ``train_bandwidths`` are at least 2, inside ``interval`` and strictly
+    ascending in log10 (so ``adapt`` never divides by zero).  Row k of
+    ``lam`` and ``gamma`` is one valid ``Thresholds`` for bandwidth k, every
+    row of one length.  ``max_abs_error`` is the worst distance from a
+    fitted point to its row.
+    """
 
     interval: tuple[float, float]
     train_bandwidths: tuple[float, ...]
-    lam_net: Mlp
-    gamma_net: Mlp
-    log_center: float
-    num_classes: int
+    lam: tuple[tuple[float, ...], ...]
+    gamma: tuple[tuple[float, ...], ...]
     max_abs_error: float
 
     def __post_init__(self) -> None:
-        iv, lam_net, gamma_net = self.interval, self.lam_net, self.gamma_net
-        object.__setattr__(self, "log_center", as_real(self.log_center, "log_center"))
-        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
-        if not (len(iv) == 2 and 0 < as_real(iv[0], "interval") < as_real(iv[1], "interval")):
+        iv = tuple(as_real(v, "interval") for v in self.interval)
+        if not (len(iv) == 2 and 0 < iv[0] < iv[1]):
             raise ValueError(f"interval must be [lo, hi] with 0 < lo < hi, got {list(iv)}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not (lam_net.in_dim == gamma_net.in_dim == 1 and lam_net.out_dim == gamma_net.out_dim):
-            raise ValueError("lam_net and gamma_net must take 1 input and have equal output widths")
-
-
-def _clamp_lam(raw: np.ndarray, num_classes: int) -> np.ndarray:
-    lo = 1.0 / num_classes + LAMBDA_CLAMP_EPS
-    return np.clip(raw, lo, 1.0 - LAMBDA_CLAMP_EPS)
+        bws = tuple(as_real(v, "train_bandwidths") for v in self.train_bandwidths)
+        if len(bws) < 2 or not all(iv[0] <= b <= iv[1] for b in bws):
+            raise ValueError(f"train_bandwidths must be at least 2 values in the interval "
+                             f"{list(iv)}, got {list(bws)}")
+        logs = [math.log10(b) for b in bws]
+        if any(a >= b for a, b in zip(logs, logs[1:])):
+            raise ValueError(f"train_bandwidths must ascend strictly in log10, got {list(bws)}")
+        if not len(self.lam) == len(self.gamma) == len(bws):
+            raise ValueError(f"{len(bws)} train_bandwidths need as many lambda and gamma "
+                             f"rows, got {len(self.lam)} and {len(self.gamma)}")
+        rows = [Thresholds(tuple(lam), tuple(gamma)) for lam, gamma in zip(self.lam, self.gamma)]
+        if len({len(th.lam) for th in rows}) != 1:
+            raise ValueError("lambda rows must all have one length")
+        error = as_real(self.max_abs_error, "max_abs_error")
+        if error < 0:
+            raise ValueError(f"max_abs_error must be >= 0, got {error!r}")
+        for name, value in (("interval", iv), ("train_bandwidths", bws), ("max_abs_error", error),
+                            ("lam", tuple(th.lam for th in rows)),
+                            ("gamma", tuple(th.gamma for th in rows))):
+            object.__setattr__(self, name, value)
 
 
 def fit_regressors(points: Sequence[PolicyPoint],
-                   intervals: Sequence[tuple[float, float]],
-                   num_classes: int,
-                   cfg: TrainConfig | None = None,
-                   hidden: int = 16) -> list[ThresholdRegressor]:
-    """Fit one (lambda, gamma) regressor pair per bandwidth interval.
+                   intervals: Sequence[tuple[float, float]]) -> list[ThresholdRegressor]:
+    """One threshold schedule per bandwidth interval, through its points.
 
-    Interval membership is inclusive on both ends, so a bandwidth shared by
-    two intervals trains both regressors.  The recorded max_abs_error is
-    the worst clamped-prediction error over the interval's training points.
-
-    Net k of interval idx (k = 0 lambda, 1 gamma) is seeded
-    ``cfg.seed + 2*idx + k``.  Nets whose targets have the same shape train
-    in lockstep as one MlpStack, each with its own seed and shuffle, so every
-    net ends with the bits it would have trained to alone.
+    Interval membership is inclusive on both ends, so a point on a shared
+    endpoint serves both intervals.  Points that share a bandwidth give
+    that bandwidth their mean row (their least-squares value); an interval
+    needs at least 2 distinct bandwidths.  Nothing is trained, and
+    max_abs_error is the worst distance from a point to its row.
     """
-    if cfg is None:
-        cfg = TrainConfig(lr=0.1, lr_end=1e-4, lr_end_epoch=8000, epochs=8000,
-                          batch_size=16, weight_decay=0.0, seed=0)
-    ordered = sorted(intervals, key=lambda iv: (float(iv[0]), float(iv[1])))
-    fits = []  # per interval: (lo, hi, bandwidths, log center, x, (lam, gamma targets))
-    jobs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, Mlp]] = {}  # (idx, k) -> x, y, net
-    for idx, (lo, hi) in enumerate(ordered):
+    out: list[ThresholdRegressor] = []
+    for lo, hi in sorted(intervals, key=lambda iv: (float(iv[0]), float(iv[1]))):
         lo, hi = float(lo), float(hi)
         if not (0 < lo < hi):
             raise ValueError(f"bad interval ({lo}, {hi})")
-        members = sorted(
-            (p for p in points if lo <= p.bandwidth <= hi),
-            key=lambda p: p.bandwidth,
-        )
-        if len(members) < 2:
-            raise ValueError(
-                f"interval {lo:.6g}-{hi:.6g} bit/s has {len(members)} training "
-                "points; need at least 2"
-            )
-        bws = np.array([p.bandwidth for p in members])
-        logb = np.log10(bws)
-        center = float(np.mean(logb))
-        x = (logb - center)[:, None]
-        targets = (np.array([p.lam for p in members]), np.array([p.gamma for p in members]))
-        fits.append((lo, hi, bws, center, x, targets))
-
-        # Zero output weights + bias at the target mean start the net on the
-        # mean schedule, so constant threshold schedules are reproduced
-        # exactly and only residuals remain to fit.
-        for k, t in enumerate(targets):
-            net = Mlp.init([1, hidden, t.shape[1]], ["relu", "identity"],
-                           seed=cfg.seed + 2 * idx + k)
-            net.weights[-1][:] = 0.0
-            net.biases[-1][:] = t.mean(axis=0)
-            jobs[idx, k] = (x, t, net)
-
-    stacks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for key, (_, t, _) in jobs.items():
-        stacks.setdefault(t.shape, []).append(key)
-    trained: dict[tuple[int, int], Mlp] = {}
-    for keys in stacks.values():
-        xs, ys, nets = zip(*(jobs[key] for key in keys))
-        stack = MlpStack(nets)
-        train(stack, np.concatenate(xs), np.concatenate(ys), "mse", cfg)
-        trained.update(zip(keys, stack.nets()))
-
-    out: list[ThresholdRegressor] = []
-    for idx, (lo, hi, bws, center, x, (lam_targets, gam_targets)) in enumerate(fits):
-        lam_net, gamma_net = trained[idx, 0], trained[idx, 1]
-        lam_hat = _clamp_lam(lam_net.forward(x), num_classes)
-        gam_hat = np.clip(gamma_net.forward(x), 0.0, 1.0)
-        err = max(
-            float(np.max(np.abs(lam_hat - lam_targets))),
-            float(np.max(np.abs(gam_hat - gam_targets))),
-        )
+        members = [p for p in points if lo <= p.bandwidth <= hi]
+        bws, which = np.unique([p.bandwidth for p in members], return_inverse=True)
+        if len(bws) < 2:
+            raise ValueError(f"interval {lo:.6g}-{hi:.6g} bit/s has {len(bws)} training "
+                             "bandwidths; need at least 2")
+        targets = np.array([p.lam + p.gamma for p in members])
+        rows = np.array([targets[which == k].mean(axis=0) for k in range(len(bws))])
+        n_early = len(members[0].lam)
         out.append(ThresholdRegressor(
-            interval=(lo, hi),
-            train_bandwidths=tuple(float(b) for b in bws),
-            lam_net=lam_net,
-            gamma_net=gamma_net,
-            log_center=center,
-            num_classes=int(num_classes),
-            max_abs_error=err,
-        ))
+            interval=(lo, hi), train_bandwidths=tuple(bws.tolist()),
+            lam=tuple(map(tuple, rows[:, :n_early].tolist())),
+            gamma=tuple(map(tuple, rows[:, n_early:].tolist())),
+            max_abs_error=float(np.max(np.abs(rows[which] - targets)))))
     return out
 
 
 def adapt(regressors: Sequence[ThresholdRegressor], bandwidth: float) -> Thresholds:
-    """Thresholds for a bandwidth, from the covering interval's regressors.
+    """Thresholds for a bandwidth, from the covering interval's schedule.
 
-    A bandwidth on a shared endpoint routes to the lower interval.  Raw
-    outputs are clamped into the valid threshold ranges.
+    A bandwidth on a shared endpoint routes to the lower interval.  At a
+    training bandwidth the schedule gives that row exactly, between two it
+    interpolates linearly in log10(bandwidth), and beyond the outermost it
+    keeps the nearest row.  Each entry lies between two valid thresholds,
+    so none needs a clamp.
     """
     bandwidth = float(bandwidth)
-    chosen = None
-    for reg in sorted(regressors, key=lambda r: r.interval):
-        if reg.interval[0] <= bandwidth <= reg.interval[1]:
-            chosen = reg
-            break
+    chosen = next((reg for reg in sorted(regressors, key=lambda r: r.interval)
+                   if reg.interval[0] <= bandwidth <= reg.interval[1]), None)
     if chosen is None:
         raise ValueError(f"bandwidth {bandwidth:.6g} bit/s outside all regressor intervals")
-    x = np.array([[math.log10(bandwidth) - chosen.log_center]])
-    lam = _clamp_lam(chosen.lam_net.forward(x)[0], chosen.num_classes)
-    gam = np.clip(chosen.gamma_net.forward(x)[0], 0.0, 1.0)
-    return Thresholds(lam=tuple(lam.tolist()), gamma=tuple(gam.tolist()))
+    bws = chosen.train_bandwidths
+    k = bisect.bisect_right(bws, bandwidth)  # bws[k - 1] <= bandwidth < bws[k]
+    if k == 0 or k == len(bws) or bws[k - 1] == bandwidth:
+        row = max(k - 1, 0)
+        return Thresholds(chosen.lam[row], chosen.gamma[row])
+    below = np.array(chosen.lam[k - 1] + chosen.gamma[k - 1])
+    above = np.array(chosen.lam[k] + chosen.gamma[k])
+    log = math.log10
+    t = (log(bandwidth) - log(bws[k - 1])) / (log(bws[k]) - log(bws[k - 1]))
+    # The clip changes nothing but a rounding step past the far neighbour.
+    mixed = np.clip(below + t * (above - below), np.minimum(below, above),
+                    np.maximum(below, above)).tolist()
+    n_early = len(chosen.lam[k])
+    return Thresholds(tuple(mixed[:n_early]), tuple(mixed[n_early:]))
 
 
 # -- serialization ------------------------------------------------------------
@@ -290,11 +259,9 @@ def save_regressors(regressors: Sequence[ThresholdRegressor],
             {
                 "interval": list(r.interval),
                 "train_bandwidths": list(r.train_bandwidths),
-                "log_center": r.log_center,
-                "num_classes": r.num_classes,
+                "lambda": [list(row) for row in r.lam],
+                "gamma": [list(row) for row in r.gamma],
                 "max_abs_error": r.max_abs_error,
-                "lam_net": r.lam_net.to_dict(),
-                "gamma_net": r.gamma_net.to_dict(),
             }
             for r in regressors
         ],
@@ -308,16 +275,14 @@ def load_regressors(path: str | os.PathLike, doc: dict | None = None
     malformed entry raises ValueError naming the path and the entry."""
     def entry(i: int, r: dict) -> ThresholdRegressor:
         try:
-            return ThresholdRegressor(
-                interval=tuple(r["interval"]),
-                train_bandwidths=tuple(r["train_bandwidths"]),
-                lam_net=Mlp.from_dict(r["lam_net"]),
-                gamma_net=Mlp.from_dict(r["gamma_net"]),
-                log_center=r["log_center"],
-                num_classes=r["num_classes"],
-                max_abs_error=r["max_abs_error"],
-            )
+            return ThresholdRegressor(r["interval"], r["train_bandwidths"], r["lambda"],
+                                      r["gamma"], r["max_abs_error"])
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValueError(f"regressors[{i}]: {exc}") from exc
-    return load_checkpoint(path, "threshold_regressors", lambda doc: [
-        entry(i, r) for i, r in enumerate(doc["regressors"])], doc)
+
+    def build(doc: dict) -> list[ThresholdRegressor]:
+        entries = doc["regressors"]
+        if type(entries) is not list or not entries:
+            raise ValueError(f"regressors must be a nonempty list, got {entries!r}")
+        return [entry(i, r) for i, r in enumerate(entries)]
+    return load_checkpoint(path, "threshold_regressors", build, doc)

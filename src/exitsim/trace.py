@@ -114,7 +114,9 @@ def as_real(value, field: str) -> float:
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace file or a record violating a data invariant."""
+    """An input file that cannot be read as its format: bytes that are not
+    UTF-8, text that is not JSON, a JSON value that is not an object, or a
+    trace or dataset record that is malformed or violates a data invariant."""
 
 
 def all_finite(values: Sequence[float]) -> bool:
@@ -665,16 +667,17 @@ def read_json(path: str | os.PathLike, text: str | None = None) -> dict:
     The one reader of JSON documents (checkpoints, configs, summaries);
     ``text`` is the file's ``read_text``, if the caller has read it.  Bytes
     that are not UTF-8, text that is not JSON or a value that is not an
-    object raise ValueError naming the path and line.
+    object raise TraceFormatError naming the path and line.
     """
     text = read_text(path) if text is None else text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}: invalid JSON document: {exc.msg}") from exc
+        raise TraceFormatError(
+            f"{path}: line {exc.lineno}: invalid JSON document: {exc.msg}") from exc
     if not isinstance(doc, dict):
         lineno = text.count("\n", 0, len(text) - len(text.lstrip())) + 1
-        raise ValueError(f"{path}: line {lineno}: document must be a JSON object")
+        raise TraceFormatError(f"{path}: line {lineno}: document must be a JSON object")
     return doc
 
 
@@ -682,9 +685,10 @@ def load_checkpoint(path: str | os.PathLike, kind: str, build, doc=None):
     """``build(doc)`` for the whole-file JSON document at ``path`` of ``kind``.
 
     ``doc`` is the ``read_json`` of ``path``, if the caller has read it.  A
-    file ``read_json`` rejects, a document of another kind, a missing field,
-    or a field of the wrong type, shape or value raises ValueError naming
-    the path and the kind (or the missing field).
+    file ``read_json`` rejects raises its TraceFormatError.  A document of
+    another kind, a missing field, or a field of the wrong type, shape or
+    value raises ValueError naming the path and the kind (or the missing
+    field).
     """
     if doc is None:
         doc = read_json(path)

@@ -223,9 +223,9 @@ def ref_backward(weights, activations, pres, acts, dout=None, dlogits=None):
                                                               activations[-1])
     grads = [None] * (2 * n)
     for i in range(n - 1, -1, -1):
-        grads[2 * i] = np.swapaxes(acts[i], -1, -2) @ dz
-        grads[2 * i + 1] = dz.sum(axis=-2, keepdims=dz.ndim == 3)
-        da = dz @ np.swapaxes(weights[i], -1, -2)
+        grads[2 * i] = acts[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        da = dz @ weights[i].T
         if i > 0:
             dz = ref_act_backward(da, pres[i - 1], acts[i], activations[i - 1])
     return da, grads
@@ -266,17 +266,6 @@ def ref_mlp_loss(net, x, target, loss):
     return value, grads
 
 
-def ref_stack_loss(stack, x, target):
-    """(per-net MSE, grads) of an MlpStack whose rows are K equal blocks."""
-    x3 = np.asarray(x, dtype=np.float64).reshape(len(stack.seeds), -1,
-                                                 stack.weights[0].shape[1])
-    pres, acts = ref_forward_full(stack.weights, stack.biases, stack.activations, x3)
-    diff = acts[-1] - np.asarray(target, dtype=np.float64).reshape(acts[-1].shape)
-    _, grads = ref_backward(stack.weights, stack.activations, pres, acts,
-                            dout=2.0 * diff / diff[0].size)
-    return np.mean(diff * diff, axis=(1, 2)), grads
-
-
 def ref_toy_loss(net, x, labels):
     """(value, grads) of a ToyEarlyExitNet under "weighted_ce"."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -313,23 +302,21 @@ def ref_toy_loss(net, x, labels):
     return value, [g for grads in trunk_grads for g in grads] + exit_grads
 
 
-def ref_train(model, x, y, cfg, seeds, ref_loss):
+def ref_train(model, x, y, cfg, ref_loss):
     """The epoch loop in its straightforward form; returns the loss curve.
 
-    Each net k of ``seeds`` shuffles its block of rows with
-    ``rng.permutation(n) + k * n``; the update is
-    ``p -= lr * (g + weight_decay * p)``.
+    Rows are shuffled by ``rng.permutation`` of one generator seeded
+    ``cfg.seed``; the update is ``p -= lr * (g + weight_decay * p)``.
     """
     from exitsim.nncore import lr_at
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    n = len(x) // len(seeds)
+    rng = np.random.default_rng(cfg.seed)
     curve = []
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
-        perm = np.stack([rng.permutation(n) + k * n for k, rng in enumerate(rngs)])
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[:, start:start + cfg.batch_size].reshape(-1)
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
             _, grads = ref_loss(model, x[idx], y[idx])
             for p, g in zip(model.parameters(), grads):
                 p -= lr * (g + cfg.weight_decay * p)

@@ -196,8 +196,7 @@ def test_criterion_5_latency_aware_adaptation(toy_pipeline):
 
     train_points = sweep_bandwidths(ts, scores, env, TRAINING_BANDWIDTHS,
                                     LAMBDA_GRID, GAMMA_GRID)
-    regressors = fit_regressors([p for p in train_points if p.feasible],
-                                INTERVALS, num_classes=10)
+    regressors = fit_regressors([p for p in train_points if p.feasible], INTERVALS)
     adapted_ok = True
     worst_latency = 0.0
     for bw in CRITERION_BANDWIDTHS:

@@ -17,9 +17,11 @@ from exitsim.cli import (
     load_config,
     main,
     stage_demo,
+    stage_fit_adapt,
     validate_artifact,
 )
 from exitsim.engine import run_oracle, run_plain, run_with_predictor
+from exitsim.optimizer import load_policy_points
 from exitsim.predictor import make_labels, select_gamma
 from exitsim.trace import Thresholds, save_trace_set
 
@@ -196,7 +198,7 @@ def test_validate_opens_each_file_once(small_demo, monkeypatch):
     monkeypatch.undo()
     assert sorted(opened) == paths
     assert {"trace_set", "dataset", "toy_early_exit", "exit_predictor", "policy_points",
-            "adapt_table", "frontier", "experiment_config"} <= set(kinds)
+            "frontier", "experiment_config", "threshold_regressors"} <= set(kinds)
 
 
 def _set_field(line: int, column: str, value: str | None):
@@ -207,6 +209,15 @@ def _set_field(line: int, column: str, value: str | None):
         rows[line - 1][rows[0].index(column)] = value
         rows[line - 1] = [field for field in rows[line - 1] if field is not None]
         return "".join(",".join(row) + "\n" for row in rows)
+    return corrupt
+
+
+def _drop_column(column: str):
+    """A corruption of a CSV table: ``column`` dropped from every line."""
+    def corrupt(text):
+        rows = [row.split(",") for row in text.splitlines()]
+        at = rows[0].index(column)
+        return "".join(",".join(row[:at] + row[at + 1:]) + "\n" for row in rows)
     return corrupt
 
 
@@ -235,17 +246,30 @@ def _drop_last_weight(doc):
     ("frontier.csv", _set_field(2, "accuracy", "banana"), r"line 2: accuracy: could not "),
     ("report.csv", _set_field(3, "method", "psychic"), r"line 3: method: must be one of "),
     ("adapt_table.csv", _set_field(4, "feasible", "maybe"), r"line 4: feasible: must be "),
-    ("adapt_table.csv", _set_field(2, "gamma", None), r"line 2: expected 6 fields, got 5"),
-    ("adapt_table.csv", _set_field(2, "gamma", "0.5"), r"line 2: gamma must have length 2, "),
+    ("adapt_table.csv", _set_field(2, "gamma_2", None), r"line 2: expected 8 fields, got 7"),
+    ("adapt_table.csv", _drop_column("gamma_2"), r"line 1: header is not bandwidth_bps,"),
     ("frontier.csv", _set_method_gamma(3, "plain", "0.5|0.5"), r"line 3: plain rows take no "),
     ("frontier.csv", _set_method_gamma(2, "predictor", "0.5"), r"line 2: gamma must have "),
     ("frontier.csv", _set_method_gamma(4, "predictor", ""), r"line 4: gamma must have "),
     ("regressors.json", _edit_json(lambda d: d["regressors"][1].update(interval=[5])),
      r"malformed 'threshold_regressors' document: regressors\[1\]: interval "),
-    ("regressors.json", _edit_json(lambda d: d["regressors"][0].update(num_classes=1)),
-     r"malformed 'threshold_regressors' document: regressors\[0\]: num_classes "),
-    ("regressors.json", _edit_json(lambda d: d["regressors"][2]["lam_net"].update(sizes=[1])),
-     r"malformed 'threshold_regressors' document: regressors\[2\]: list index "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][0]["train_bandwidths"].reverse()),
+     r"malformed 'threshold_regressors' document: regressors\[0\]: train_bandwidths must "
+     r"ascend strictly in log10, "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][1]["train_bandwidths"].__setitem__(
+        1, d["regressors"][1]["train_bandwidths"][0])),
+     r"malformed 'threshold_regressors' document: regressors\[1\]: train_bandwidths must "
+     r"ascend strictly in log10, "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][2]["gamma"].pop()),
+     r"malformed 'threshold_regressors' document: regressors\[2\]: \d+ train_bandwidths need "
+     r"as many lambda and gamma rows, "),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][0]["lambda"][0].__setitem__(0, 1.0)),
+     r"malformed 'threshold_regressors' document: regressors\[0\]: lambda entries must lie "
+     r"in \(0, 1\)"),
+    ("regressors.json", _edit_json(lambda d: d["regressors"][1].update(
+        {key: d["regressors"][1][key][:1] for key in ("train_bandwidths", "lambda", "gamma")})),
+     r"malformed 'threshold_regressors' document: regressors\[1\]: train_bandwidths must be "
+     r"at least 2 values "),
     ("ep.json", _edit_json(_drop_last_weight),
      r"malformed 'exit_predictor' document: cannot reshape "),
     ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
@@ -275,8 +299,9 @@ def _drop_last_weight(doc):
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
         "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
-        "regressors-interval",
-        "regressors-num-classes", "regressors-sizes", "ep-short-weights", "thresholds-gamma",
+        "regressors-interval", "regressors-unsorted", "regressors-repeated",
+        "regressors-row-count", "regressors-lambda-range", "regressors-one-point",
+        "ep-short-weights", "thresholds-gamma",
         "summary-lambda", "summary-accuracy", "summary-sweep-string", "summary-sweep-int",
         "summary-seed", "summary-nan-loss", "summary-no-oracle", "summary-short-shares",
         "summary-negative-latency", "summary-budget-int", "summary-regressor-bool"])
@@ -309,9 +334,37 @@ def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
     out = tmp_path / "data.jsonl"
     assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "TraceFormatError"
     assert err["message"].startswith(f"{path}: line 2: invalid JSON document: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("damaged, where", [
+    (b'{"seed": 3,\n"synth": {"radius": \xff}}\n', "line 2: not UTF-8 text: "),
+    (b'{"seed": 3,\n"synth": {"radius": 2.5', "line 2: invalid JSON document: "),
+], ids=["non-utf8", "truncated"])
+def test_unreadable_json_input_fails_as_one_error_type(tmp_path, capsys, damaged, where):
+    path = tmp_path / "config.json"
+    path.write_bytes(damaged)
+    out = tmp_path / "data.jsonl"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TraceFormatError"
+    with pytest.raises(exitsim.TraceFormatError, match=f"^{re.escape(str(path))}: {where}"):
+        validate_artifact(str(path))
+    assert not out.exists()
+
+
+def test_validate_names_the_line_of_a_damaged_multiline_document(small_demo, tmp_path, capsys):
+    good = json.dumps(json.loads((small_demo[0] / "ep.json").read_text()), indent=1)
+    damaged = good[:len(good) // 2]
+    cut = tmp_path / "ep.json"
+    cut.write_text(damaged)
+    assert main(["select-gamma", "--traces", str(small_demo[0] / "traces_test.jsonl"),
+                 "--ep", str(cut)]) == 1
+    verb = json.loads(capsys.readouterr().err)["message"]
+    assert verb.startswith(f"{cut}: line {damaged.count(chr(10)) + 1}: invalid JSON document: ")
+    assert main(["validate", str(cut)]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == verb
 
 
 def _json_input_argv(demo, verb: str, bad: str, out: str, config: str) -> list[str]:
@@ -365,6 +418,16 @@ def test_every_verb_names_the_path_and_line_of_a_bad_json_input(small_demo, smal
     message = json.loads(captured.err)["message"]
     assert message.startswith(f"{bad}: line {lineno}: "), message
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_validate_names_line_1_of_a_record_file_with_a_damaged_header(small_demo, tmp_path):
+    for name in ("traces_test.jsonl", "dataset_test.jsonl"):
+        lines = (small_demo[0] / name).read_text().split("\n")
+        bad = tmp_path / name
+        bad.write_text("\n".join([lines[0][:40], *lines[1:]]))
+        with pytest.raises(exitsim.TraceFormatError,
+                           match=f"^{re.escape(str(bad))}: line 1: invalid JSON header: "):
+            validate_artifact(str(bad))
 
 
 def test_config_env_var_supplies_default(small_config_path, tmp_path):
@@ -466,7 +529,7 @@ def test_validate_names_path_of_malformed_regressor_bundle(tmp_path, capsys):
 def test_validate_truncated_json_names_the_path(tmp_path):
     cut = tmp_path / "cut.json"
     cut.write_text('{\n"kind": "mlp",\n')
-    with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: line 1: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: line 3: "):
         validate_artifact(str(cut))
     proc = run_cli("validate", str(cut))
     assert proc.returncode == 1
@@ -485,6 +548,14 @@ def _perfbench_warmup_config() -> dict:
 def test_shipped_configs_pass_the_check():
     for doc in (DEFAULT_CONFIG, SMALL_CONFIG, _perfbench_warmup_config()):
         check_config(doc)
+
+
+def test_regressor_section_is_checked_but_changes_nothing(small_demo):
+    points = load_policy_points(small_demo[0] / "sweep.csv")
+    unread = {"regressor": {"hidden": 3, "train": {"epochs": 9000, "lr": 5.0}}}
+    cfg = check_config(unread)
+    assert sorted(cfg.training) == ["ee", "ep"]
+    assert repr(stage_fit_adapt(cfg, points)) == repr(stage_fit_adapt(check_config(), points))
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -278,6 +278,18 @@ def test_policy_stats_agrees_with_run_functions():
         ts, Thresholds(lam, gamma), scores, env)[1]
 
 
+def test_policy_stats_oracle_mode_equals_run_oracle():
+    rng = np.random.default_rng(9)
+    ts = random_trace_set(rng, n_samples=60)
+    n_early = ts.topology.num_early_exits
+    lam = random_lambda(rng, n_early)
+    for env in (None, Environment(3.62e9, 1e6, 0.03)):
+        assert repr(policy_stats(ts, lam, env=env, oracle=True)) == repr(
+            run_oracle(ts, lam, env)[1])
+    with pytest.raises(ValueError, match="oracle routing takes no gamma"):
+        policy_stats(ts, lam, random_gamma(rng, n_early), np.zeros((60, n_early)), oracle=True)
+
+
 def test_threshold_length_mismatch_errors():
     rng = np.random.default_rng(10)
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=5)

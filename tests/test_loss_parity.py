@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim.nncore import Mlp, MlpStack, TrainConfig, train
+from exitsim.nncore import Mlp, TrainConfig, train
 from exitsim.zoo import ToyEarlyExitNet
 
-from helpers import ref_mlp_loss, ref_stack_loss, ref_toy_loss, ref_train
+from helpers import ref_mlp_loss, ref_toy_loss, ref_train
 
 PARITY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -70,20 +70,7 @@ def test_mlp_loss_matches_reference_bits(loss, rows, sizes, hidden, scale, seed)
     assert_same_bits(net, x, target, loss, ref_mlp_loss(net, x, target, loss))
 
 
-@PARITY
-@given(members=st.integers(1, 4), rows=st.integers(1, 20),
-       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
-       out_act=st.sampled_from(["identity", "sigmoid"]), seed=st.integers(0, 2 ** 16))
-def test_mlp_stack_loss_matches_reference_bits(members, rows, sizes, out_act, seed):
-    rng = np.random.default_rng(seed)
-    acts = ["relu"] * (len(sizes) - 2) + [out_act]
-    stack = MlpStack([Mlp.init(sizes, acts, seed=seed + k) for k in range(members)])
-    x = rng.normal(size=(members * rows, sizes[0]))
-    y = rng.normal(size=(members * rows, sizes[-1]))
-    assert_same_bits(stack, x, y, "mse", ref_stack_loss(stack, x, y))
-
-
-@pytest.mark.parametrize("kind", ["toy", "mlp", "stack"])
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
 def test_train_matches_the_reference_loop_bit_for_bit(kind):
     rng = np.random.default_rng(5)
     cfg = TrainConfig(lr=0.2, lr_end=0.01, lr_end_epoch=4, epochs=5, batch_size=7,
@@ -92,24 +79,18 @@ def test_train_matches_the_reference_loop_bit_for_bit(kind):
         def build():
             return ToyEarlyExitNet.build(3, 4, trunk_widths=(6, 5), final_hidden=5, seed=2)
         x, y = rng.normal(size=(30, 3)), rng.integers(0, 4, 30)
-        loss, seeds, ref_loss = "weighted_ce", (cfg.seed,), ref_toy_loss
-    elif kind == "mlp":
+        loss, ref_loss = "weighted_ce", ref_toy_loss
+    else:
         def build():
             return Mlp.init([3, 6, 4], ["relu", "softmax"], seed=2)
         x, y = rng.normal(size=(30, 3)), rng.integers(0, 4, 30)
-        loss, seeds = "softmax_ce", (cfg.seed,)
+        loss = "softmax_ce"
 
         def ref_loss(net, xb, yb):
             return ref_mlp_loss(net, xb, yb, "softmax_ce")
-    else:
-        def build():
-            return MlpStack([Mlp.init([2, 5, 2], ["relu", "identity"], seed=s)
-                             for s in (3, 4, 5)])
-        x, y = rng.normal(size=(3 * 10, 2)), rng.normal(size=(3 * 10, 2))
-        loss, seeds, ref_loss = "mse", (3, 4, 5), ref_stack_loss
     model, ref_model = build(), build()
     _, curve = train(model, x, y, loss, cfg)
-    ref_curve = ref_train(ref_model, x, y, cfg, seeds, ref_loss)
+    ref_curve = ref_train(ref_model, x, y, cfg, ref_loss)
     assert len(curve) == len(ref_curve) == cfg.epochs
     assert all(np.array_equal(a, b) for a, b in zip(curve, ref_curve))
     for p, q in zip(model.parameters(), ref_model.parameters()):

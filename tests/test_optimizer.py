@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from exitsim import engine
 from exitsim.engine import Environment, policy_stats
-from exitsim.nncore import Mlp, TrainConfig, train
 from exitsim.optimizer import (
-    LAMBDA_CLAMP_EPS,
     InfeasibleError,
     PolicyPoint,
     ThresholdRegressor,
@@ -23,7 +21,7 @@ from exitsim.optimizer import (
     save_regressors,
     sweep_bandwidths,
 )
-from exitsim.trace import SampleTrace, Thresholds, TraceSet
+from exitsim.trace import SampleTrace, TraceSet
 
 from helpers import (
     literal_latency,
@@ -248,7 +246,7 @@ def constant_points(lam, gamma, bws):
 
 def test_fit_regressors_reproduces_constant_thresholds_everywhere():
     pts = constant_points((0.7, 0.85), (0.3, 0.5), [1e5, 3e5, 5e5, 7e5, 1e6])
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     assert regs[0].max_abs_error <= 1e-3
     for bw in np.geomspace(1e5, 1e6, 17):
         th = adapt(regs, bw)
@@ -261,7 +259,7 @@ def test_fit_regressors_five_point_training_error():
     pts = [PolicyPoint(bw, (0.5 + 0.08 * i, 0.9 - 0.05 * i),
                        (0.1 * i, 0.8 - 0.1 * i), 0.9, 0.01, True)
            for i, bw in enumerate(bws)]
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     assert regs[0].max_abs_error <= 0.05
 
 
@@ -270,7 +268,7 @@ def test_fit_regressors_midpoints_stay_near_neighbor_hull():
     pts = [PolicyPoint(bw, (0.5 + 0.1 * i, 0.4 + 0.08 * i),
                        (0.8 - 0.15 * i, 0.6 - 0.1 * i), 0.9, 0.01, True)
            for i, bw in enumerate(bws)]
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     for i in range(len(bws) - 1):
         mid = (bws[i] * bws[i + 1]) ** 0.5
         th = adapt(regs, mid)
@@ -287,7 +285,7 @@ def test_adapt_at_training_bandwidth_matches_recorded_optimum():
     bws = [1e5, 3e5, 5e5, 7e5, 1e6]
     pts = [PolicyPoint(bw, (0.5 + 0.08 * i, 0.6), (0.2, 0.1 * i), 0.9, 0.01, True)
            for i, bw in enumerate(bws)]
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     slack = max(regs[0].max_abs_error, 1e-6) + 1e-9
     for p in pts:
         th = adapt(regs, p.bandwidth)
@@ -297,30 +295,34 @@ def test_adapt_at_training_bandwidth_matches_recorded_optimum():
 
 def test_adapt_out_of_range_errors():
     pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 1e6])
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     with pytest.raises(ValueError, match="outside"):
         adapt(regs, 1e7)
     with pytest.raises(ValueError, match="outside"):
         adapt(regs, 5e4)
 
 
-def test_adapt_clamps_raw_outputs_into_threshold_ranges():
-    big = Mlp([np.zeros((1, 2))], [np.array([2.0, -1.0])], ["identity"])
-    reg = ThresholdRegressor(
-        interval=(1e5, 1e6), train_bandwidths=(1e5, 1e6),
-        lam_net=big, gamma_net=big, log_center=5.5,
-        num_classes=10, max_abs_error=0.0,
-    )
-    th = adapt([reg], 5e5)
-    assert th.lam == (1.0 - 1e-6, 0.1 + 1e-6)
-    assert th.gamma == (1.0, 0.0)
-    Thresholds(th.lam, th.gamma)  # still a valid threshold pair
+def test_regressor_with_out_of_range_thresholds_is_rejected(tmp_path):
+    good = ThresholdRegressor((1e5, 1e6), (1e5, 1e6), [[0.5, 0.5]] * 2, [[0.5, 0.5]] * 2, 0.0)
+    path = tmp_path / "regs.json"
+    save_regressors([good], path)
+    saved = json.loads(path.read_text())
+    for lam, gamma, message in (
+            ([[0.5, 0.5], [1.0, 0.5]], [[0.0, 0.0], [0.5, 1.0]], "lambda entries must lie in "),
+            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, -0.1], [0.5, 1.0]], "gamma entries must lie in "),
+            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [1.5, 1.0]], "gamma entries must lie in ")):
+        with pytest.raises(ValueError, match=message):
+            ThresholdRegressor((1e5, 1e6), (1e5, 1e6), lam, gamma, 0.0)
+        saved["regressors"][0].update({"lambda": lam, "gamma": gamma})
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=f"regressors\\[0\\]: {message}"):
+            load_regressors(path)
 
 
 def test_shared_endpoint_routes_to_lower_interval():
     low = constant_points((0.4, 0.4), (0.1, 0.1), [1e5, 5e5, 1e6])
     high = constant_points((0.8, 0.8), (0.9, 0.9), [2e6, 5e6, 1e7])
-    regs = fit_regressors(low + high, [(1e5, 1e6), (1e6, 1e7)], num_classes=10)
+    regs = fit_regressors(low + high, [(1e5, 1e6), (1e6, 1e7)])
     # 1e6 belongs to both intervals; the lower one must win
     th = adapt(regs, 1e6)
     assert th.lam == pytest.approx((0.4, 0.4), abs=1e-3)
@@ -330,7 +332,7 @@ def test_shared_endpoint_routes_to_lower_interval():
 def test_fit_regressors_rejects_sparse_intervals():
     pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 2e5])
     with pytest.raises(ValueError, match="training"):
-        fit_regressors(pts, [(1e5, 2e5), (3e5, 4e5)], num_classes=10)
+        fit_regressors(pts, [(1e5, 2e5), (3e5, 4e5)])
 
 
 def test_adapted_accuracy_stays_within_two_points_of_optimum():
@@ -345,8 +347,7 @@ def test_adapted_accuracy_stays_within_two_points_of_optimum():
     feasible = [p for p in points if p.feasible]
     if len(feasible) < 2:
         pytest.skip("not enough feasible points to fit a regressor")
-    regs = fit_regressors(feasible, [(1e5, 1e6)],
-                          num_classes=ts.topology.num_classes)
+    regs = fit_regressors(feasible, [(1e5, 1e6)])
     from dataclasses import replace as _replace
     for p in feasible:
         th = adapt(regs, p.bandwidth)
@@ -367,7 +368,7 @@ def test_policy_points_csv_round_trip(tmp_path):
 
 def test_regressor_bundle_round_trip(tmp_path):
     pts = constant_points((0.6, 0.7), (0.2, 0.3), [1e5, 3e5, 1e6])
-    regs = fit_regressors(pts, [(1e5, 1e6)], num_classes=10)
+    regs = fit_regressors(pts, [(1e5, 1e6)])
     path = tmp_path / "regs.json"
     save_regressors(regs, path)
     loaded = load_regressors(path)
@@ -377,62 +378,48 @@ def test_regressor_bundle_round_trip(tmp_path):
         assert adapt(loaded, bw) == adapt(regs, bw)
 
 
-def serial_regressors(points, intervals, num_classes, cfg, hidden):
-    """Each net trained alone through nncore.train: (lam_net, gamma_net, max_abs_error) per interval."""
-    out = []
-    for idx, (lo, hi) in enumerate(sorted(intervals)):
-        members = sorted((p for p in points if lo <= p.bandwidth <= hi), key=lambda p: p.bandwidth)
-        logb = np.log10([p.bandwidth for p in members])
-        x = (logb - np.mean(logb))[:, None]
-        targets = (np.array([p.lam for p in members]), np.array([p.gamma for p in members]))
-        nets = []
-        for k, t in enumerate(targets):
-            seed = cfg.seed + 2 * idx + k
-            net = Mlp.init([1, hidden, t.shape[1]], ["relu", "identity"], seed=seed)
-            net.weights[-1][:] = 0.0
-            net.biases[-1][:] = t.mean(axis=0)
-            nets.append(train(net, x, t, "mse", replace(cfg, seed=seed))[0])
-        lam_hat = np.clip(nets[0].forward(x), 1.0 / num_classes + LAMBDA_CLAMP_EPS,
-                          1.0 - LAMBDA_CLAMP_EPS)
-        gam_hat = np.clip(nets[1].forward(x), 0.0, 1.0)
-        err = max(float(np.max(np.abs(lam_hat - targets[0]))),
-                  float(np.max(np.abs(gam_hat - targets[1]))))
-        out.append((nets[0], nets[1], err))
-    return out
-
-
 @st.composite
-def regressor_problems(draw):
-    """Runs of 2-4 consecutive bandwidths per interval, so member counts differ
-    between intervals, with minibatches that can be smaller than an interval."""
-    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+def schedules(draw):
+    """Optima at 2-6 distinct bandwidths, each a valid row for 1-3 early exits."""
     n_early = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bws = np.geomspace(1e5, 1e8, sum(sizes)).tolist()
-    points = [PolicyPoint(bw, rng.uniform(0.15, 0.99, n_early), rng.uniform(0.0, 1.0, n_early),
-                          0.9, 0.01, True) for bw in bws]
-    ends = np.cumsum(sizes).tolist()
-    intervals = [(bws[end - size], bws[end - 1]) for size, end in zip(sizes, ends)]
-    epochs = draw(st.integers(1, 6))
-    cfg = TrainConfig(lr=draw(st.sampled_from([0.05, 0.3])), lr_end=1e-3,
-                      lr_end_epoch=draw(st.integers(1, epochs)), epochs=epochs,
-                      batch_size=draw(st.integers(1, 5)),
-                      weight_decay=draw(st.sampled_from([0.0, 1e-3, 0.05])),
-                      seed=draw(st.integers(0, 50)))
-    return points, intervals, cfg, draw(st.integers(1, 6))
+    steps = sorted(draw(st.lists(st.integers(0, 600), min_size=2, max_size=6, unique=True)))
+    row = lambda values: draw(st.lists(values, min_size=n_early, max_size=n_early))
+    lam = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return [PolicyPoint(10.0 ** (3 + step / 100), row(lam), row(st.floats(0.0, 1.0)),
+                        0.9, 0.01, True) for step in steps]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(problem=regressor_problems())
-def test_stacked_regressors_equal_serial_training_bit_for_bit(problem):
-    points, intervals, cfg, hidden = problem
-    regs = fit_regressors(points, intervals, num_classes=10, cfg=cfg, hidden=hidden)
-    expected = serial_regressors(points, intervals, 10, cfg, hidden)
-    assert len(regs) == len(expected)
-    for reg, (lam_net, gamma_net, err) in zip(regs, expected):
-        assert reg.max_abs_error == err
-        for got, want in ((reg.lam_net, lam_net), (reg.gamma_net, gamma_net)):
-            assert got.seed == want.seed
-            for p, q in zip(got.parameters(), want.parameters(), strict=True):
-                assert p.shape == q.shape
-                assert np.array_equal(p, q)
+@pytest.fixture(scope="module")
+def regs_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("schedules") / "regs.json"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points=schedules(), share=st.floats(0.0, 1.0))
+def test_schedule_keeps_its_rows_and_interpolates_between_neighbours(regs_path, points, share):
+    regs = fit_regressors(points, [(points[0].bandwidth, points[-1].bandwidth)])
+    assert regs[0].max_abs_error == 0.0
+    for p in points:
+        th = adapt(regs, p.bandwidth)
+        assert repr((th.lam, th.gamma)) == repr((p.lam, p.gamma))
+    for below, above in zip(points, points[1:]):
+        bw = below.bandwidth ** (1.0 - share) * above.bandwidth ** share
+        th = adapt(regs, min(max(bw, below.bandwidth), above.bandwidth))
+        for got, a, b in zip(th.lam + th.gamma, below.lam + below.gamma,
+                             above.lam + above.gamma):
+            assert min(a, b) <= got <= max(a, b)
+            assert got == pytest.approx(a + share * (b - a), abs=1e-9)  # linear in log10
+    save_regressors(regs, regs_path)
+    assert repr(load_regressors(regs_path)) == repr(regs)
+
+
+def test_points_sharing_a_bandwidth_give_their_mean_row():
+    pts = [PolicyPoint(1e5, (0.4,), (0.2,), 0.9, 0.01, True),
+           PolicyPoint(1e5, (0.6,), (0.4,), 0.9, 0.01, True),
+           PolicyPoint(1e6, (0.5,), (1.0,), 0.9, 0.01, True)]
+    (reg,) = fit_regressors(pts, [(1e5, 1e6)])
+    assert reg.train_bandwidths == (1e5, 1e6)
+    assert reg.lam == ((0.5,), (0.5,)) and reg.gamma == ((0.30000000000000004,), (1.0,))
+    assert reg.max_abs_error == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="has 1 training bandwidths"):
+        fit_regressors(pts[:2], [(1e5, 1e6)])

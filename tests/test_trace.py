@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim.cli import ADAPT_COLUMNS, emit_frontier, validate_artifact
+from exitsim.cli import emit_frontier, validate_artifact
 from exitsim.engine import AggregateReport
-from exitsim.nncore import Mlp
 from exitsim.optimizer import PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors
 from exitsim.trace import (
     ExitTopology,
@@ -22,7 +21,6 @@ from exitsim.trace import (
     load_trace_set,
     save_trace_set,
     split_trace_set,
-    table_text,
     trace_set_text,
 )
 from exitsim.zoo import load_dataset, save_dataset
@@ -487,9 +485,8 @@ def loadable_files(tmp_path_factory):
     points = [PolicyPoint(1e5, (0.2, 0.9), (0.0, 1.0), 0.8125, 0.0291, True),
               PolicyPoint(1e6, (0.5, 0.5), (0.25, 0.75), 0.85, 0.011, False)]
     report = AggregateReport(0.75, 12.5, 40.25, 0.0125, (0.5, 0.25, 0.25), True)
-    regressor = ThresholdRegressor(
-        (1e5, 1e6), (1e5, 1e6), Mlp.init([1, 2, 2], ["relu", "identity"], seed=1),
-        Mlp.init([1, 2, 2], ["relu", "identity"], seed=2), 5.5, 10, 0.0)
+    regressor = ThresholdRegressor((1e5, 1e6), (1e5, 1e6), ((0.5, 0.6), (0.7, 0.8)),
+                                   ((0.0, 0.25), (0.5, 1.0)), 0.0)
     save_regressors([regressor], base / "regressors.json")
     return {
         "trace": (base / "trace.jsonl", trace_set_text(ts).encode(), load_trace_set),
@@ -498,9 +495,6 @@ def loadable_files(tmp_path_factory):
         "frontier": (base / "frontier.csv", emit_frontier([
             ("plain", (0.5, 0.5), None, report, 0.0),
             ("predictor", (0.5, 0.5), (0.25, 0.5), report, 0.4)]).encode(), validate_artifact),
-        "adapt_table": (base / "adapt_table.csv", table_text(ADAPT_COLUMNS, [
-            [1e5, (0.5, 0.6), (0.0, 0.25), 0.75, 0.025, True],
-            [1e6, (0.5, 0.5), (0.5, 1.0), 0.875, 0.0125, False]]).encode(), validate_artifact),
         "regressors": (base / "regressors.json", (base / "regressors.json").read_bytes(),
                        validate_artifact),
     }
@@ -514,8 +508,7 @@ def _is_json_object(line: bytes) -> bool:
 
 
 @settings(max_examples=900, deadline=None, derandomize=True)
-@given(which=st.sampled_from(["trace", "dataset", "sweep", "frontier", "adapt_table",
-                              "regressors"]),
+@given(which=st.sampled_from(["trace", "dataset", "sweep", "frontier", "regressors"]),
        truncate=st.booleans(), data=st.data())
 def test_damaged_file_fails_only_with_trace_format_error(loadable_files, which, truncate,
                                                          data):
