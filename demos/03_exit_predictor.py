@@ -39,7 +39,7 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=700, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, _ = train(net, x_train, y_train, "weighted_ce",
+net, _ = train(net, x_train, y_train,
                TrainConfig(epochs=150, lr_end_epoch=140, weight_decay=5e-4, seed=7))
 train_traces = emit_traces(net, x_train, y_train, topology, seed=7)
 test_traces = emit_traces(net, x_test, y_test, topology, seed=8)

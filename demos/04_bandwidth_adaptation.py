@@ -33,7 +33,7 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=1000, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, _ = train(net, x_train, y_train, "weighted_ce", TrainConfig(weight_decay=5e-4, seed=7))
+net, _ = train(net, x_train, y_train, TrainConfig(weight_decay=5e-4, seed=7))
 train_traces = emit_traces(net, x_train, y_train, topology, seed=7)
 test_traces = emit_traces(net, x_test, y_test, topology, seed=8)
 fit_traces, _ = split_trace_set(train_traces, 0.2, seed=7)

@@ -4,13 +4,12 @@ from .engine import (
     AggregateReport,
     DecisionRecord,
     Environment,
-    latency_of,
     policy_stats,
     run_oracle,
     run_plain,
     run_with_predictor,
 )
-from .nncore import Mlp, TrainConfig, bce_loss, numeric_gradient_check, train, weighted_ce_loss
+from .nncore import Mlp, TrainConfig, numeric_gradient_check, train
 from .optimizer import (
     InfeasibleError,
     PolicyPoint,
@@ -59,12 +58,10 @@ __all__ = [
     "TraceSet",
     "TrainConfig",
     "adapt",
-    "bce_loss",
     "emit_traces",
     "fit_regressors",
     "generate_dataset",
     "grid_search",
-    "latency_of",
     "load_trace_set",
     "make_labels",
     "numeric_gradient_check",
@@ -79,5 +76,4 @@ __all__ = [
     "sweep_bandwidths",
     "train",
     "train_predictor",
-    "weighted_ce_loss",
 ]

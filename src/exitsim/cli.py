@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import engine, optimizer, predictor, trace, zoo
-from .nncore import Mlp, TrainConfig, train
+from .nncore import TrainConfig, train
 from .trace import as_int, as_real, atomic_write_text
 
 CONFIG_ENV_VAR = "EXITSIM_CONFIG"
@@ -305,7 +305,7 @@ def stage_train_ee(cfg: Config, x: np.ndarray, y: np.ndarray,
     net = zoo.ToyEarlyExitNet.build(
         x.shape[1], num_classes, cfg.topology.num_exits, trunk_widths=ee["trunk_widths"],
         final_hidden=ee["final_hidden"], weights=ee["exit_weights"], seed=cfg.seed)
-    return train(net, x, y, "weighted_ce", cfg.training["ee"])
+    return train(net, x, y, cfg.training["ee"])
 
 
 def stage_emit_traces(cfg: Config, net: zoo.ToyEarlyExitNet, x: np.ndarray, y: np.ndarray,
@@ -487,7 +487,6 @@ def check_summary(doc: Mapping) -> None:
 # Whole-file JSON documents, validated by loading them from the parsed
 # document: kind -> loader(path, doc).
 _JSON_LOADERS = {
-    "mlp": Mlp.load,
     "toy_early_exit": zoo.ToyEarlyExitNet.load,
     "exit_predictor": predictor.load_predictor,
     "threshold_regressors": optimizer.load_regressors,

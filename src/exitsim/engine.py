@@ -180,14 +180,6 @@ def _walk_latencies(ts: TraceSet, device: np.ndarray, transmitted: np.ndarray,
     return lat
 
 
-def latency_of(record: DecisionRecord, topology: ExitTopology, env: Environment) -> float:
-    """End-to-end seconds for one record: device compute plus transmission."""
-    lat = record.on_device_mflops * 1e6 / env.compute_speed
-    if record.transmitted:
-        lat += record.transmitted_bits / env.bandwidth
-    return lat
-
-
 def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
              computed: np.ndarray, transmitted: np.ndarray,
              latencies: np.ndarray) -> list[DecisionRecord]:

@@ -1,7 +1,10 @@
-"""Minimal dense network core: batched forward/backward, losses, plain SGD.
+"""Minimal dense network core: batched forward/backward, two losses, plain SGD.
 
-Big enough for a toy multi-exit classifier and a fully-connected skip
-predictor; deliberately nothing more.  Training is single-threaded and
+Two nets train, each under its own loss.  An ``Mlp`` (the skip predictor:
+relu hidden layers, a sigmoid head) trains under binary cross entropy.
+``zoo.ToyEarlyExitNet`` trains under the weighted softmax cross entropy of
+its exits, from ``softmax_ce_parts``; its softmax heads are ``Mlp`` layers
+that backprop from their logits.  Training is single-threaded and
 bit-reproducible for a fixed seed.  ``train`` is the one epoch loop.
 
 Each loss piece is computed once per step.  A softmax-CE head takes its
@@ -14,17 +17,15 @@ value and gradient has the bits of the straightforward form.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trace import as_int, as_real, atomic_write_text, load_checkpoint
+from .trace import as_int, as_real
 
-ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
+ACTIVATIONS = ("relu", "sigmoid", "softmax")
 
 # Scores are clamped before the BCE logs; saturated sigmoids would
 # otherwise produce infinities.
@@ -75,8 +76,6 @@ def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
         return sigmoid(z)
     if act == "softmax":
         return softmax(z)
-    if act == "identity":
-        return z
     raise ValueError(f"unknown activation {act!r}")
 
 
@@ -85,11 +84,8 @@ def _act_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.
         return da * (z > 0)
     if act == "sigmoid":
         return da * a * (1.0 - a)
-    if act == "softmax":
-        return a * (da - (da * a).sum(axis=-1, keepdims=True))
-    if act == "identity":
-        return da
-    raise ValueError(f"unknown activation {act!r}")
+    # A softmax layer is only ever a head, and a head backprops from its logits.
+    raise ValueError(f"no backward through a {act!r} layer")
 
 
 class Mlp:
@@ -201,52 +197,37 @@ class Mlp:
             grads[2 * i + 1] = dz.sum(axis=0)
             da = dz @ self.weights[i].T
             if i > 0:
-                # acts[i] is layer i-1's output, which sigmoid and softmax read.
+                # acts[i] is layer i-1's output, which sigmoid reads.
                 dz = _act_backward(da, pres[i - 1], acts[i], self.activations[i - 1])
         return da, grads
 
-    # -- losses on this net ------------------------------------------------
+    # -- the BCE loss on this net --------------------------------------------
 
-    def _loss_parts(self, x, target, loss: str, want_grads: bool):
-        """The loss and, with ``want_grads``, its gradients (else None).
-
-        The value path keeps no caches; softmax_ce stops at the logits.
+    def _loss_parts(self, x, target, want_grads: bool):
+        """The BCE of the sigmoid head's output against ``target`` (reshaped
+        to the output's shape) and, with ``want_grads``, its gradients
+        (else None).  The value path keeps no caches.
         """
+        if self.activations[-1] != "sigmoid":
+            raise ValueError("BCE expects a sigmoid head")
         x2, _ = self._promote(x)
-        if loss == "softmax_ce":
-            if self.activations[-1] not in ("softmax", "identity"):
-                raise ValueError("softmax_ce expects a softmax or identity head")
-            labels = class_labels(target, x2.shape[0], self.out_dim)
-            if not want_grads:
-                return float(np.mean(softmax_ce_parts(self._logits(x2), labels)[0])), None
-            pres, acts = self._forward_full(x2, last=False)
-            losses, dlogits = softmax_ce_parts(pres[-1], labels, want_grad=True)
-            _, grads = self._backward(pres, acts, dlogits=dlogits / len(labels))
-            return float(np.mean(losses)), grads
-        if loss not in ("bce", "mse"):
-            raise ValueError(f"unknown loss tag {loss!r} for Mlp")
         if want_grads:
             pres, acts = self._forward_full(x2)
             out = acts[-1]
         else:
             out = self._output(x2)
         y = np.asarray(target, dtype=np.float64).reshape(out.shape)
-        if loss == "bce":
-            value, dout = bce_parts(out, y, want_grads)
-        else:
-            diff = out - y
-            value = float(np.mean(diff * diff))
-            dout = 2.0 * diff / diff.size if want_grads else None
+        value, dout = bce_parts(out, y, want_grads)
         if not want_grads:
             return value, None
         _, grads = self._backward(pres, acts, dout=dout)
         return value, grads
 
-    def loss_value(self, x, target, loss: str) -> float:
-        return self._loss_parts(x, target, loss, want_grads=False)[0]
+    def loss_value(self, x, target) -> float:
+        return self._loss_parts(x, target, want_grads=False)[0]
 
-    def loss_and_grads(self, x, target, loss: str):
-        return self._loss_parts(x, target, loss, want_grads=True)
+    def loss_and_grads(self, x, target):
+        return self._loss_parts(x, target, want_grads=True)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -273,31 +254,15 @@ class Mlp:
             biases.append(np.array(layer["b"], dtype=np.float64))
         return cls(weights, biases, d["activations"], seed=d.get("seed", 0))
 
-    def save(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, json.dumps({"kind": "mlp", **self.to_dict()}) + "\n")
-
-    @classmethod
-    def load(cls, path: str | os.PathLike, doc: dict | None = None) -> "Mlp":
-        """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
-        return load_checkpoint(path, "mlp", cls.from_dict, doc)
-
 
 # -- loss functions ---------------------------------------------------------
 
 
-def bce_loss(scores, targets) -> float:
-    """Binary cross entropy, averaged over all elements, clamped logs."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError(f"scores shape {s.shape} != targets shape {y.shape}")
-    return bce_parts(s, y, want_grad=False)[0]
-
-
 def bce_parts(scores: np.ndarray, targets: np.ndarray, want_grad: bool):
-    """``bce_loss`` of same-shaped arrays and, with ``want_grad``, its
-    gradient in the scores, zero where the clamp is active (else None).
-    The value and the gradient share one clamp."""
+    """Binary cross entropy of same-shaped arrays, averaged over all
+    elements with clamped logs, and, with ``want_grad``, its gradient in the
+    scores, zero where the clamp is active (else None).  The value and the
+    gradient share one clamp."""
     sc = np.clip(scores, BCE_CLAMP, 1.0 - BCE_CLAMP)
     value = float(np.mean(-(targets * np.log(sc) + (1.0 - targets) * np.log(1.0 - sc))))
     if not want_grad:
@@ -342,22 +307,6 @@ def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = F
     dlogits, lse = _softmax_lse(logits)
     dlogits[rows, labels] -= 1.0
     return lse - picked, dlogits
-
-
-def weighted_ce_loss(per_exit_logits: Sequence, label: int, weights: Sequence[float]) -> float:
-    """Sum over exits of weight * crossentropy(softmax(logits), onehot(label))."""
-    if len(per_exit_logits) != len(weights):
-        raise ValueError(
-            f"{len(per_exit_logits)} exit outputs but {len(weights)} weights"
-        )
-    total = 0.0
-    for z, w in zip(per_exit_logits, weights):
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim != 1:
-            raise ValueError("per-exit logits must be vectors")
-        (k,) = class_labels(label, 1, z.shape[0])
-        total += w * float(_logsumexp(z[None, :])[0] - z[k])
-    return total
 
 
 # -- training ----------------------------------------------------------------
@@ -410,9 +359,10 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr_end + 0.5 * span * (1.0 + math.cos(math.pi * epoch / cfg.lr_end_epoch))
 
 
-def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
+def sgd_epoch(model, inputs, targets, cfg: TrainConfig, lr: float,
               rng: np.random.Generator) -> None:
-    """One shuffled pass of minibatch SGD over the dataset, in place.
+    """One shuffled pass of minibatch SGD over the dataset, in place, under
+    the model's own loss.
 
     ``rng`` shuffles the rows, and a minibatch is the next ``batch_size`` of
     them.  A non-finite minibatch loss raises FloatingPointError.
@@ -420,7 +370,7 @@ def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
     perm = rng.permutation(inputs.shape[0])
     for start in range(0, len(perm), cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
-        batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx], loss)
+        batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx])
         if not np.isfinite(batch_loss):
             raise FloatingPointError("non-finite minibatch loss")
         for p, g in zip(model.parameters(), grads):
@@ -431,12 +381,12 @@ def sgd_epoch(model, inputs, targets, loss: str, cfg: TrainConfig, lr: float,
             p -= g
 
 
-def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfig()):
+def train(net, inputs, targets, cfg: TrainConfig = TrainConfig()):
     """Train the net in place; returns it plus the post-epoch full-set loss curve.
 
     The one epoch loop: ``net`` is anything exposing parameters() /
-    loss_value() / loss_and_grads(), an Mlp under "bce", "softmax_ce" or
-    "mse", or a ToyEarlyExitNet under "weighted_ce".  Rows are shuffled by
+    loss_value() / loss_and_grads() over its own loss, an Mlp under BCE or
+    a ToyEarlyExitNet under its weighted softmax CE.  Rows are shuffled by
     one generator seeded ``cfg.seed``.  Only a non-finite loss reads
     ``training diverged at epoch N``.
     """
@@ -447,23 +397,23 @@ def train(net, inputs, targets, loss: str = "bce", cfg: TrainConfig = TrainConfi
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
     rng = np.random.default_rng(cfg.seed)
-    # The loss at the starting parameters checks the loss tag, the target
-    # shape and every label before any parameter moves.
-    net.loss_value(x, t, loss)
+    # The loss at the starting parameters checks the head, the target shape
+    # and every label before any parameter moves.
+    net.loss_value(x, t)
     curve: list[float] = []
     for epoch in range(cfg.epochs):
         try:
-            sgd_epoch(net, x, t, loss, cfg, lr_at(cfg, epoch), rng)
+            sgd_epoch(net, x, t, cfg, lr_at(cfg, epoch), rng)
         except FloatingPointError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-        full = net.loss_value(x, t, loss)
+        full = net.loss_value(x, t)
         if not np.isfinite(full):
             raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
         curve.append(full)
     return net, curve
 
 
-def numeric_gradient_check(model, x, target, loss: str, step: float = 1e-4) -> float:
+def numeric_gradient_check(model, x, target, step: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Works on anything exposing parameters() / loss_value() / loss_and_grads()
@@ -473,15 +423,15 @@ def numeric_gradient_check(model, x, target, loss: str, step: float = 1e-4) -> f
     total = sum(p.size for p in params)
     if total >= 10_000:
         raise ValueError(f"gradient check is for small nets (< 1e4 params), got {total}")
-    _, grads = model.loss_and_grads(x, target, loss)
+    _, grads = model.loss_and_grads(x, target)
     worst = 0.0
     for p, g in zip(params, grads):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + step
-            lp = model.loss_value(x, target, loss)
+            lp = model.loss_value(x, target)
             p[idx] = orig - step
-            lm = model.loss_value(x, target, loss)
+            lm = model.loss_value(x, target)
             p[idx] = orig
             num = (lp - lm) / (2.0 * step)
             ana = float(g[idx])

@@ -61,7 +61,7 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
     x = ts.features
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
-    net, curve = train(net, x, targets, "bce", cfg)
+    net, curve = train(net, x, targets, cfg)
     return ExitPredictor(net=net, lam=lam, predictor_flops=ts.topology.predictor_flops), curve
 
 

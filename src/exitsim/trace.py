@@ -248,17 +248,6 @@ class SampleTrace:
         if len(self.confidences) < 2:
             raise ValueError(f"sample {self.id}: needs at least 2 exits")
 
-    def record_dict(self) -> dict:
-        rec = {
-            "id": self.id,
-            "label": self.label,
-            "confidences": list(self.confidences),
-            "predicted": list(self.predicted),
-        }
-        if self.features is not None:
-            rec["features"] = list(self.features)
-        return rec
-
 
 def _trusted_sample(id, label, confidences, predicted, features) -> SampleTrace:
     """A SampleTrace of values a checked TraceSet holds, built without re-checking."""

@@ -227,14 +227,10 @@ class ToyEarlyExitNet:
                 da = dx + exit_dx[i - 1]
         return value, trunk_grads + exit_grads
 
-    def loss_value(self, x, labels, loss: str = "weighted_ce") -> float:
-        if loss != "weighted_ce":
-            raise ValueError(f"toy net only supports weighted_ce, got {loss!r}")
+    def loss_value(self, x, labels) -> float:
         return self._joint_parts(x, labels, want_grads=False)[0]
 
-    def loss_and_grads(self, x, labels, loss: str = "weighted_ce"):
-        if loss != "weighted_ce":
-            raise ValueError(f"toy net only supports weighted_ce, got {loss!r}")
+    def loss_and_grads(self, x, labels):
         return self._joint_parts(x, labels, want_grads=True)
 
     def to_dict(self) -> dict:

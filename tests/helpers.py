@@ -82,6 +82,15 @@ def literal_oracle_walk(conf, lam, topo):
     return taken, device, computed, taken == n_early + 1
 
 
+def latency_of(record, topology, env):
+    """End-to-end seconds for one DecisionRecord: device compute plus
+    transmission of the bits the record carries."""
+    lat = record.on_device_mflops * 1e6 / env.compute_speed
+    if record.transmitted:
+        lat += record.transmitted_bits / env.bandwidth
+    return lat
+
+
 def literal_latency(device_mflops, transmitted, topo, env):
     lat = device_mflops * 1e6 / env.compute_speed
     if transmitted:
@@ -191,17 +200,12 @@ def ref_sigmoid(z):
 
 def ref_apply_act(z, act):
     return {"relu": lambda: np.maximum(z, 0.0), "sigmoid": lambda: ref_sigmoid(z),
-            "softmax": lambda: ref_softmax(z), "identity": lambda: z}[act]()
+            "softmax": lambda: ref_softmax(z)}[act]()
 
 
 def ref_act_backward(da, z, a, act):
-    if act == "relu":
-        return da * (z > 0)
-    if act == "sigmoid":
-        return da * a * (1.0 - a)
-    if act == "softmax":
-        return a * (da - (da * a).sum(axis=-1, keepdims=True))
-    return da
+    """Backward through a relu or sigmoid layer; softmax heads start at the logits."""
+    return {"relu": lambda: da * (z > 0), "sigmoid": lambda: da * a * (1.0 - a)}[act]()
 
 
 def ref_forward_full(weights, biases, activations, x):
@@ -239,35 +243,24 @@ def ref_softmax_ce_parts(logits, labels):
     return losses, dlogits
 
 
-def ref_mlp_loss(net, x, target, loss):
-    """(value, grads) of an Mlp under "bce", "softmax_ce" or "mse"."""
+def ref_mlp_loss(net, x, target):
+    """(value, grads) of an Mlp under BCE."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     pres, acts = ref_forward_full(net.weights, net.biases, net.activations, x2)
     out = acts[-1]
-    if loss == "softmax_ce":
-        labels = np.asarray(target, dtype=np.int64).reshape(x2.shape[0])
-        losses, dlogits = ref_softmax_ce_parts(pres[-1], labels)
-        _, grads = ref_backward(net.weights, net.activations, pres, acts,
-                                dlogits=dlogits / len(labels))
-        return float(np.mean(losses)), grads
     y = np.asarray(target, dtype=np.float64).reshape(out.shape)
-    if loss == "bce":
-        sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
-        value = float(np.mean(-(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc))))
-        sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
-        grad = (sc - y) / (sc * (1.0 - sc)) / out.size
-        inside = (out > REF_BCE_CLAMP) & (out < 1.0 - REF_BCE_CLAMP)
-        dout = np.where(inside, grad, 0.0)
-    else:
-        diff = out - y
-        value = float(np.mean(diff * diff))
-        dout = 2.0 * diff / diff.size
+    sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
+    value = float(np.mean(-(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc))))
+    sc = np.clip(out, REF_BCE_CLAMP, 1.0 - REF_BCE_CLAMP)
+    grad = (sc - y) / (sc * (1.0 - sc)) / out.size
+    inside = (out > REF_BCE_CLAMP) & (out < 1.0 - REF_BCE_CLAMP)
+    dout = np.where(inside, grad, 0.0)
     _, grads = ref_backward(net.weights, net.activations, pres, acts, dout=dout)
     return value, grads
 
 
 def ref_toy_loss(net, x, labels):
-    """(value, grads) of a ToyEarlyExitNet under "weighted_ce"."""
+    """(value, grads) of a ToyEarlyExitNet under its weighted softmax CE."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).reshape(x2.shape[0])
     batch, w = x2.shape[0], net.weights

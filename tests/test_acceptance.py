@@ -62,7 +62,7 @@ def toy_pipeline():
     x_train, y_train = generate_dataset(ring_spec(2000, seed=7))
     x_test, y_test = generate_dataset(ring_spec(1000, seed=8))
     net = ToyEarlyExitNet.build(8, 10, seed=7)
-    net, _ = train(net, x_train, y_train, "weighted_ce", TrainConfig(weight_decay=5e-4, seed=7))
+    net, _ = train(net, x_train, y_train, TrainConfig(weight_decay=5e-4, seed=7))
     train_ts = emit_traces(net, x_train, y_train, VGG_TOPOLOGY, seed=7)
     test_ts = emit_traces(net, x_test, y_test, VGG_TOPOLOGY, seed=8)
     fit_ts, select_ts = split_trace_set(train_ts, 0.2, seed=7)
@@ -144,14 +144,14 @@ def test_criterion_3_gradient_correctness():
         rng = np.random.default_rng(1000 + seed)
         x = rng.normal(size=5)
         y = rng.integers(0, 2, 3).astype(float)
-        worst = max(worst, numeric_gradient_check(net, x, y, "bce"))
+        worst = max(worst, numeric_gradient_check(net, x, y))
     for seed in range(25):
         net = ToyEarlyExitNet.build(4, 3, trunk_widths=(6, 5), final_hidden=5,
                                     weights=(0.2, 0.3, 0.5), seed=seed)
         rng = np.random.default_rng(2000 + seed)
         x = rng.normal(size=4)
         label = int(rng.integers(0, 3))
-        worst = max(worst, numeric_gradient_check(net, x, label, "weighted_ce"))
+        worst = max(worst, numeric_gradient_check(net, x, label))
     elapsed = time.monotonic() - start
     ok = worst < 1e-5 and elapsed < 60.0
     criterion(3, ok, (

@@ -239,6 +239,13 @@ def _drop_last_weight(doc):
     doc["net"]["layers"][-1]["w"] = doc["net"]["layers"][-1]["w"][:-1]
 
 
+def _as_mlp_checkpoint(doc):
+    """The predictor's net as a bare ``"mlp"`` document, a kind no longer written."""
+    net = doc.pop("net")
+    doc.clear()
+    doc.update(kind="mlp", **net)
+
+
 @pytest.mark.parametrize("name, corrupt, where", [
     ("sweep.csv", _set_field(2, "lambda_1", "1.5"), r"line 2: lambda_1: lambda entries "),
     ("sweep.csv", _set_field(3, "accuracy", "nan"), r"line 3: accuracy: 'nan' outside"),
@@ -272,6 +279,9 @@ def _drop_last_weight(doc):
      r"at least 2 values "),
     ("ep.json", _edit_json(_drop_last_weight),
      r"malformed 'exit_predictor' document: cannot reshape "),
+    ("ep.json", _edit_json(lambda d: d["net"]["activations"].__setitem__(0, "identity")),
+     r"malformed 'exit_predictor' document: layer 0: unknown activation 'identity'$"),
+    ("ep.json", _edit_json(_as_mlp_checkpoint), r"unrecognized JSON artifact kind 'mlp'$"),
     ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
      r"malformed 'thresholds' document: gamma entries must lie in \[0, 1\]"),
     ("summary.json", _edit_json(lambda d: d.update(lambda_star=[7])),
@@ -301,7 +311,7 @@ def _drop_last_weight(doc):
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
         "regressors-interval", "regressors-unsorted", "regressors-repeated",
         "regressors-row-count", "regressors-lambda-range", "regressors-one-point",
-        "ep-short-weights", "thresholds-gamma",
+        "ep-short-weights", "ep-identity", "ep-as-mlp", "thresholds-gamma",
         "summary-lambda", "summary-accuracy", "summary-sweep-string", "summary-sweep-int",
         "summary-seed", "summary-nan-loss", "summary-no-oracle", "summary-short-shares",
         "summary-negative-latency", "summary-budget-int", "summary-regressor-bool"])
@@ -389,34 +399,48 @@ def _json_input_argv(demo, verb: str, bad: str, out: str, config: str) -> list[s
 _GOOD_INPUT = {"emit-traces": "ee.json", "gen-data": "config.json"}
 
 
-def _damaged(good: bytes, how: str) -> tuple[bytes, int]:
-    """``good`` damaged ``how``, and the line the damage is on."""
+def _damaged(good: bytes, how: str) -> tuple[bytes, str]:
+    """``good`` damaged ``how``, and where the error message places the
+    damage: the line, or for a net naming the removed ``identity``
+    activation, the document kind and the layer."""
     if how == "non-utf8":
         pos = good.index(b"\n") + 3
-        return good[:pos] + b"\xff" + good[pos:], 2
+        return good[:pos] + b"\xff" + good[pos:], "line 2: "
     if how == "non-json":
-        return b'{\n"kind": oops\n}\n', 2
+        return b'{\n"kind": oops\n}\n', "line 2: "
+    if how == "identity":
+        doc = json.loads(good)
+        (doc["net"] if "net" in doc else doc["trunk"][0])["activations"][0] = "identity"
+        return json.dumps(doc, indent=1).encode(), (
+            f"malformed {doc['kind']!r} document: layer 0: unknown activation 'identity'")
     cut = good[:len(good) // 2]
-    return cut, cut.count(b"\n") + 1
+    lineno = cut.count(b"\n") + 1
+    return cut, f"line {lineno}: "
 
 
-@pytest.mark.parametrize("how", ["non-utf8", "non-json", "truncated"])
-@pytest.mark.parametrize("verb", ["select-gamma", "optimize", "sweep", "evaluate", "fit-adapt",
-                                  "emit-traces", "gen-data"])
+_VERBS = ["select-gamma", "optimize", "sweep", "evaluate", "fit-adapt", "emit-traces", "gen-data"]
+
+
+# Every verb reads a net but gen-data, whose JSON input is the config.
+@pytest.mark.parametrize("verb, how", [
+    (verb, how) for verb in _VERBS for how in ("non-utf8", "non-json", "truncated")
+] + [(verb, "identity") for verb in _VERBS if verb != "gen-data"])
 def test_every_verb_names_the_path_and_line_of_a_bad_json_input(small_demo, small_config_path,
                                                                 tmp_path, capsys, verb, how):
     demo = small_demo[0]
     good = json.dumps(json.loads((demo / _GOOD_INPUT.get(verb, "ep.json")).read_text()),
                       indent=1).encode()
     bad = tmp_path / "input.json"
-    damaged, lineno = _damaged(good, how)
+    damaged, where = _damaged(good, how)
     bad.write_bytes(damaged)
     argv = _json_input_argv(demo, verb, str(bad), str(tmp_path / "out"), small_config_path)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    message = json.loads(captured.err)["message"]
-    assert message.startswith(f"{bad}: line {lineno}: "), message
+    err = json.loads(captured.err)
+    assert err["message"].startswith(f"{bad}: {where}"), err["message"]
+    if how == "identity":
+        assert err["error"] == "ValueError"
     assert list(tmp_path.iterdir()) == [bad]
 
 
@@ -505,7 +529,7 @@ def test_validate_rejects_garbage(tmp_path):
     ({"kind": "thresholds", "lambda": [0.5, 0.6]}, "gamma"),
     ({"kind": "thresholds", "gamma": [0.5, 0.6]}, "lambda"),
     ({"kind": "exit_predictor", "lambda": [0.5]}, "net"),
-    ({"kind": "mlp"}, "sizes"),
+    ({"kind": "exit_predictor", "lambda": [0.5], "predictor_flops": 0.4, "net": {}}, "sizes"),
     ({"kind": "toy_early_exit"}, "trunk"),
     ({"kind": "summary"}, "seed"),
 ])
@@ -528,7 +552,7 @@ def test_validate_names_path_of_malformed_regressor_bundle(tmp_path, capsys):
 
 def test_validate_truncated_json_names_the_path(tmp_path):
     cut = tmp_path / "cut.json"
-    cut.write_text('{\n"kind": "mlp",\n')
+    cut.write_text('{\n"kind": "exit_predictor",\n')
     with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: line 3: "):
         validate_artifact(str(cut))
     proc = run_cli("validate", str(cut))

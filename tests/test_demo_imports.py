@@ -1,13 +1,18 @@
 """The demos and the benchmark use only names the package still has (checked
-without running them), and the run results the benchmark reads keep their
-shape (checked by running them on a small set)."""
+without running them), each demo script runs to the end, and the run results
+the benchmark reads keep their shape (checked by running them on a small
+set)."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import exitsim
 from exitsim import (Environment, ExitPredictor, Mlp, Thresholds, run_oracle, run_plain,
@@ -35,6 +40,16 @@ def test_every_name_a_demo_imports_from_exitsim_exists():
                     if alias.name.split(".")[0] == "exitsim":
                         importlib.import_module(alias.name)
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_every_demo_script_runs(demo, tmp_path):
+    # A name check passes a call with a stale signature; running the script does not.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def _program_chains(tree: ast.AST) -> set[tuple[str, ...]]:

@@ -9,7 +9,6 @@ from exitsim.engine import (
     AggregateReport,
     Environment,
     PolicyTable,
-    latency_of,
     policy_stats,
     run_oracle,
     run_plain,
@@ -21,6 +20,7 @@ from exitsim.trace import SampleTrace, Thresholds, TraceSet
 from helpers import (
     VGG_TOPOLOGY,
     golden_fraction_traces,
+    latency_of,
     literal_latency,
     literal_oracle_walk,
     literal_plain_walk,

@@ -19,9 +19,9 @@ from helpers import ref_mlp_loss, ref_toy_loss, ref_train
 PARITY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def assert_same_bits(model, x, target, loss, reference):
-    value = model.loss_value(x, target, loss)
-    grad_value, grads = model.loss_and_grads(x, target, loss)
+def assert_same_bits(model, x, target, reference):
+    value = model.loss_value(x, target)
+    grad_value, grads = model.loss_and_grads(x, target)
     ref_value, ref_grads = reference
     assert np.array_equal(value, grad_value) and np.array_equal(value, ref_value)
     assert len(grads) == len(ref_grads) == len(model.parameters())
@@ -45,29 +45,19 @@ def test_toy_net_loss_matches_reference_bits(num_exits, classes, rows, in_dim, w
                                 weights=weights, seed=seed % 50)
     x = rng.normal(scale=3.0, size=(rows, in_dim))
     y = rng.integers(0, classes, rows)
-    assert_same_bits(net, x, y, "weighted_ce", ref_toy_loss(net, x, y))
+    assert_same_bits(net, x, y, ref_toy_loss(net, x, y))
 
 
 @PARITY
-@given(loss=st.sampled_from(["bce", "softmax_ce", "mse"]), rows=st.integers(1, 50),
-       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+@given(rows=st.integers(1, 50), sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
        hidden=st.sampled_from(["relu", "sigmoid"]), scale=st.sampled_from([0.5, 3.0, 40.0]),
        seed=st.integers(0, 2 ** 16))
-def test_mlp_loss_matches_reference_bits(loss, rows, sizes, hidden, scale, seed):
+def test_mlp_loss_matches_reference_bits(rows, sizes, hidden, scale, seed):
     rng = np.random.default_rng(seed)
-    out_act = {"bce": "sigmoid", "softmax_ce": ["softmax", "identity"][seed % 2],
-               "mse": ["identity", "sigmoid", "relu"][seed % 3]}[loss]
-    if loss == "softmax_ce":
-        sizes = [*sizes[:-1], max(sizes[-1], 2)]
-    net = Mlp.init(sizes, [hidden] * (len(sizes) - 2) + [out_act], seed=seed)
+    net = Mlp.init(sizes, [hidden] * (len(sizes) - 2) + ["sigmoid"], seed=seed)
     x = rng.normal(scale=scale, size=(rows, sizes[0]))
-    if loss == "softmax_ce":
-        target = rng.integers(0, sizes[-1], rows)
-    elif loss == "bce":
-        target = rng.integers(0, 2, (rows, sizes[-1])).astype(float)
-    else:
-        target = rng.normal(size=(rows, sizes[-1]))
-    assert_same_bits(net, x, target, loss, ref_mlp_loss(net, x, target, loss))
+    target = rng.integers(0, 2, (rows, sizes[-1])).astype(float)
+    assert_same_bits(net, x, target, ref_mlp_loss(net, x, target))
 
 
 @pytest.mark.parametrize("kind", ["toy", "mlp"])
@@ -79,17 +69,14 @@ def test_train_matches_the_reference_loop_bit_for_bit(kind):
         def build():
             return ToyEarlyExitNet.build(3, 4, trunk_widths=(6, 5), final_hidden=5, seed=2)
         x, y = rng.normal(size=(30, 3)), rng.integers(0, 4, 30)
-        loss, ref_loss = "weighted_ce", ref_toy_loss
+        ref_loss = ref_toy_loss
     else:
         def build():
-            return Mlp.init([3, 6, 4], ["relu", "softmax"], seed=2)
-        x, y = rng.normal(size=(30, 3)), rng.integers(0, 4, 30)
-        loss = "softmax_ce"
-
-        def ref_loss(net, xb, yb):
-            return ref_mlp_loss(net, xb, yb, "softmax_ce")
+            return Mlp.init([3, 6, 4], ["relu", "sigmoid"], seed=2)
+        x, y = rng.normal(size=(30, 3)), rng.integers(0, 2, (30, 4)).astype(float)
+        ref_loss = ref_mlp_loss
     model, ref_model = build(), build()
-    _, curve = train(model, x, y, loss, cfg)
+    _, curve = train(model, x, y, cfg)
     ref_curve = ref_train(ref_model, x, y, cfg, ref_loss)
     assert len(curve) == len(ref_curve) == cfg.epochs
     assert all(np.array_equal(a, b) for a, b in zip(curve, ref_curve))

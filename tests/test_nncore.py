@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,14 +10,36 @@ from exitsim.nncore import (
     BCE_CLAMP,
     Mlp,
     TrainConfig,
-    bce_loss,
+    bce_parts,
     lr_at,
     numeric_gradient_check,
     sigmoid,
     softmax,
     train,
-    weighted_ce_loss,
 )
+from exitsim.zoo import ToyEarlyExitNet
+
+
+def bce(scores, targets) -> float:
+    return bce_parts(np.asarray(scores, dtype=np.float64),
+                     np.asarray(targets, dtype=np.float64), want_grad=False)[0]
+
+
+def sigmoid_net(in_dim: int, out_dim: int) -> Mlp:
+    """A one-layer sigmoid net with zero weights and biases: it outputs 0.5."""
+    return Mlp([np.zeros((in_dim, out_dim))], [np.zeros(out_dim)], ["sigmoid"])
+
+
+def same_logit_toy_net(w, b, weights) -> ToyEarlyExitNet:
+    """A toy net whose every exit computes the logits ``x @ w + b`` of a
+    nonnegative ``x``: each trunk segment and the final head's hidden layer
+    are identity matrices under relu."""
+    d = w.shape[0]
+    eye = Mlp([np.eye(d)], [np.zeros(d)], ["relu"])
+    head = Mlp([w], [b], ["softmax"])
+    final = Mlp([np.eye(d), w], [np.zeros(d), b], ["relu", "softmax"])
+    return ToyEarlyExitNet([eye] * (len(weights) - 1), [head] * (len(weights) - 1), final,
+                           weights)
 
 
 def test_forward_zero_net_sigmoid_is_half():
@@ -25,19 +48,13 @@ def test_forward_zero_net_sigmoid_is_half():
         assert np.all(net.forward(x) == 0.5)
 
 
-def test_forward_identity_net_passes_input_through():
-    net = Mlp([np.eye(5)], [np.zeros(5)], ["identity"])
-    x = np.array([1.0, -2.0, 3.5, 0.0, 7.0])
-    assert np.array_equal(net.forward(x), x)
-
-
 def test_forward_matches_straight_line_hand_computation():
-    net = Mlp.init([6, 4, 3], ["relu", "identity"], seed=123)
+    net = Mlp.init([6, 4, 3], ["relu", "sigmoid"], seed=123)
     rng = np.random.default_rng(9)
     x = rng.normal(size=6)
     w1, w2 = net.weights
     b1, b2 = net.biases
-    expected = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    expected = 1.0 / (1.0 + np.exp(-(np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)))
     assert np.allclose(net.forward(x), expected, rtol=0, atol=1e-15)
 
 
@@ -51,18 +68,21 @@ def test_forward_batched_matches_per_sample():
 
 
 def test_forward_dimension_mismatch():
-    net = Mlp.init([4, 2], ["identity"], seed=0)
+    net = Mlp.init([4, 2], ["sigmoid"], seed=0)
     with pytest.raises(ValueError, match="dimension"):
         net.forward(np.zeros(5))
 
 
 def test_bce_symmetric_point_is_ln2():
-    assert bce_loss([0.5, 0.5], [1.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
+    assert bce([0.5, 0.5], [1.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
+    net = sigmoid_net(3, 2)
+    assert net.loss_value(np.ones((4, 3)), np.tile([1.0, 0.0], (4, 1))) == pytest.approx(
+        math.log(2), abs=1e-12)
 
 
 def test_bce_perfect_fit_bounded_by_clamp():
     targets = np.array([1.0, 0.0, 1.0, 1.0])
-    loss = bce_loss(targets, targets)
+    loss = bce(targets, targets)
     assert 0.0 <= loss <= -math.log(1.0 - BCE_CLAMP) + 1e-15
 
 
@@ -74,48 +94,52 @@ def test_bce_matches_scalar_loop_oracle():
     for s, y in zip(scores, targets):
         s = min(max(s, BCE_CLAMP), 1.0 - BCE_CLAMP)
         total += -(y * math.log(s) + (1.0 - y) * math.log(1.0 - s))
-    assert bce_loss(scores, targets) == pytest.approx(total / 8, abs=1e-12)
+    assert bce(scores, targets) == pytest.approx(total / 8, abs=1e-12)
+    net = sigmoid_net(1, 8)
+    net.biases[0][:] = np.log(scores / (1.0 - scores))  # sigmoid(bias) == scores
+    assert net.loss_value(np.zeros((1, 1)), targets) == pytest.approx(total / 8, abs=1e-12)
 
 
 def test_bce_length_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        bce_loss([0.5, 0.5], [1.0])
+    with pytest.raises(ValueError, match="reshape"):
+        sigmoid_net(3, 2).loss_value(np.ones((1, 3)), [1.0])
 
 
 def test_weighted_ce_uniform_logits_is_ln_p():
     for p in (3, 10):
-        logits = [np.zeros(p)] * 3
-        loss = weighted_ce_loss(logits, 1, [0.2, 0.3, 0.5])
+        net = same_logit_toy_net(np.zeros((2, p)), np.zeros(p), (0.2, 0.3, 0.5))
+        loss = net.loss_value(np.ones((1, 2)), [1])
         assert loss == pytest.approx(math.log(p), abs=1e-12)
 
 
 def test_weighted_ce_default_weights_sum_to_plain_ce():
     rng = np.random.default_rng(1)
-    z = rng.normal(size=6)
+    w, b = rng.normal(size=(3, 6)), rng.normal(size=6)
+    x = rng.uniform(0.0, 1.0, size=(1, 3))
     label = 4
-    plain = -math.log(softmax(z)[label])
-    loss = weighted_ce_loss([z, z, z], label, [0.2, 0.3, 0.5])
+    plain = -math.log(softmax(x[0] @ w + b)[label])
+    loss = same_logit_toy_net(w, b, (0.2, 0.3, 0.5)).loss_value(x, [label])
     assert loss == pytest.approx(plain, abs=1e-12)
 
 
 def test_weighted_ce_matches_per_exit_loop_oracle():
-    rng = np.random.default_rng(11)
-    logits = [rng.normal(size=4) for _ in range(3)]
-    weights = [0.5, 1.2, 0.1]
+    net = ToyEarlyExitNet.build(3, 4, trunk_widths=(5, 5), final_hidden=5,
+                                weights=(0.5, 1.2, 0.1), seed=11)
+    x = np.random.default_rng(11).normal(size=(1, 3))
     label = 2
     total = 0.0
-    for z, w in zip(logits, weights):
-        probs = np.exp(z) / np.exp(z).sum()
-        total += w * -math.log(probs[label])
-    assert weighted_ce_loss(logits, label, weights) == pytest.approx(total, abs=1e-12)
+    for probs, w in zip(net.exit_probs(x), net.weights):
+        total += w * -math.log(probs[0, label])
+    assert net.loss_value(x, [label]) == pytest.approx(total, abs=1e-12)
 
 
 def test_weighted_ce_dimension_errors():
-    with pytest.raises(ValueError, match="weights"):
-        weighted_ce_loss([np.zeros(3)], 0, [0.5, 0.5])
+    net = same_logit_toy_net(np.zeros((2, 3)), np.zeros(3), (0.5, 0.5))
+    with pytest.raises(ValueError, match="weight"):
+        ToyEarlyExitNet(net.trunk, net.heads, net.final, (0.5, 0.5, 0.5))
     for label in (3, -1, 1.7):
         with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 3\)"):
-            weighted_ce_loss([np.zeros(3)], label, [1.0])
+            net.loss_value(np.ones((1, 2)), [label])
 
 
 def test_train_separable_two_point_task_converges():
@@ -124,7 +148,7 @@ def test_train_separable_two_point_task_converges():
     y = np.array([[1.0], [0.0]])
     cfg = TrainConfig(lr=0.5, lr_end=0.01, lr_end_epoch=200, epochs=200,
                       batch_size=2, seed=5)
-    net, curve = train(net, x, y, "bce", cfg)
+    net, curve = train(net, x, y, cfg)
     assert curve[-1] < 0.1
     assert len(curve) == 200
 
@@ -133,7 +157,7 @@ def test_train_zero_epochs_is_noop():
     net = Mlp.init([3, 2], ["sigmoid"], seed=8)
     before = [p.copy() for p in net.parameters()]
     cfg = TrainConfig(epochs=0, lr_end_epoch=1, batch_size=4, seed=0)
-    net, curve = train(net, np.zeros((4, 3)), np.zeros((4, 2)), "bce", cfg)
+    net, curve = train(net, np.zeros((4, 3)), np.zeros((4, 2)), cfg)
     assert curve == []
     for p, q in zip(net.parameters(), before):
         assert np.array_equal(p, q)
@@ -147,31 +171,33 @@ def test_train_same_seed_bit_identical():
         y = (x[:, :2] > 0).astype(float)
         cfg = TrainConfig(lr=0.1, lr_end=0.01, lr_end_epoch=20, epochs=20,
                           batch_size=8, weight_decay=2e-4, seed=21)
-        net, _ = train(net, x, y, "bce", cfg)
+        net, _ = train(net, x, y, cfg)
         runs.append(b"".join(p.tobytes() for p in net.parameters()))
     assert runs[0] == runs[1]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_divergence_reports_epoch():
-    net = Mlp.init([2, 2], ["identity"], seed=0)
-    x = np.ones((4, 2)) * 10
-    y = np.ones((4, 2)) * 1e154
-    cfg = TrainConfig(lr=1e6, lr_end=1e6, lr_end_epoch=5, epochs=5, batch_size=4, seed=0)
-    with pytest.raises(ValueError, match="epoch"):
-        train(net, x, y, "mse", cfg)
+    # The weight decay flips and scales every parameter by 1e200 per step.
+    net = Mlp.init([2, 2], ["sigmoid"], seed=0)
+    cfg = TrainConfig(lr=1.0, lr_end=1.0, lr_end_epoch=5, epochs=5, batch_size=4,
+                      weight_decay=1e200, seed=0)
+    with pytest.raises(ValueError, match="training diverged at epoch"):
+        train(net, np.ones((4, 2)), np.ones((4, 2)), cfg)
 
 
-@pytest.mark.parametrize("loss, targets, message", [
-    ("msee", np.ones((4, 2)), "unknown loss tag 'msee'"),
-    ("mse", np.ones((4, 3)), "cannot reshape"),
-])
-def test_train_reports_a_bad_loss_or_target_shape_as_itself(loss, targets, message):
-    net = Mlp.init([2, 2], ["identity"], seed=0)
+@pytest.mark.parametrize("head, targets, message", [
+    ("relu", np.ones((4, 2)), "BCE expects a sigmoid head"),
+    ("sigmoid", np.ones((4, 3)), "cannot reshape"),
+], ids=["relu-head", "target-shape"])
+def test_train_reports_a_bad_head_or_target_shape_as_itself(head, targets, message):
+    net = Mlp.init([2, 2], [head], seed=0)
+    before = [p.copy() for p in net.parameters()]
     cfg = TrainConfig(epochs=3, lr_end_epoch=3, batch_size=4)
     with pytest.raises(ValueError, match=message) as err:
-        train(net, np.ones((4, 2)), targets, loss, cfg)
+        train(net, np.ones((4, 2)), targets, cfg)
     assert "diverged" not in str(err.value)
+    assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), before))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -180,48 +206,41 @@ def test_gradient_check_bce(seed):
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=5)
     y = rng.integers(0, 2, 3).astype(float)
-    assert numeric_gradient_check(net, x, y, "bce") < 1e-5
+    assert numeric_gradient_check(net, x, y) < 1e-5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gradient_check_softmax_ce(seed):
-    net = Mlp.init([4, 6, 5], ["relu", "softmax"], seed=seed)
+    # Softmax CE trains the toy net; its heads backprop from their logits.
+    net = ToyEarlyExitNet.build(4, 5, trunk_widths=(6, 6), final_hidden=6, seed=seed)
     rng = np.random.default_rng(seed + 50)
     x = rng.normal(size=4)
-    assert numeric_gradient_check(net, x, 3, "softmax_ce") < 1e-5
+    assert numeric_gradient_check(net, x, 3) < 1e-5
 
 
-@pytest.mark.parametrize("hidden", ["relu", "sigmoid", "softmax", "identity"])
+@pytest.mark.parametrize("hidden", ["relu", "sigmoid"])
 def test_gradient_check_through_each_hidden_activation(hidden):
     # Equal widths, so reading a layer's input where its output belongs
     # would run and give wrong gradients rather than fail on a shape.
-    net = Mlp.init([4, 4, 4, 3], [hidden, hidden, "identity"], seed=3)
+    net = Mlp.init([4, 4, 4, 3], [hidden, hidden, "sigmoid"], seed=3)
     rng = np.random.default_rng(4)
-    x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
-    assert numeric_gradient_check(net, x, y, "mse") < 1e-5
+    x, y = rng.normal(size=(5, 4)), rng.integers(0, 2, (5, 3)).astype(float)
+    assert numeric_gradient_check(net, x, y) < 1e-5
 
 
 @pytest.mark.parametrize("label", [-1, 1.7, 4])
 def test_softmax_ce_rejects_a_label_outside_the_classes(label):
-    net = Mlp.init([2, 4], ["softmax"], seed=0)
+    net = ToyEarlyExitNet.build(2, 4, trunk_widths=(3, 3), final_hidden=3, seed=0)
     labels = np.array([0.0, 3.0, label])
     for call in (net.loss_value, net.loss_and_grads):
         with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 4\), got "):
-            call(np.ones((3, 2)), labels, "softmax_ce")
-
-
-def test_gradient_check_linear_identity_bce_at_half():
-    # constant 0.5 output: the symmetric point of the BCE
-    net = Mlp([np.zeros((3, 2))], [np.full(2, 0.5)], ["identity"])
-    x = np.array([0.3, -0.2, 0.9])
-    y = np.array([1.0, 0.0])
-    assert numeric_gradient_check(net, x, y, "bce") < 1e-7
+            call(np.ones((3, 2)), labels)
 
 
 def test_gradient_check_rejects_large_nets():
-    net = Mlp.init([120, 120], ["identity"], seed=0)
+    net = Mlp.init([120, 120], ["sigmoid"], seed=0)
     with pytest.raises(ValueError, match="small nets"):
-        numeric_gradient_check(net, np.zeros(120), np.zeros(120), "mse")
+        numeric_gradient_check(net, np.zeros(120), np.zeros(120))
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,11 +259,10 @@ def test_sigmoid_stays_inside_unit_interval(z):
     assert 0.0 <= s <= 1.0
 
 
-def test_checkpoint_round_trip_exact(tmp_path):
+def test_checkpoint_round_trip_exact():
+    # A net is checkpointed as a dict inside its owner's JSON document.
     net = Mlp.init([4, 7, 2], ["relu", "sigmoid"], seed=77)
-    path = tmp_path / "net.json"
-    net.save(path)
-    loaded = Mlp.load(path)
+    loaded = Mlp.from_dict(json.loads(json.dumps(net.to_dict())))
     assert loaded.activations == net.activations
     assert loaded.seed == net.seed
     for p, q in zip(loaded.parameters(), net.parameters()):

@@ -247,7 +247,7 @@ def test_select_gamma_result_respects_budget_under_engine():
 
 def test_exit_predictor_validation():
     with pytest.raises(ValueError, match="sigmoid"):
-        ExitPredictor(Mlp.init([4, 2], ["identity"], 0), (0.9, 0.9), 0.4)
+        ExitPredictor(Mlp.init([4, 2], ["relu"], 0), (0.9, 0.9), 0.4)
     with pytest.raises(ValueError, match="length"):
         ExitPredictor(Mlp.init([4, 2], ["sigmoid"], 0), (0.9,), 0.4)
     with pytest.raises(ValueError, match="lambda"):

@@ -70,7 +70,7 @@ def test_train_separable_blobs_reaches_95_percent():
                                 weights=(0.2, 0.3, 0.5), seed=1)
     cfg = TrainConfig(lr=0.1, lr_end=1e-3, lr_end_epoch=60, epochs=60,
                       batch_size=32, seed=1)
-    net, curve = train(net, x, y, "weighted_ce", cfg)
+    net, curve = train(net, x, y, cfg)
     assert curve[-1] < curve[0]
     final_acc = (net.exit_probs(x)[-1].argmax(axis=1) == y).mean()
     assert final_acc >= 0.95
@@ -97,7 +97,7 @@ def test_default_scale_training_completes_quickly():
     cfg = TrainConfig(lr=0.1, lr_end=1e-4, lr_end_epoch=200, epochs=220,
                       batch_size=128, weight_decay=5e-4, seed=7)
     start = time.monotonic()
-    net, curve = train(net, x, y, "weighted_ce", cfg)
+    net, curve = train(net, x, y, cfg)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     assert len(curve) == 220
@@ -132,7 +132,7 @@ def test_trace_accuracy_at_final_exit_matches_direct_evaluation():
     net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=6)
     cfg = TrainConfig(lr=0.1, lr_end=1e-2, lr_end_epoch=30, epochs=30,
                       batch_size=64, seed=6)
-    net, _ = train(net, x, y, "weighted_ce", cfg)
+    net, _ = train(net, x, y, cfg)
     topo = small_topology_like(num_exits=3, num_classes=2)
     ts = emit_traces(net, x, y, topo)
     direct = (net.exit_probs(x)[-1].argmax(axis=1) == y).mean()
@@ -155,7 +155,7 @@ def test_easy_samples_are_more_confident_at_exit_one():
     net = ToyEarlyExitNet.build(8, 10, seed=7)
     cfg = TrainConfig(lr=0.1, lr_end=1e-3, lr_end_epoch=80, epochs=80,
                       batch_size=128, weight_decay=5e-4, seed=7)
-    net, _ = train(net, x, y, "weighted_ce", cfg)
+    net, _ = train(net, x, y, cfg)
     ts = emit_traces(net, x, y, VGG_TOPOLOGY)
     centers = np.array(spec.centers)
     dist = np.linalg.norm(x - centers[y], axis=1)
@@ -169,7 +169,7 @@ def test_final_flip_prob_degrades_only_final_exit():
     net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=9)
     cfg = TrainConfig(lr=0.1, lr_end=1e-2, lr_end_epoch=40, epochs=40,
                       batch_size=64, seed=9)
-    net, _ = train(net, x, y, "weighted_ce", cfg)
+    net, _ = train(net, x, y, cfg)
     topo = small_topology_like(num_exits=3, num_classes=2)
     clean = emit_traces(net, x, y, topo, final_flip_prob=0.0, seed=1)
     bent = emit_traces(net, x, y, topo, final_flip_prob=0.3, seed=1)
@@ -192,7 +192,7 @@ def test_toy_net_gradient_check_weighted_ce():
         net = ToyEarlyExitNet.build(4, 3, trunk_widths=(6, 5), final_hidden=5,
                                     weights=(0.2, 0.3, 0.5), seed=seed)
         x = np.random.default_rng(seed).normal(size=4)
-        assert numeric_gradient_check(net, x, 2, "weighted_ce") < 1e-5
+        assert numeric_gradient_check(net, x, 2) < 1e-5
 
 
 @pytest.mark.parametrize("bad", [-1, 1.7, 3])
@@ -210,7 +210,7 @@ def test_bad_class_label_is_rejected_before_any_parameter_moves(bad):
             call(x, y)
     cfg = TrainConfig(epochs=2, lr_end_epoch=2, batch_size=8)
     with pytest.raises(ValueError, match=message):
-        train(net, x, y, "weighted_ce", cfg)
+        train(net, x, y, cfg)
     assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), before))
 
 
