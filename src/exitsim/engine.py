@@ -1,7 +1,7 @@
 """Exit-policy execution over stored traces with exact cost accounting.
 
 Three policies are three modes of one exit walk, which is the only place
-a FLOP is charged:
+a per-sample FLOP is charged:
 
 * plain      -- walk the exits in order; every reached exit is computed;
                 terminate at the first exit whose confidence clears its
@@ -18,14 +18,17 @@ compute when s >= gamma.  Server-side FLOPs count toward total cost but
 never toward latency (the server is assumed fast); transmission charges
 ceil(raw_feature_bits / compression_ratio) bits against the link.
 
-Every entry point (``run_plain``, ``run_with_predictor``, ``run_oracle``,
-``policy_stats``) and every ``PolicyTable`` row takes the same three
-steps: one validation of lambda, gamma and scores, one walk, then one
-aggregation (accuracy, mean device MFLOPs, exit shares) and one pricing of
-the walk's (bandwidths x samples) latencies.  A sample's exit does not
-depend on the link, only its latency does, so ``PolicyTable`` walks each
-(lambda, gamma) pair once and prices every bandwidth from that walk;
-threshold searches are queries on it.
+Every aggregate -- accuracy, mean device and total MFLOPs, exit shares and
+the mean latency at each bandwidth -- is linear in five integer counts of
+a walk: samples reaching each early exit, charged its classifier,
+terminating there, transmitted, and classified correctly.  ``_aggregate``
+is the one formula from counts to aggregates.  ``run_plain``,
+``run_with_predictor``, ``run_oracle`` and ``policy_stats`` check their
+arguments once, walk once (the walk also yields the per-sample records)
+and count the walk.  ``PolicyTable`` never walks: it takes every (lambda,
+gamma) combination's counts from blocked integer products of threshold
+masks, so threshold searches are queries on it and each row equals its
+``policy_stats`` report bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import ExitTopology, Thresholds, TraceSet, check_gamma, check_lambda
+from .trace import ExitTopology, Thresholds, TraceSet, check_gammas, check_lambdas
 
 
 @dataclass(frozen=True)
@@ -109,19 +112,19 @@ def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
 
 
 def _checked(ts: TraceSet, lams, gammas, scores):
-    """The one argument check: each lambda, plus each gamma and the scores
-    when gated.
+    """The one argument check: the lambda vectors, plus the gamma vectors and
+    the scores when gated.
 
-    Returns the lambda arrays, the gamma arrays ([None] for an ungated walk)
-    and the score matrix (None likewise).
+    Returns the lambdas and the gammas as (vectors x early exits) arrays
+    (gammas None for an ungated walk) and the score matrix (None likewise).
     """
     if not len(ts):
         raise ValueError("empty trace set")
     n_early = ts.topology.num_early_exits
-    lams = [check_lambda(lam, n_early) for lam in lams]
+    lams = check_lambdas(lams, n_early)
     if gammas is None:
-        return lams, [None], None
-    gammas = [check_gamma(gamma, n_early) for gamma in gammas]
+        return lams, None, None
+    gammas = check_gammas(gammas, n_early)
     if scores is None:
         raise ValueError("gamma given without predictor scores")
     return lams, gammas, _scores_matrix(ts, scores)
@@ -131,7 +134,8 @@ def _checked(ts: TraceSet, lams, gammas, scores):
 
 
 def _walk(ts: TraceSet, lam: np.ndarray, gate: np.ndarray | None, oracle: bool):
-    """The exit walk every policy shares, and the only place a FLOP is charged.
+    """The exit walk every policy shares, and the only place a per-sample FLOP
+    is charged.
 
     ``gate`` masks which reached exits are computed; None computes every
     reached exit (the plain walk), a mask also charges the predictor.
@@ -165,66 +169,105 @@ def _correct(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
     return ts.pred[np.arange(len(ts)), exit_idx] == ts.label
 
 
-def _walk_stats(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray):
-    """A walk's accuracy, mean device MFLOPs and exit shares."""
-    return (float(np.mean(_correct(ts, exit_idx))), float(np.mean(device)),
-            np.bincount(exit_idx, minlength=ts.topology.num_exits) / len(ts))
+class _Counts(NamedTuple):
+    """Integer counts of walks.  Leading axes index the walks; the last axis
+    of ``reach``, ``charged`` and ``term`` indexes the early exits."""
+
+    reach: np.ndarray     # samples reaching early exit n
+    charged: np.ndarray   # samples charged exit n's classifier
+    term: np.ndarray      # samples terminating at early exit n
+    tx: np.ndarray        # samples transmitted to the server exit
+    correct: np.ndarray   # samples classified correctly
 
 
-def _walk_latencies(ts: TraceSet, device: np.ndarray, transmitted: np.ndarray,
-                    compute_speed: float, bandwidths: Sequence[float]) -> np.ndarray:
-    """(bandwidths x samples) seconds: device compute plus transmission."""
-    tx = (ts.topology.transmitted_bits / np.asarray(bandwidths))[:, None]
-    lat = tx * transmitted  # tx where transmitted, else 0.0
-    lat += device * 1e6 / compute_speed
-    return lat
+def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool,
+               compute_speed: float | None, bandwidths: Sequence[float]):
+    """The one count formula, from counts to aggregates.
+
+    Returns accuracy, mean device MFLOPs, mean total MFLOPs, exit shares
+    (server last) and the (walks x bandwidths) mean latencies:
+
+    * device  = (sum_n segment_n * reach_n + sum_n exit_n * charged_n) / S,
+                plus the predictor when ``gated``;
+    * total   = device + (tx / S) * server;
+    * latency = device * 1e6 / compute_speed + (tx / S) * bits / bandwidth.
+
+    Equal counts give bit-equal floats, however the counts were taken.
+    """
+    device = 0.0
+    for n, cost in enumerate(topo.segment_flops):
+        device = device + cost * counts.reach[..., n]
+    for n, cost in enumerate(topo.exit_flops):
+        device = device + cost * counts.charged[..., n]
+    device = device / n_samples
+    if gated:
+        device = device + topo.predictor_flops
+    tx_share = counts.tx / n_samples
+    shares = np.concatenate([counts.term, counts.tx[..., None]], axis=-1) / n_samples
+    # Compute time is added in place: no second (walks x bandwidths) array.
+    latency = tx_share[..., None] * topo.transmitted_bits / np.asarray(bandwidths, dtype=float)
+    if len(bandwidths):
+        latency += (device * 1e6 / compute_speed)[..., None]
+    return (counts.correct / n_samples, device, device + tx_share * topo.server_flops,
+            shares, latency)
 
 
 def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
-             computed: np.ndarray, transmitted: np.ndarray,
+             computed: np.ndarray, transmitted: np.ndarray, correct: np.ndarray,
              latencies: np.ndarray) -> list[DecisionRecord]:
     bits = transmitted * ts.topology.transmitted_bits
     return list(map(DecisionRecord._make, zip(
         ts.ids.tolist(), (exit_idx + 1).tolist(), map(tuple, computed.tolist()), device.tolist(),
-        transmitted.tolist(), bits.tolist(), _correct(ts, exit_idx).tolist(),
-        latencies.tolist())))
+        transmitted.tolist(), bits.tolist(), correct.tolist(), latencies.tolist())))
 
 
 def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | None = None,
               oracle: bool = False, records: bool = False
               ) -> tuple[list[DecisionRecord] | None, AggregateReport]:
-    """The evaluator behind every entry point: check, walk once, aggregate.
+    """The evaluator behind every entry point: check, walk once, count, aggregate.
 
     ``gamma`` None walks ungated (plain, or oracle routing when ``oracle``);
     otherwise exits are gated by ``scores >= gamma``.  Per-sample records
     are built only when ``records`` is set.
     """
-    (lam,), (gamma,), scores = _checked(ts, [lam], None if gamma is None else [gamma], scores)
-    gate = None if gamma is None else scores >= gamma
-    exit_idx, device, transmitted = _walk(ts, lam, gate, oracle)
-    accuracy, mean_device, shares = _walk_stats(ts, exit_idx, device)
-    if env is None:
-        latencies, mean_latency = np.zeros(len(ts)), 0.0
-    else:
-        lat = _walk_latencies(ts, device, transmitted, env.compute_speed, [env.bandwidth])
-        latencies, mean_latency = lat[0], float(lat.mean(axis=1)[0])
+    lams, gammas, scores = _checked(ts, [lam], None if gamma is None else [gamma], scores)
+    gate = None if gammas is None else scores >= gammas[0]
+    exit_idx, device, transmitted = _walk(ts, lams[0], gate, oracle)
+    topo = ts.topology
+    n_early = topo.num_early_exits
+    # A sample reaches exit n when it ends at n or later.  It computes exit
+    # n when it reaches it and its gate passes, or, for the oracle, only
+    # when it terminates there; the plain walk computes every exit it reaches.
+    exits = np.arange(n_early)
+    computed = None
+    if records or gate is not None:
+        computed = (exit_idx[:, None] == exits if oracle else
+                    (exit_idx[:, None] >= exits) & (True if gate is None else gate))
+    ends = np.bincount(exit_idx, minlength=n_early + 1)
+    reach = np.cumsum(ends[::-1])[::-1][:n_early]
+    charged = (ends[:n_early] if oracle else reach if gate is None
+               else np.count_nonzero(computed, axis=0))
+    correct = _correct(ts, exit_idx)
+    counts = _Counts(reach[None], charged[None], ends[None, :n_early], ends[n_early:],
+                     np.array([np.count_nonzero(correct)]))
+    speed, bandwidths = (None, ()) if env is None else (env.compute_speed, (env.bandwidth,))
+    accuracy, mean_device, mean_total, shares, latency = _aggregate(
+        topo, len(ts), counts, gate is not None, speed, bandwidths)
+    mean_latency = 0.0 if env is None else float(latency[0, 0])
     report = AggregateReport(
-        accuracy=accuracy,
-        mean_on_device_mflops=mean_device,
-        mean_total_mflops=float(np.mean(
-            device + np.where(transmitted, ts.topology.server_flops, 0.0))),
+        accuracy=float(accuracy[0]),
+        mean_on_device_mflops=float(mean_device[0]),
+        mean_total_mflops=float(mean_total[0]),
         mean_latency_s=mean_latency,
-        exit_distribution=tuple(shares.tolist()),
+        exit_distribution=tuple(shares[0].tolist()),
         budget_satisfied=(env is None) or (mean_latency <= env.latency_budget),
     )
     if not records:
         return None, report
-    # A sample computes exit n when it reaches n (exit index >= n) and its
-    # gate passes; the oracle computes only the exit it terminates at.
-    exits = np.arange(ts.topology.num_early_exits)
-    computed = (exit_idx[:, None] == exits if oracle else
-                (exit_idx[:, None] >= exits) & (True if gate is None else gate))
-    return _records(ts, exit_idx, device, computed, transmitted, latencies), report
+    latencies = (np.zeros(len(ts)) if env is None else
+                 topo.transmitted_bits / env.bandwidth * transmitted
+                 + device * 1e6 / env.compute_speed)
+    return _records(ts, exit_idx, device, computed, transmitted, correct, latencies), report
 
 
 def run_plain(ts: TraceSet, lam: Sequence[float],
@@ -269,16 +312,107 @@ def grid_combos(values: Sequence[float], n_early: int) -> list[tuple[float, ...]
     return list(itertools.product(sorted(float(v) for v in values), repeat=n_early))
 
 
-class PolicyTable:
-    """Aggregates of every (lambda, gamma) combination, each walked once.
+# Samples per block of the table's mask products.  Each product is
+# (prefixes x block) @ (block x columns) in int64, which numpy runs in its
+# own loop rather than BLAS: the counts are exact and the working set stays
+# a few hundred KB at any set size.
+_BLOCK = 256
 
-    Combinations run lambda-major in the order given.  ``gammas`` None
-    tabulates the plain policy (one ungated walk per lambda).  With a
-    ``compute_speed`` and ``bandwidths``, each combination's mean latency
-    is taken at every bandwidth from that one walk.  Rows come from the
-    walk, aggregation and pricing of ``policy_stats``, so each row equals
-    its report bit for bit.  Only aggregates are kept, never per-sample
-    arrays.
+
+class _ExitKeys(NamedTuple):
+    """One exit's keys into a list of threshold vectors."""
+
+    values: np.ndarray   # the distinct values at this exit, ascending
+    value: np.ndarray    # (vectors,) each vector's index into ``values``
+    prefix: np.ndarray   # (vectors,) id of each vector's entries before this exit
+    n_prefixes: int      # distinct prefixes
+    parent: np.ndarray   # (prefixes one exit longer,) the prefix each extends
+    step: np.ndarray     # (prefixes one exit longer,) the value it extends it by
+
+
+def _exit_keys(vectors: np.ndarray) -> list[_ExitKeys]:
+    """Per exit, the distinct values and prefixes of (vectors x exits)."""
+    keys = []
+    prefix, n_prefixes = np.zeros(len(vectors), dtype=np.int64), 1
+    for column in vectors.T:
+        values, value = np.unique(column, return_inverse=True)
+        longer, prefix_next = np.unique(prefix * len(values) + value, return_inverse=True)
+        keys.append(_ExitKeys(values, value, prefix, n_prefixes, *divmod(longer, len(values))))
+        prefix, n_prefixes = prefix_next, len(longer)
+    return keys
+
+
+def _table_counts(ts: TraceSet, lams: np.ndarray, gammas: np.ndarray | None,
+                  scores: np.ndarray | None) -> _Counts:
+    """Counts of every (lambda, gamma) combination, lambda-major; no walk.
+
+    At exit n a combination's walk depends on its prefix, the (lambda,
+    gamma) entries before n, and its pair (lambda_n, gamma_n).  Each
+    distinct prefix carries the mask of samples alive after it; each pair
+    has the masks of samples its gate passes and of those it terminates.
+    One int64 product per exit and block of samples counts every prefix
+    against every pair.  The ungated table has one gamma, gate always open.
+    On Cartesian grids every product entry is some combination's count;
+    lists of unrelated vectors also pay for prefix-pair entries no
+    combination has.
+    """
+    n_early = ts.topology.num_early_exits
+    keys = list(zip(_exit_keys(lams),
+                    _exit_keys(np.zeros((1, n_early)) if gammas is None else gammas)))
+    # Per exit and prefix: the samples reaching the exit; per gate, those
+    # it passes; per pair (a lambda value and a gate), those it terminates
+    # and those of them correct; at the last exit, per pair, the survivors
+    # correct at the server.  One product per kind keeps each operand small.
+    sums: list[list[np.ndarray] | None] = [None] * n_early
+    for start in range(0, len(ts), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        right = ts.pred[rows] == ts.label[rows, None]
+        size = len(right)
+        alive = np.ones((1, size), dtype=np.int64)  # after the empty prefix
+        for n, (lk, gk) in enumerate(keys):
+            gate = (np.ones((size, 1), dtype=bool) if gammas is None
+                    else scores[rows, n, None] >= gk.values)
+            stop = ((ts.conf[rows, n, None] >= lk.values)[:, :, None]
+                    & gate[:, None, :]).reshape(size, -1)
+            masks = [gate, stop, stop & right[:, n, None]]
+            if n == n_early - 1:
+                masks.append(~stop & right[:, n_early, None])
+            parts = [alive.sum(axis=1)] + [alive @ mask.astype(np.int64) for mask in masks]
+            if sums[n] is None:
+                sums[n] = parts
+            else:
+                for total, part in zip(sums[n], parts):
+                    total += part
+            if n + 1 < n_early:  # alive after each prefix one exit longer
+                alive = (alive[(lk.parent[:, None] * gk.n_prefixes + gk.parent).ravel()]
+                         * ~stop.T[(lk.step[:, None] * len(gk.values) + gk.step).ravel()])
+    # Each combination's counts, by its prefix and pair at each exit.
+    reached, charged, term, correct = [], [], [], 0
+    for (lk, gk), (reach, passed, stopped, stopped_right, *last) in zip(keys, sums):
+        prefix = lk.prefix[:, None] * gk.n_prefixes + gk.prefix
+        pair = lk.value[:, None] * len(gk.values) + gk.value
+        reached.append(reach[prefix])
+        charged.append(passed[prefix, gk.value])
+        term.append(stopped[prefix, pair])
+        correct = correct + stopped_right[prefix, pair]
+    # After the last exit: the survivors, transmitted, and those correct.
+    correct = correct + last[0][prefix, pair]
+    columns = lambda per_exit: np.stack(per_exit, axis=-1).reshape(-1, n_early)
+    return _Counts(columns(reached), columns(charged), columns(term),
+                   (reached[-1] - term[-1]).ravel(), correct.ravel())
+
+
+class PolicyTable:
+    """Aggregates of every (lambda, gamma) combination, from integer counts.
+
+    Combinations run lambda-major in the order given; the lists need not be
+    Cartesian powers and may repeat a vector.  ``gammas`` None tabulates the
+    plain policy.  With a ``compute_speed`` and ``bandwidths``, each
+    combination's mean latency is priced at every bandwidth.  No sample is
+    walked: blocked mask products count each combination's walk, and the
+    count formula ``policy_stats`` applies to its one walk turns the counts
+    into aggregates, so each row equals its report bit for bit.  Only
+    aggregates are kept, never per-sample arrays.
     """
 
     def __init__(self, ts: TraceSet, lams: Sequence[Sequence[float]],
@@ -286,28 +420,18 @@ class PolicyTable:
                  compute_speed: float | None = None, bandwidths: Sequence[float] = ()):
         if not lams or (gammas is not None and not gammas):
             raise ValueError("threshold grids must be nonempty")
-        lam_arrays, gamma_arrays, mat = _checked(ts, lams, gammas, scores)
-        self.lams = [tuple(float(v) for v in lam) for lam in lams]
-        self.gammas = None if gammas is None else [tuple(float(v) for v in g) for g in gammas]
+        lams, gammas, scores = _checked(ts, lams, gammas, scores)
+        self.lams = list(map(tuple, lams.tolist()))
+        self.gammas = None if gammas is None else list(map(tuple, gammas.tolist()))
         self.bandwidths = tuple(float(b) for b in bandwidths)
         if any(not 0 < b < math.inf for b in self.bandwidths):
             raise ValueError("bandwidths must be finite and strictly positive")
         if self.bandwidths and (compute_speed is None or not 0 < compute_speed < math.inf):
             raise ValueError("pricing bandwidths needs a finite positive compute_speed")
-
-        n_combos = len(lam_arrays) * len(gamma_arrays)
-        self.accuracy = np.empty(n_combos)
-        self.on_device_mflops = np.empty(n_combos)
-        self.exit_distribution = np.empty((n_combos, ts.topology.num_exits))
-        self.mean_latency_s = np.empty((n_combos, len(self.bandwidths)))
-        for i, (lam, gamma) in enumerate(itertools.product(lam_arrays, gamma_arrays)):
-            exit_idx, device, transmitted = _walk(
-                ts, lam, None if gamma is None else mat >= gamma, False)
-            self.accuracy[i], self.on_device_mflops[i], self.exit_distribution[i] = (
-                _walk_stats(ts, exit_idx, device))
-            if self.bandwidths:
-                self.mean_latency_s[i] = _walk_latencies(
-                    ts, device, transmitted, compute_speed, self.bandwidths).mean(axis=1)
+        (self.accuracy, self.on_device_mflops, _, self.exit_distribution,
+         self.mean_latency_s) = _aggregate(
+            ts.topology, len(ts), _table_counts(ts, lams, gammas, scores),
+            gammas is not None, compute_speed, self.bandwidths)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
         """(lambda, gamma) of combination ``i``; gamma None for the plain policy."""

@@ -4,8 +4,10 @@
 the feasible point with the highest accuracy (ties: lower mean latency,
 then lexicographically smallest thresholds).  ``sweep_bandwidths`` answers
 the same question across link rates.  Both are queries on one
-``engine.PolicyTable``: each (lambda, gamma) pair is walked once and every
-bandwidth is priced from that walk, since only latency depends on the link.
+``engine.PolicyTable``: each (lambda, gamma) combination's integer counts
+are taken once, without walking a sample, and every bandwidth is priced
+from them by the engine's count formula, since only latency depends on
+the link.
 ``fit_regressors`` turns the recorded optima into one schedule per
 bandwidth interval, piecewise linear in log10(bandwidth) through the optima
 themselves, so one predictor serves every channel condition and nothing is
@@ -99,8 +101,9 @@ def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
                      gamma_grid: Sequence[float]) -> list[PolicyPoint]:
     """grid_search per bandwidth, budget fixed; results in ascending order.
 
-    Every bandwidth is a query on one table, so each (lambda, gamma) pair is
-    walked once however many bandwidths there are.  A bandwidth with no
+    Every bandwidth is a query on one table, so each (lambda, gamma)
+    combination is counted once however many bandwidths there are, and
+    each bandwidth's latencies follow from those counts.  A bandwidth with no
     feasible point contributes its minimum-latency point flagged infeasible
     instead of aborting the sweep.
     """

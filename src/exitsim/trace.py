@@ -18,7 +18,8 @@ documents, ``read_jsonl`` for line-delimited files (whose records
 ``load_trace_set`` and ``load_dataset`` walk in one loop) and
 ``read_table`` for CSV tables.  Each input kind read back has one check,
 naming the path and the line, column or field: line-delimited records,
-CSV tables, threshold vectors (``check_lambda``, ``check_gamma``) and JSON
+CSV tables, threshold vectors (``check_lambda``, ``check_gamma``, and their
+stacked forms ``check_lambdas``, ``check_gammas`` for whole grids) and JSON
 checkpoints (``load_checkpoint``).
 """
 
@@ -535,15 +536,43 @@ def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -
     return vec
 
 
+def _check_grid(vectors, n_early: int, name: str, inside, bounds: str) -> np.ndarray:
+    """Vectors stacked as one (vectors x n_early) float64 array, checked in
+    one pass; when the stack fails, the first bad vector raises its own error."""
+    try:
+        grid = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+        grid = None
+    if grid is None or grid.ndim != 2 or grid.shape[1] != n_early or not np.all(inside(grid)):
+        grid = np.array([_check_vector(v, n_early, name, inside, bounds) for v in vectors])
+    return grid
+
+
+_LAMBDA = ("lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
+_GAMMA = ("gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
+
+
 def check_lambda(lam, n_early: int | None = None) -> np.ndarray:
     """The one lambda check: a float64 vector of ``n_early`` (default: >= 1)
     confidence thresholds, each in (0, 1)."""
-    return _check_vector(lam, n_early, "lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
+    return _check_vector(lam, n_early, *_LAMBDA)
 
 
 def check_gamma(gamma, n_early: int | None = None) -> np.ndarray:
     """The one gamma check: as ``check_lambda``, each prediction threshold in [0, 1]."""
-    return _check_vector(gamma, n_early, "gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
+    return _check_vector(gamma, n_early, *_GAMMA)
+
+
+def check_lambdas(lams, n_early: int) -> np.ndarray:
+    """Lambda vectors as one (vectors x n_early) array; a bad one raises as
+    in ``check_lambda``."""
+    return _check_grid(lams, n_early, *_LAMBDA)
+
+
+def check_gammas(gammas, n_early: int) -> np.ndarray:
+    """Gamma vectors as one (vectors x n_early) array; a bad one raises as
+    in ``check_gamma``."""
+    return _check_grid(gammas, n_early, *_GAMMA)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,45 @@ def literal_latency(device_mflops, transmitted, topo, env):
     return lat
 
 
+def walk_counts(walks, topo):
+    """The integer counts of literal walks, each given as (exit_taken,
+    computed_exits, transmitted, correct): per early exit the samples
+    reaching, computing and terminating there, then the samples transmitted
+    and the samples correct."""
+    n_early = topo.num_early_exits
+    reach, computed, term = [0] * n_early, [0] * n_early, [0] * n_early
+    tx = correct = 0
+    for taken, exits_computed, transmitted, right in walks:
+        for n in range(min(taken, n_early)):
+            reach[n] += 1
+        for n in exits_computed:
+            computed[n] += 1
+        if taken <= n_early:
+            term[taken - 1] += 1
+        tx += transmitted
+        correct += right
+    return reach, computed, term, tx, correct
+
+
+def count_formula(counts, n_samples, topo, env, gated):
+    """(accuracy, mean device MFLOPs, mean latency) of walks from their
+    counts: device MFLOPs are the segments times the samples reaching them
+    plus the exits times the samples computing them, over the samples, plus
+    the predictor when gated; latency adds the transmitted share's link time."""
+    reach, computed, _, tx, correct = counts
+    device = 0.0
+    for n in range(topo.num_early_exits):
+        device += topo.segment_flops[n] * reach[n]
+    for n in range(topo.num_early_exits):
+        device += topo.exit_flops[n] * computed[n]
+    device = device / n_samples
+    if gated:
+        device += topo.predictor_flops
+    bits = math.ceil(topo.raw_feature_bits / topo.compression_ratio)
+    latency = device * 1e6 / env.compute_speed + tx / n_samples * bits / env.bandwidth
+    return correct / n_samples, device, latency
+
+
 def random_topology(rng, num_exits=None, num_classes=None) -> ExitTopology:
     n = int(num_exits if num_exits is not None else rng.integers(2, 5))
     p = int(num_classes if num_classes is not None else rng.integers(2, 12))

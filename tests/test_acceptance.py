@@ -23,12 +23,13 @@ from exitsim.zoo import SynthSpec, ToyEarlyExitNet, emit_traces, generate_datase
 
 from helpers import (
     VGG_TOPOLOGY,
+    count_formula,
     golden_fraction_traces,
-    literal_latency,
     literal_predictor_walk,
     random_gamma,
     random_lambda,
     random_trace_set,
+    walk_counts,
 )
 
 BUDGET_S = 0.030
@@ -220,13 +221,13 @@ def brute_force_point(ts, scores, env, lam_vals, gam_vals):
     best = None
     for lam in itertools.product(sorted(lam_vals), repeat=n_early):
         for gam in itertools.product(sorted(gam_vals), repeat=n_early):
-            correct, lats = [], []
+            walks = []
             for i, s in enumerate(samples):
-                taken, device, _, tx = literal_predictor_walk(
+                taken, _, computed, tx = literal_predictor_walk(
                     s.confidences, scores[i], lam, gam, topo)
-                correct.append(s.predicted[taken - 1] == s.label)
-                lats.append(literal_latency(device, tx, topo, env))
-            acc, lat = float(np.mean(correct)), float(np.mean(lats))
+                walks.append((taken, computed, tx, s.predicted[taken - 1] == s.label))
+            acc, _, lat = count_formula(walk_counts(walks, topo), len(samples), topo, env,
+                                        gated=True)
             if lat > env.latency_budget:
                 continue
             if best is None or acc > best[2] or (acc == best[2] and lat < best[3]):

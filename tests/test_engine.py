@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim.engine import (
+    _BLOCK,
     AggregateReport,
     Environment,
     PolicyTable,
+    grid_combos,
     policy_stats,
     run_oracle,
     run_plain,
     run_with_predictor,
 )
 from exitsim.predictor import make_labels
-from exitsim.trace import SampleTrace, Thresholds, TraceSet
+from exitsim.trace import SampleTrace, Thresholds, TraceSet, check_gamma, check_lambda
 
 from helpers import (
     VGG_TOPOLOGY,
@@ -157,6 +160,69 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
                          float(table.mean_latency_s[i, b]))) == repr(
                 (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
                  rep.mean_latency_s))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans(),
+       n_samples=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+       n_lams=st.integers(1, 3), n_gammas=st.integers(1, 3), repeat=st.booleans())
+def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, n_lams,
+                                             n_gammas, repeat):
+    rng = np.random.default_rng(seed)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    topo, n_early = ts.topology, num_exits - 1
+    scores = rng.choice([0.0, 0.25, 0.5, 1.0], (n_samples, n_early))
+    # Entries drawn from a few values, some equal to a sample's confidence
+    # or score, so entries tie with samples, vectors share prefixes, and
+    # the lists are not Cartesian powers; ``repeat`` repeats a whole vector.
+    lam_values = np.concatenate([rng.uniform(0.05, 0.99, 2),
+                                 ts.conf[rng.integers(0, n_samples, 2), 0]])
+    lams = [tuple(rng.choice(lam_values, n_early).tolist()) for _ in range(n_lams)]
+    gammas = [tuple(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], n_early).tolist())
+              for _ in range(n_gammas)]
+    if repeat:
+        lams.append(lams[0])
+        gammas.append(gammas[-1])
+    bandwidths = (1e3, 1e5, 1e7)
+    table = PolicyTable(ts, lams, gammas if gated else None, scores if gated else None,
+                        3.62e9, bandwidths)
+    assert len(table.accuracy) == len(lams) * (len(gammas) if gated else 1)
+    for i in range(len(table.accuracy)):
+        lam, gamma = table.combo(i)
+        walks = [literal_predictor_walk(ts.conf[s], scores[s], lam, gamma, topo) if gated
+                 else literal_plain_walk(ts.conf[s], lam, topo) for s in range(n_samples)]
+        correct = sum(ts.pred[s][taken - 1] == ts.label[s]
+                      for s, (taken, *_) in enumerate(walks))
+        assert table.accuracy[i] == correct / n_samples
+        ends = np.bincount([taken - 1 for taken, *_ in walks], minlength=num_exits)
+        assert table.exit_distribution[i].tolist() == (ends / n_samples).tolist()
+        assert table.on_device_mflops[i] == pytest.approx(
+            np.mean([device for _, device, _, _ in walks]), rel=1e-12, abs=0)
+        for b, bandwidth in enumerate(bandwidths):
+            env = Environment(3.62e9, bandwidth, 0.03)
+            assert table.mean_latency_s[i, b] == pytest.approx(np.mean(
+                [literal_latency(device, tx, topo, env) for _, device, _, tx in walks]),
+                rel=1e-12, abs=0)
+
+
+def test_gated_table_build_peaks_below_two_megabytes():
+    # Whole-set mask products on this set would take about 16 MB; the
+    # blocked ones keep the build's working set to a few hundred KB.
+    rng = np.random.default_rng(15)
+    n = 8192
+    ts = TraceSet.from_columns(VGG_TOPOLOGY, np.arange(n), rng.integers(0, 10, n),
+                               rng.uniform(0.1, 0.999, (n, 3)), rng.integers(0, 10, (n, 3)))
+    scores = rng.uniform(0.0, 1.0, (n, 2))
+    lams = grid_combos(np.linspace(0.2, 0.9, 8), 2)
+    gammas = grid_combos(np.linspace(0.0, 1.0, 5), 2)
+    tracemalloc.start()
+    try:
+        table = PolicyTable(ts, lams, gammas, scores, 3.62e9, np.geomspace(1e4, 1e8, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.mean_latency_s.shape == (1600, 16)
+    assert peak < 2 * 2**20
 
 
 def test_oracle_equals_plain_when_everything_exits_first():
@@ -329,6 +395,28 @@ def test_wrong_length_gamma_rejected_by_policy_stats_and_table():
             PolicyTable(ts, [(0.9, 0.9)], [(0.3, 0.3), gamma], scores)
 
 
+@pytest.mark.parametrize("bad", [(0.9,), (0.5, 0.6, 0.7), ((0.9,), (0.9,)), (0.9, math.nan),
+                                 (0.9, 1.5), (-0.1, 0.5), "0.5"],
+                         ids=["short", "long", "nested", "nan", "above", "negative", "string"])
+def test_a_bad_vector_in_a_threshold_list_raises_its_own_check(bad):
+    rng = np.random.default_rng(16)
+    ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
+    scores = rng.uniform(0.0, 1.0, (8, 2))
+    env = Environment(3.62e9, 1e6, 0.03)
+    for check, tabulate in (
+            (check_lambda, lambda: PolicyTable(ts, [(0.5, 0.5), bad, (0.9, 0.9)])),
+            (check_lambda, lambda: policy_stats(ts, bad)),
+            (check_lambda, lambda: run_oracle(ts, bad)),
+            (check_gamma, lambda: PolicyTable(ts, [(0.5, 0.5)], [(0.0, 0.0), bad], scores,
+                                              3.62e9, [1e6])),
+            (check_gamma, lambda: policy_stats(ts, (0.9, 0.9), bad, scores, env))):
+        with pytest.raises(ValueError) as want:
+            check(bad, 2)
+        with pytest.raises(ValueError) as got:
+            tabulate()
+        assert str(got.value) == str(want.value)
+
+
 def test_non_finite_scores_and_thresholds_rejected():
     rng = np.random.default_rng(13)
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
@@ -365,18 +453,20 @@ def test_environment_rejects_non_finite_and_non_positive(field, value):
 
 
 def plus_predictor(recs, report, topo, env):
-    """The records and report of ``recs`` with the predictor charged to each sample."""
+    """The records and report of ``recs`` with the predictor charged to each
+    sample.  The report's mean device MFLOPs shift by the predictor's; its
+    total MFLOPs and latency follow by the count formula from the shares."""
     shifted = []
     for rec in recs:
         rec = rec._replace(on_device_mflops=rec.on_device_mflops + topo.predictor_flops)
         shifted.append(rec._replace(latency_s=latency_of(rec, topo, env)))
-    device = np.array([r.on_device_mflops for r in shifted])
-    transmitted = np.array([r.transmitted for r in shifted])
-    latency = float(np.mean([r.latency_s for r in shifted]))
+    device = report.mean_on_device_mflops + topo.predictor_flops
+    tx_share = report.exit_distribution[-1]
+    latency = device * 1e6 / env.compute_speed + tx_share * topo.transmitted_bits / env.bandwidth
     return shifted, AggregateReport(
         accuracy=report.accuracy,
-        mean_on_device_mflops=float(np.mean(device)),
-        mean_total_mflops=float(np.mean(device + np.where(transmitted, topo.server_flops, 0.0))),
+        mean_on_device_mflops=device,
+        mean_total_mflops=device + tx_share * topo.server_flops,
         mean_latency_s=latency,
         exit_distribution=report.exit_distribution,
         budget_satisfied=latency <= env.latency_budget,
