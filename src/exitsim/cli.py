@@ -227,6 +227,9 @@ def check_config(*docs: Mapping) -> Config:
     with _at("ee"):
         if [len(ee["trunk_widths"]) + 1, len(ee["exit_weights"])] != [topology.num_exits] * 2:
             raise ValueError("trunk_widths needs one entry per early exit, exit_weights per exit")
+        zoo.check_exit_weights(ee["exit_weights"])
+    with _at("policy.holdout_fraction"):
+        trace.holdout_size(specs["train"].num_samples, cfg["policy"]["holdout_fraction"])
     training = {}
     for name, offset in (("ee", 0), ("ep", 4)):
         with _at(f"{name}.train"):
@@ -328,7 +331,7 @@ def stage_select_gamma(cfg: Config, ts: trace.TraceSet, scores: np.ndarray,
 
 def best_plain_lambda(ts: trace.TraceSet, lambda_grid: Sequence[float]) -> tuple[float, ...]:
     """Unconstrained accuracy-maximizing lambda (ties: lexicographically first)."""
-    table = engine.PolicyTable(ts, engine.grid_combos(lambda_grid, ts.topology.num_early_exits))
+    table = engine.PolicyTable(ts, [lambda_grid] * ts.topology.num_early_exits)
     return table.combo(int(np.argmax(table.accuracy)))[0]
 
 
@@ -711,6 +714,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             atomic_write_text(args.out, json.dumps(doc) + "\n")
         _print_json(doc)
     elif args.command == "evaluate":
+        if args.method != "predictor" and (args.ep is not None or args.gamma is not None):
+            raise ValueError(f"--method {args.method} takes neither --ep nor --gamma")
         ts, scores, gamma = trace.load_trace_set(args.trace), None, None
         if args.method == "predictor":
             if not (args.ep and args.gamma):

@@ -25,9 +25,10 @@ terminating there, transmitted, and classified correctly.  ``_aggregate``
 is the one formula from counts to aggregates.  ``run_plain``,
 ``run_with_predictor``, ``run_oracle`` and ``policy_stats`` check their
 arguments once, walk once (the walk also yields the per-sample records)
-and count the walk.  ``PolicyTable`` never walks: it takes every (lambda,
-gamma) combination's counts from blocked integer products of threshold
-masks, so threshold searches are queries on it and each row equals its
+and count the walk.  ``PolicyTable`` never walks: given a value list per
+early exit, it takes the counts of every (lambda, gamma) combination of
+their products from blocked integer products of threshold masks, so
+threshold searches are queries on it and each row equals its
 ``policy_stats`` report bit for bit.
 """
 
@@ -40,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import ExitTopology, Thresholds, TraceSet, check_gammas, check_lambdas
+from .trace import ExitTopology, Thresholds, TraceSet, check_gamma, check_lambda
 
 
 @dataclass(frozen=True)
@@ -111,23 +112,16 @@ def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     return mat
 
 
-def _checked(ts: TraceSet, lams, gammas, scores):
-    """The one argument check: the lambda vectors, plus the gamma vectors and
-    the scores when gated.
-
-    Returns the lambdas and the gammas as (vectors x early exits) arrays
-    (gammas None for an ungated walk) and the score matrix (None likewise).
-    """
+def _checked(ts: TraceSet, gated: bool, scores) -> np.ndarray | None:
+    """The check every entry point makes after its threshold check: a
+    nonempty set and, when ``gated``, the score matrix (None otherwise)."""
     if not len(ts):
         raise ValueError("empty trace set")
-    n_early = ts.topology.num_early_exits
-    lams = check_lambdas(lams, n_early)
-    if gammas is None:
-        return lams, None, None
-    gammas = check_gammas(gammas, n_early)
+    if not gated:
+        return None
     if scores is None:
         raise ValueError("gamma given without predictor scores")
-    return lams, gammas, _scores_matrix(ts, scores)
+    return _scores_matrix(ts, scores)
 
 
 # -- the walk and its aggregates ----------------------------------------------
@@ -230,11 +224,13 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     otherwise exits are gated by ``scores >= gamma``.  Per-sample records
     are built only when ``records`` is set.
     """
-    lams, gammas, scores = _checked(ts, [lam], None if gamma is None else [gamma], scores)
-    gate = None if gammas is None else scores >= gammas[0]
-    exit_idx, device, transmitted = _walk(ts, lams[0], gate, oracle)
     topo = ts.topology
     n_early = topo.num_early_exits
+    lam = check_lambda(lam, n_early)
+    gamma = None if gamma is None else check_gamma(gamma, n_early)
+    scores = _checked(ts, gamma is not None, scores)
+    gate = None if gamma is None else scores >= gamma
+    exit_idx, device, transmitted = _walk(ts, lam, gate, oracle)
     # A sample reaches exit n when it ends at n or later.  It computes exit
     # n when it reaches it and its gate passes, or, for the oracle, only
     # when it terminates there; the plain walk computes every exit it reaches.
@@ -307,11 +303,6 @@ def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | No
 # -- the policy table ---------------------------------------------------------
 
 
-def grid_combos(values: Sequence[float], n_early: int) -> list[tuple[float, ...]]:
-    """A per-exit value grid as vectors: its sorted values' Cartesian power."""
-    return list(itertools.product(sorted(float(v) for v in values), repeat=n_early))
-
-
 # Samples per block of the table's mask products.  Each product is
 # (prefixes x block) @ (block x columns) in int64, which numpy runs in its
 # own loop rather than BLAS: the counts are exact and the working set stays
@@ -319,110 +310,96 @@ def grid_combos(values: Sequence[float], n_early: int) -> list[tuple[float, ...]
 _BLOCK = 256
 
 
-class _ExitKeys(NamedTuple):
-    """One exit's keys into a list of threshold vectors."""
-
-    values: np.ndarray   # the distinct values at this exit, ascending
-    value: np.ndarray    # (vectors,) each vector's index into ``values``
-    prefix: np.ndarray   # (vectors,) id of each vector's entries before this exit
-    n_prefixes: int      # distinct prefixes
-    parent: np.ndarray   # (prefixes one exit longer,) the prefix each extends
-    step: np.ndarray     # (prefixes one exit longer,) the value it extends it by
-
-
-def _exit_keys(vectors: np.ndarray) -> list[_ExitKeys]:
-    """Per exit, the distinct values and prefixes of (vectors x exits)."""
-    keys = []
-    prefix, n_prefixes = np.zeros(len(vectors), dtype=np.int64), 1
-    for column in vectors.T:
-        values, value = np.unique(column, return_inverse=True)
-        longer, prefix_next = np.unique(prefix * len(values) + value, return_inverse=True)
-        keys.append(_ExitKeys(values, value, prefix, n_prefixes, *divmod(longer, len(values))))
-        prefix, n_prefixes = prefix_next, len(longer)
-    return keys
-
-
-def _table_counts(ts: TraceSet, lams: np.ndarray, gammas: np.ndarray | None,
+def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.ndarray] | None,
                   scores: np.ndarray | None) -> _Counts:
     """Counts of every (lambda, gamma) combination, lambda-major; no walk.
 
     At exit n a combination's walk depends on its prefix, the (lambda,
-    gamma) entries before n, and its pair (lambda_n, gamma_n).  Each
-    distinct prefix carries the mask of samples alive after it; each pair
-    has the masks of samples its gate passes and of those it terminates.
-    One int64 product per exit and block of samples counts every prefix
-    against every pair.  The ungated table has one gamma, gate always open.
-    On Cartesian grids every product entry is some combination's count;
-    lists of unrelated vectors also pay for prefix-pair entries no
-    combination has.
+    gamma) values before n, and its pair (lambda_n, gamma_n).  The prefixes
+    form a (lambda prefixes, gamma prefixes) grid, each carrying the mask of
+    samples alive after it; each pair has the masks of samples its gate
+    passes and of those it terminates.  One int64 product per exit, block
+    of samples and count kind counts every prefix against every pair, and
+    each entry is some combination's count.  The ungated table has one
+    gate per exit, always open.
     """
     n_early = ts.topology.num_early_exits
-    keys = list(zip(_exit_keys(lams),
-                    _exit_keys(np.zeros((1, n_early)) if gammas is None else gammas)))
-    # Per exit and prefix: the samples reaching the exit; per gate, those
-    # it passes; per pair (a lambda value and a gate), those it terminates
-    # and those of them correct; at the last exit, per pair, the survivors
-    # correct at the server.  One product per kind keeps each operand small.
-    sums: list[list[np.ndarray] | None] = [None] * n_early
+    gated = gamma_grid is not None
+    gamma_grid = gamma_grid if gated else [np.zeros(1)] * n_early
+    # Per exit, (lambda prefixes, gamma prefixes, lambda_n, gamma_n) sums,
+    # of size 1 where a count does not depend on the value: the samples
+    # reaching the exit; those its gate passes; those a pair terminates and
+    # those of them correct; at the last exit, the survivors correct at the
+    # server.
+    sums: list = [None] * n_early
     for start in range(0, len(ts), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        right = ts.pred[rows] == ts.label[rows, None]
+        right = ts.pred[rows, :, None, None] == ts.label[rows, None, None, None]
         size = len(right)
-        alive = np.ones((1, size), dtype=np.int64)  # after the empty prefix
-        for n, (lk, gk) in enumerate(keys):
-            gate = (np.ones((size, 1), dtype=bool) if gammas is None
-                    else scores[rows, n, None] >= gk.values)
-            stop = ((ts.conf[rows, n, None] >= lk.values)[:, :, None]
-                    & gate[:, None, :]).reshape(size, -1)
-            masks = [gate, stop, stop & right[:, n, None]]
+        alive = np.ones((1, 1, size), dtype=np.int64)  # after the empty prefix
+        for n, (lams, gammas) in enumerate(zip(lam_grid, gamma_grid)):
+            gate = (scores[rows, n, None] >= gammas if gated
+                    else np.ones((size, 1), dtype=bool))[:, None]
+            # (samples, lambda_n, gamma_n): the samples each pair terminates
+            stop = (ts.conf[rows, n, None] >= lams)[:, :, None] & gate
+            masks = [np.ones((size, 1, 1), dtype=bool), gate, stop, stop & right[:, n]]
             if n == n_early - 1:
-                masks.append(~stop & right[:, n_early, None])
-            parts = [alive.sum(axis=1)] + [alive @ mask.astype(np.int64) for mask in masks]
-            if sums[n] is None:
-                sums[n] = parts
-            else:
-                for total, part in zip(sums[n], parts):
-                    total += part
+                masks.append(~stop & right[:, n_early])
+            flat = alive.reshape(-1, size)
+            parts = [(flat @ mask.reshape(size, -1).astype(np.int64)).reshape(
+                *alive.shape[:2], *mask.shape[1:]) for mask in masks]
+            sums[n] = parts if sums[n] is None else [a + b for a, b in zip(sums[n], parts)]
             if n + 1 < n_early:  # alive after each prefix one exit longer
-                alive = (alive[(lk.parent[:, None] * gk.n_prefixes + gk.parent).ravel()]
-                         * ~stop.T[(lk.step[:, None] * len(gk.values) + gk.step).ravel()])
-    # Each combination's counts, by its prefix and pair at each exit.
-    reached, charged, term, correct = [], [], [], 0
-    for (lk, gk), (reach, passed, stopped, stopped_right, *last) in zip(keys, sums):
-        prefix = lk.prefix[:, None] * gk.n_prefixes + gk.prefix
-        pair = lk.value[:, None] * len(gk.values) + gk.value
-        reached.append(reach[prefix])
-        charged.append(passed[prefix, gk.value])
-        term.append(stopped[prefix, pair])
-        correct = correct + stopped_right[prefix, pair]
-    # After the last exit: the survivors, transmitted, and those correct.
-    correct = correct + last[0][prefix, pair]
-    columns = lambda per_exit: np.stack(per_exit, axis=-1).reshape(-1, n_early)
-    return _Counts(columns(reached), columns(charged), columns(term),
-                   (reached[-1] - term[-1]).ravel(), correct.ravel())
+                go = np.ascontiguousarray(np.moveaxis(~stop, 0, -1))
+                alive = (alive[:, None, :, None] * go[:, None]).reshape(
+                    -1, alive.shape[1] * len(gammas), size)
+    # Each combination's counts, broadcast from its prefix and pair.
+    lam_sizes, gamma_sizes = [len(v) for v in lam_grid], [len(v) for v in gamma_grid]
+
+    def spread(part: np.ndarray, n: int) -> np.ndarray:
+        ones = (1,) * (n_early - 1 - n)
+        return np.broadcast_to(part.transpose(0, 2, 1, 3).reshape(
+            *lam_sizes[:n], part.shape[2], *ones, *gamma_sizes[:n], part.shape[3], *ones),
+            (*lam_sizes, *gamma_sizes))
+
+    columns = lambda kind: np.stack([spread(parts[kind], n) for n, parts in enumerate(sums)],
+                                    axis=-1).reshape(-1, n_early)
+    reach, term = columns(0), columns(2)
+    correct = (sum(spread(parts[3], n) for n, parts in enumerate(sums))
+               + spread(sums[-1][4], n_early - 1))
+    return _Counts(reach, columns(1), term, reach[:, -1] - term[:, -1], correct.ravel())
 
 
 class PolicyTable:
     """Aggregates of every (lambda, gamma) combination, from integer counts.
 
-    Combinations run lambda-major in the order given; the lists need not be
-    Cartesian powers and may repeat a vector.  ``gammas`` None tabulates the
-    plain policy.  With a ``compute_speed`` and ``bandwidths``, each
-    combination's mean latency is priced at every bandwidth.  No sample is
-    walked: blocked mask products count each combination's walk, and the
-    count formula ``policy_stats`` applies to its one walk turns the counts
-    into aggregates, so each row equals its report bit for bit.  Only
-    aggregates are kept, never per-sample arrays.
+    ``lam_grid`` (and ``gamma_grid``, when gated) holds one nonempty value
+    list per early exit; the combinations are every choice of one value per
+    exit, lambda-major, each exit's values ascending (repeats kept), as
+    ``combo`` returns them.  ``gamma_grid`` None tabulates the plain
+    policy.  With a ``compute_speed`` and ``bandwidths``, each combination's
+    mean latency is priced at every bandwidth.  No sample is walked: blocked
+    mask products count each combination's walk, and the count formula
+    ``policy_stats`` applies to its one walk turns the counts into
+    aggregates, so each row equals its report bit for bit.  Only aggregates
+    are kept, never per-sample arrays.
     """
 
-    def __init__(self, ts: TraceSet, lams: Sequence[Sequence[float]],
-                 gammas: Sequence[Sequence[float]] | None = None, scores=None,
+    def __init__(self, ts: TraceSet, lam_grid: Sequence[Sequence[float]],
+                 gamma_grid: Sequence[Sequence[float]] | None = None, scores=None,
                  compute_speed: float | None = None, bandwidths: Sequence[float] = ()):
-        if not lams or (gammas is not None and not gammas):
-            raise ValueError("threshold grids must be nonempty")
-        lams, gammas, scores = _checked(ts, lams, gammas, scores)
-        self.lams = list(map(tuple, lams.tolist()))
-        self.gammas = None if gammas is None else list(map(tuple, gammas.tolist()))
+        n_early = ts.topology.num_early_exits
+        if len(lam_grid) != n_early or gamma_grid is not None and len(gamma_grid) != n_early:
+            raise ValueError(f"lam_grid and gamma_grid need {n_early} value lists each, "
+                             "one per early exit")
+        # Each exit's values are checked as a vector of any length.
+        lam_grid = [np.sort(check_lambda(values)) for values in lam_grid]
+        if gamma_grid is not None:
+            gamma_grid = [np.sort(check_gamma(values)) for values in gamma_grid]
+        scores = _checked(ts, gamma_grid is not None, scores)
+        product = lambda grid: list(itertools.product(*(values.tolist() for values in grid)))
+        self.lams = product(lam_grid)
+        self.gammas = None if gamma_grid is None else product(gamma_grid)
         self.bandwidths = tuple(float(b) for b in bandwidths)
         if any(not 0 < b < math.inf for b in self.bandwidths):
             raise ValueError("bandwidths must be finite and strictly positive")
@@ -430,8 +407,8 @@ class PolicyTable:
             raise ValueError("pricing bandwidths needs a finite positive compute_speed")
         (self.accuracy, self.on_device_mflops, _, self.exit_distribution,
          self.mean_latency_s) = _aggregate(
-            ts.topology, len(ts), _table_counts(ts, lams, gammas, scores),
-            gammas is not None, compute_speed, self.bandwidths)
+            ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores),
+            gamma_grid is not None, compute_speed, self.bandwidths)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
         """(lambda, gamma) of combination ``i``; gamma None for the plain policy."""

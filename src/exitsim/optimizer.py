@@ -4,10 +4,10 @@
 the feasible point with the highest accuracy (ties: lower mean latency,
 then lexicographically smallest thresholds).  ``sweep_bandwidths`` answers
 the same question across link rates.  Both are queries on one
-``engine.PolicyTable``: each (lambda, gamma) combination's integer counts
-are taken once, without walking a sample, and every bandwidth is priced
-from them by the engine's count formula, since only latency depends on
-the link.
+``engine.PolicyTable`` given each grid as the value list of every early
+exit: each (lambda, gamma) combination's integer counts are taken once,
+without walking a sample, and every bandwidth is priced from them by the
+engine's count formula, since only latency depends on the link.
 ``fit_regressors`` turns the recorded optima into one schedule per
 bandwidth interval, piecewise linear in log10(bandwidth) through the optima
 themselves, so one predictor serves every channel condition and nothing is
@@ -57,9 +57,8 @@ class PolicyPoint:
 def _table(ts: TraceSet, scores, env: engine.Environment, bandwidths: Sequence[float],
            lambda_grid: Sequence[float], gamma_grid: Sequence[float]) -> engine.PolicyTable:
     n_early = ts.topology.num_early_exits
-    return engine.PolicyTable(
-        ts, engine.grid_combos(lambda_grid, n_early), engine.grid_combos(gamma_grid, n_early),
-        as_scores(ts, scores), env.compute_speed, bandwidths)
+    return engine.PolicyTable(ts, [lambda_grid] * n_early, [gamma_grid] * n_early,
+                              as_scores(ts, scores), env.compute_speed, bandwidths)
 
 
 def _point(table: engine.PolicyTable, i: int, b: int, bandwidth: float,

@@ -103,8 +103,8 @@ def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
     if not (0.0 < budget_fraction <= 1.0):
         raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
     n_early = ts.topology.num_early_exits
-    table = engine.PolicyTable(ts, [lam], engine.grid_combos(gamma_grid(grid_step), n_early),
-                               as_scores(ts, ep))
+    table = engine.PolicyTable(ts, [[v] for v in check_lambda(lam, n_early)],
+                               [gamma_grid(grid_step)] * n_early, as_scores(ts, ep))
     # Row 0 is gamma = 0: every score passes, so it is the plain walk.
     extra = table.exit_distribution[:, -1] - table.exit_distribution[0, -1]
     return table.combo(table.cheapest(extra < budget_fraction))[1]

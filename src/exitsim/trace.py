@@ -18,9 +18,9 @@ documents, ``read_jsonl`` for line-delimited files (whose records
 ``load_trace_set`` and ``load_dataset`` walk in one loop) and
 ``read_table`` for CSV tables.  Each input kind read back has one check,
 naming the path and the line, column or field: line-delimited records,
-CSV tables, threshold vectors (``check_lambda``, ``check_gamma``, and their
-stacked forms ``check_lambdas``, ``check_gammas`` for whole grids) and JSON
-checkpoints (``load_checkpoint``).
+CSV tables, threshold vectors (``check_lambda``, ``check_gamma``, which also
+check each exit's value list of a threshold grid) and JSON checkpoints
+(``load_checkpoint``).
 """
 
 from __future__ import annotations
@@ -536,43 +536,15 @@ def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -
     return vec
 
 
-def _check_grid(vectors, n_early: int, name: str, inside, bounds: str) -> np.ndarray:
-    """Vectors stacked as one (vectors x n_early) float64 array, checked in
-    one pass; when the stack fails, the first bad vector raises its own error."""
-    try:
-        grid = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # ragged or not numbers
-        grid = None
-    if grid is None or grid.ndim != 2 or grid.shape[1] != n_early or not np.all(inside(grid)):
-        grid = np.array([_check_vector(v, n_early, name, inside, bounds) for v in vectors])
-    return grid
-
-
-_LAMBDA = ("lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
-_GAMMA = ("gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
-
-
 def check_lambda(lam, n_early: int | None = None) -> np.ndarray:
     """The one lambda check: a float64 vector of ``n_early`` (default: >= 1)
     confidence thresholds, each in (0, 1)."""
-    return _check_vector(lam, n_early, *_LAMBDA)
+    return _check_vector(lam, n_early, "lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
 
 
 def check_gamma(gamma, n_early: int | None = None) -> np.ndarray:
     """The one gamma check: as ``check_lambda``, each prediction threshold in [0, 1]."""
-    return _check_vector(gamma, n_early, *_GAMMA)
-
-
-def check_lambdas(lams, n_early: int) -> np.ndarray:
-    """Lambda vectors as one (vectors x n_early) array; a bad one raises as
-    in ``check_lambda``."""
-    return _check_grid(lams, n_early, *_LAMBDA)
-
-
-def check_gammas(gammas, n_early: int) -> np.ndarray:
-    """Gamma vectors as one (vectors x n_early) array; a bad one raises as
-    in ``check_gamma``."""
-    return _check_grid(gammas, n_early, *_GAMMA)
+    return _check_vector(gamma, n_early, "gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -884,20 +856,25 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
     return x, y, p
 
 
+def holdout_size(n: int, fraction: float) -> int:
+    """Samples ``split_trace_set`` holds out of ``n``: at least one, and fewer than ``n``."""
+    if not (0.0 < fraction < 1.0):
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    n_hold = max(1, int(round(n * fraction)))
+    if n_hold >= n:
+        raise ValueError(f"cannot hold out {n_hold} of {n} samples")
+    return n_hold
+
+
 def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[TraceSet, TraceSet]:
     """Deterministically split off a held-out part (the second return value).
 
     ``fraction`` is the held-out share; sample order within each part follows
     the original set.
     """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    n = len(ts)
-    n_hold = max(1, int(round(n * fraction)))
-    if n_hold >= n:
-        raise ValueError(f"cannot hold out {n_hold} of {n} samples")
+    n_hold = holdout_size(len(ts), fraction)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = rng.permutation(len(ts))
     hold = np.sort(perm[:n_hold])
     keep = np.sort(perm[n_hold:])
     return ts.subset(keep), ts.subset(hold)

@@ -107,6 +107,17 @@ def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def check_exit_weights(weights: Sequence[float]) -> tuple[float, ...]:
+    """The one loss-weight check: each weight >= 0, with a positive sum.
+
+    Weight 0 is allowed so individual exits can be switched off.
+    """
+    weights = tuple(float(w) for w in weights)
+    if any(w < 0 for w in weights) or sum(weights) <= 0:
+        raise ValueError("exit weights must be >= 0 with positive sum")
+    return weights
+
+
 class ToyEarlyExitNet:
     """Shared dense trunk with one softmax head per exit.
 
@@ -120,15 +131,12 @@ class ToyEarlyExitNet:
         self.trunk = list(trunk)
         self.heads = list(heads)
         self.final = final
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = check_exit_weights(weights)
         self.seed = int(seed)
         if not self.trunk or len(self.trunk) != len(self.heads):
             raise ValueError("need one head per trunk segment")
         if len(self.weights) != len(self.trunk) + 1:
             raise ValueError("need one loss weight per exit")
-        # Weight 0 is allowed so individual exits can be switched off.
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ValueError("exit weights must be >= 0 with positive sum")
         for i, (seg, head) in enumerate(zip(self.trunk, self.heads)):
             if i > 0 and self.trunk[i - 1].out_dim != seg.in_dim:
                 raise ValueError(f"trunk segment {i} does not chain")

@@ -92,6 +92,18 @@ def test_evaluate_oracle_method(golden_trace_path):
     assert row["mean_on_device_mflops"] == pytest.approx(34.93, abs=0.02)
 
 
+@pytest.mark.parametrize("method", ["plain", "oracle"])
+@pytest.mark.parametrize("flag, value", [("--gamma", "0.5,0.5"), ("--ep", "missing.json")])
+def test_evaluate_rejects_predictor_flags_on_other_methods(golden_trace_path, method, flag,
+                                                           value):
+    proc = run_cli("evaluate", "--trace", golden_trace_path, "--lambda", "0.9,0.9",
+                   "--method", method, flag, value)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "ValueError", "message": f"--method {method} takes neither --ep nor --gamma"}
+    assert proc.stdout == ""
+
+
 def test_missing_trace_file_gives_json_error_and_status_1():
     proc = run_cli("evaluate", "--trace", "/nonexistent/t.jsonl", "--lambda", "0.9,0.9")
     assert proc.returncode == 1
@@ -595,6 +607,9 @@ def test_regressor_section_is_checked_but_changes_nothing(small_demo):
     ({"ee": {"train": {"seed": 1}}}, "config ee.train: unknown key 'seed'"),
     ({"seed": -1}, "config: seed must be >= 0, got -1"),
     ({"synth": {"final_flip_prob": 1.5}}, "config synth: final_flip_prob must lie in [0, 1]"),
+    ({"ee": {"exit_weights": [0, 0, 0]}}, "config ee: exit weights must be >= 0 with positive sum"),
+    ({"policy": {"holdout_fraction": 0.9999}},
+     "config policy.holdout_fraction: cannot hold out 2000 of 2000 samples"),
 ])
 def test_malformed_config_fails_at_the_check(tmp_path, capsys, doc, message):
     path = tmp_path / "config.json"

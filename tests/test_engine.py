@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from exitsim.engine import (
     AggregateReport,
     Environment,
     PolicyTable,
-    grid_combos,
     policy_stats,
     run_oracle,
     run_plain,
@@ -145,11 +145,12 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
     rng = np.random.default_rng(seed)
     ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
     n_early = num_exits - 1
-    lams = [random_lambda(rng, n_early) for _ in range(3)]
-    gammas = [random_gamma(rng, n_early) for _ in range(3)] if gated else None
+    # Two random vectors, read as two values per exit.
+    lam_grid = np.transpose([random_lambda(rng, n_early) for _ in range(2)])
+    gamma_grid = np.transpose([random_gamma(rng, n_early) for _ in range(2)]) if gated else None
     scores = rng.uniform(0.0, 1.0, (n_samples, n_early)) if gated else None
     bandwidths = (1e3, 1e5, 1e7)
-    table = PolicyTable(ts, lams, gammas, scores, 3.62e9, bandwidths)
+    table = PolicyTable(ts, lam_grid, gamma_grid, scores, 3.62e9, bandwidths)
     for i in range(len(table.accuracy)):
         lam, gamma = table.combo(i)
         for b, bandwidth in enumerate(bandwidths):
@@ -165,28 +166,28 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans(),
        n_samples=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
-       n_lams=st.integers(1, 3), n_gammas=st.integers(1, 3), repeat=st.booleans())
+       n_lams=st.integers(1, 2), n_gammas=st.integers(1, 2), repeat=st.booleans())
 def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, n_lams,
                                              n_gammas, repeat):
     rng = np.random.default_rng(seed)
     ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
     topo, n_early = ts.topology, num_exits - 1
     scores = rng.choice([0.0, 0.25, 0.5, 1.0], (n_samples, n_early))
-    # Entries drawn from a few values, some equal to a sample's confidence
-    # or score, so entries tie with samples, vectors share prefixes, and
-    # the lists are not Cartesian powers; ``repeat`` repeats a whole vector.
+    # Values drawn from a few, some equal to a sample's confidence or
+    # score, so values tie with samples and exits share values; ``repeat``
+    # repeats a value at one exit.
     lam_values = np.concatenate([rng.uniform(0.05, 0.99, 2),
                                  ts.conf[rng.integers(0, n_samples, 2), 0]])
-    lams = [tuple(rng.choice(lam_values, n_early).tolist()) for _ in range(n_lams)]
-    gammas = [tuple(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], n_early).tolist())
-              for _ in range(n_gammas)]
+    lam_grid = [rng.choice(lam_values, n_lams).tolist() for _ in range(n_early)]
+    gamma_grid = [rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], n_gammas).tolist()
+                  for _ in range(n_early)]
     if repeat:
-        lams.append(lams[0])
-        gammas.append(gammas[-1])
+        lam_grid[0].append(lam_grid[0][0])
+        gamma_grid[-1].append(gamma_grid[-1][-1])
     bandwidths = (1e3, 1e5, 1e7)
-    table = PolicyTable(ts, lams, gammas if gated else None, scores if gated else None,
+    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None, scores if gated else None,
                         3.62e9, bandwidths)
-    assert len(table.accuracy) == len(lams) * (len(gammas) if gated else 1)
+    assert len(table.accuracy) == math.prod(map(len, lam_grid + gamma_grid if gated else lam_grid))
     for i in range(len(table.accuracy)):
         lam, gamma = table.combo(i)
         walks = [literal_predictor_walk(ts.conf[s], scores[s], lam, gamma, topo) if gated
@@ -213,16 +214,52 @@ def test_gated_table_build_peaks_below_two_megabytes():
     ts = TraceSet.from_columns(VGG_TOPOLOGY, np.arange(n), rng.integers(0, 10, n),
                                rng.uniform(0.1, 0.999, (n, 3)), rng.integers(0, 10, (n, 3)))
     scores = rng.uniform(0.0, 1.0, (n, 2))
-    lams = grid_combos(np.linspace(0.2, 0.9, 8), 2)
-    gammas = grid_combos(np.linspace(0.0, 1.0, 5), 2)
+    lam_grid = [np.linspace(0.2, 0.9, 8)] * 2
+    gamma_grid = [np.linspace(0.0, 1.0, 5)] * 2
     tracemalloc.start()
     try:
-        table = PolicyTable(ts, lams, gammas, scores, 3.62e9, np.geomspace(1e4, 1e8, 16))
+        table = PolicyTable(ts, lam_grid, gamma_grid, scores, 3.62e9, np.geomspace(1e4, 1e8, 16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.mean_latency_s.shape == (1600, 16)
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_combos_enumerate_the_product_of_sorted_values_lambda_major(gated):
+    rng = np.random.default_rng(17)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=10)
+    lam_grid = [(0.7, 0.3), (0.5,), (0.9, 0.2, 0.9)]
+    gamma_grid = [(1.0, 0.0), (0.5, 0.25), (0.75,)] if gated else None
+    table = PolicyTable(ts, lam_grid, gamma_grid, rng.uniform(0.0, 1.0, (10, 3)))
+    lams = list(itertools.product(*map(sorted, lam_grid)))
+    gammas = list(itertools.product(*map(sorted, gamma_grid))) if gated else [None]
+    combos = list(itertools.product(lams, gammas))
+    assert len(table.accuracy) == len(combos) == (24 if gated else 6)
+    assert [table.combo(i) for i in range(len(combos))] == combos
+
+
+def test_four_exit_default_grid_rows_equal_policy_stats():
+    # The default lambda and gamma grids at every one of three early exits:
+    # 8**3 * 5**3 = 64,000 combinations.
+    rng = np.random.default_rng(18)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=1000)
+    scores = rng.uniform(0.0, 1.0, (1000, 3))
+    bandwidths = (1e5, 1e6, 1e8)
+    table = PolicyTable(ts, [np.linspace(0.2, 0.9, 8)] * 3, [np.linspace(0.0, 1.0, 5)] * 3,
+                        scores, 3.62e9, bandwidths)
+    n_combos = 8**3 * 5**3
+    assert table.mean_latency_s.shape == (n_combos, 3)
+    for i in [0, n_combos - 1, *rng.integers(0, n_combos, 20).tolist()]:
+        lam, gamma = table.combo(i)
+        for b, bandwidth in enumerate(bandwidths):
+            rep = policy_stats(ts, lam, gamma, scores, Environment(3.62e9, bandwidth, 0.03))
+            assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
+                         tuple(table.exit_distribution[i].tolist()),
+                         float(table.mean_latency_s[i, b]))) == repr(
+                (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
+                 rep.mean_latency_s))
 
 
 def test_oracle_equals_plain_when_everything_exits_first():
@@ -391,8 +428,8 @@ def test_wrong_length_gamma_rejected_by_policy_stats_and_table():
     for gamma in ((0.3,), (0.3, 0.3, 0.3)):
         with pytest.raises(ValueError, match="gamma must have length 2"):
             policy_stats(ts, (0.9, 0.9), gamma, scores)
-        with pytest.raises(ValueError, match="gamma must have length 2"):
-            PolicyTable(ts, [(0.9, 0.9)], [(0.3, 0.3), gamma], scores)
+        with pytest.raises(ValueError, match="gamma_grid need 2 value lists each"):
+            PolicyTable(ts, [(0.9,), (0.9,)], [(0.3, 0.5)] * len(gamma), scores)
 
 
 @pytest.mark.parametrize("bad", [(0.9,), (0.5, 0.6, 0.7), ((0.9,), (0.9,)), (0.9, math.nan),
@@ -403,15 +440,17 @@ def test_a_bad_vector_in_a_threshold_list_raises_its_own_check(bad):
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
     scores = rng.uniform(0.0, 1.0, (8, 2))
     env = Environment(3.62e9, 1e6, 0.03)
-    for check, tabulate in (
-            (check_lambda, lambda: PolicyTable(ts, [(0.5, 0.5), bad, (0.9, 0.9)])),
-            (check_lambda, lambda: policy_stats(ts, bad)),
-            (check_lambda, lambda: run_oracle(ts, bad)),
-            (check_gamma, lambda: PolicyTable(ts, [(0.5, 0.5)], [(0.0, 0.0), bad], scores,
-                                              3.62e9, [1e6])),
-            (check_gamma, lambda: policy_stats(ts, (0.9, 0.9), bad, scores, env))):
+    cases = [(check_lambda, 2, lambda: policy_stats(ts, bad)),
+             (check_lambda, 2, lambda: run_oracle(ts, bad)),
+             (check_gamma, 2, lambda: policy_stats(ts, (0.9, 0.9), bad, scores, env))]
+    if bad not in ((0.9,), (0.5, 0.6, 0.7)):  # any nonempty length is a good value list
+        # A table checks each exit's value list as a vector of any length.
+        cases += [(check_lambda, None, lambda: PolicyTable(ts, [(0.5, 0.9), bad])),
+                  (check_gamma, None, lambda: PolicyTable(ts, [(0.5,), (0.5,)], [bad, (0.0, 1.0)],
+                                                          scores, 3.62e9, [1e6]))]
+    for check, n_early, tabulate in cases:
         with pytest.raises(ValueError) as want:
-            check(bad, 2)
+            check(bad, n_early)
         with pytest.raises(ValueError) as got:
             tabulate()
         assert str(got.value) == str(want.value)
@@ -427,7 +466,7 @@ def test_non_finite_scores_and_thresholds_rejected():
     with pytest.raises(ValueError, match="scores must lie in"):
         policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
     with pytest.raises(ValueError, match="scores must lie in"):
-        PolicyTable(ts, [(0.9, 0.9)], [(0.5, 0.5)], scores)
+        PolicyTable(ts, [(0.9,), (0.9,)], [(0.5,), (0.5,)], scores)
     with pytest.raises(ValueError, match="lambda entries"):
         run_plain(ts, (0.9, math.nan))
     with pytest.raises(ValueError, match="gamma entries"):
