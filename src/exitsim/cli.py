@@ -360,11 +360,12 @@ def stage_fit_adapt(cfg: Config, points: Sequence[optimizer.PolicyPoint]
 
 
 def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
-                    regressors: Sequence[optimizer.ThresholdRegressor]) -> str:
-    """Adapted thresholds re-evaluated at every sweep bandwidth, as a policy table."""
-    env = cfg.env
-    points = []
-    for bw in sorted(float(b) for b in cfg.doc["sweep_bandwidths"]):
+                    regressors: Sequence[optimizer.ThresholdRegressor],
+                    sweep_points: Sequence[optimizer.PolicyPoint]) -> str:
+    """Adapted thresholds re-evaluated at each bandwidth of the sweep the
+    regressors were fit from, as a policy table."""
+    env, points = cfg.env, []
+    for bw in sorted({p.bandwidth for p in sweep_points}):
         th = optimizer.adapt(regressors, bw)
         stats = engine.policy_stats(ts, th.lam, th.gamma, scores,
                                     replace(env, bandwidth=bw))
@@ -374,9 +375,25 @@ def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
     return optimizer.policy_points_csv(points)
 
 
+def check_demo_bandwidths(cfg: Config) -> None:
+    """Raise ValueError unless every regressor interval holds at least 2 sweep
+    bandwidths and every sweep bandwidth lies in an interval, as the demo's
+    fit and adaptation need (``sweep`` alone takes any)."""
+    bandwidths, intervals = set(cfg.doc["sweep_bandwidths"]), cfg.doc["regressor_intervals"]
+    for lo, hi in intervals:
+        if (n := sum(lo <= b <= hi for b in bandwidths)) < 2:
+            raise ValueError(f"config regressor_intervals: interval {lo:.6g}-{hi:.6g} bit/s "
+                             f"holds {n} sweep bandwidths; need at least 2")
+    if outside := sorted(b for b in bandwidths if not any(lo <= b <= hi for lo, hi in intervals)):
+        raise ValueError(f"config sweep_bandwidths: {outside[0]:.6g} bit/s outside all "
+                         "regressor intervals")
+
+
 def stage_demo(cfg: Config, outdir: str) -> dict:
-    """The pipeline, stage to stage in memory: writes every artifact into
-    ``outdir``, reads none back, and returns the summary.json document."""
+    """The pipeline, stage to stage in memory: checks the sweep bandwidths
+    first, writes every artifact into ``outdir``, reads none back, and
+    returns the summary.json document."""
+    check_demo_bandwidths(cfg)
     os.makedirs(outdir, exist_ok=True)
     path = lambda name: os.path.join(outdir, name)
 
@@ -425,7 +442,8 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
     optimizer.save_policy_points(sweep_points, path("sweep.csv"))
     regressors = stage_fit_adapt(cfg, sweep_points)
     optimizer.save_regressors(regressors, path("regressors.json"))
-    atomic_write_text(path("adapt_table.csv"), adapt_table_csv(cfg, test_ts, scores, regressors))
+    atomic_write_text(path("adapt_table.csv"),
+                      adapt_table_csv(cfg, test_ts, scores, regressors, sweep_points))
 
     summary = {
         "kind": "summary",
@@ -759,7 +777,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         optimizer.save_regressors(regs, args.out)
         if scored:
             ts, _, scores = scored
-            atomic_write_text(args.table, adapt_table_csv(cfg, ts, scores, regs))
+            atomic_write_text(args.table, adapt_table_csv(cfg, ts, scores, regs, points))
         errs = ", ".join(f"{r.max_abs_error:.4f}" for r in regs)
         print(f"wrote {args.out} (max abs fit errors: {errs})")
     elif args.command == "demo":

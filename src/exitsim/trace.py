@@ -9,9 +9,11 @@ Reals are stored with 9 significant digits.  A 9-digit decimal round-trips
 exactly through an IEEE double, so values are canonicalised to that
 precision at construction time and save -> load is the identity.
 
-A ``TraceSet`` keeps its samples as read-only numpy columns.  Every way of
-building one (from ``SampleTrace`` objects, from arrays, from a file, as a
-subset) goes through one column canonicaliser and one column check.
+A ``TraceSet`` keeps its samples as read-only numpy columns.  Building one
+from ``SampleTrace`` rows, from arrays or from a file goes through one
+column canonicaliser and one column check, the only place sample values are
+canonicalised and checked; a row checks nothing itself.  ``subset`` takes
+rows of a checked set, so it checks only that no index repeats.
 
 Each input shape has one reader here: ``read_json`` for whole-file JSON
 documents, ``read_jsonl`` for line-delimited files (whose records
@@ -31,10 +33,9 @@ import math
 import operator
 import os
 import tempfile
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,12 +119,6 @@ class TraceFormatError(ValueError):
     """An input file that cannot be read as its format: bytes that are not
     UTF-8, text that is not JSON, a JSON value that is not an object, or a
     trace or dataset record that is malformed or violates a data invariant."""
-
-
-def all_finite(values: Sequence[float]) -> bool:
-    # sum() is one C pass; only a non-finite sum (NaN, inf, or an overflow
-    # of finite values) needs the per-value test.
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -216,46 +211,20 @@ class ExitTopology:
             raise TraceFormatError(f"header missing key {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SampleTrace:
-    """One input's per-exit confidences and predictions.
+class SampleTrace(NamedTuple):
+    """One input's per-exit confidences and predictions, as a plain row.
 
     ``confidences[n]`` is the top-1 softmax probability at exit n+1; the last
     entry belongs to the server-side exit.  ``features`` optionally carries
     the raw input vector so a skip predictor can be trained from the trace.
+    A row checks nothing: ``TraceSet(topology, rows)`` does.
     """
 
     id: int
     label: int
-    confidences: tuple[float, ...]
-    predicted: tuple[int, ...]
-    features: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "id", as_int(self.id, "id"))
-        object.__setattr__(self, "label", as_int(self.label, "label"))
-        object.__setattr__(self, "confidences", canon_seq(self.confidences))
-        object.__setattr__(self, "predicted",
-                           tuple(as_int(p, "predicted") for p in self.predicted))
-        if self.features is not None:
-            object.__setattr__(self, "features", canon_seq(self.features))
-            if not all_finite(self.features):
-                raise ValueError(f"sample {self.id}: features must be finite")
-        if len(self.confidences) != len(self.predicted):
-            raise ValueError(
-                f"sample {self.id}: confidences and predicted lengths differ "
-                f"({len(self.confidences)} vs {len(self.predicted)})"
-            )
-        if len(self.confidences) < 2:
-            raise ValueError(f"sample {self.id}: needs at least 2 exits")
-
-
-def _trusted_sample(id, label, confidences, predicted, features) -> SampleTrace:
-    """A SampleTrace of values a checked TraceSet holds, built without re-checking."""
-    s = object.__new__(SampleTrace)
-    s.__dict__.update(id=id, label=label, confidences=confidences, predicted=predicted,
-                      features=features)
-    return s
+    confidences: Sequence[float]
+    predicted: Sequence[int]
+    features: Sequence[float] | None = None
 
 
 # -- the column check ---------------------------------------------------------
@@ -308,12 +277,12 @@ def _float64(values) -> np.ndarray:
 
 
 def _integral(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(the values as given, as int64, mask of entries that are not integers)."""
+    """(the values as given, as int64, mask of non-integers: fractional, huge or bool)."""
     given = np.asarray(values)
     if given.dtype.kind in "iu":
         return given, given.astype(np.int64), np.zeros(given.shape, dtype=bool)
     real = _float64(given)
-    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63))
+    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63)) | (given.dtype.kind == "b")
     return given, np.where(bad, 0.0, real).astype(np.int64), bad
 
 
@@ -350,10 +319,10 @@ def _sample_checks(ids, label, p: int, features):
 def _matrices(topology: ExitTopology, ids, conf, pred, features):
     """Stack per-sample values into (samples, width) matrices.
 
-    ``conf``, ``pred`` and ``features`` are each (entries end to end, each
-    sample's length), a length of -1 marking a sample without features.
-    Raises _RowError for the first sample whose lengths fit neither the
-    topology nor the set's first sample.
+    ``conf``, ``pred`` and ``features`` are each (entries end to end or one
+    sequence per sample, each sample's length), a length of -1 marking a
+    sample without features.  Raises _RowError for the first sample whose
+    lengths fit neither the topology nor the set's first sample.
     """
     n, n_exits = len(ids), topology.num_exits
     (conf, conf_len), (pred, pred_len), (features, feat_len) = (
@@ -379,18 +348,19 @@ class TraceSet:
     ``ids`` and ``label`` are (samples,) int64; ``conf`` holds the top-1
     confidence and ``pred`` the predicted class at each exit, both
     (samples, N); ``features`` is (samples, d) float64 or None.  The
-    columns are read-only.  ``samples`` is a sequence of ``SampleTrace``
-    built from the columns as it is read.
+    columns are read-only.  ``samples`` yields the rows as ``SampleTrace``.
     """
+
+    _CHUNK = 4096  # rows ``samples`` converts at a time
 
     def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
         rows = tuple(samples)
         ids = [s.id for s in rows]
         conf, pred, features = _matrices(
             topology, ids,
-            ([v for s in rows for v in s.confidences], [len(s.confidences) for s in rows]),
-            ([v for s in rows for v in s.predicted], [len(s.predicted) for s in rows]),
-            ([v for s in rows for v in s.features or ()],
+            ([s.confidences for s in rows], [len(s.confidences) for s in rows]),
+            ([s.predicted for s in rows], [len(s.predicted) for s in rows]),
+            ([s.features for s in rows if s.features is not None],
              [-1 if s.features is None else len(s.features) for s in rows]))
         self._set(topology, ids, [s.label for s in rows], conf, pred, features)
 
@@ -463,9 +433,16 @@ class TraceSet:
         return self.features is not None
 
     @property
-    def samples(self) -> "_SampleView":
-        """The samples as a sequence of ``SampleTrace``, built on access."""
-        return _SampleView(self)
+    def samples(self) -> Iterator[SampleTrace]:
+        """The samples as ``SampleTrace`` rows of Python values, built
+        ``_CHUNK`` rows at a time as they are read."""
+        for start in range(0, len(self), self._CHUNK):
+            part = slice(start, start + self._CHUNK)
+            features = (repeat(None) if self.features is None
+                        else map(tuple, self.features[part].tolist()))
+            yield from map(SampleTrace, self.ids[part].tolist(), self.label[part].tolist(),
+                           map(tuple, self.conf[part].tolist()),
+                           map(tuple, self.pred[part].tolist()), features)
 
     # The columns under their matrix names.
     conf_matrix = property(operator.attrgetter("conf"))
@@ -490,41 +467,6 @@ class TraceSet:
         ts = TraceSet.__new__(TraceSet)
         ts._store(self.topology, *columns)
         return ts
-
-
-class _SampleView(SequenceABC):
-    """A trace set's samples as ``SampleTrace``; each is built when read."""
-
-    __slots__ = ("_ts",)
-    _CHUNK = 4096  # rows converted at a time while iterating
-
-    def __init__(self, ts: TraceSet):
-        self._ts = ts
-
-    def __len__(self) -> int:
-        return len(self._ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        ts = self._ts
-        return _trusted_sample(
-            int(ts.ids[i]), int(ts.label[i]), tuple(ts.conf[i].tolist()),
-            tuple(ts.pred[i].tolist()),
-            None if ts.features is None else tuple(ts.features[i].tolist()))
-
-    def __iter__(self) -> Iterator[SampleTrace]:
-        ts = self._ts
-        for start in range(0, len(ts), self._CHUNK):
-            part = slice(start, start + self._CHUNK)
-            features = (repeat(None) if ts.features is None
-                        else map(tuple, ts.features[part].tolist()))
-            yield from map(_trusted_sample, ts.ids[part].tolist(), ts.label[part].tolist(),
-                           map(tuple, ts.conf[part].tolist()),
-                           map(tuple, ts.pred[part].tolist()), features)
-
-    def __add__(self, other) -> tuple[SampleTrace, ...]:
-        return tuple(self) + tuple(other)
 
 
 def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -> np.ndarray:

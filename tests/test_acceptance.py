@@ -126,7 +126,7 @@ def test_criterion_2_cost_model_consistency():
         full_recs, _ = run_with_predictor(ts, Thresholds(lam, gamma), scores)
         for i, rec in enumerate(full_recs):
             taken, device, _, tx = literal_predictor_walk(
-                ts.samples[i].confidences, scores[i], lam, gamma, topo)
+                ts.conf[i], scores[i], lam, gamma, topo)
             assert rec.exit_taken == taken and rec.transmitted == tx
             worst_gap = max(worst_gap, abs(rec.on_device_mflops - device))
     elapsed = time.monotonic() - start

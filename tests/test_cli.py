@@ -350,6 +350,36 @@ def test_fit_adapt_on_a_corrupted_sweep_fails_instead_of_training(small_demo, sm
     assert not out.exists()
 
 
+def test_fit_adapt_table_rows_carry_the_points_bandwidths(small_demo, tmp_path, capsys):
+    # The points come from SMALL_CONFIG's sweep; the default config sweeps
+    # other bandwidths, so rows at those would be at bandwidths never fit.
+    demo, table = small_demo[0], tmp_path / "adapt.csv"
+    assert main(["fit-adapt", "--points", str(demo / "sweep.csv"), "--out",
+                 str(tmp_path / "regs.json"), "--table", str(table), "--traces",
+                 str(demo / "traces_test.jsonl"), "--ep", str(demo / "ep.json")]) == 0, \
+        capsys.readouterr().err
+    assert ([p.bandwidth for p in load_policy_points(table)]
+            == sorted(SMALL_CONFIG["sweep_bandwidths"]))
+    assert table.read_bytes() == (demo / "adapt_table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"sweep_bandwidths": [2e5, 3e5, 5e5]},
+     "config regressor_intervals: interval 1e+06-1e+07 bit/s holds 0 sweep bandwidths; "
+     "need at least 2"),
+    ({"regressor_intervals": [[1e5, 1e6], [1e6, 1e7]]},
+     "config sweep_bandwidths: 3e+07 bit/s outside all regressor intervals"),
+], ids=["interval-short", "bandwidth-outside"])
+def test_demo_over_a_sweep_the_regressors_cannot_cover_writes_nothing(tmp_path, capsys, doc,
+                                                                      message):
+    path, out = tmp_path / "config.json", tmp_path / "demo"
+    path.write_text(json.dumps(doc))
+    check_config(doc)  # a sweep alone takes any positive bandwidths
+    assert main(["demo", "--config", str(path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"seed": 3,\n"synth": }\n')

@@ -5,7 +5,6 @@ set)."""
 
 import ast
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -17,6 +16,7 @@ import pytest
 import exitsim
 from exitsim import (Environment, ExitPredictor, Mlp, Thresholds, run_oracle, run_plain,
                      run_with_predictor)
+from exitsim.trace import SampleTrace, TraceSet
 
 from helpers import (literal_oracle_walk, literal_plain_walk, literal_predictor_walk,
                      random_trace_set, small_topology_like)
@@ -45,9 +45,8 @@ def test_every_name_a_demo_imports_from_exitsim_exists():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_every_demo_script_runs(demo, tmp_path):
     # A name check passes a call with a stale signature; running the script does not.
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+                          cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 
@@ -89,7 +88,8 @@ def test_the_runtime_interface_the_benchmark_reads_holds():
     """What ``perfbench/workloads.py`` and ``perfbench/selftest.py`` read off
     a run, on a small set: one record per sample, integer exits, tuples of
     computed exits (a selftest compares them with ``==`` to lists of tuples),
-    samples exposing ``.id`` and the predictor's keyword constructor."""
+    samples exposing ``.id``, sets built from positional ``SampleTrace`` rows
+    of numpy arrays, and the predictor's keyword constructor."""
     rng = np.random.default_rng(11)
     ts = random_trace_set(rng, small_topology_like(), n_samples=40)
     n_early = ts.topology.num_early_exits
@@ -109,6 +109,16 @@ def test_the_runtime_interface_the_benchmark_reads_holds():
         assert [r.exits_computed for r in records] == [
             tuple(n in walk(i)[2] for n in range(n_early)) for i in range(len(ts))]
     assert [s.id for s in ts.samples] == ts.ids.tolist()
+    # Rows as the benchmark builds them: numpy rows of columns not yet canonical.
+    p, n, n_exits = ts.topology.num_classes, len(ts), ts.topology.num_exits
+    ids, label = rng.permutation(n) * 3, rng.integers(0, p, n)
+    conf, pred = rng.uniform(1.0 / p, 1.0, (n, n_exits)), rng.integers(0, p, (n, n_exits))
+    for features in (None, rng.normal(size=(n, 3))):
+        rows = tuple(SampleTrace(int(ids[i]), int(label[i]), conf[i], pred[i],
+                                 None if features is None else features[i]) for i in range(n))
+        built = TraceSet(ts.topology, rows)
+        assert built == TraceSet.from_columns(ts.topology, ids, label, conf, pred, features)
+        assert built.has_features == (features is not None)
     net = Mlp.init([2, 4, n_early], ["relu", "sigmoid"], seed=0)
     ep = ExitPredictor(net, lam=lam, predictor_flops=ts.topology.predictor_flops)
     assert ep.lam == lam

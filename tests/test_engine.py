@@ -110,7 +110,7 @@ def test_predictor_run_matches_literal_walk_oracle():
     recs, _ = run_with_predictor(ts, Thresholds(lam, gamma), scores)
     for i, rec in enumerate(recs):
         taken, device, computed, transmitted = literal_predictor_walk(
-            ts.samples[i].confidences, scores[i], lam, gamma, topo
+            ts.conf[i], scores[i], lam, gamma, topo
         )
         assert rec.exit_taken == taken
         assert rec.transmitted == transmitted
@@ -126,7 +126,7 @@ def test_plain_and_oracle_match_literal_walks():
         plain_recs, _ = run_plain(ts, lam)
         oracle_recs, _ = run_oracle(ts, lam)
         for i in range(50):
-            conf = ts.samples[i].confidences
+            conf = ts.conf[i]
             taken, device, computed, transmitted = literal_plain_walk(conf, lam, ts.topology)
             assert plain_recs[i].exit_taken == taken
             assert plain_recs[i].on_device_mflops == pytest.approx(device, abs=1e-9)
@@ -338,7 +338,7 @@ def test_exit_distribution_and_accuracy_bookkeeping():
     recs, rep = run_plain(ts, lam)
     assert sum(rep.exit_distribution) == pytest.approx(1.0, abs=1e-9)
     manual_acc = np.mean([
-        ts.samples[i].predicted[recs[i].exit_taken - 1] == ts.samples[i].label
+        ts.pred[i][recs[i].exit_taken - 1] == ts.label[i]
         for i in range(len(recs))
     ])
     assert rep.accuracy == pytest.approx(manual_acc, abs=1e-12)
@@ -414,7 +414,7 @@ def test_predictor_latency_matches_literal_model():
     recs, rep = run_with_predictor(ts, Thresholds(lam, gamma), scores, env)
     for i, rec in enumerate(recs):
         _, device, _, tx = literal_predictor_walk(
-            ts.samples[i].confidences, scores[i], lam, gamma, topo)
+            ts.conf[i], scores[i], lam, gamma, topo)
         assert rec.latency_s == pytest.approx(
             literal_latency(device, tx, topo, env), abs=1e-12)
     assert rep.mean_latency_s == pytest.approx(

@@ -163,7 +163,7 @@ def test_scores_match_hand_composition():
     ts = feature_traces(n=3, seed=9)
     net = Mlp.init([4, 6, 2], ["relu", "sigmoid"], seed=9)
     ep = ExitPredictor(net=net, lam=(0.9, 0.9), predictor_flops=0.4)
-    x = np.array(ts.samples[1].features)
+    x = ts.features[1]
     w1, w2 = net.weights
     b1, b2 = net.biases
     z = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2

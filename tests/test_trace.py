@@ -51,7 +51,7 @@ def test_minimal_file_loads(tmp_path):
     )
     ts = load_trace_set(path)
     assert len(ts) == 1
-    assert ts.samples[0].confidences == (0.5, 0.5, 0.5)
+    assert ts.conf[0].tolist() == [0.5, 0.5, 0.5]
     assert ts.topology.num_exits == 3
 
 
@@ -168,23 +168,27 @@ def test_integral_floats_are_accepted_as_integers(tmp_path):
     assert load_dataset(path)[1].tolist() == [1]
 
 
-@pytest.mark.parametrize("field, value", [("id", 0.5), ("label", 2.5), ("predicted", (0, 1.5, 0))],
-                         ids=["id", "label", "predicted"])
+@pytest.mark.parametrize("field, value", [
+    ("id", 0.5), ("label", 2.5), ("predicted", (0, 1.5, 0)),
+    ("id", True), ("label", False), ("predicted", (True, False, True))],
+    ids=["id", "label", "predicted", "id-bool", "label-bool", "predicted-bool"])
 def test_sample_trace_rejects_fractional_integer_fields(field, value):
+    # A row checks nothing; the set built from it does.
     args = {"id": 0, "label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3, field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        SampleTrace(**args)
+        TraceSet(small_topology(), (SampleTrace(**args),))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_features_rejected_naming_the_sample(bad):
+    topo = small_topology()
     with pytest.raises(ValueError, match="sample 7: features must be finite"):
-        SampleTrace(id=7, label=0, confidences=(0.5,) * 3, predicted=(0,) * 3,
-                    features=(1.0, bad, 2.0))
+        TraceSet(topo, (SampleTrace(id=7, label=0, confidences=(0.5,) * 3, predicted=(0,) * 3,
+                                    features=(1.0, bad, 2.0)),))
     # finite values whose sum overflows are still finite features
-    huge = SampleTrace(id=8, label=0, confidences=(0.5,) * 3, predicted=(0,) * 3,
-                       features=(1.5e308, 1.5e308))
-    assert huge.features == (1.5e308, 1.5e308)
+    huge = TraceSet(topo, (SampleTrace(id=8, label=0, confidences=(0.5,) * 3,
+                                       predicted=(0,) * 3, features=(1.5e308, 1.5e308)),))
+    assert huge.features[0].tolist() == [1.5e308, 1.5e308]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -228,8 +232,8 @@ def test_reals_stored_at_nine_significant_digits(tmp_path):
     s = SampleTrace(id=0, label=0,
                     confidences=(0.123456789123456, 0.5, 0.5),
                     predicted=(0, 0, 0))
-    assert s.confidences[0] == 0.123456789
     ts = TraceSet(topo, (s,))
+    assert ts.conf[0, 0] == 0.123456789
     path = tmp_path / "t.jsonl"
     save_trace_set(ts, path)
     assert "0.123456789" in path.read_text()
@@ -330,12 +334,14 @@ def test_columns_are_read_only_and_samples_are_views():
         ts.conf = ts.conf
     assert ts.conf_matrix is ts.conf and ts.feature_matrix is ts.features
     samples = tuple(ts.samples)
-    assert ts.samples is not ts.samples
-    assert [ts.samples[i] for i in range(-5, 5)] == list(samples * 2)
-    assert ts.samples[1:4] == samples[1:4]
-    assert samples[2].confidences == tuple(ts.conf[2].tolist())
-    with pytest.raises(IndexError):
-        ts.samples[5]
+    assert samples == tuple(zip(ts.ids.tolist(), ts.label.tolist(), map(tuple, ts.conf.tolist()),
+                                map(tuple, ts.pred.tolist()), map(tuple, ts.features.tolist())))
+    assert all(type(s) is SampleTrace and type(s.id) is int for s in samples)
+    # rows are built a block at a time: a set past one block yields them all, in order
+    n = 10_000
+    big = TraceSet.from_columns(ts.topology, np.arange(n), np.zeros(n, dtype=np.int64),
+                                np.full((n, 3), 0.5), np.zeros((n, 3), dtype=np.int64))
+    assert [(s.id, s.features) for s in big.samples] == [(i, None) for i in range(n)]
 
 
 def test_mismatched_lengths_rejected():
@@ -477,8 +483,7 @@ def test_split_trace_set_partitions_and_is_deterministic():
     a2, b2 = split_trace_set(ts, 0.2, seed=9)
     assert a1 == a2 and b1 == b2
     assert len(b1) == 8 and len(a1) == 32
-    ids = sorted(s.id for s in a1.samples + b1.samples)
-    assert ids == sorted(s.id for s in ts.samples)
+    assert sorted([*a1.ids.tolist(), *b1.ids.tolist()]) == sorted(ts.ids.tolist())
 
 
 @pytest.fixture(scope="module")
