@@ -37,6 +37,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -391,38 +392,41 @@ def check_demo_bandwidths(cfg: Config) -> None:
 
 def stage_demo(cfg: Config, outdir: str) -> dict:
     """The pipeline, stage to stage in memory: checks the sweep bandwidths
-    first, writes every artifact into ``outdir``, reads none back, and
-    returns the summary.json document."""
+    first, runs every stage, then writes every artifact into ``outdir``
+    (a failing stage writes nothing), reads none back, and returns the
+    summary.json document."""
     check_demo_bandwidths(cfg)
-    os.makedirs(outdir, exist_ok=True)
     path = lambda name: os.path.join(outdir, name)
+    writes = []  # each artifact's writer, run once every stage is done
+    write = lambda *call: writes.append(partial(*call))
 
-    atomic_write_text(path("config.json"),
-                      json.dumps({"kind": "experiment_config", **cfg.doc}, indent=2) + "\n")
+    write(atomic_write_text, path("config.json"),
+          json.dumps({"kind": "experiment_config", **cfg.doc}, indent=2) + "\n")
 
     data = {}
     for which in ("train", "test"):
         x, y = data[which] = stage_gen_data(cfg, which)
-        zoo.save_dataset(path(f"dataset_{which}.jsonl"), x, y, cfg.specs[which].num_classes)
+        write(zoo.save_dataset, path(f"dataset_{which}.jsonl"), x, y,
+              cfg.specs[which].num_classes)
     net, ee_curve = stage_train_ee(cfg, *data["train"], cfg.specs["train"].num_classes)
-    net.save(path("ee.json"))
+    write(net.save, path("ee.json"))
     train_ts = stage_emit_traces(cfg, net, *data["train"], flip_seed=cfg.seed)
-    trace.save_trace_set(train_ts, path("traces_train.jsonl"))
+    write(trace.save_trace_set, train_ts, path("traces_train.jsonl"))
     test_ts = stage_emit_traces(cfg, net, *data["test"], flip_seed=cfg.seed + 1)
-    trace.save_trace_set(test_ts, path("traces_test.jsonl"))
+    write(trace.save_trace_set, test_ts, path("traces_test.jsonl"))
 
     fit_ts, select_ts = trace.split_trace_set(
         train_ts, cfg.doc["policy"]["holdout_fraction"], seed=cfg.seed)
-    trace.save_trace_set(fit_ts, path("traces_fit.jsonl"))
-    trace.save_trace_set(select_ts, path("traces_select.jsonl"))
+    write(trace.save_trace_set, fit_ts, path("traces_fit.jsonl"))
+    write(trace.save_trace_set, select_ts, path("traces_select.jsonl"))
     select_set = test_ts if cfg.doc["policy"]["gamma_split"] == "test" else select_ts
 
     lam_star = best_plain_lambda(select_set, cfg.doc["policy"]["lambda_grid"])
     ep, ep_curve = stage_train_ep(cfg, fit_ts, lam_star)
-    predictor.save_predictor(ep, path("ep.json"))
+    write(predictor.save_predictor, ep, path("ep.json"))
     select_scores = predictor.predict_scores(ep, select_set)
     gamma_star = stage_select_gamma(cfg, select_set, select_scores, lam_star)
-    atomic_write_text(path("thresholds.json"), json.dumps({
+    write(atomic_write_text, path("thresholds.json"), json.dumps({
         "kind": "thresholds", "lambda": list(lam_star), "gamma": list(gamma_star),
     }) + "\n")
 
@@ -431,19 +435,19 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
     entries = lambda lam, gamma: [stage_evaluate(cfg, test_ts, lam, method, scores, gamma)
                                   for method in METHODS]
     report = entries(lam_star, gamma_star)
-    atomic_write_text(path("report.csv"), emit_frontier(report))
+    write(atomic_write_text, path("report.csv"), emit_frontier(report))
     frontier_entries = []
     for lam_value in cfg.doc["policy"]["frontier_lambdas"]:
         lam = (float(lam_value),) * test_ts.topology.num_early_exits
         frontier_entries += entries(lam, stage_select_gamma(cfg, select_set, select_scores, lam))
-    atomic_write_text(path("frontier.csv"), emit_frontier(frontier_entries))
+    write(atomic_write_text, path("frontier.csv"), emit_frontier(frontier_entries))
 
     sweep_points = stage_sweep(cfg, test_ts, scores)
-    optimizer.save_policy_points(sweep_points, path("sweep.csv"))
+    write(optimizer.save_policy_points, sweep_points, path("sweep.csv"))
     regressors = stage_fit_adapt(cfg, sweep_points)
-    optimizer.save_regressors(regressors, path("regressors.json"))
-    atomic_write_text(path("adapt_table.csv"),
-                      adapt_table_csv(cfg, test_ts, scores, regressors, sweep_points))
+    write(optimizer.save_regressors, regressors, path("regressors.json"))
+    write(atomic_write_text, path("adapt_table.csv"),
+          adapt_table_csv(cfg, test_ts, scores, regressors, sweep_points))
 
     summary = {
         "kind": "summary",
@@ -456,7 +460,10 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
         "sweep_feasible": [p.feasible for p in sweep_points],
         "regressor_max_abs_errors": [r.max_abs_error for r in regressors],
     }
-    atomic_write_text(path("summary.json"), json.dumps(summary, indent=2) + "\n")
+    write(atomic_write_text, path("summary.json"), json.dumps(summary, indent=2) + "\n")
+    os.makedirs(outdir, exist_ok=True)
+    for artifact in writes:
+        artifact()
     return summary
 
 

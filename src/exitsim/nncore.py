@@ -1,18 +1,23 @@
-"""Minimal dense network core: batched forward/backward, two losses, plain SGD.
+"""Minimal dense network core: one parameter buffer per net, one layer loop,
+two losses, plain SGD.
 
 Two nets train, each under its own loss.  An ``Mlp`` (the skip predictor:
 relu hidden layers, a sigmoid head) trains under binary cross entropy.
 ``zoo.ToyEarlyExitNet`` trains under the weighted softmax cross entropy of
-its exits, from ``softmax_ce_parts``; its softmax heads are ``Mlp`` layers
-that backprop from their logits.  Training is single-threaded and
-bit-reproducible for a fixed seed.  ``train`` is the one epoch loop.
+its exits, from ``softmax_ce_parts``.  Both are a ``Net``: every weight and
+bias is a view of one float64 buffer, and one forward and one backward
+loop over the layers serve both.  ``train`` is the one epoch loop: it
+checks the targets once, each minibatch's gradients land in place in a
+second buffer, and the update is one pass over the parameter buffer.
+``loss_and_grads`` returns fresh arrays.  Training is single-threaded and
+bit-reproducible for a fixed seed.
 
 Each loss piece is computed once per step.  A softmax-CE head takes its
 softmax and log-sum-exp from one max, exp and sum, and its gradient from
 that softmax; BCE clamps once for its value and its gradient.  The value
-path (``loss_value``, the post-epoch full-set loss) keeps no caches,
-builds no gradients, and stops a softmax-CE head at its logits.  Every
-value and gradient has the bits of the straightforward form.
+path (``loss_value``, the post-epoch full-set loss) builds no gradients
+and stops a softmax-CE head at its logits.  Every value and gradient has
+the bits of the straightforward form.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ ACTIVATIONS = ("relu", "sigmoid", "softmax")
 BCE_CLAMP = 1e-7
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
@@ -47,72 +48,145 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+def _act_backward(da: np.ndarray, a: np.ndarray, act: str) -> np.ndarray:
+    """d(pre-activation) of a relu or sigmoid layer, in place of its
+    d(output) ``da``, from its output ``a``; relu's mask ``a > 0`` is its
+    pre-activation's ``z > 0``."""
+    if act == "relu":
+        da *= a > 0
+    else:
+        da *= a
+        da *= 1.0 - a
+    return da
 
 
-def _softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(z)`` and ``_logsumexp(z)`` from one max, exp and sum.
+def _views(shapes, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per (fan_in, fan_out) in ``shapes``, that weight and then its bias as
+    views of consecutive stretches of ``buf``."""
+    views, at = [], 0
+    for fan_in, fan_out in shapes:
+        w = buf[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((w, buf[at:at + fan_out]))
+        at += fan_out
+    return views
 
-    Both functions run exactly these operations on the same inputs, so the
-    pair has the bits each returns alone.
+
+class Net:
+    """Dense layers whose parameters are views of one float64 buffer.
+
+    ``params`` holds each layer's (fan_in, fan_out) weight, then its bias,
+    layer after layer; ``grads`` has the same layout, and only the training
+    step writes it.  Layer l runs in buffer order and reads entry
+    ``sources[l]`` of the activation list: entry 0 is the input, entry l + 1
+    layer l's output.  A softmax layer is a head: its entry holds its
+    logits, its loss backprops from them, and no layer reads it.  A
+    subclass supplies ``targets`` (the check) and ``_loss``.
     """
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / s, (m + np.log(s))[..., 0]
+
+    def _lay_out(self, shapes, activations, sources, params, grads) -> None:
+        self.shapes, self.activations = list(shapes), tuple(activations)
+        self.sources = tuple(sources)
+        for i, src in enumerate(self.sources):
+            if src and self.activations[src - 1] == "softmax":
+                raise ValueError(f"layer {i}: reads a softmax layer, which serves only as a head")
+        self.params, self.grads = params, grads
+        self.layers = _views(self.shapes, params)
+        self._grad_layers = _views(self.shapes, grads)
+
+    @property
+    def in_dim(self) -> int:
+        return self.shapes[0][0]
+
+    def parameters(self) -> list[np.ndarray]:
+        """Every weight and bias in buffer order, as views of ``params``."""
+        return [p for layer in self.layers for p in layer]
+
+    def _promote(self, x) -> tuple[np.ndarray, bool]:
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        x2 = x[None, :] if single else x
+        if x2.ndim != 2 or x2.shape[1] != self.in_dim:
+            raise ValueError(f"input dimension {x.shape} incompatible with {self.in_dim}")
+        return x2, single
+
+    def _forward(self, x2: np.ndarray, work=None) -> list[np.ndarray]:
+        """The activation list of a batch of rows; ``work`` may hold an array
+        per layer to write its output into, as ``train`` does for the full set."""
+        acts = [x2]
+        for i, ((w, b), act, src) in enumerate(zip(self.layers, self.activations, self.sources)):
+            z = np.matmul(acts[src], w, out=None if work is None else work[i])
+            z += b
+            if act == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif act == "sigmoid":
+                z = sigmoid(z)
+            acts.append(z)
+        return acts
+
+    def _backward(self, acts: list[np.ndarray], d: list, grads) -> None:
+        """Backprop into ``grads``, in place, a (weight, bias) pair per layer.
+
+        ``d`` parallels ``acts`` and holds the loss's gradient at each head's
+        entry (in a softmax head's logits).  The input's gradient is never formed.
+        """
+        for i in range(len(self.layers) - 1, -1, -1):
+            act, src, (gw, gb) = self.activations[i], self.sources[i], grads[i]
+            dz = d[i + 1] if act == "softmax" else _act_backward(d[i + 1], acts[i + 1], act)
+            np.matmul(acts[src].T, dz, out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
+            if src:
+                dx = dz @ self.layers[i][0].T
+                d[src] = dx if d[src] is None else d[src] + dx
+
+    def loss_value(self, x, targets) -> float:
+        x2, _ = self._promote(x)
+        return self._loss(x2, self.targets(targets, len(x2)), None)
+
+    def loss_and_grads(self, x, targets) -> tuple[float, list[np.ndarray]]:
+        """The loss and its gradients, aligned to parameters(), in fresh
+        arrays that no later call writes."""
+        x2, _ = self._promote(x)
+        grads = _views(self.shapes, np.empty_like(self.params))
+        value = self._loss(x2, self.targets(targets, len(x2)), grads)
+        return value, [g for layer in grads for g in layer]
 
 
-def _apply_act(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return relu(z)
-    if act == "sigmoid":
-        return sigmoid(z)
-    if act == "softmax":
-        return softmax(z)
-    raise ValueError(f"unknown activation {act!r}")
-
-
-def _act_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return da * (z > 0)
-    if act == "sigmoid":
-        return da * a * (1.0 - a)
-    # A softmax layer is only ever a head, and a head backprops from its logits.
-    raise ValueError(f"no backward through a {act!r} layer")
-
-
-class Mlp:
-    """Fully-connected net with per-layer activation tags.
+class Mlp(Net):
+    """Fully-connected net with per-layer activation tags, trained under BCE.
 
     Weight matrices are (fan_in, fan_out); forward accepts a single vector
-    or a batch of rows and returns the matching shape.
+    or a batch of rows and returns the matching shape.  Softmax may only be
+    the last layer.
     """
 
     def __init__(self, weights, biases, activations, seed: int = 0):
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in biases]
-        self.activations = tuple(activations)
+        weights = [np.array(w, dtype=np.float64) for w in weights]
+        biases = [np.array(b, dtype=np.float64) for b in biases]
+        activations = tuple(activations)
         self.seed = int(seed)
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
+        if not (len(weights) == len(biases) == len(activations)):
             raise ValueError("weights, biases and activations must align")
-        if not self.weights:
+        if not weights:
             raise ValueError("net needs at least one layer")
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        for i, (w, b, act) in enumerate(zip(weights, biases, activations)):
             if act not in ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes inconsistent")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: dimension does not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        params = np.concatenate([p.reshape(-1) for pair in zip(weights, biases) for p in pair])
+        self._lay_out([w.shape for w in weights], activations, range(len(weights)), params,
+                      np.zeros_like(params))
 
     @classmethod
     def init(cls, sizes: Sequence[int], activations: Sequence[str], seed: int = 0) -> "Mlp":
@@ -132,102 +206,45 @@ class Mlp:
             biases.append(rng.uniform(-limit, limit, size=fan_out))
         return cls(weights, biases, activations, seed=seed)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+    def _over(self, params: np.ndarray, grads: np.ndarray) -> "Mlp":
+        """This net with its layers as views of ``params`` and ``grads``,
+        stretches of a larger net's buffers that already hold its values."""
+        net = Mlp.__new__(Mlp)
+        net.seed = self.seed
+        net._lay_out(self.shapes, self.activations, self.sources, params, grads)
+        return net
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.shapes[-1][1]
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    def _promote(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        if x2.ndim != 2 or x2.shape[1] != self.in_dim:
-            raise ValueError(f"input dimension {x.shape} incompatible with {self.in_dim}")
-        return x2, single
+    def _lay_out(self, *layout) -> None:
+        super()._lay_out(*layout)
+        self.weights, self.biases = map(list, zip(*self.layers))
 
     def forward(self, x) -> np.ndarray:
         x2, single = self._promote(x)
-        a = self._output(x2)
+        a = self._forward(x2)[-1]
+        if self.activations[-1] == "softmax":
+            a = softmax(a)
         return a[0] if single else a
-
-    def _logits(self, x2: np.ndarray) -> np.ndarray:
-        """The last layer's pre-activation, keeping nothing for backprop."""
-        a = x2
-        for w, b, act in zip(self.weights[:-1], self.biases[:-1], self.activations[:-1]):
-            a = _apply_act(a @ w + b, act)
-        return a @ self.weights[-1] + self.biases[-1]
-
-    def _output(self, x2: np.ndarray) -> np.ndarray:
-        return _apply_act(self._logits(x2), self.activations[-1])
-
-    def _forward_full(self, x2: np.ndarray, last: bool = True):
-        """Every layer's pre-activation and input, for ``_backward``.
-
-        ``acts`` ends with the net's output; with ``last=False`` it ends at the
-        last layer's input, for a loss that starts backprop from the logits.
-        """
-        acts = [x2]
-        pres = []
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            pres.append(acts[-1] @ w + b)
-            if last or i < len(self.weights) - 1:
-                acts.append(_apply_act(pres[-1], act))
-        return pres, acts
-
-    def _backward(self, pres, acts, dout=None, dlogits=None):
-        """Backprop from either d(output activation) or d(last pre-activation).
-
-        Returns (d_input, grads) with grads aligned to parameters().
-        """
-        if (dout is None) == (dlogits is None):
-            raise ValueError("provide exactly one of dout, dlogits")
-        if dlogits is not None:
-            dz = dlogits
-        else:
-            dz = _act_backward(dout, pres[-1], acts[-1], self.activations[-1])
-        grads: list[np.ndarray | None] = [None] * (2 * len(self.weights))
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = acts[i].T @ dz
-            grads[2 * i + 1] = dz.sum(axis=0)
-            da = dz @ self.weights[i].T
-            if i > 0:
-                # acts[i] is layer i-1's output, which sigmoid reads.
-                dz = _act_backward(da, pres[i - 1], acts[i], self.activations[i - 1])
-        return da, grads
 
     # -- the BCE loss on this net --------------------------------------------
 
-    def _loss_parts(self, x, target, want_grads: bool):
-        """The BCE of the sigmoid head's output against ``target`` (reshaped
-        to the output's shape) and, with ``want_grads``, its gradients
-        (else None).  The value path keeps no caches.
-        """
+    def targets(self, targets, rows: int) -> np.ndarray:
+        """BCE targets as (rows, out_dim) float64; the head must be a sigmoid."""
         if self.activations[-1] != "sigmoid":
             raise ValueError("BCE expects a sigmoid head")
-        x2, _ = self._promote(x)
-        if want_grads:
-            pres, acts = self._forward_full(x2)
-            out = acts[-1]
-        else:
-            out = self._output(x2)
-        y = np.asarray(target, dtype=np.float64).reshape(out.shape)
-        value, dout = bce_parts(out, y, want_grads)
-        if not want_grads:
-            return value, None
-        _, grads = self._backward(pres, acts, dout=dout)
-        return value, grads
+        return np.asarray(targets, dtype=np.float64).reshape(rows, self.out_dim)
 
-    def loss_value(self, x, target) -> float:
-        return self._loss_parts(x, target, want_grads=False)[0]
-
-    def loss_and_grads(self, x, target):
-        return self._loss_parts(x, target, want_grads=True)
+    def _loss(self, x2: np.ndarray, y: np.ndarray, grads, work=None) -> float:
+        """The BCE of the head's output against ``y``; with ``grads``, its
+        gradients are written there.  The value path builds no gradient."""
+        acts = self._forward(x2, work)
+        value, dout = bce_parts(acts[-1], y, grads is not None)
+        if grads is not None:
+            self._backward(acts, [None] * (len(acts) - 1) + [dout], grads)
+        return value
 
     # -- checkpointing -----------------------------------------------------
 
@@ -245,14 +262,11 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mlp":
-        sizes = d["sizes"]
-        weights = []
-        biases = []
-        for i, layer in enumerate(d["layers"]):
-            w = np.array(layer["w"], dtype=np.float64).reshape(sizes[i], sizes[i + 1])
-            weights.append(w)
-            biases.append(np.array(layer["b"], dtype=np.float64))
-        return cls(weights, biases, d["activations"], seed=d.get("seed", 0))
+        sizes, layers = d["sizes"], d["layers"]
+        weights = [np.array(layer["w"], dtype=np.float64).reshape(sizes[i], sizes[i + 1])
+                   for i, layer in enumerate(layers)]
+        return cls(weights, [layer["b"] for layer in layers], d["activations"],
+                   seed=d.get("seed", 0))
 
 
 # -- loss functions ---------------------------------------------------------
@@ -297,16 +311,19 @@ def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = F
     """Per-row cross entropy of softmax(logits) against checked int64
     ``labels`` and, with ``want_grad``, its gradient in the logits (else None).
 
-    The value alone needs only the log-sum-exp; the gradient takes the
-    softmax and the log-sum-exp from one pass.
+    The log-sum-exp and the softmax share one max, exp and sum.
     """
     rows = np.arange(len(labels))
-    picked = logits[rows, labels]
+    m = logits.max(axis=-1, keepdims=True)
+    e = logits - m
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    losses = (m + np.log(s))[..., 0] - logits[rows, labels]
     if not want_grad:
-        return _logsumexp(logits) - picked, None
-    dlogits, lse = _softmax_lse(logits)
-    dlogits[rows, labels] -= 1.0
-    return lse - picked, dlogits
+        return losses, None
+    e /= s
+    e[rows, labels] -= 1.0
+    return losses, e
 
 
 # -- training ----------------------------------------------------------------
@@ -364,31 +381,34 @@ def sgd_epoch(model, inputs, targets, cfg: TrainConfig, lr: float,
     """One shuffled pass of minibatch SGD over the dataset, in place, under
     the model's own loss.
 
-    ``rng`` shuffles the rows, and a minibatch is the next ``batch_size`` of
-    them.  A non-finite minibatch loss raises FloatingPointError.
+    ``targets`` are as ``model.targets`` returns them.  ``rng`` shuffles the
+    rows, and a minibatch is the next ``batch_size`` of them.  Each step
+    writes its gradients into ``model.grads`` and updates all of
+    ``model.params`` in one pass.  A non-finite minibatch loss raises
+    FloatingPointError.
     """
+    params, grads = model.params, model.grads
     perm = rng.permutation(inputs.shape[0])
     for start in range(0, len(perm), cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
-        batch_loss, grads = model.loss_and_grads(inputs[idx], targets[idx])
-        if not np.isfinite(batch_loss):
+        if not math.isfinite(model._loss(inputs[idx], targets[idx], model._grad_layers)):
             raise FloatingPointError("non-finite minibatch loss")
-        for p, g in zip(model.parameters(), grads):
-            # p -= lr * (g + wd * p), in place on the fresh gradient: the
-            # same products and sums, and products commute exactly.
-            g += cfg.weight_decay * p
-            g *= lr
-            p -= g
+        # params -= lr * (grads + wd * params), in place on the fresh
+        # gradient: the same products and sums, and products commute exactly.
+        grads += cfg.weight_decay * params
+        grads *= lr
+        params -= grads
 
 
 def train(net, inputs, targets, cfg: TrainConfig = TrainConfig()):
     """Train the net in place; returns it plus the post-epoch full-set loss curve.
 
-    The one epoch loop: ``net`` is anything exposing parameters() /
-    loss_value() / loss_and_grads() over its own loss, an Mlp under BCE or
-    a ToyEarlyExitNet under its weighted softmax CE.  Rows are shuffled by
-    one generator seeded ``cfg.seed``.  Only a non-finite loss reads
-    ``training diverged at epoch N``.
+    The one epoch loop: ``net`` is a ``Net`` under its own loss, an Mlp
+    under BCE or a ToyEarlyExitNet under its weighted softmax CE.  The input
+    width, the head, the target shape and every label are checked once,
+    before any parameter moves.  Rows are shuffled by one generator seeded
+    ``cfg.seed``.  Only a non-finite loss reads ``training diverged at
+    epoch N``.
     """
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets)
@@ -396,17 +416,18 @@ def train(net, inputs, targets, cfg: TrainConfig = TrainConfig()):
         raise ValueError("inputs must be a nonempty (samples, dim) array")
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
+    x, _ = net._promote(x)
+    t = net.targets(t, len(x))
     rng = np.random.default_rng(cfg.seed)
-    # The loss at the starting parameters checks the head, the target shape
-    # and every label before any parameter moves.
-    net.loss_value(x, t)
+    # The full-set outputs reuse one array per layer: fresh ones this large fault in anew.
+    work = [np.empty((len(x), fan_out)) for _, fan_out in net.shapes]
     curve: list[float] = []
     for epoch in range(cfg.epochs):
         try:
             sgd_epoch(net, x, t, cfg, lr_at(cfg, epoch), rng)
         except FloatingPointError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-        full = net.loss_value(x, t)
+        full = net._loss(x, t, None, work)
         if not np.isfinite(full):
             raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
         curve.append(full)

@@ -276,13 +276,40 @@ def _float64(values) -> np.ndarray:
         return np.vectorize(_as_float, otypes=[np.float64])(np.asarray(values, dtype=object))
 
 
+def _python_entries(values, given: np.ndarray) -> np.ndarray | None:
+    """``values`` as an object array of Python values if it holds a bool,
+    else None.  numpy reads bools among numbers as numbers (``given``), True
+    as 1, so the entries of a sequence or object array are checked by type,
+    one level of rows down; a numeric numpy row counts as its dtype."""
+    if given.ndim == 0 or (isinstance(values, np.ndarray) and values.dtype != object):
+        return None
+    rows = values if given.ndim > 1 else [values]
+    dtypes = list(map(getattr, rows, repeat("dtype"), repeat(None)))
+    kinds = set(dtypes)
+    types = {d.type for d in kinds if d is not None}
+    if None in kinds or np.object_ in types:
+        types.update(*(map(type, row) for row, d in zip(rows, dtypes)
+                       if d is None or d.kind == "O"))
+    if types.isdisjoint({bool, np.bool_}):
+        return None
+    python = np.frompyfunc(lambda v: v.item() if isinstance(v, np.generic) else v, 1, 1)
+    return python(np.array(values, dtype=object))
+
+
 def _integral(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(the values as given, as int64, mask of non-integers: fractional, huge or bool)."""
+    """(the values as given, as int64, mask of non-integers: fractional, huge
+    or bool).  A bool is flagged wherever it stands, and then the values are
+    given as Python values, so a report names the bool itself."""
     given = np.asarray(values)
-    if given.dtype.kind in "iu":
+    entries = _python_entries(values, given)
+    if entries is not None:
+        given = entries
+    elif given.dtype.kind in "iu":
         return given, given.astype(np.int64), np.zeros(given.shape, dtype=bool)
     real = _float64(given)
     bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63)) | (given.dtype.kind == "b")
+    if entries is not None:
+        bad |= np.frompyfunc(lambda v: type(v) is bool, 1, 1)(entries).astype(bool)
     return given, np.where(bad, 0.0, real).astype(np.int64), bad
 
 
@@ -297,11 +324,11 @@ def _sample_checks(ids, label, p: int, features):
     """The checks a trace set and a dataset share: integral, distinct ids;
     integral labels in [0, p); finite features (None: none to check).
 
-    The columns must fit one sample count.  Returns the ids and labels as
-    int64 and the (mask, message) checks for ``_raise_first``, in order.
+    ``ids`` and ``label`` are as ``_integral`` returns them, and the columns
+    must fit one sample count.  Returns the ids and labels as int64 and the
+    (mask, message) checks for ``_raise_first``, in order.
     """
-    id_given, ids, id_bad = _integral(ids)
-    label_given, label, label_bad = _integral(label)
+    (id_given, ids, id_bad), (label_given, label, label_bad) = ids, label
     checks = [
         (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
         _duplicate_ids(ids),
@@ -316,18 +343,19 @@ def _sample_checks(ids, label, p: int, features):
     return ids, label, checks
 
 
-def _matrices(topology: ExitTopology, ids, conf, pred, features):
-    """Stack per-sample values into (samples, width) matrices.
-
-    ``conf``, ``pred`` and ``features`` are each (entries end to end or one
+def _matrices(topology: ExitTopology, ids, conf, pred_len, features):
+    """Stack per-sample confidences and features into (samples, width)
+    matrices, once their lengths and the predicted classes' (``pred_len``)
+    fit.  ``conf`` and ``features`` are each (entries end to end or one
     sequence per sample, each sample's length), a length of -1 marking a
     sample without features.  Raises _RowError for the first sample whose
     lengths fit neither the topology nor the set's first sample.
     """
     n, n_exits = len(ids), topology.num_exits
-    (conf, conf_len), (pred, pred_len), (features, feat_len) = (
+    (conf, conf_len), (features, feat_len) = (
         (values, np.array(lengths, dtype=np.int64).reshape(n))
-        for values, lengths in (conf, pred, features))
+        for values, lengths in (conf, features))
+    pred_len = np.array(pred_len, dtype=np.int64).reshape(n)
     dim = int(feat_len[0]) if n else -1
     _raise_first([
         (conf_len != pred_len, lambda i: f"sample {ids[i]}: confidences and predicted "
@@ -338,7 +366,7 @@ def _matrices(topology: ExitTopology, ids, conf, pred, features):
          lambda i: f"sample {ids[i]}: features present for only part of the set"),
         (feat_len != dim, lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {dim}"),
     ])
-    return (_float64(conf).reshape(n, n_exits), np.array(pred).reshape(n, n_exits),
+    return (_float64(conf).reshape(n, n_exits),
             None if dim < 0 else _float64(features).reshape(n, dim))
 
 
@@ -355,14 +383,17 @@ class TraceSet:
 
     def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
         rows = tuple(samples)
-        ids = [s.id for s in rows]
-        conf, pred, features = _matrices(
+        ids, pred = [s.id for s in rows], [s.predicted for s in rows]
+        conf, features = _matrices(
             topology, ids,
             ([s.confidences for s in rows], [len(s.confidences) for s in rows]),
-            ([s.predicted for s in rows], [len(s.predicted) for s in rows]),
+            list(map(len, pred)),
             ([s.features for s in rows if s.features is not None],
              [-1 if s.features is None else len(s.features) for s in rows]))
-        self._set(topology, ids, [s.label for s in rows], conf, pred, features)
+        # The rows of classes go in unstacked, so that the column check sees a
+        # bool among them.
+        self._set(topology, ids, [s.label for s in rows], conf,
+                  pred if rows else np.zeros((0, topology.num_exits), int), features)
 
     @classmethod
     def from_columns(cls, topology: ExitTopology, ids, label, conf, pred,
@@ -376,8 +407,8 @@ class TraceSet:
     def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
         """The one column canonicaliser and check; stores read-only copies."""
         p, n_exits = topology.num_classes, topology.num_exits
-        ids, label = np.asarray(ids), np.asarray(label)
-        pred_given, pred, pred_bad = _integral(pred)
+        id_col, label_col, (pred_given, pred, pred_bad) = map(_integral, (ids, label, pred))
+        ids, label = id_col[1], label_col[1]
         conf = canon_array(conf)
         features = None if features is None else canon_array(features)
         n = len(ids)
@@ -388,7 +419,7 @@ class TraceSet:
                 f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
                 f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
                 f"features {None if features is None else features.shape}")
-        ids, label, checks = _sample_checks(ids, label, p, features)
+        ids, label, checks = _sample_checks(id_col, label_col, p, features)
         # Written so that NaN fails too.
         conf_bad = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
         pred_out = (pred < 0) | (pred >= p)
@@ -766,8 +797,11 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
         path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
     with _record_errors(path, lines):
         # Rebinding frees the gathered entries before the set is built.
-        conf, pred, feats = _matrices(topo, ids, conf, pred, feats)
-        return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
+        conf, feats = _matrices(topo, ids, conf, pred[1], feats)
+        pred = np.array(pred[0]).reshape(len(ids), topo.num_exits)
+        # Records hold no bools, so the ids and labels need no scan by type.
+        return TraceSet.from_columns(topo, np.asarray(ids), np.asarray(labels), conf, pred,
+                                     feats)
 
 
 def _dataset_header(header: dict) -> tuple[int, int, int]:
@@ -791,7 +825,9 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
         _raise_first([(feat_len != d,
                        lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {d}")])
         x = _float64(feats).reshape(len(lines), d)
-        _, y, checks = _sample_checks(ids, labels, p, x)
+        # Records hold no bools, so the ids and labels need no scan by type.
+        _, y, checks = _sample_checks(_integral(np.asarray(ids)), _integral(np.asarray(labels)),
+                                      p, x)
         _raise_first(checks)
     if n != len(lines):
         raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nncore import Mlp, class_labels, softmax_ce_parts
+from .nncore import Mlp, Net, class_labels, softmax, softmax_ce_parts
 from .trace import (ExitTopology, TraceSet, atomic_write_text, load_checkpoint, load_dataset,
                     save_dataset)
 
@@ -118,35 +118,56 @@ def check_exit_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return weights
 
 
-class ToyEarlyExitNet:
+class ToyEarlyExitNet(Net):
     """Shared dense trunk with one softmax head per exit.
 
     Trunk segment i feeds exit head i; the final head sits after the last
-    trunk segment (the partition point).  Per-exit loss weights live on the
-    net so training and gradient checks agree on them.
+    trunk segment (the partition point).  They are one layer list over one
+    buffer (``nncore.Net``): the trunk's layers, the heads', the final's.
+    ``trunk``, ``heads`` and ``final`` are ``Mlp`` views of it, the
+    checkpoint layout.  Per-exit loss weights live on the net.
     """
 
     def __init__(self, trunk: Sequence[Mlp], heads: Sequence[Mlp], final: Mlp,
                  weights: Sequence[float], seed: int = 0):
-        self.trunk = list(trunk)
-        self.heads = list(heads)
-        self.final = final
+        parts = [*trunk, *heads, final]
         self.weights = check_exit_weights(weights)
         self.seed = int(seed)
-        if not self.trunk or len(self.trunk) != len(self.heads):
+        if not trunk or len(trunk) != len(heads):
             raise ValueError("need one head per trunk segment")
-        if len(self.weights) != len(self.trunk) + 1:
+        if len(self.weights) != len(trunk) + 1:
             raise ValueError("need one loss weight per exit")
-        for i, (seg, head) in enumerate(zip(self.trunk, self.heads)):
-            if i > 0 and self.trunk[i - 1].out_dim != seg.in_dim:
+        for i, (seg, head) in enumerate(zip(trunk, heads)):
+            if i > 0 and trunk[i - 1].out_dim != seg.in_dim:
                 raise ValueError(f"trunk segment {i} does not chain")
             if head.in_dim != seg.out_dim:
                 raise ValueError(f"head {i} does not match its trunk segment")
-        if self.final.in_dim != self.trunk[-1].out_dim:
+        if final.in_dim != trunk[-1].out_dim:
             raise ValueError("final head does not match the last trunk segment")
-        out_dims = {h.out_dim for h in self.heads} | {self.final.out_dim}
-        if len(out_dims) != 1:
+        if len({m.out_dim for m in parts[len(trunk):]}) != 1:
             raise ValueError("all exits must share the class count")
+        if any(m.activations[-1] != "softmax" for m in parts[len(trunk):]):
+            raise ValueError("every exit head must end in a softmax layer")
+        sources: list[int] = []
+
+        def place(part: Mlp, src: int) -> int:
+            """Chain ``part``'s layers from entry ``src``; its output's entry."""
+            sources.extend([src, *range(len(sources) + 1, len(sources) + len(part.shapes))])
+            return len(sources)
+
+        outs = [0]
+        for seg in trunk:
+            outs.append(place(seg, outs[-1]))
+        # The entries of the exits' logits.
+        self._exits = [place(m, src) for m, src in zip([*heads, final], [*outs[1:], outs[-1]])]
+        params = np.concatenate([m.params for m in parts])
+        self._lay_out([s for m in parts for s in m.shapes],
+                      [a for m in parts for a in m.activations], sources, params,
+                      np.zeros_like(params))
+        ends = np.cumsum([0] + [m.params.size for m in parts])
+        views = [m._over(self.params[a:b], self.grads[a:b])
+                 for m, a, b in zip(parts, ends, ends[1:])]
+        self.trunk, self.heads, self.final = views[:len(trunk)], views[len(trunk):-1], views[-1]
 
     @classmethod
     def build(cls, input_dim: int, num_classes: int, num_exits: int = 3,
@@ -174,72 +195,30 @@ class ToyEarlyExitNet:
     def num_classes(self) -> int:
         return self.final.out_dim
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for seg in self.trunk:
-            out.extend(seg.parameters())
-        for head in self.heads:
-            out.extend(head.parameters())
-        out.extend(self.final.parameters())
-        return out
-
     def exit_probs(self, x) -> list[np.ndarray]:
-        a = np.asarray(x, dtype=np.float64)
-        outs = []
-        for seg, head in zip(self.trunk, self.heads):
-            a = seg.forward(a)
-            outs.append(head.forward(a))
-        outs.append(self.final.forward(a))
-        return outs
+        x2, single = self._promote(x)
+        acts = self._forward(x2)
+        return [softmax(acts[e][0] if single else acts[e]) for e in self._exits]
 
-    def _joint_parts(self, x, labels, want_grads: bool):
-        """The weighted sum of the exits' mean cross entropies and, with
-        ``want_grads``, its gradients aligned to parameters() (else None).
+    def targets(self, labels, rows: int) -> np.ndarray:
+        """Checked class labels; ``train`` checks them once per call."""
+        return class_labels(labels, rows, self.num_classes)
 
-        Each exit's softmax and log-sum-exp come from one pass over its
-        logits; the value path stops at the logits and keeps no caches.
-        """
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        labels = class_labels(labels, x2.shape[0], self.num_classes)
-        if not want_grads:
-            value, a = 0.0, x2
-            for w, seg, head in zip(self.weights, self.trunk, self.heads):
-                a = seg.forward(a)
-                value += w * float(np.mean(softmax_ce_parts(head._logits(a), labels)[0]))
-            final = softmax_ce_parts(self.final._logits(a), labels)[0]
-            return value + self.weights[-1] * float(np.mean(final)), None
-
-        trunk_caches = []
-        a = x2
-        for seg in self.trunk:
-            pres, acts = seg._forward_full(a)
-            trunk_caches.append((pres, acts))
-            a = acts[-1]
+    def _loss(self, x2: np.ndarray, labels: np.ndarray, grads, work=None) -> float:
+        """The weighted sum of the exits' mean cross entropies; with
+        ``grads``, its gradients are written there."""
+        acts = self._forward(x2, work)
+        d = [None] * len(acts)
         value = 0.0
-        exit_dx, exit_grads = [], []
-        exit_inputs = [acts[-1] for _, acts in trunk_caches] + [a]
-        for w, head, inp in zip(self.weights, [*self.heads, self.final], exit_inputs):
-            pres, acts = head._forward_full(inp, last=False)
-            losses, dlogits = softmax_ce_parts(pres[-1], labels, want_grad=True)
+        for w, e in zip(self.weights, self._exits):
+            losses, dlogits = softmax_ce_parts(acts[e], labels, grads is not None)
             value += w * float(np.mean(losses))
-            dlogits *= w / len(labels)
-            dx, grads = head._backward(pres, acts, dlogits=dlogits)
-            exit_dx.append(dx)
-            exit_grads.extend(grads)
-        trunk_grads: list[np.ndarray] = []
-        da = exit_dx[-1] + exit_dx[-2]
-        for i in range(len(self.trunk) - 1, -1, -1):
-            dx, grads = self.trunk[i]._backward(*trunk_caches[i], dout=da)
-            trunk_grads[:0] = grads
-            if i > 0:
-                da = dx + exit_dx[i - 1]
-        return value, trunk_grads + exit_grads
-
-    def loss_value(self, x, labels) -> float:
-        return self._joint_parts(x, labels, want_grads=False)[0]
-
-    def loss_and_grads(self, x, labels):
-        return self._joint_parts(x, labels, want_grads=True)
+            if grads is not None:
+                dlogits *= w / len(labels)
+                d[e] = dlogits
+        if grads is not None:
+            self._backward(acts, d, grads)
+        return value
 
     def to_dict(self) -> dict:
         return {

@@ -380,6 +380,22 @@ def test_demo_over_a_sweep_the_regressors_cannot_cover_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
+def test_demo_whose_sweep_leaves_an_interval_short_writes_nothing(tmp_path, capsys):
+    # A 1 ms budget leaves no bandwidth feasible, which only the sweep shows.
+    doc = {**SMALL_CONFIG, "environment": {"latency_budget": 0.001}}
+    path, out, kept = tmp_path / "config.json", tmp_path / "demo", tmp_path / "kept"
+    path.write_text(json.dumps(doc))
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for target in (out, kept):
+        assert main(["demo", "--config", str(path), "--out", str(target)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "interval 100000-1e+06 bit/s has 0 training bandwidths; need at least 2"}
+    assert not out.exists()
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
 def test_config_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"seed": 3,\n"synth": }\n')

@@ -82,3 +82,27 @@ def test_train_matches_the_reference_loop_bit_for_bit(kind):
     assert all(np.array_equal(a, b) for a, b in zip(curve, ref_curve))
     for p, q in zip(model.parameters(), ref_model.parameters()):
         assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
+def test_train_matches_the_reference_loop_at_the_demo_shapes(kind):
+    # Batches of 128 over 2000 rows leave a ragged last batch of 80.
+    rng = np.random.default_rng(8)
+    cfg = TrainConfig(lr=0.1, lr_end=1e-4, lr_end_epoch=3, epochs=3, batch_size=128,
+                      weight_decay=5e-4, seed=7)
+    x = rng.normal(size=(2000, 8))
+    if kind == "toy":
+        def build():
+            return ToyEarlyExitNet.build(8, 10, seed=7)
+        y, ref_loss = rng.integers(0, 10, 2000), ref_toy_loss
+    else:
+        def build():
+            return Mlp.init([8, 64, 2], ["relu", "sigmoid"], seed=7)
+        y, ref_loss = rng.integers(0, 2, (2000, 2)).astype(float), ref_mlp_loss
+    model, ref_model = build(), build()
+    _, curve = train(model, x, y, cfg)
+    ref_curve = ref_train(ref_model, x, y, cfg, ref_loss)
+    assert len(curve) == len(ref_curve) == cfg.epochs
+    assert all(np.array_equal(a, b) for a, b in zip(curve, ref_curve))
+    for p, q in zip(model.parameters(), ref_model.parameters()):
+        assert np.array_equal(p, q)

@@ -310,3 +310,91 @@ def test_train_config_accepts_integral_floats_as_integers():
     assert (cfg.epochs, cfg.lr_end_epoch, cfg.batch_size, cfg.seed) == (16, 8, 4, 3)
     assert all(type(v) is int for v in (cfg.epochs, cfg.lr_end_epoch, cfg.batch_size, cfg.seed))
     assert TrainConfig(lr=1, weight_decay=np.float32(0.5)).lr == 1.0
+
+
+def small_net_and_batch(kind: str):
+    """A small net of each kind with inputs and targets for its loss."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(24, 3))
+    if kind == "toy":
+        return (ToyEarlyExitNet.build(3, 4, trunk_widths=(5, 4), final_hidden=5, seed=3), x,
+                rng.integers(0, 4, 24))
+    return Mlp.init([3, 6, 2], ["relu", "sigmoid"], seed=3), x, rng.integers(0, 2, (24, 2))
+
+
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
+def test_parameters_are_views_of_one_buffer(kind):
+    net, _, _ = small_net_and_batch(kind)
+    params = net.parameters()
+    assert net.params.size == sum(p.size for p in params)
+    assert all(p.base is net.params for p in params)
+    assert np.array_equal(np.concatenate([p.reshape(-1) for p in params]), net.params)
+    if kind == "toy":
+        parts = [*net.trunk, *net.heads, net.final]
+        assert all(p.base is net.params for m in parts for p in m.parameters())
+
+
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
+def test_returned_gradients_stay_the_callers(kind):
+    net, x, t = small_net_and_batch(kind)
+    _, first = net.loss_and_grads(x[:8], t[:8])
+    kept = [g.copy() for g in first]
+    _, second = net.loss_and_grads(x[8:], t[8:])
+    train(net, x, t, TrainConfig(epochs=2, lr_end_epoch=2, batch_size=5))
+    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
+    assert not any(np.shares_memory(g, h) for g in first for h in second)
+    assert not any(np.shares_memory(g, net.grads) for g in first + second)
+
+
+def _round_trip(cls):
+    return lambda net, _: cls.from_dict(json.loads(json.dumps(net.to_dict())))
+
+
+def _save_and_load(net, path):
+    net.save(path)
+    return ToyEarlyExitNet.load(path)
+
+
+RESTORES = {
+    "Mlp.from_dict": ("mlp", _round_trip(Mlp)),
+    "ToyEarlyExitNet.from_dict": ("toy", _round_trip(ToyEarlyExitNet)),
+    "ToyEarlyExitNet.load": ("toy", _save_and_load),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTORES))
+def test_a_restored_net_rebuilds_its_buffer_and_trains_bit_identically(name, tmp_path):
+    kind, restore = RESTORES[name]
+    net, x, t = small_net_and_batch(kind)
+    loaded = restore(net, tmp_path / "net.json")
+    assert type(loaded) is type(net) and not np.shares_memory(loaded.params, net.params)
+    assert np.array_equal(loaded.params, net.params)
+    assert all(p.base is loaded.params for p in loaded.parameters())
+    cfg = TrainConfig(lr=0.3, lr_end=0.01, lr_end_epoch=3, epochs=3, batch_size=7,
+                      weight_decay=1e-3, seed=4)
+    _, curve = train(net, x, t, cfg)
+    _, loaded_curve = train(loaded, x, t, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(curve, loaded_curve))
+    assert np.array_equal(net.params, loaded.params)
+
+
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
+def test_parameter_pokes_reach_loss_value(kind):
+    # numeric_gradient_check moves one entry of parameters() at a time.
+    net, x, t = small_net_and_batch(kind)
+    for p in net.parameters():
+        p.reshape(-1)[-1] += 0.25
+        fresh = type(net).from_dict(net.to_dict())
+        assert net.loss_value(x, t) == fresh.loss_value(x, t)
+    assert numeric_gradient_check(net, x[:3], t[:3]) < 1e-5
+
+
+def test_softmax_serves_only_as_a_head():
+    # A softmax layer's entry holds its logits, so no layer may read it.
+    with pytest.raises(ValueError, match="^layer 1: reads a softmax layer"):
+        Mlp.init([2, 3, 2], ["softmax", "sigmoid"])
+    eye, head = Mlp([np.eye(2)], [np.zeros(2)], ["relu"]), Mlp.init([2, 3], ["softmax"])
+    with pytest.raises(ValueError, match="^every exit head must end in a softmax layer$"):
+        ToyEarlyExitNet([eye], [Mlp.init([2, 3], ["sigmoid"])], head, (0.5, 0.5))
+    with pytest.raises(ValueError, match="^layer 1: reads a softmax layer"):
+        ToyEarlyExitNet([Mlp([np.eye(2)], [np.zeros(2)], ["softmax"])], [head], head, (0.5, 0.5))

@@ -179,6 +179,31 @@ def test_sample_trace_rejects_fractional_integer_fields(field, value):
         TraceSet(small_topology(), (SampleTrace(**args),))
 
 
+MIXED_BOOL_COLUMNS = {
+    "id": ({"ids": [0, True]}, "id must be an integer, got True"),
+    "label": ({"label": [0, np.True_]}, "sample 1: label must be an integer, got True"),
+    "predicted": ({"pred": [[0, 1, 0], [1, False, 1]]},
+                  "sample 1: predicted must be an integer, got False"),
+    "predicted-rows": ({"pred": [np.array([0, 1, 0]), np.array([True, False, True])]},
+                       "sample 1: predicted must be an integer, got True"),
+    "id-object-array": ({"ids": np.array([0, True], dtype=object)},
+                        "id must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_BOOL_COLUMNS))
+def test_a_bool_among_integers_is_rejected_naming_the_sample(name):
+    # numpy would read [0, True] as the integers [0, 1].
+    change, message = MIXED_BOOL_COLUMNS[name]
+    columns = {"ids": [0, 1], "label": [0, 1], "conf": [[0.5] * 3] * 2,
+               "pred": [[0, 1, 0], [1, 0, 1]], **change}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TraceSet.from_columns(small_topology(), **columns)
+    rows = [SampleTrace(i, label, conf, pred) for i, label, conf, pred in zip(*columns.values())]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TraceSet(small_topology(), rows)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_features_rejected_naming_the_sample(bad):
     topo = small_topology()
