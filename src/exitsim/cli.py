@@ -364,15 +364,16 @@ def adapt_table_csv(cfg: Config, ts: trace.TraceSet, scores,
                     regressors: Sequence[optimizer.ThresholdRegressor],
                     sweep_points: Sequence[optimizer.PolicyPoint]) -> str:
     """Adapted thresholds re-evaluated at each bandwidth of the sweep the
-    regressors were fit from, as a policy table."""
-    env, points = cfg.env, []
-    for bw in sorted({p.bandwidth for p in sweep_points}):
+    regressors were fit from, as a policy table.  A bandwidth no regressor
+    interval covers is left out, as the fit leaves out its points."""
+    covered = lambda bw: any(r.interval[0] <= bw <= r.interval[1] for r in regressors)
+    points = []
+    for bw in sorted({p.bandwidth for p in sweep_points if covered(p.bandwidth)}):
         th = optimizer.adapt(regressors, bw)
         stats = engine.policy_stats(ts, th.lam, th.gamma, scores,
-                                    replace(env, bandwidth=bw))
+                                    replace(cfg.env, bandwidth=bw))
         points.append(optimizer.PolicyPoint(bw, th.lam, th.gamma, stats.accuracy,
-                                            stats.mean_latency_s,
-                                            stats.mean_latency_s <= env.latency_budget))
+                                            stats.mean_latency_s, stats.budget_satisfied))
     return optimizer.policy_points_csv(points)
 
 
@@ -781,10 +782,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         points = optimizer.load_policy_points(args.points)
         scored = _load_scored(args.traces, args.ep) if args.table else None
         regs = stage_fit_adapt(cfg, points)
-        optimizer.save_regressors(regs, args.out)
+        # Both texts first, so a table that fails leaves no --out behind.
+        texts = {args.out: optimizer.regressors_json(regs)}
         if scored:
             ts, _, scores = scored
-            atomic_write_text(args.table, adapt_table_csv(cfg, ts, scores, regs, points))
+            texts[args.table] = adapt_table_csv(cfg, ts, scores, regs, points)
+        for path, text in texts.items():
+            atomic_write_text(path, text)
         errs = ", ".join(f"{r.max_abs_error:.4f}" for r in regs)
         print(f"wrote {args.out} (max abs fit errors: {errs})")
     elif args.command == "demo":

@@ -1,7 +1,7 @@
 """Exit-policy execution over stored traces with exact cost accounting.
 
-Three policies are three modes of one exit walk, which is the only place
-a per-sample FLOP is charged:
+Three policies are three modes of one exit walk, which only places each
+sample at its exit:
 
 * plain      -- walk the exits in order; every reached exit is computed;
                 terminate at the first exit whose confidence clears its
@@ -18,18 +18,19 @@ compute when s >= gamma.  Server-side FLOPs count toward total cost but
 never toward latency (the server is assumed fast); transmission charges
 ceil(raw_feature_bits / compression_ratio) bits against the link.
 
-Every aggregate -- accuracy, mean device and total MFLOPs, exit shares and
-the mean latency at each bandwidth -- is linear in five integer counts of
-a walk: samples reaching each early exit, charged its classifier,
-terminating there, transmitted, and classified correctly.  ``_aggregate``
-is the one formula from counts to aggregates.  ``run_plain``,
-``run_with_predictor``, ``run_oracle`` and ``policy_stats`` check their
-arguments once, walk once (the walk also yields the per-sample records)
-and count the walk.  ``PolicyTable`` never walks: given a value list per
-early exit, it takes the counts of every (lambda, gamma) combination of
-their products from blocked integer products of threshold masks, so
-threshold searches are queries on it and each row equals its
-``policy_stats`` report bit for bit.
+Every figure -- accuracy, device and total MFLOPs, exit shares and the
+latency at each bandwidth -- is linear in five integer counts of a walk:
+samples reaching each early exit, charged its classifier, terminating
+there, transmitted, and classified correctly.  ``_aggregate`` is the one
+formula from counts to figures, for a per-sample record (its 0/1 counts),
+a report (their sums) and a table row alike, so a record equals its
+one-sample report.  ``run_plain``, ``run_with_predictor``, ``run_oracle``
+and ``policy_stats`` check their arguments once, walk once and price the
+counts.  ``PolicyTable`` never walks: given a value list per early exit,
+it takes the counts of every (lambda, gamma) combination of their
+products from blocked integer products of threshold masks, so threshold
+searches are queries on it and each row equals its ``policy_stats``
+report bit for bit.
 """
 
 from __future__ import annotations
@@ -127,40 +128,23 @@ def _checked(ts: TraceSet, gated: bool, scores) -> np.ndarray | None:
 # -- the walk and its aggregates ----------------------------------------------
 
 
-def _walk(ts: TraceSet, lam: np.ndarray, gate: np.ndarray | None, oracle: bool):
-    """The exit walk every policy shares, and the only place a per-sample FLOP
-    is charged.
+def _walk(ts: TraceSet, lam: np.ndarray, gate: np.ndarray | None) -> np.ndarray:
+    """The exit walk every policy shares; it places samples and prices none.
 
-    ``gate`` masks which reached exits are computed; None computes every
-    reached exit (the plain walk), a mask also charges the predictor.
-    ``oracle`` terminates as the plain walk but charges only the terminating
-    exit's classifier.  Returns the 0-based exit index (n_early means the
-    server exit), the per-sample device MFLOPs accumulated left to right in
-    walk order, and the transmit mask.
+    ``gate`` masks which reached exits are computed and so may terminate;
+    None lets every reached exit terminate (the plain and oracle walks).
+    Returns each sample's 0-based exit index; n_early means the server exit.
     """
-    topo = ts.topology
-    conf = ts.conf
-    n_samples = conf.shape[0]
-    n_early = topo.num_early_exits
-    device = np.zeros(n_samples, dtype=np.float64)
-    alive = np.ones(n_samples, dtype=bool)
-    exit_idx = np.full(n_samples, n_early, dtype=np.int64)
+    n_early = ts.topology.num_early_exits
+    alive = np.ones(len(ts), dtype=bool)
+    exit_idx = np.full(len(ts), n_early, dtype=np.int64)
     for n in range(n_early):
-        # Adding cost * mask adds 0.0 where the mask is off: same sums as
-        # masked in-place adds, without the fancy indexing.
-        device += topo.segment_flops[n] * alive
-        comp = alive if gate is None else alive & gate[:, n]
-        term = comp & (conf[:, n] >= lam[n])
-        device += topo.exit_flops[n] * (term if oracle else comp)
+        term = alive & (ts.conf[:, n] >= lam[n])
+        if gate is not None:
+            term &= gate[:, n]
         exit_idx[term] = n
         alive &= ~term
-    if gate is not None:
-        device = device + topo.predictor_flops
-    return exit_idx, device, alive
-
-
-def _correct(ts: TraceSet, exit_idx: np.ndarray) -> np.ndarray:
-    return ts.pred[np.arange(len(ts)), exit_idx] == ts.label
+    return exit_idx
 
 
 class _Counts(NamedTuple):
@@ -206,23 +190,15 @@ def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool,
             shares, latency)
 
 
-def _records(ts: TraceSet, exit_idx: np.ndarray, device: np.ndarray,
-             computed: np.ndarray, transmitted: np.ndarray, correct: np.ndarray,
-             latencies: np.ndarray) -> list[DecisionRecord]:
-    bits = transmitted * ts.topology.transmitted_bits
-    return list(map(DecisionRecord._make, zip(
-        ts.ids.tolist(), (exit_idx + 1).tolist(), map(tuple, computed.tolist()), device.tolist(),
-        transmitted.tolist(), bits.tolist(), correct.tolist(), latencies.tolist())))
-
-
 def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | None = None,
               oracle: bool = False, records: bool = False
               ) -> tuple[list[DecisionRecord] | None, AggregateReport]:
     """The evaluator behind every entry point: check, walk once, count, aggregate.
 
     ``gamma`` None walks ungated (plain, or oracle routing when ``oracle``);
-    otherwise exits are gated by ``scores >= gamma``.  Per-sample records
-    are built only when ``records`` is set.
+    otherwise exits are gated by ``scores >= gamma``.  ``_aggregate``
+    prices each sample's 0/1 counts with S = 1 for its record, built only
+    when ``records`` is set, and their column sums for the report.
     """
     topo = ts.topology
     n_early = topo.num_early_exits
@@ -230,25 +206,19 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     gamma = None if gamma is None else check_gamma(gamma, n_early)
     scores = _checked(ts, gamma is not None, scores)
     gate = None if gamma is None else scores >= gamma
-    exit_idx, device, transmitted = _walk(ts, lam, gate, oracle)
-    # A sample reaches exit n when it ends at n or later.  It computes exit
-    # n when it reaches it and its gate passes, or, for the oracle, only
-    # when it terminates there; the plain walk computes every exit it reaches.
-    exits = np.arange(n_early)
-    computed = None
-    if records or gate is not None:
-        computed = (exit_idx[:, None] == exits if oracle else
-                    (exit_idx[:, None] >= exits) & (True if gate is None else gate))
-    ends = np.bincount(exit_idx, minlength=n_early + 1)
-    reach = np.cumsum(ends[::-1])[::-1][:n_early]
-    charged = (ends[:n_early] if oracle else reach if gate is None
-               else np.count_nonzero(computed, axis=0))
-    correct = _correct(ts, exit_idx)
-    counts = _Counts(reach[None], charged[None], ends[None, :n_early], ends[n_early:],
-                     np.array([np.count_nonzero(correct)]))
+    exit_idx = _walk(ts, lam, gate)
+    # A sample reaches exit n when it ends at n or later, and is charged its
+    # classifier when its gate passes there or, for the oracle, it ends there.
+    # Built exit-major (transposed below), each exit's column is contiguous.
+    exits = np.arange(n_early)[:, None]
+    reach, term = exits <= exit_idx, exits == exit_idx
+    charged = term if oracle else reach if gate is None else reach & gate.T
+    counts = _Counts(reach.T, charged.T, term.T, exit_idx == n_early,
+                     ts.pred[np.arange(len(ts)), exit_idx] == ts.label)
     speed, bandwidths = (None, ()) if env is None else (env.compute_speed, (env.bandwidth,))
-    accuracy, mean_device, mean_total, shares, latency = _aggregate(
-        topo, len(ts), counts, gate is not None, speed, bandwidths)
+    price = lambda n, c: _aggregate(topo, n, c, gate is not None, speed, bandwidths)
+    accuracy, mean_device, mean_total, shares, latency = price(
+        len(ts), _Counts(*(np.count_nonzero(c, axis=0, keepdims=True) for c in counts)))
     mean_latency = 0.0 if env is None else float(latency[0, 0])
     report = AggregateReport(
         accuracy=float(accuracy[0]),
@@ -260,10 +230,12 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     )
     if not records:
         return None, report
-    latencies = (np.zeros(len(ts)) if env is None else
-                 topo.transmitted_bits / env.bandwidth * transmitted
-                 + device * 1e6 / env.compute_speed)
-    return _records(ts, exit_idx, device, computed, transmitted, correct, latencies), report
+    _, device, _, _, latency = price(1, counts)
+    latencies = [0.0] * len(ts) if env is None else latency[:, 0].tolist()
+    return list(map(DecisionRecord._make, zip(
+        ts.ids.tolist(), (exit_idx + 1).tolist(), map(tuple, counts.charged.tolist()),
+        device.tolist(), counts.tx.tolist(), (counts.tx * topo.transmitted_bits).tolist(),
+        counts.correct.tolist(), latencies))), report
 
 
 def run_plain(ts: TraceSet, lam: Sequence[float],

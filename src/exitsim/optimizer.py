@@ -253,8 +253,7 @@ def load_policy_points(path: str | os.PathLike, text: str | None = None
             for bw, *row, acc, latency, feasible in trace.read_table(path, text, _point_columns(n))]
 
 
-def save_regressors(regressors: Sequence[ThresholdRegressor],
-                    path: str | os.PathLike) -> None:
+def regressors_json(regressors: Sequence[ThresholdRegressor]) -> str:
     doc = {
         "kind": "threshold_regressors",
         "regressors": [
@@ -268,7 +267,12 @@ def save_regressors(regressors: Sequence[ThresholdRegressor],
             for r in regressors
         ],
     }
-    atomic_write_text(path, json.dumps(doc) + "\n")
+    return json.dumps(doc) + "\n"
+
+
+def save_regressors(regressors: Sequence[ThresholdRegressor],
+                    path: str | os.PathLike) -> None:
+    atomic_write_text(path, regressors_json(regressors))
 
 
 def load_regressors(path: str | os.PathLike, doc: dict | None = None

@@ -54,10 +54,6 @@ def canon(x: float) -> float:
     return float(format(float(x), _FLOAT_FMT))
 
 
-def canon_seq(xs: Iterable[float]) -> tuple[float, ...]:
-    return tuple(canon(x) for x in xs)
-
-
 def canon_array(values) -> np.ndarray:
     """``canon`` applied element by element, as a new float64 array.
 
@@ -141,37 +137,31 @@ class ExitTopology:
     compression_ratio: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_exits", as_int(self.num_exits, "num_exits"))
-        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
-        object.__setattr__(self, "raw_feature_bits",
-                           as_int(self.raw_feature_bits, "raw_feature_bits"))
-        object.__setattr__(self, "segment_flops", canon_seq(self.segment_flops))
-        object.__setattr__(self, "exit_flops", canon_seq(self.exit_flops))
-        object.__setattr__(self, "server_flops", canon(self.server_flops))
-        object.__setattr__(self, "predictor_flops", canon(self.predictor_flops))
-        object.__setattr__(self, "compression_ratio", canon(self.compression_ratio))
+        for name in ("num_exits", "num_classes", "raw_feature_bits"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.num_exits < 2:
             raise ValueError(f"num_exits must be >= 2, got {self.num_exits}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        n_early = self.num_exits - 1
-        if len(self.segment_flops) != n_early:
-            raise ValueError(
-                f"segment_flops must have length {n_early}, got {len(self.segment_flops)}"
-            )
-        if len(self.exit_flops) != n_early:
-            raise ValueError(
-                f"exit_flops must have length {n_early}, got {len(self.exit_flops)}"
-            )
-        for name in ("segment_flops", "exit_flops"):
-            if any(v < 0 or not math.isfinite(v) for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be finite and >= 0")
-        if not (0 <= self.server_flops < math.inf and 0 <= self.predictor_flops < math.inf):
-            raise ValueError("server_flops and predictor_flops must be finite and >= 0")
         if self.raw_feature_bits <= 0:
             raise ValueError("raw_feature_bits must be > 0")
-        if not 1 <= self.compression_ratio < math.inf:
-            raise ValueError("compression_ratio must be finite and >= 1")
+        n_early = self.num_exits - 1
+        for name in ("segment_flops", "exit_flops"):
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+            values = tuple(canon(as_real(v, f"{name}[{i}]")) for i, v in enumerate(values))
+            if len(values) != n_early:
+                raise ValueError(f"{name} must have length {n_early}, got {len(values)}")
+            if any(v < 0 for v in values):
+                raise ValueError(f"{name} entries must be >= 0")
+            object.__setattr__(self, name, values)
+        for name in ("server_flops", "predictor_flops", "compression_ratio"):
+            object.__setattr__(self, name, canon(as_real(getattr(self, name), name)))
+        if self.server_flops < 0 or self.predictor_flops < 0:
+            raise ValueError("server_flops and predictor_flops must be >= 0")
+        if self.compression_ratio < 1:
+            raise ValueError("compression_ratio must be >= 1")
 
     @property
     def num_early_exits(self) -> int:

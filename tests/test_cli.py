@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from exitsim.cli import (
     validate_artifact,
 )
 from exitsim.engine import run_oracle, run_plain, run_with_predictor
-from exitsim.optimizer import load_policy_points
+from exitsim.optimizer import load_policy_points, save_policy_points
 from exitsim.predictor import make_labels, select_gamma
 from exitsim.trace import Thresholds, save_trace_set
 
@@ -361,6 +362,31 @@ def test_fit_adapt_table_rows_carry_the_points_bandwidths(small_demo, tmp_path, 
     assert ([p.bandwidth for p in load_policy_points(table)]
             == sorted(SMALL_CONFIG["sweep_bandwidths"]))
     assert table.read_bytes() == (demo / "adapt_table.csv").read_bytes()
+
+
+def test_fit_adapt_table_leaves_out_uncovered_bandwidths_and_writes_all_or_nothing(
+        small_demo, tmp_path, capsys):
+    demo, points = small_demo[0], load_policy_points(small_demo[0] / "sweep.csv")
+    scored = ["--traces", str(demo / "traces_test.jsonl"), "--ep", str(demo / "ep.json")]
+    out, table, extra = tmp_path / "regs.json", tmp_path / "adapt.csv", tmp_path / "extra.csv"
+    # A feasible point no regressor interval covers: the fit leaves it out,
+    # and so does the table.
+    save_policy_points([*points, replace(points[-1], bandwidth=3e8)], extra)
+    assert main(["fit-adapt", "--points", str(extra), "--out", str(out), "--table", str(table),
+                 *scored]) == 0, capsys.readouterr().err
+    assert out.read_bytes() == (demo / "regressors.json").read_bytes()
+    assert table.read_bytes() == (demo / "adapt_table.csv").read_bytes()
+    # Points of a net with one more early exit fit, but their thresholds do
+    # not fit the traces: the table fails, and neither file is written.
+    save_policy_points([replace(p, lam=(*p.lam, 0.5), gamma=(*p.gamma, 0.5)) for p in points],
+                       extra)
+    out.unlink()
+    table.unlink()
+    assert main(["fit-adapt", "--points", str(extra), "--out", str(out), "--table", str(table),
+                 *scored]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == \
+        "lambda must have length 2, got shape (3,)"
+    assert not out.exists() and not table.exists()
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -549,3 +549,36 @@ def test_perfect_scores_are_oracle_plus_predictor_flops(gamma, seed, n_samples, 
     gamma = (gamma,) * n_early
     assert run_with_predictor(ts, Thresholds(lam, gamma), scores, env) == expected
     assert policy_stats(ts, lam, gamma, scores, env) == expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=st.sampled_from(["plain", "predictor", "oracle"]), priced=st.booleans(),
+       **identity_cases)
+def test_a_record_is_its_one_sample_report(policy, priced, seed, n_samples, num_exits,
+                                           bandwidth):
+    rng = np.random.default_rng(seed)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    topo, n_early = ts.topology, num_exits - 1
+    lam, gamma = random_lambda(rng, n_early), random_gamma(rng, n_early)
+    scores = rng.uniform(0.0, 1.0, (n_samples, n_early))
+    env = Environment(3.62e9, bandwidth, 0.03) if priced else None
+    if policy == "plain":
+        recs, _ = run_plain(ts, lam, env)
+    elif policy == "predictor":
+        recs, _ = run_with_predictor(ts, Thresholds(lam, gamma), scores, env)
+    else:
+        recs, _ = run_oracle(ts, lam, env)
+    for i, rec in enumerate(recs):
+        one = (policy_stats(ts.subset([i]), lam, gamma, scores[i:i + 1], env)
+               if policy == "predictor" else
+               policy_stats(ts.subset([i]), lam, env=env, oracle=policy == "oracle"))
+        assert repr(rec.on_device_mflops) == repr(one.mean_on_device_mflops)
+        assert repr(rec.latency_s) == repr(one.mean_latency_s)
+        taken, _, computed, transmitted = (
+            literal_plain_walk(ts.conf[i], lam, topo) if policy == "plain" else
+            literal_predictor_walk(ts.conf[i], scores[i], lam, gamma, topo)
+            if policy == "predictor" else literal_oracle_walk(ts.conf[i], lam, topo))
+        assert rec.exit_taken == taken
+        assert [n for n, f in enumerate(rec.exits_computed) if f] == computed
+        assert rec.transmitted == transmitted
+        assert rec.correct == (ts.pred[i, taken - 1] == ts.label[i])

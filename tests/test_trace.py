@@ -141,13 +141,26 @@ def _second(old, new):
      "predicted must be a list of numbers"),
     (_second('"label":3', '"label":true'), load_trace_set, 3,
      "label must be an integer, got True"),
+    # Header costs must be numbers: no string is iterated or parsed, no bool read.
+    (_HEADER.replace("[1.0,2.0]", '"12"') + "\n" + _RECORD, load_trace_set, 1,
+     "segment_flops must be a list of numbers, got '12'$"),
+    (_HEADER.replace('"exit_flops":[0.5,0.5]', '"exit_flops":[0.5,"0.5"]') + "\n" + _RECORD,
+     load_trace_set, 1, r"exit_flops\[1\] must be a finite real number, got '0.5'$"),
+    (_HEADER.replace('"server_flops":10', '"server_flops":"274.13"') + "\n" + _RECORD,
+     load_trace_set, 1, "server_flops must be a finite real number, got '274.13'$"),
+    (_HEADER.replace('"predictor_flops":0.1', '"predictor_flops":true') + "\n" + _RECORD,
+     load_trace_set, 1, "predictor_flops must be a finite real number, got True$"),
+    (_HEADER.replace('"compression_ratio":4', '"compression_ratio":"4"') + "\n" + _RECORD,
+     load_trace_set, 1, "compression_ratio must be a finite real number, got '4'$"),
 ], ids=["trace-header-null", "trace-header-inf", "trace-record-inf", "dataset-record-inf",
         "fractional-id", "fractional-label", "fractional-predicted", "fractional-N",
         "fractional-P", "dataset-fractional-label", "dataset-fractional-num_samples",
         "nan-confidence", "confidence-above-range", "label-out-of-range",
         "predicted-out-of-range", "duplicate-id", "duplicate-id-after-blank-lines",
         "lengths-differ", "short-confidences", "ragged-features", "partial-features",
-        "huge-int-confidence", "string-predicted", "bool-label"])
+        "huge-int-confidence", "string-predicted", "bool-label", "string-segment_flops",
+        "string-exit_flops-entry", "string-server_flops", "bool-predictor_flops",
+        "string-compression_ratio"])
 def test_malformed_field_names_its_line(tmp_path, text, loader, lineno, detail):
     path = tmp_path / "t.jsonl"
     path.write_text(text + "\n")
