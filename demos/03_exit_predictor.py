@@ -51,7 +51,7 @@ ep, curve = train_predictor(fit_traces, lam,
                                             weight_decay=2e-4, seed=11))
 print(f"predictor BCE: {curve[0]:.3f} -> {curve[-1]:.3f}")
 
-gamma = select_gamma(select_traces, ep, lam, grid_step=0.05)
+gamma = select_gamma(select_traces, predict_scores(ep, select_traces), lam, grid_step=0.05)
 print(f"selected prediction thresholds gamma = {gamma} at lambda = {lam}")
 
 scores = predict_scores(ep, test_traces)

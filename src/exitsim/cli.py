@@ -33,7 +33,6 @@ import argparse
 import contextlib
 import copy
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -145,21 +144,20 @@ def _at(path: str):
     return _named(f"config {path}" if path else "config")
 
 
-# Value rules beyond the type a key's default implies, by key path; a list
-# key's rule holds for each entry.
+# Value rules beyond the type a key's default implies, by key path: the
+# interval a number lies in, or a (predicate, message) pair.  A list key's
+# rule holds for each entry.
 _RULES = {
-    **dict.fromkeys(["seed", "ee.exit_weights"], (lambda v: v >= 0, "must be >= 0")),
+    **dict.fromkeys(["seed", "ee.exit_weights"], "[0, inf)"),
     **dict.fromkeys(["synth.train_samples", "synth.test_samples", "ee.trunk_widths",
                      "ee.final_hidden", "ep.hidden", "regressor.hidden", "ee.train.epochs",
-                     "ep.train.epochs", "regressor.train.epochs"],
-                    (lambda v: v >= 1, "must be >= 1")),
-    "synth.final_flip_prob": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "policy.budget_fraction": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+                     "ep.train.epochs", "regressor.train.epochs"], "[1, inf)"),
+    **dict.fromkeys(["synth.final_flip_prob", "policy.gamma_grid"], "[0, 1]"),
+    "policy.budget_fraction": "(0, 1]",
     "policy.gamma_split": (lambda v: v in ("holdout", "test"), "must be 'holdout' or 'test'"),
     **dict.fromkeys(["policy.holdout_fraction", "policy.frontier_lambdas",
-                     "policy.lambda_grid"], (lambda v: 0 < v < 1, "must lie in (0, 1)")),
-    "policy.gamma_grid": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "sweep_bandwidths": (lambda v: v > 0, "must be > 0"),
+                     "policy.lambda_grid"], "(0, 1)"),
+    "sweep_bandwidths": "(0, inf)",
     "regressor_intervals": (lambda v: len(v) == 2 and 0 < v[0] < v[1],
                             "must be [lo, hi] with 0 < lo < hi"),
 }
@@ -168,19 +166,20 @@ _RULES = {
 def _check_value(value, default, name: str, rule=None) -> None:
     """``value`` has the JSON type of ``default`` (a string, an integer, a finite
     real, or a nonempty list of these) and passes ``rule``, entry by entry."""
+    bounds = rule if isinstance(rule, str) else None
     entries = [value]
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"{name} must be a nonempty list, got {value!r}")
         for i, v in enumerate(value):
-            _check_value(v, default[0], f"{name}[{i}]")
+            _check_value(v, default[0], f"{name}[{i}]", bounds)
         entries, name = value, f"{name} entries"
     elif not isinstance(default, str):
-        (as_int if isinstance(default, int) else as_real)(value, name)
+        (as_int if isinstance(default, int) else as_real)(value, name, bounds)
     elif not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     for v in entries:
-        if rule and not rule[0](v):
+        if isinstance(rule, tuple) and not rule[0](v):
             raise ValueError(f"{name} {rule[1]}, got {v!r}")
 
 
@@ -220,9 +219,8 @@ def check_config(*docs: Mapping) -> Config:
     with _at("synth"):
         if s["num_classes"] != topology.num_classes:
             raise ValueError(f"num_classes must equal topology.num_classes, got {s['num_classes']}")
-        ring = zoo.SynthSpec.ring(1, topology.num_classes, as_int(s["input_dim"], "input_dim"),
-                                  radius=s["radius"])
-        specs = {which: replace(ring, num_samples=as_int(s[f"{which}_samples"], "samples"),
+        ring = zoo.SynthSpec.ring(1, topology.num_classes, s["input_dim"], radius=s["radius"])
+        specs = {which: replace(ring, num_samples=s[f"{which}_samples"],
                                 spreads=s["spreads"], label_noise=s["label_noise"], seed=seed + k)
                  for k, which in enumerate(("train", "test"))}
     with _at("ee"):
@@ -471,15 +469,15 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 # -- validate -----------------------------------------------------------------
 
 
-_NONNEGATIVE = ("finite and >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf)
-_UNIT = ("in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 _BOOL = ("a bool", lambda v: type(v) is bool)
 
 
 def _check(name: str, value, rule) -> None:
-    what, ok = rule
-    if not ok(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+    """``value`` passes ``rule``: an interval for a real, or a (what, predicate) pair."""
+    if isinstance(rule, str):
+        as_real(value, name, rule)
+    elif not rule[1](value):
+        raise ValueError(f"{name} must be {rule[0]}, got {value!r}")
 
 
 def _check_list(name: str, values, rule, length: int | None = None) -> None:
@@ -494,23 +492,24 @@ def _check_list(name: str, values, rule, length: int | None = None) -> None:
 
 def check_summary(doc: Mapping) -> None:
     """The summary.json check, field by field: a failure names the field."""
-    _check("seed", doc["seed"], ("an integer >= 0", lambda v: type(v) is int and v >= 0))
+    as_int(doc["seed"], "seed", "[0, inf)")
     with _named("lambda_star and gamma_star"):
         n_early = len(trace.Thresholds(tuple(doc["lambda_star"]), tuple(doc["gamma_star"])).lam)
     for name in ("ee_final_loss", "ep_final_loss"):
-        _check(name, doc[name], _NONNEGATIVE)
+        _check(name, doc[name], "[0, inf)")
     _check("test", doc["test"], (f"an object of {', '.join(METHODS)} reports",
                                  lambda v: isinstance(v, dict) and sorted(v) == sorted(METHODS)))
     for method in METHODS:
         report, name = doc["test"][method], f"test.{method}"
         _check(name, report, ("an object", lambda v: isinstance(v, dict)))
-        _check(f"{name}.accuracy", report["accuracy"], _UNIT)
+        _check(f"{name}.accuracy", report["accuracy"], "[0, 1]")
         for key in ("mean_on_device_mflops", "mean_total_mflops", "mean_latency_s"):
-            _check(f"{name}.{key}", report[key], _NONNEGATIVE)
-        _check_list(f"{name}.exit_distribution", report["exit_distribution"], _UNIT, n_early + 1)
+            _check(f"{name}.{key}", report[key], "[0, inf)")
+        _check_list(f"{name}.exit_distribution", report["exit_distribution"], "[0, 1]",
+                    n_early + 1)
         _check(f"{name}.budget_satisfied", report["budget_satisfied"], _BOOL)
     _check_list("sweep_feasible", doc["sweep_feasible"], _BOOL)
-    _check_list("regressor_max_abs_errors", doc["regressor_max_abs_errors"], _NONNEGATIVE)
+    _check_list("regressor_max_abs_errors", doc["regressor_max_abs_errors"], "[0, inf)")
 
 
 # Whole-file JSON documents, validated by loading them from the parsed

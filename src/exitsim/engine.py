@@ -36,13 +36,13 @@ report bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import ExitTopology, Thresholds, TraceSet, check_gamma, check_lambda
+from .trace import (ExitTopology, Thresholds, TraceSet, as_real, check_gamma, check_lambda,
+                    within)
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class Environment:
 
     def __post_init__(self) -> None:
         for name in ("compute_speed", "bandwidth", "latency_budget"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+            object.__setattr__(self, name, as_real(getattr(self, name), name, "(0, inf)"))
 
 
 class DecisionRecord(NamedTuple):
@@ -107,8 +106,8 @@ def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     mat = mat.astype(np.float64, copy=False)
     if mat.shape != shape:
         raise ValueError(f"scores must have shape {shape}, got {mat.shape}")
-    # Written so that NaN fails too: NaN >= gamma is false, a silent skip.
-    if not np.all((mat >= 0.0) & (mat <= 1.0)):
+    # NaN fails too: NaN >= gamma is false, a silent skip.
+    if not within(mat, "[0, 1]").all():
         raise ValueError("predictor scores must lie in [0, 1]")
     return mat
 
@@ -372,11 +371,10 @@ class PolicyTable:
         product = lambda grid: list(itertools.product(*(values.tolist() for values in grid)))
         self.lams = product(lam_grid)
         self.gammas = None if gamma_grid is None else product(gamma_grid)
-        self.bandwidths = tuple(float(b) for b in bandwidths)
-        if any(not 0 < b < math.inf for b in self.bandwidths):
-            raise ValueError("bandwidths must be finite and strictly positive")
-        if self.bandwidths and (compute_speed is None or not 0 < compute_speed < math.inf):
-            raise ValueError("pricing bandwidths needs a finite positive compute_speed")
+        self.bandwidths = tuple(as_real(b, f"bandwidths[{i}]", "(0, inf)")
+                                for i, b in enumerate(bandwidths))
+        if self.bandwidths:
+            compute_speed = as_real(compute_speed, "compute_speed", "(0, inf)")
         (self.accuracy, self.on_device_mflops, _, self.exit_distribution,
          self.mean_latency_s) = _aggregate(
             ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores),

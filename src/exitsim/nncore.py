@@ -170,7 +170,7 @@ class Mlp(Net):
         weights = [np.array(w, dtype=np.float64) for w in weights]
         biases = [np.array(b, dtype=np.float64) for b in biases]
         activations = tuple(activations)
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", "[0, inf)")
         if not (len(weights) == len(biases) == len(activations)):
             raise ValueError("weights, biases and activations must align")
         if not weights:
@@ -195,7 +195,7 @@ class Mlp(Net):
         Biases share the uniform scheme; an exactly-zero bias would park
         relu units on their kink whenever the previous layer goes dead.
         """
-        sizes = [int(s) for s in sizes]
+        sizes = [as_int(s, f"sizes[{i}]", "[1, inf)") for i, s in enumerate(sizes)]
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("need len(sizes) >= 2 and one activation per layer")
         rng = np.random.default_rng(seed)
@@ -347,25 +347,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("lr", "lr_end", "weight_decay"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
-        for name in ("lr_end_epoch", "epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        for name in ("lr", "lr_end"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lr_end_epoch < 1:
-            raise ValueError("lr_end_epoch must be >= 1")
+        for name, bounds in (("lr", "(0, inf)"), ("lr_end", "(0, inf)"),
+                             ("weight_decay", "[0, inf)")):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, bounds))
+        for name, bounds in (("lr_end_epoch", "[1, inf)"), ("epochs", "[0, inf)"),
+                             ("batch_size", "[1, inf)"), ("seed", "[0, inf)")):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, bounds))
         if self.epochs and self.lr_end_epoch > self.epochs:
             raise ValueError("lr_end_epoch must not exceed epochs")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, trace
-from .predictor import as_scores
 from .trace import Thresholds, TraceSet, as_real, atomic_write_text, load_checkpoint
 
 
@@ -58,7 +57,7 @@ def _table(ts: TraceSet, scores, env: engine.Environment, bandwidths: Sequence[f
            lambda_grid: Sequence[float], gamma_grid: Sequence[float]) -> engine.PolicyTable:
     n_early = ts.topology.num_early_exits
     return engine.PolicyTable(ts, [lambda_grid] * n_early, [gamma_grid] * n_early,
-                              as_scores(ts, scores), env.compute_speed, bandwidths)
+                              scores, env.compute_speed, bandwidths)
 
 
 def _point(table: engine.PolicyTable, i: int, b: int, bandwidth: float,
@@ -94,7 +93,7 @@ def grid_search(ts: TraceSet, scores, env: engine.Environment,
     return frontier[i], frontier
 
 
-def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
+def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
                      bandwidths: Sequence[float],
                      lambda_grid: Sequence[float],
                      gamma_grid: Sequence[float]) -> list[PolicyPoint]:
@@ -108,10 +107,10 @@ def sweep_bandwidths(ts: TraceSet, ep, env: engine.Environment,
     """
     if not bandwidths:
         raise ValueError("bandwidth list must be nonempty")
-    bws = sorted(float(b) for b in bandwidths)
-    table = _table(ts, ep, env, bws, lambda_grid, gamma_grid)
-    return [_point(table, table.optimum(b, env.latency_budget)[0], b, bw, env.latency_budget)
-            for b, bw in enumerate(bws)]
+    table = _table(ts, scores, env, bandwidths, lambda_grid, gamma_grid)
+    bws = table.bandwidths
+    return [_point(table, table.optimum(b, env.latency_budget)[0], b, bws[b], env.latency_budget)
+            for b in sorted(range(len(bws)), key=bws.__getitem__)]
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,8 @@ class ThresholdRegressor:
     max_abs_error: float
 
     def __post_init__(self) -> None:
-        iv = tuple(as_real(v, "interval") for v in self.interval)
-        if not (len(iv) == 2 and 0 < iv[0] < iv[1]):
+        iv = tuple(as_real(v, "interval", "(0, inf)") for v in self.interval)
+        if not (len(iv) == 2 and iv[0] < iv[1]):
             raise ValueError(f"interval must be [lo, hi] with 0 < lo < hi, got {list(iv)}")
         bws = tuple(as_real(v, "train_bandwidths") for v in self.train_bandwidths)
         if len(bws) < 2 or not all(iv[0] <= b <= iv[1] for b in bws):
@@ -149,9 +148,7 @@ class ThresholdRegressor:
         rows = [Thresholds(tuple(lam), tuple(gamma)) for lam, gamma in zip(self.lam, self.gamma)]
         if len({len(th.lam) for th in rows}) != 1:
             raise ValueError("lambda rows must all have one length")
-        error = as_real(self.max_abs_error, "max_abs_error")
-        if error < 0:
-            raise ValueError(f"max_abs_error must be >= 0, got {error!r}")
+        error = as_real(self.max_abs_error, "max_abs_error", "[0, inf)")
         for name, value in (("interval", iv), ("train_bandwidths", bws), ("max_abs_error", error),
                             ("lam", tuple(th.lam for th in rows)),
                             ("gamma", tuple(th.gamma for th in rows))):
@@ -169,9 +166,9 @@ def fit_regressors(points: Sequence[PolicyPoint],
     max_abs_error is the worst distance from a point to its row.
     """
     out: list[ThresholdRegressor] = []
-    for lo, hi in sorted(intervals, key=lambda iv: (float(iv[0]), float(iv[1]))):
-        lo, hi = float(lo), float(hi)
-        if not (0 < lo < hi):
+    intervals = [tuple(as_real(v, "interval", "(0, inf)") for v in iv) for iv in intervals]
+    for lo, hi in sorted(intervals):
+        if not lo < hi:
             raise ValueError(f"bad interval ({lo}, {hi})")
         members = [p for p in points if lo <= p.bandwidth <= hi]
         bws, which = np.unique([p.bandwidth for p in members], return_inverse=True)
@@ -198,7 +195,7 @@ def adapt(regressors: Sequence[ThresholdRegressor], bandwidth: float) -> Thresho
     keeps the nearest row.  Each entry lies between two valid thresholds,
     so none needs a clamp.
     """
-    bandwidth = float(bandwidth)
+    bandwidth = as_real(bandwidth, "bandwidth", "(0, inf)")
     chosen = next((reg for reg in sorted(regressors, key=lambda r: r.interval)
                    if reg.interval[0] <= bandwidth <= reg.interval[1]), None)
     if chosen is None:

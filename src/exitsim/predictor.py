@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .nncore import Mlp, TrainConfig, train
-from .trace import TraceSet, atomic_write_text, check_lambda, load_checkpoint
+from .trace import TraceSet, as_real, atomic_write_text, check_lambda, load_checkpoint
 
 # Scores are kept strictly inside (0, 1); a saturated sigmoid would
 # otherwise defeat the gamma = 1 "skip everything" contract.
@@ -36,11 +36,10 @@ class ExitPredictor:
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "lam", tuple(check_lambda(self.lam, self.net.out_dim).tolist()))
-        object.__setattr__(self, "predictor_flops", float(self.predictor_flops))
+        object.__setattr__(self, "predictor_flops",
+                           as_real(self.predictor_flops, "predictor_flops", "[0, inf)"))
         if self.net.activations[-1] != "sigmoid":
             raise ValueError("predictor net must end in a sigmoid head")
-        if self.predictor_flops < 0:
-            raise ValueError("predictor_flops must be >= 0")
 
 
 def make_labels(ts: TraceSet, lam) -> np.ndarray:
@@ -80,31 +79,22 @@ def predict_scores(ep: ExitPredictor, ts: TraceSet) -> np.ndarray:
 
 def gamma_grid(step: float) -> np.ndarray:
     """Candidate threshold values: multiples of ``step`` in [0, 1] plus 1."""
-    if not (0.0 < step < 1.0):
-        raise ValueError(f"grid step must lie in (0, 1), got {step}")
+    step = as_real(step, "grid step", "(0, 1)")
     return np.unique(np.concatenate([np.arange(0.0, 1.0, step), [1.0]]))
 
 
-def as_scores(ts: TraceSet, ep) -> np.ndarray:
-    """Score matrix of ``ep``, an ExitPredictor or a precomputed score matrix."""
-    if isinstance(ep, ExitPredictor):
-        return predict_scores(ep, ts)
-    return np.asarray(ep, dtype=np.float64)
-
-
-def select_gamma(ts: TraceSet, ep, lam, grid_step: float = 0.05,
+def select_gamma(ts: TraceSet, scores, lam, grid_step: float = 0.05,
                  budget_fraction: float = 0.02) -> tuple[float, ...]:
     """Cheapest grid point pushing < budget_fraction extra samples to exit N.
 
-    ``ep`` is an ExitPredictor or a precomputed score matrix.  The zero
-    vector reproduces the plain policy exactly, so a feasible point always
-    exists; ties go to the lexicographically smallest gamma.
+    ``scores`` is the predictor's score matrix on ``ts``.  The zero vector
+    reproduces the plain policy exactly, so a feasible point always exists;
+    ties go to the lexicographically smallest gamma.
     """
-    if not (0.0 < budget_fraction <= 1.0):
-        raise ValueError(f"budget_fraction must lie in (0, 1], got {budget_fraction}")
+    budget_fraction = as_real(budget_fraction, "budget_fraction", "(0, 1]")
     n_early = ts.topology.num_early_exits
     table = engine.PolicyTable(ts, [[v] for v in check_lambda(lam, n_early)],
-                               [gamma_grid(grid_step)] * n_early, as_scores(ts, ep))
+                               [gamma_grid(grid_step)] * n_early, scores)
     # Row 0 is gamma = 0: every score passes, so it is the plain walk.
     extra = table.exit_distribution[:, -1] - table.exit_distribution[0, -1]
     return table.combo(table.cheapest(extra < budget_fraction))[1]

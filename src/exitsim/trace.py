@@ -23,11 +23,20 @@ naming the path and the line, column or field: line-delimited records,
 CSV tables, threshold vectors (``check_lambda``, ``check_gamma``, which also
 check each exit's value list of a threshold grid) and JSON checkpoints
 (``load_checkpoint``).
+
+Every number read from outside -- a config key, a header or checkpoint
+field, a CSV field, a constructor argument -- has one check: ``as_int``
+or ``as_real`` against the interval it must lie in, written as it prints
+("(0, 1]", "[0, inf)"), or ``within`` for a vector.  A value that is no
+finite number or no integer fails as such; one outside its interval reads
+``{field} must lie in {bounds}, got {value!r}``.  NaN lies outside every
+interval.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -86,26 +95,54 @@ def fmt_real(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def as_int(value, field: str) -> int:
-    """An integer field's value; an integral float such as 3.0 is accepted.
+@functools.lru_cache(maxsize=64)
+def _interval(bounds: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low closed, high closed) of an interval written "(0, 1]"."""
+    low, high = bounds[1:-1].split(",")
+    return float(low), float(high), bounds[0] == "[", bounds[-1] == "]"
+
+
+def within(values, bounds: str) -> np.ndarray:
+    """The mask of ``values`` lying in ``bounds``, an interval written as it
+    prints: "(0, 1]", "[0, inf)".  NaN lies outside every interval, and an
+    integer beyond the double range raises OverflowError."""
+    low, high, low_in, high_in = _interval(bounds)
+    v = np.asarray(values, dtype=np.float64)
+    return (v >= low if low_in else v > low) & (v <= high if high_in else v < high)
+
+
+def _bounded(number, value, field: str, bounds: str | None):
+    """``number`` if it lies in ``bounds`` (None: anywhere), else ValueError."""
+    try:
+        if bounds is None or within(number, bounds):
+            return number
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise ValueError(f"{field} must lie in {bounds}, got {value!r}")
+
+
+def as_int(value, field: str, bounds: str | None = None) -> int:
+    """An integer field's value, in the interval ``bounds`` if given (see
+    ``within``); an integral float such as 3.0 is accepted.
 
     A fractional or non-finite number, a bool or a non-number raises
-    ValueError naming ``field`` rather than being truncated.
+    ValueError naming ``field`` rather than being truncated, and so does a
+    value outside ``bounds``.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return _bounded(int(value), value, field, bounds)
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
-def as_real(value, field: str) -> float:
-    """A finite real field's value; NaN, an infinity, a bool or a non-number
-    raises ValueError naming ``field``."""
+def as_real(value, field: str, bounds: str | None = None) -> float:
+    """A finite real field's value, in the interval ``bounds`` if given (see
+    ``within``); NaN, an infinity, a bool, a non-number or a value outside
+    ``bounds`` raises ValueError naming ``field``."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
-                return float(value)
+                return _bounded(float(value), value, field, bounds)
         except OverflowError:  # an integer beyond the double range
             pass
     raise ValueError(f"{field} must be a finite real number, got {value!r}")
@@ -137,31 +174,22 @@ class ExitTopology:
     compression_ratio: float
 
     def __post_init__(self) -> None:
-        for name in ("num_exits", "num_classes", "raw_feature_bits"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.num_exits < 2:
-            raise ValueError(f"num_exits must be >= 2, got {self.num_exits}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.raw_feature_bits <= 0:
-            raise ValueError("raw_feature_bits must be > 0")
+        for name, bounds in (("num_exits", "[2, inf)"), ("num_classes", "[2, inf)"),
+                             ("raw_feature_bits", "[1, inf)")):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, bounds))
         n_early = self.num_exits - 1
         for name in ("segment_flops", "exit_flops"):
             values = getattr(self, name)
             if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
                 raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-            values = tuple(canon(as_real(v, f"{name}[{i}]")) for i, v in enumerate(values))
+            values = tuple(canon(as_real(v, f"{name}[{i}]", "[0, inf)"))
+                           for i, v in enumerate(values))
             if len(values) != n_early:
                 raise ValueError(f"{name} must have length {n_early}, got {len(values)}")
-            if any(v < 0 for v in values):
-                raise ValueError(f"{name} entries must be >= 0")
             object.__setattr__(self, name, values)
-        for name in ("server_flops", "predictor_flops", "compression_ratio"):
-            object.__setattr__(self, name, canon(as_real(getattr(self, name), name)))
-        if self.server_flops < 0 or self.predictor_flops < 0:
-            raise ValueError("server_flops and predictor_flops must be >= 0")
-        if self.compression_ratio < 1:
-            raise ValueError("compression_ratio must be >= 1")
+        for name, bounds in (("server_flops", "[0, inf)"), ("predictor_flops", "[0, inf)"),
+                             ("compression_ratio", "[1, inf)")):
+            object.__setattr__(self, name, canon(as_real(getattr(self, name), name, bounds)))
 
     @property
     def num_early_exits(self) -> int:
@@ -490,11 +518,11 @@ class TraceSet:
         return ts
 
 
-def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -> np.ndarray:
+def _check_vector(values, n_early: int | None, name: str, bounds: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1 or not len(vec) or len(vec) != (n_early or len(vec)):
         raise ValueError(f"{name} must have length {n_early or '>= 1'}, got shape {vec.shape}")
-    if not np.all(inside(vec)):  # written so that NaN fails too
+    if not within(vec, bounds).all():
         raise ValueError(f"{name} entries must lie in {bounds}, got {tuple(vec.tolist())}")
     return vec
 
@@ -502,12 +530,12 @@ def _check_vector(values, n_early: int | None, name: str, inside, bounds: str) -
 def check_lambda(lam, n_early: int | None = None) -> np.ndarray:
     """The one lambda check: a float64 vector of ``n_early`` (default: >= 1)
     confidence thresholds, each in (0, 1)."""
-    return _check_vector(lam, n_early, "lambda", lambda v: (v > 0.0) & (v < 1.0), "(0, 1)")
+    return _check_vector(lam, n_early, "lambda", "(0, 1)")
 
 
 def check_gamma(gamma, n_early: int | None = None) -> np.ndarray:
     """The one gamma check: as ``check_lambda``, each prediction threshold in [0, 1]."""
-    return _check_vector(gamma, n_early, "gamma", lambda v: (v >= 0.0) & (v <= 1.0), "[0, 1]")
+    return _check_vector(gamma, n_early, "gamma", "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -797,7 +825,8 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
 def _dataset_header(header: dict) -> tuple[int, int, int]:
     if header.get("kind") != "dataset":
         raise ValueError("not a dataset header")
-    return tuple(as_int(header[k], k) for k in ("num_samples", "num_classes", "input_dim"))
+    return tuple(as_int(header[k], k, bounds) for k, bounds in (
+        ("num_samples", "[0, inf)"), ("num_classes", "[2, inf)"), ("input_dim", "[1, inf)")))
 
 
 def load_dataset(path: str | os.PathLike, text: str | None = None
@@ -826,8 +855,7 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
 
 def holdout_size(n: int, fraction: float) -> int:
     """Samples ``split_trace_set`` holds out of ``n``: at least one, and fewer than ``n``."""
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    n, fraction = as_int(n, "n", "[0, inf)"), as_real(fraction, "fraction", "(0, 1)")
     n_hold = max(1, int(round(n * fraction)))
     if n_hold >= n:
         raise ValueError(f"cannot hold out {n_hold} of {n} samples")
@@ -855,12 +883,9 @@ def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[Trace
 # renders with a comma, quote or newline, so fields are never quoted.
 
 
-def _real(inside: Callable[[float], bool], bounds: str) -> Callable[[str], float]:
-    def parse(text: str) -> float:
-        if not inside(value := float(text)):  # written so that NaN fails too
-            raise ValueError(f"{text!r} outside {bounds}")
-        return value
-    return parse
+def real(bounds: str) -> Callable[[str], float]:
+    """The parse of a real column whose values lie in ``bounds``."""
+    return lambda text: as_real(float(text), "value", bounds)
 
 
 def choice(*texts: str) -> Callable[[str], str]:
@@ -871,9 +896,7 @@ def choice(*texts: str) -> Callable[[str], str]:
     return parse
 
 
-RATE = _real(lambda v: 0.0 < v < math.inf, "(0, inf)")
-COST = _real(lambda v: 0.0 <= v < math.inf, "[0, inf)")
-SHARE = _real(lambda v: 0.0 <= v <= 1.0, "[0, 1]")
+RATE, COST, SHARE = real("(0, inf)"), real("[0, inf)"), real("[0, 1]")
 FLAG = choice("true", "false")
 LAMBDA = lambda text: tuple(check_lambda(text.split("|")).tolist())
 GAMMA = lambda text: tuple(check_gamma(text.split("|")).tolist())

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .nncore import Mlp, Net, class_labels, softmax, softmax_ce_parts
-from .trace import (ExitTopology, TraceSet, atomic_write_text, load_checkpoint, load_dataset,
-                    save_dataset)
+from .trace import (ExitTopology, TraceSet, as_int, as_real, atomic_write_text, load_checkpoint,
+                    load_dataset, save_dataset)
 
 # Emitted confidences stay strictly below 1 so 9-digit storage cannot round
 # them onto the open bound.
@@ -40,32 +40,29 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "centers", tuple(tuple(float(v) for v in c) for c in self.centers)
-        )
-        object.__setattr__(self, "spreads", tuple(float(v) for v in self.spreads))
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+        for name, bounds in (("num_samples", "[1, inf)"), ("num_classes", "[2, inf)"),
+                             ("input_dim", "[1, inf)"), ("seed", "[0, inf)")):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, bounds))
+        object.__setattr__(self, "centers", tuple(
+            tuple(as_real(v, f"centers[{k}][{j}]") for j, v in enumerate(c))
+            for k, c in enumerate(self.centers)))
+        object.__setattr__(self, "spreads", tuple(
+            as_real(v, f"spreads[{k}]", "[0, inf)") for k, v in enumerate(self.spreads)))
+        object.__setattr__(self, "label_noise", as_real(self.label_noise, "label_noise", "[0, 1]"))
         if len(self.centers) != self.num_classes:
             raise ValueError("need one center per class")
         if any(len(c) != self.input_dim for c in self.centers):
             raise ValueError("center dimension must equal input_dim")
         if len(self.spreads) != self.num_classes:
             raise ValueError(f"spreads must have one entry per class, got {len(self.spreads)}")
-        if any(s < 0 for s in self.spreads):
-            raise ValueError("spreads must be >= 0")
-        if not (0.0 <= self.label_noise <= 1.0):
-            raise ValueError("label_noise must lie in [0, 1]")
 
     @classmethod
     def ring(cls, num_samples: int, num_classes: int, input_dim: int,
              radius: float = 2.5, spread: float = 0.55, label_noise: float = 0.0,
              seed: int = 0) -> "SynthSpec":
         """Class centers evenly spaced on a circle in the first two dims."""
-        if input_dim < 2:
-            raise ValueError("ring layout needs input_dim >= 2")
+        input_dim = as_int(input_dim, "input_dim", "[2, inf)")
+        radius = as_real(radius, "radius")
         centers = []
         for k in range(num_classes):
             ang = 2.0 * math.pi * k / num_classes
@@ -112,8 +109,8 @@ def check_exit_weights(weights: Sequence[float]) -> tuple[float, ...]:
 
     Weight 0 is allowed so individual exits can be switched off.
     """
-    weights = tuple(float(w) for w in weights)
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
+    weights = tuple(as_real(w, f"exit weights[{i}]", "[0, inf)") for i, w in enumerate(weights))
+    if sum(weights) <= 0:
         raise ValueError("exit weights must be >= 0 with positive sum")
     return weights
 
@@ -132,7 +129,7 @@ class ToyEarlyExitNet(Net):
                  weights: Sequence[float], seed: int = 0):
         parts = [*trunk, *heads, final]
         self.weights = check_exit_weights(weights)
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", "[0, inf)")
         if not trunk or len(trunk) != len(heads):
             raise ValueError("need one head per trunk segment")
         if len(self.weights) != len(trunk) + 1:
@@ -173,9 +170,7 @@ class ToyEarlyExitNet(Net):
     def build(cls, input_dim: int, num_classes: int, num_exits: int = 3,
               trunk_widths: Sequence[int] = (32, 32), final_hidden: int = 32,
               weights: Sequence[float] = (0.2, 0.3, 0.5), seed: int = 0) -> "ToyEarlyExitNet":
-        if num_exits < 2:
-            raise ValueError("num_exits must be >= 2")
-        if len(trunk_widths) != num_exits - 1:
+        if len(trunk_widths) != as_int(num_exits, "num_exits", "[2, inf)") - 1:
             raise ValueError("need one trunk width per early exit")
         trunk, heads = [], []
         prev = input_dim
@@ -257,8 +252,8 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
     random wrong class (the compression accuracy penalty); earlier exits are
     untouched.
     """
-    if not 0.0 <= final_flip_prob <= 1.0:  # written so that NaN fails too
-        raise ValueError(f"final_flip_prob must lie in [0, 1], got {final_flip_prob!r}")
+    final_flip_prob = as_real(final_flip_prob, "final_flip_prob", "[0, 1]")
+    seed = as_int(seed, "seed", "[0, inf)")
     x = np.asarray(x, dtype=np.float64)
     if net.num_exits != topology.num_exits:
         raise ValueError(

@@ -75,7 +75,7 @@ def toy_pipeline():
             best_lam, best_acc = combo, acc
     ep, _ = train_predictor(fit_ts, best_lam,
                             cfg=TrainConfig(weight_decay=2e-4, seed=11))
-    gamma = select_gamma(select_ts, ep, best_lam, grid_step=0.05)
+    gamma = select_gamma(select_ts, predict_scores(ep, select_ts), best_lam, grid_step=0.05)
     return {
         "test_ts": test_ts,
         "ep": ep,

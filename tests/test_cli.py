@@ -1,6 +1,7 @@
 import ast
 import builtins
 import json
+import math
 import re
 import subprocess
 import sys
@@ -261,7 +262,8 @@ def _as_mlp_checkpoint(doc):
 
 @pytest.mark.parametrize("name, corrupt, where", [
     ("sweep.csv", _set_field(2, "lambda_1", "1.5"), r"line 2: lambda_1: lambda entries "),
-    ("sweep.csv", _set_field(3, "accuracy", "nan"), r"line 3: accuracy: 'nan' outside"),
+    ("sweep.csv", _set_field(3, "accuracy", "nan"),
+     r"line 3: accuracy: value must be a finite real number, got nan$"),
     ("sweep.csv", _set_field(2, "feasible", "yes"), r"line 2: feasible: must be one of true, "),
     ("frontier.csv", _set_field(2, "accuracy", "banana"), r"line 2: accuracy: could not "),
     ("report.csv", _set_field(3, "method", "psychic"), r"line 3: method: must be one of "),
@@ -300,25 +302,38 @@ def _as_mlp_checkpoint(doc):
     ("summary.json", _edit_json(lambda d: d.update(lambda_star=[7])),
      r"malformed 'summary' document: lambda_star and gamma_star: lambda entries must lie "),
     ("summary.json", _edit_json(lambda d: d["test"]["plain"].update(accuracy=-3)),
-     r"malformed 'summary' document: test.plain.accuracy must be in \[0, 1\], got -3$"),
+     r"malformed 'summary' document: test.plain.accuracy must lie in \[0, 1\], got -3$"),
     ("summary.json", _edit_json(lambda d: d.update(sweep_feasible="x")),
      r"malformed 'summary' document: sweep_feasible must be a nonempty list, got 'x'$"),
     ("summary.json", _edit_json(lambda d: d.update(sweep_feasible=[True, 1])),
      r"malformed 'summary' document: sweep_feasible\[1\] must be a bool, got 1$"),
     ("summary.json", _edit_json(lambda d: d.update(seed=-1)),
-     r"malformed 'summary' document: seed must be an integer >= 0, got -1$"),
+     r"malformed 'summary' document: seed must lie in \[0, inf\), got -1$"),
     ("summary.json", _edit_json(lambda d: d.update(ep_final_loss=float("nan"))),
-     r"malformed 'summary' document: ep_final_loss must be finite and >= 0, got nan$"),
+     r"malformed 'summary' document: ep_final_loss must be a finite real number, got nan$"),
     ("summary.json", _edit_json(lambda d: d["test"].pop("oracle")),
      r"malformed 'summary' document: test must be an object of plain, predictor, oracle "),
     ("summary.json", _edit_json(lambda d: d["test"]["oracle"]["exit_distribution"].pop()),
      r"malformed 'summary' document: test.oracle.exit_distribution must be a list of 3 "),
     ("summary.json", _edit_json(lambda d: d["test"]["predictor"].update(mean_latency_s=-1)),
-     r"malformed 'summary' document: test.predictor.mean_latency_s must be finite and >= 0"),
+     r"malformed 'summary' document: test.predictor.mean_latency_s must lie in \[0, inf\), "
+     r"got -1$"),
     ("summary.json", _edit_json(lambda d: d["test"]["plain"].update(budget_satisfied=1)),
      r"malformed 'summary' document: test.plain.budget_satisfied must be a bool, got 1$"),
     ("summary.json", _edit_json(lambda d: d.update(regressor_max_abs_errors=[0.1, True])),
-     r"malformed 'summary' document: regressor_max_abs_errors\[1\] must be finite and "),
+     r"malformed 'summary' document: regressor_max_abs_errors\[1\] must be a finite real "
+     r"number, got True$"),
+    *[("ee.json", _edit_json(lambda d, v=v: d["weights"].__setitem__(0, v)),
+       rf"malformed 'toy_early_exit' document: exit weights\[0\] must be a finite real number, "
+       rf"got {re.escape(repr(v))}$") for v in (math.nan, math.inf, "0.2", True)],
+    *[("ee.json", _edit_json(lambda d, v=v: d.update(seed=v)),
+       rf"malformed 'toy_early_exit' document: seed must be an integer, got {v!r}$")
+      for v in ("7", 7.5)],
+    *[("ep.json", _edit_json(lambda d, v=v: d.update(predictor_flops=v)),
+       rf"malformed 'exit_predictor' document: predictor_flops must be a finite real number, "
+       rf"got {re.escape(repr(v))}$") for v in (math.nan, "0.4", True)],
+    ("ep.json", _edit_json(lambda d: d["net"].update(seed="3")),
+     r"malformed 'exit_predictor' document: seed must be an integer, got '3'$"),
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
         "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
@@ -327,7 +342,10 @@ def _as_mlp_checkpoint(doc):
         "ep-short-weights", "ep-identity", "ep-as-mlp", "thresholds-gamma",
         "summary-lambda", "summary-accuracy", "summary-sweep-string", "summary-sweep-int",
         "summary-seed", "summary-nan-loss", "summary-no-oracle", "summary-short-shares",
-        "summary-negative-latency", "summary-budget-int", "summary-regressor-bool"])
+        "summary-negative-latency", "summary-budget-int", "summary-regressor-bool",
+        "ee-nan-weight", "ee-infinite-weight", "ee-string-weight", "ee-bool-weight",
+        "ee-string-seed", "ee-fractional-seed", "ep-nan-flops", "ep-string-flops",
+        "ep-bool-flops", "ep-string-net-seed"])
 def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
         small_demo, tmp_path, capsys, name, corrupt, where):
     path = tmp_path / name
@@ -543,7 +561,7 @@ def test_config_env_var_supplies_default(small_config_path, tmp_path):
     env = dict(os.environ, EXITSIM_CONFIG=small_config_path)
     proc = run_cli("gen-data", "--out", f"{tmp_path}/d.jsonl", env=env)
     assert proc.returncode == 0, proc.stderr
-    header = json.loads(open(f"{tmp_path}/d.jsonl").readline())
+    header = json.loads(Path(f"{tmp_path}/d.jsonl").read_text().partition("\n")[0])
     assert header["num_samples"] == SMALL_CONFIG["synth"]["train_samples"]
 
 
@@ -552,7 +570,7 @@ def test_seed_flag_overrides_config(small_config_path, tmp_path):
     out2 = f"{tmp_path}/d2.jsonl"
     run_cli("gen-data", "--config", small_config_path, "--out", out1)
     run_cli("gen-data", "--config", small_config_path, "--out", out2, "--seed", "99")
-    assert open(out1).read() != open(out2).read()
+    assert Path(out1).read_text() != Path(out2).read_text()
 
 
 def test_load_config_merges_over_defaults(small_config_path):
@@ -669,15 +687,19 @@ def test_regressor_section_is_checked_but_changes_nothing(small_demo):
 @pytest.mark.parametrize("doc, message", [
     ({"regressor": {"train": {"epochs": 16.5}}}, "config regressor.train: epochs "),
     ({"ee": {"train": {"lr": -1}}}, "config ee.train: lr "),
-    ({"policy": {"lambda_grid": [1.5]}}, "config policy: lambda_grid "),
-    ({"sweep_bandwidths": [-1]}, "config: sweep_bandwidths "),
+    pytest.param({"policy": {"lambda_grid": [1.5]}},
+                 "config policy: lambda_grid[0] must lie in (0, 1), got 1.5",
+                 id="doc2-config policy: lambda_grid "),
+    pytest.param({"sweep_bandwidths": [-1]}, "config: sweep_bandwidths[0] must lie in (0, inf), "
+                 "got -1", id="doc3-config: sweep_bandwidths "),
     ({"synth": {"spreads": [1]}}, "config synth: spreads "),
     ({"policy": {"gamma_split": "tset"}}, "config policy: gamma_split "),
     ({"polcy": {"gamma_step": 0.1}}, "config: unknown key 'polcy'"),
     ({"topology": 5}, "config topology: must be an object"),
     ({"ee": {"train": {"epochs": 0}}}, "config ee.train: epochs "),
     ({"ee": {"train": {"seed": 1}}}, "config ee.train: unknown key 'seed'"),
-    ({"seed": -1}, "config: seed must be >= 0, got -1"),
+    pytest.param({"seed": -1}, "config: seed must lie in [0, inf), got -1",
+                 id="doc10-config: seed must be >= 0, got -1"),
     ({"synth": {"final_flip_prob": 1.5}}, "config synth: final_flip_prob must lie in [0, 1]"),
     ({"ee": {"exit_weights": [0, 0, 0]}}, "config ee: exit weights must be >= 0 with positive sum"),
     ({"policy": {"holdout_fraction": 0.9999}},

@@ -484,11 +484,15 @@ def test_non_numeric_scores_name_scores_and_shape(scores):
 
 
 @pytest.mark.parametrize("field", ["compute_speed", "bandwidth", "latency_budget"])
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True])
 def test_environment_rejects_non_finite_and_non_positive(field, value):
     args = {"compute_speed": 3.62e9, "bandwidth": 1e6, "latency_budget": 0.03, field: value}
     with pytest.raises(ValueError, match=field):
         Environment(**args)
+    if field == "bandwidth":  # a policy table prices its bandwidths under the same check
+        ts = random_trace_set(np.random.default_rng(15), VGG_TOPOLOGY, n_samples=4)
+        with pytest.raises(ValueError, match=r"^bandwidths\[1\] must "):
+            PolicyTable(ts, [(0.5,), (0.5,)], compute_speed=3.62e9, bandwidths=[1e6, value])
 
 
 def plus_predictor(recs, report, topo, env):

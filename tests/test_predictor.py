@@ -216,6 +216,9 @@ def test_select_gamma_unconstrained_budget_skips_everything():
     # the default 2% budget forbids that much re-routing to the last exit
     tight = select_gamma(ts, scores, lam, grid_step=0.5, budget_fraction=0.02)
     assert tight == (0.0, 0.0)
+    for bad in (0.0, 1.5, True):
+        with pytest.raises(ValueError, match="^budget_fraction must "):
+            select_gamma(ts, scores, lam, grid_step=0.5, budget_fraction=bad)
 
 
 def test_select_gamma_walks_no_sample(monkeypatch):

@@ -178,12 +178,14 @@ def test_final_flip_prob_degrades_only_final_exit():
     assert 0.25 <= changed <= 0.35
 
 
-@pytest.mark.parametrize("prob", [1.5, -0.5, math.nan])
+@pytest.mark.parametrize("prob", [1.5, -0.5, math.nan, True])
 def test_emit_traces_rejects_flip_probability_outside_unit_interval(prob):
     x, y = generate_dataset(two_blob_spec(n=20, seed=9))
     net = ToyEarlyExitNet.build(2, 2, trunk_widths=(6, 6), final_hidden=6, seed=9)
     topo = small_topology_like(num_exits=3, num_classes=2)
-    with pytest.raises(ValueError, match=r"final_flip_prob must lie in \[0, 1\]"):
+    # A non-number or a non-finite value fails as such, before its interval.
+    with pytest.raises(ValueError, match=r"^final_flip_prob must (lie in \[0, 1\]|be a finite "
+                                         r"real number), got "):
         emit_traces(net, x, y, topo, final_flip_prob=prob, seed=1)
 
 
@@ -267,6 +269,12 @@ def test_synth_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(num_samples=5, num_classes=2, input_dim=1,
                   centers=((0.0,), (1.0,)), spreads=(0.1, 0.1), label_noise=1.5)
+    for bad, message in [({"spreads": (0.1, math.nan)}, r"spreads\[1\] must be a finite real"),
+                         ({"centers": ((0.0,), (math.nan,))}, r"centers\[1\]\[0\] must be a finite"),
+                         ({"num_samples": 2.5}, "num_samples must be an integer, got 2.5")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SynthSpec(**{"num_samples": 5, "num_classes": 2, "input_dim": 1,
+                         "centers": ((0.0,), (1.0,)), "spreads": (0.1, 0.1), **bad})
 
 
 def test_toy_net_weights_validation():
