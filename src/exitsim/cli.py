@@ -43,7 +43,7 @@ import numpy as np
 
 from . import engine, optimizer, predictor, trace, zoo
 from .nncore import TrainConfig, train
-from .trace import as_int, as_real, atomic_write_text
+from .trace import as_int, as_ints, as_real, as_reals, atomic_write_text
 
 CONFIG_ENV_VAR = "EXITSIM_CONFIG"
 
@@ -165,14 +165,17 @@ _RULES = {
 
 def _check_value(value, default, name: str, rule=None) -> None:
     """``value`` has the JSON type of ``default`` (a string, an integer, a finite
-    real, or a nonempty list of these) and passes ``rule``, entry by entry."""
+    real, or a nonempty list of integers, reals or rows of reals) and passes
+    ``rule``, entry by entry."""
     bounds = rule if isinstance(rule, str) else None
     entries = [value]
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"{name} must be a nonempty list, got {value!r}")
-        for i, v in enumerate(value):
-            _check_value(v, default[0], f"{name}[{i}]", bounds)
+        if isinstance(default[0], int):
+            as_ints(value, name, bounds)
+        else:
+            as_reals(value, name, bounds, rows=isinstance(default[0], list))
         entries, name = value, f"{name} entries"
     elif not isinstance(default, str):
         (as_int if isinstance(default, int) else as_real)(value, name, bounds)
@@ -469,47 +472,42 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
 # -- validate -----------------------------------------------------------------
 
 
-_BOOL = ("a bool", lambda v: type(v) is bool)
+def _must(ok, name: str, what: str, value) -> None:
+    """Raise ValueError ``{name} must be {what}, got {value!r}`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _check(name: str, value, rule) -> None:
-    """``value`` passes ``rule``: an interval for a real, or a (what, predicate) pair."""
-    if isinstance(rule, str):
-        as_real(value, name, rule)
-    elif not rule[1](value):
-        raise ValueError(f"{name} must be {rule[0]}, got {value!r}")
-
-
-def _check_list(name: str, values, rule, length: int | None = None) -> None:
-    """``values`` is a nonempty list (of ``length`` entries, if given), each
-    entry passing ``rule``."""
-    what = "a nonempty list" if length is None else f"a list of {length} entries"
-    _check(name, values, (what, lambda v: type(v) is list and (len(v) == length if length
-                                                                else len(v) > 0)))
-    for i, value in enumerate(values):
-        _check(f"{name}[{i}]", value, rule)
+def _list(name: str, values, length: int | None = None) -> list:
+    """``values`` if it is a nonempty list (of ``length`` entries, if given)."""
+    _must(type(values) is list and (len(values) == length if length else len(values) > 0),
+          name, "a nonempty list" if length is None else f"a list of {length} entries", values)
+    return values
 
 
 def check_summary(doc: Mapping) -> None:
     """The summary.json check, field by field: a failure names the field."""
     as_int(doc["seed"], "seed", "[0, inf)")
     with _named("lambda_star and gamma_star"):
-        n_early = len(trace.Thresholds(tuple(doc["lambda_star"]), tuple(doc["gamma_star"])).lam)
+        n_early = len(trace.Thresholds(doc["lambda_star"], doc["gamma_star"]).lam)
     for name in ("ee_final_loss", "ep_final_loss"):
-        _check(name, doc[name], "[0, inf)")
-    _check("test", doc["test"], (f"an object of {', '.join(METHODS)} reports",
-                                 lambda v: isinstance(v, dict) and sorted(v) == sorted(METHODS)))
+        as_real(doc[name], name, "[0, inf)")
+    _must(isinstance(doc["test"], dict) and sorted(doc["test"]) == sorted(METHODS), "test",
+          f"an object of {', '.join(METHODS)} reports", doc["test"])
     for method in METHODS:
         report, name = doc["test"][method], f"test.{method}"
-        _check(name, report, ("an object", lambda v: isinstance(v, dict)))
-        _check(f"{name}.accuracy", report["accuracy"], "[0, 1]")
+        _must(isinstance(report, dict), name, "an object", report)
+        as_real(report["accuracy"], f"{name}.accuracy", "[0, 1]")
         for key in ("mean_on_device_mflops", "mean_total_mflops", "mean_latency_s"):
-            _check(f"{name}.{key}", report[key], "[0, inf)")
-        _check_list(f"{name}.exit_distribution", report["exit_distribution"], "[0, 1]",
-                    n_early + 1)
-        _check(f"{name}.budget_satisfied", report["budget_satisfied"], _BOOL)
-    _check_list("sweep_feasible", doc["sweep_feasible"], _BOOL)
-    _check_list("regressor_max_abs_errors", doc["regressor_max_abs_errors"], "[0, inf)")
+            as_real(report[key], f"{name}.{key}", "[0, inf)")
+        shares = f"{name}.exit_distribution"
+        as_reals(_list(shares, report["exit_distribution"], n_early + 1), shares, "[0, 1]")
+        flag = report["budget_satisfied"]
+        _must(type(flag) is bool, f"{name}.budget_satisfied", "a bool", flag)
+    for i, flag in enumerate(_list("sweep_feasible", doc["sweep_feasible"])):
+        _must(type(flag) is bool, f"sweep_feasible[{i}]", "a bool", flag)
+    errors = "regressor_max_abs_errors"
+    as_reals(_list(errors, doc[errors]), errors, "[0, inf)")
 
 
 # Whole-file JSON documents, validated by loading them from the parsed
@@ -519,7 +517,7 @@ _JSON_LOADERS = {
     "exit_predictor": predictor.load_predictor,
     "threshold_regressors": optimizer.load_regressors,
     "thresholds": lambda path, doc: trace.load_checkpoint(path, "thresholds", lambda doc: (
-        trace.Thresholds(tuple(doc["lambda"]), tuple(doc["gamma"]))), doc),
+        trace.Thresholds(doc["lambda"], doc["gamma"])), doc),
     "experiment_config": lambda path, doc: trace.load_checkpoint(
         path, "experiment_config",
         lambda doc: check_config({k: v for k, v in doc.items() if k != "kind"}), doc),

@@ -41,8 +41,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import (ExitTopology, Thresholds, TraceSet, as_real, check_gamma, check_lambda,
-                    within)
+from .trace import (ExitTopology, Thresholds, TraceSet, as_real, as_reals, check_gamma,
+                    check_lambda)
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,10 @@ class AggregateReport:
 
 def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
     shape = (len(ts), ts.topology.num_early_exits)
-    try:
-        mat = np.asarray(scores)
-    except ValueError:  # ragged nesting
-        mat = None
-    if mat is None or mat.dtype.kind not in "biuf":
-        raise ValueError(f"scores must be a {shape} array of numbers, "
-                         f"got {type(scores).__name__}")
-    mat = mat.astype(np.float64, copy=False)
+    # NaN fails too: NaN >= gamma is false, a silent skip.
+    mat = as_reals(scores, "scores", "[0, 1]", rows=True)
     if mat.shape != shape:
         raise ValueError(f"scores must have shape {shape}, got {mat.shape}")
-    # NaN fails too: NaN >= gamma is false, a silent skip.
-    if not within(mat, "[0, 1]").all():
-        raise ValueError("predictor scores must lie in [0, 1]")
     return mat
 
 
@@ -371,8 +362,7 @@ class PolicyTable:
         product = lambda grid: list(itertools.product(*(values.tolist() for values in grid)))
         self.lams = product(lam_grid)
         self.gammas = None if gamma_grid is None else product(gamma_grid)
-        self.bandwidths = tuple(as_real(b, f"bandwidths[{i}]", "(0, inf)")
-                                for i, b in enumerate(bandwidths))
+        self.bandwidths = tuple(as_reals(bandwidths, "bandwidths", "(0, inf)").tolist())
         if self.bandwidths:
             compute_speed = as_real(compute_speed, "compute_speed", "(0, inf)")
         (self.accuracy, self.on_device_mflops, _, self.exit_distribution,

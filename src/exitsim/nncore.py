@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import as_int, as_real
+from .trace import as_int, as_ints, as_real, as_reals
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax")
 
@@ -47,7 +47,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
+    """Row-wise softmax of a float array, in a new array."""
     e = z - z.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
@@ -109,7 +109,7 @@ class Net:
         return [p for layer in self.layers for p in layer]
 
     def _promote(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_reals(x, "inputs", rows=np.ndim(x) > 1)
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         if x2.ndim != 2 or x2.shape[1] != self.in_dim:
@@ -167,8 +167,8 @@ class Mlp(Net):
     """
 
     def __init__(self, weights, biases, activations, seed: int = 0):
-        weights = [np.array(w, dtype=np.float64) for w in weights]
-        biases = [np.array(b, dtype=np.float64) for b in biases]
+        weights = [as_reals(w, f"weights[{i}]", rows=True) for i, w in enumerate(weights)]
+        biases = [as_reals(b, f"biases[{i}]") for i, b in enumerate(biases)]
         activations = tuple(activations)
         self.seed = as_int(seed, "seed", "[0, inf)")
         if not (len(weights) == len(biases) == len(activations)):
@@ -178,12 +178,10 @@ class Mlp(Net):
         for i, (w, b, act) in enumerate(zip(weights, biases, activations)):
             if act not in ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+            if w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes inconsistent")
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: dimension does not chain")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameters")
         params = np.concatenate([p.reshape(-1) for pair in zip(weights, biases) for p in pair])
         self._lay_out([w.shape for w in weights], activations, range(len(weights)), params,
                       np.zeros_like(params))
@@ -195,7 +193,7 @@ class Mlp(Net):
         Biases share the uniform scheme; an exactly-zero bias would park
         relu units on their kink whenever the previous layer goes dead.
         """
-        sizes = [as_int(s, f"sizes[{i}]", "[1, inf)") for i, s in enumerate(sizes)]
+        sizes = as_ints(sizes, "sizes", "[1, inf)").tolist()
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("need len(sizes) >= 2 and one activation per layer")
         rng = np.random.default_rng(seed)
@@ -235,7 +233,7 @@ class Mlp(Net):
         """BCE targets as (rows, out_dim) float64; the head must be a sigmoid."""
         if self.activations[-1] != "sigmoid":
             raise ValueError("BCE expects a sigmoid head")
-        return np.asarray(targets, dtype=np.float64).reshape(rows, self.out_dim)
+        return as_reals(targets, "targets", rows=np.ndim(targets) > 1).reshape(rows, self.out_dim)
 
     def _loss(self, x2: np.ndarray, y: np.ndarray, grads, work=None) -> float:
         """The BCE of the head's output against ``y``; with ``grads``, its
@@ -261,11 +259,16 @@ class Mlp(Net):
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        sizes, layers = d["sizes"], d["layers"]
-        weights = [np.array(layer["w"], dtype=np.float64).reshape(sizes[i], sizes[i + 1])
-                   for i, layer in enumerate(layers)]
-        return cls(weights, [layer["b"] for layer in layers], d["activations"],
+    def from_dict(cls, d: dict, field: str = "") -> "Mlp":
+        """The net of a ``to_dict`` document, its fields named under ``field``
+        ("net.": ``net.sizes``, ``net.layers[0].w``)."""
+        sizes, layers = as_ints(d["sizes"], f"{field}sizes", "[1, inf)"), d["layers"]
+        if len(sizes) != len(layers) + 1:
+            raise ValueError(f"{field}sizes must have {len(layers) + 1} entries, one more than "
+                             f"{field}layers, got {len(sizes)}")
+        at = lambda i, key: as_reals(layers[i][key], f"{field}layers[{i}].{key}")
+        return cls([at(i, "w").reshape(sizes[i], sizes[i + 1]) for i in range(len(layers))],
+                   [at(i, "b") for i in range(len(layers))], d["activations"],
                    seed=d.get("seed", 0))
 
 
@@ -287,24 +290,14 @@ def bce_parts(scores: np.ndarray, targets: np.ndarray, want_grad: bool):
 
 
 def class_labels(labels, rows: int, classes: int) -> np.ndarray:
-    """``labels`` as (rows,) int64 class indices.
+    """``labels`` (or one label for one row) as (rows,) int64 class indices.
 
-    A label that is not an integer in [0, classes) raises ValueError naming
-    ``labels``: indexing would read -1 as the last class, and a cast would
-    truncate 1.7 to 1.
+    A label that is no integer in [0, classes) raises ValueError naming it:
+    indexing would read -1 as the last class, and a cast would truncate 1.7
+    to 1.
     """
-    given = np.asarray(labels).reshape(rows)
-    if given.dtype.kind in "iu":
-        bad = (given < 0) | (given >= classes)
-    elif given.dtype.kind == "f":
-        # Written so that NaN fails too.
-        bad = ~((given >= 0) & (given < classes) & (given == np.rint(given)))
-    else:
-        raise ValueError(f"labels must be integers, got dtype {given.dtype}")
-    if bad.any():
-        raise ValueError(f"labels must be integers in [0, {classes}), "
-                         f"got {given[bad][0].item()!r}")
-    return given.astype(np.int64, copy=False)
+    labels = [labels] if np.ndim(labels) == 0 else labels
+    return as_ints(labels, "labels", f"[0, {classes})").reshape(rows)
 
 
 def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = False):
@@ -399,14 +392,12 @@ def train(net, inputs, targets, cfg: TrainConfig = TrainConfig()):
     ``cfg.seed``.  Only a non-finite loss reads ``training diverged at
     epoch N``.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets)
-    if x.ndim != 2 or x.shape[0] == 0:
+    x, single = net._promote(inputs)
+    if single or not len(x):
         raise ValueError("inputs must be a nonempty (samples, dim) array")
-    if t.shape[0] != x.shape[0]:
+    if len(targets) != len(x):
         raise ValueError("inputs and targets disagree on sample count")
-    x, _ = net._promote(x)
-    t = net.targets(t, len(x))
+    t = net.targets(targets, len(x))
     rng = np.random.default_rng(cfg.seed)
     # The full-set outputs reuse one array per layer: fresh ones this large fault in anew.
     work = [np.empty((len(x), fan_out)) for _, fan_out in net.shapes]

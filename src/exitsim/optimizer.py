@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, trace
-from .trace import Thresholds, TraceSet, as_real, atomic_write_text, load_checkpoint
+from .trace import Thresholds, TraceSet, as_real, as_reals, atomic_write_text, load_checkpoint
 
 
 class InfeasibleError(RuntimeError):
@@ -132,26 +132,28 @@ class ThresholdRegressor:
     max_abs_error: float
 
     def __post_init__(self) -> None:
-        iv = tuple(as_real(v, "interval", "(0, inf)") for v in self.interval)
+        iv = tuple(as_reals(self.interval, "interval", "(0, inf)").tolist())
         if not (len(iv) == 2 and iv[0] < iv[1]):
             raise ValueError(f"interval must be [lo, hi] with 0 < lo < hi, got {list(iv)}")
-        bws = tuple(as_real(v, "train_bandwidths") for v in self.train_bandwidths)
+        bws = tuple(as_reals(self.train_bandwidths, "train_bandwidths").tolist())
         if len(bws) < 2 or not all(iv[0] <= b <= iv[1] for b in bws):
             raise ValueError(f"train_bandwidths must be at least 2 values in the interval "
                              f"{list(iv)}, got {list(bws)}")
         logs = [math.log10(b) for b in bws]
         if any(a >= b for a, b in zip(logs, logs[1:])):
             raise ValueError(f"train_bandwidths must ascend strictly in log10, got {list(bws)}")
-        if not len(self.lam) == len(self.gamma) == len(bws):
+        lam = as_reals(self.lam, "lambda", "(0, 1)", rows=True)
+        gamma = as_reals(self.gamma, "gamma", "[0, 1]", rows=True)
+        if not len(lam) == len(gamma) == len(bws):
             raise ValueError(f"{len(bws)} train_bandwidths need as many lambda and gamma "
-                             f"rows, got {len(self.lam)} and {len(self.gamma)}")
-        rows = [Thresholds(tuple(lam), tuple(gamma)) for lam, gamma in zip(self.lam, self.gamma)]
-        if len({len(th.lam) for th in rows}) != 1:
-            raise ValueError("lambda rows must all have one length")
+                             f"rows, got {len(lam)} and {len(gamma)}")
+        if gamma.shape != lam.shape or not lam.shape[1]:
+            raise ValueError(f"lambda and gamma rows must share one length >= 1, got shapes "
+                             f"{lam.shape} and {gamma.shape}")
         error = as_real(self.max_abs_error, "max_abs_error", "[0, inf)")
         for name, value in (("interval", iv), ("train_bandwidths", bws), ("max_abs_error", error),
-                            ("lam", tuple(th.lam for th in rows)),
-                            ("gamma", tuple(th.gamma for th in rows))):
+                            ("lam", tuple(map(tuple, lam.tolist()))),
+                            ("gamma", tuple(map(tuple, gamma.tolist())))):
             object.__setattr__(self, name, value)
 
 
@@ -166,8 +168,8 @@ def fit_regressors(points: Sequence[PolicyPoint],
     max_abs_error is the worst distance from a point to its row.
     """
     out: list[ThresholdRegressor] = []
-    intervals = [tuple(as_real(v, "interval", "(0, inf)") for v in iv) for iv in intervals]
-    for lo, hi in sorted(intervals):
+    for lo, hi in sorted(map(tuple, as_reals(intervals, "intervals", "(0, inf)",
+                                             rows=True).tolist())):
         if not lo < hi:
             raise ValueError(f"bad interval ({lo}, {hi})")
         members = [p for p in points if lo <= p.bandwidth <= hi]
@@ -221,10 +223,9 @@ def adapt(regressors: Sequence[ThresholdRegressor], bandwidth: float) -> Thresho
 
 def _point_columns(n_early: int) -> list:
     """The policy table's columns for ``n_early`` early exits, one per threshold entry."""
-    lam = lambda text: float(trace.check_lambda([text])[0])
-    gamma = lambda text: float(trace.check_gamma([text])[0])
+    lam = trace.real("(0, 1)")
     return ([("bandwidth_bps", trace.RATE)] + [(f"lambda_{i + 1}", lam) for i in range(n_early)]
-            + [(f"gamma_{i + 1}", gamma) for i in range(n_early)]
+            + [(f"gamma_{i + 1}", trace.SHARE) for i in range(n_early)]
             + [("accuracy", trace.SHARE), ("mean_latency_s", trace.COST), ("feasible", trace.FLAG)])
 
 

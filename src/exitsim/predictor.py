@@ -113,7 +113,7 @@ def save_predictor(ep: ExitPredictor, path: str | os.PathLike) -> None:
 def load_predictor(path: str | os.PathLike, doc: dict | None = None) -> ExitPredictor:
     """The checkpoint at ``path`` (``doc``: as for ``load_checkpoint``)."""
     return load_checkpoint(path, "exit_predictor", lambda doc: ExitPredictor(
-        net=Mlp.from_dict(doc["net"]),
-        lam=tuple(doc["lambda"]),
+        net=Mlp.from_dict(doc["net"], "net."),
+        lam=doc["lambda"],
         predictor_flops=doc["predictor_flops"],
     ), doc)

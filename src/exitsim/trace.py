@@ -25,10 +25,13 @@ check each exit's value list of a threshold grid) and JSON checkpoints
 (``load_checkpoint``).
 
 Every number read from outside -- a config key, a header or checkpoint
-field, a CSV field, a constructor argument -- has one check: ``as_int``
-or ``as_real`` against the interval it must lie in, written as it prints
-("(0, 1]", "[0, inf)"), or ``within`` for a vector.  A value that is no
-finite number or no integer fails as such; one outside its interval reads
+field, a CSV field, a constructor argument -- has one check: ``as_int`` or
+``as_real`` against the interval it must lie in, written as it prints
+("(0, 1]", "[0, inf)"), and every array of them ``as_reals`` or ``as_ints``,
+which apply that check to each entry.  What counts as a number in an array
+is decided once, by ``_scan``, which the ``TraceSet`` columns share: an int
+or a float, never a bool or a string.  A value that is no finite number or
+no integer fails as such, naming its entry; one outside its interval reads
 ``{field} must lie in {bounds}, got {value!r}``.  NaN lies outside every
 interval.
 """
@@ -97,24 +100,25 @@ def fmt_real(x: float) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _interval(bounds: str) -> tuple[float, float, bool, bool]:
-    """(low, high, low closed, high closed) of an interval written "(0, 1]"."""
-    low, high = bounds[1:-1].split(",")
-    return float(low), float(high), bounds[0] == "[", bounds[-1] == "]"
+    """(low, high, low closed, high closed) of an interval written "(0, 1]";
+    an infinite end is open."""
+    low, high = map(float, bounds[1:-1].split(","))
+    return low, high, bounds[0] == "[" and low > -math.inf, bounds[-1] == "]" and high < math.inf
 
 
-def within(values, bounds: str) -> np.ndarray:
-    """The mask of ``values`` lying in ``bounds``, an interval written as it
-    prints: "(0, 1]", "[0, inf)".  NaN lies outside every interval, and an
-    integer beyond the double range raises OverflowError."""
+def within(values, bounds: str):
+    """Whether ``values`` (a float or a numeric array, entry by entry) lie in
+    ``bounds``, an interval written as it prints: "(0, 1]", "[0, inf)".  NaN
+    and the infinities lie outside every interval."""
     low, high, low_in, high_in = _interval(bounds)
-    v = np.asarray(values, dtype=np.float64)
-    return (v >= low if low_in else v > low) & (v <= high if high_in else v < high)
+    return ((values >= low if low_in else values > low)
+            & (values <= high if high_in else values < high))
 
 
 def _bounded(number, value, field: str, bounds: str | None):
     """``number`` if it lies in ``bounds`` (None: anywhere), else ValueError."""
     try:
-        if bounds is None or within(number, bounds):
+        if bounds is None or within(float(number), bounds):
             return number
     except OverflowError:  # an integer beyond the double range
         pass
@@ -139,13 +143,51 @@ def as_real(value, field: str, bounds: str | None = None) -> float:
     """A finite real field's value, in the interval ``bounds`` if given (see
     ``within``); NaN, an infinity, a bool, a non-number or a value outside
     ``bounds`` raises ValueError naming ``field``."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if _number(value):
         try:
             if math.isfinite(value):
                 return _bounded(float(value), value, field, bounds)
         except OverflowError:  # an integer beyond the double range
             pass
     raise ValueError(f"{field} must be a finite real number, got {value!r}")
+
+
+def as_reals(values, field: str, bounds: str | None = None, rows: bool = False
+             ) -> np.ndarray:
+    """The array form of ``as_real``: a list of numbers, or with ``rows`` of
+    equally long rows of numbers, as float64 (see ``_scan``).  A string or
+    non-list where the list belongs fails as ``{field} must be a list of
+    numbers``, a bad row as ``{field}[i] must be a list of numbers of length
+    n``, and otherwise the first entry ``as_real`` rejects fails in its
+    wording, named ``{field}[i]`` or ``{field}[i][j]``."""
+    return _checked(values, rows, *_scan(values, rows), field, as_real, bounds)
+
+
+def as_ints(values, field: str, bounds: str | None = None) -> np.ndarray:
+    """The array form of ``as_int``, as int64 (see ``as_reals``)."""
+    return _checked(values, False, *_integral(values, False), field, as_int, bounds)
+
+
+def _checked(values, rows, given, array, bad, field, check, bounds):
+    """``array`` if every entry lies in ``bounds`` (None: is finite) and
+    ``bad`` flags none, else ValueError for the first that does not, in the
+    wording of ``check``."""
+    if given.ndim != 1 + rows:
+        raise ValueError(f"{field} must be a list of {'rows of ' * bool(rows)}numbers, "
+                         f"got {_python(values)!r}")
+    ok = within(array, bounds or "(-inf, inf)")
+    if bad is not None:
+        ok &= ~bad
+    if ok.all():
+        return array
+    at = tuple(map(int, np.argwhere(~ok)[0]))
+    row = values[at[0]]
+    if given.ndim == 2 and not (isinstance(row, _ROW) and len(row) == given.shape[1]):
+        raise ValueError(f"{field}[{at[0]}] must be a list of numbers of length "
+                         f"{given.shape[1]}, got {_python(row)!r}")
+    check(_python(functools.reduce(operator.getitem, at, values)),
+          field + "".join(f"[{k}]" for k in at), bounds)
+    raise AssertionError("check passed an entry flagged as failing it")
 
 
 class TraceFormatError(ValueError):
@@ -179,14 +221,10 @@ class ExitTopology:
             object.__setattr__(self, name, as_int(getattr(self, name), name, bounds))
         n_early = self.num_exits - 1
         for name in ("segment_flops", "exit_flops"):
-            values = getattr(self, name)
-            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-            values = tuple(canon(as_real(v, f"{name}[{i}]", "[0, inf)"))
-                           for i, v in enumerate(values))
+            values = as_reals(getattr(self, name), name, "[0, inf)")
             if len(values) != n_early:
                 raise ValueError(f"{name} must have length {n_early}, got {len(values)}")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, tuple(canon_array(values).tolist()))
         for name, bounds in (("server_flops", "[0, inf)"), ("predictor_flops", "[0, inf)"),
                              ("compression_ratio", "[1, inf)")):
             object.__setattr__(self, name, canon(as_real(getattr(self, name), name, bounds)))
@@ -278,56 +316,82 @@ def _entry(col: np.ndarray, mask: np.ndarray, row: int):
     return np.atleast_1d(col[row])[np.atleast_1d(mask[row])].tolist()[0]
 
 
-def _as_float(value) -> float:
+_REAL = (int, float, np.integer, np.floating)
+_ROW = (list, tuple, np.ndarray)
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a number: an int or a float, a numpy one too, not a bool."""
+    return isinstance(value, _REAL) and not isinstance(value, bool)
+
+
+@functools.lru_cache(maxsize=None)
+def _number_type(kind: type) -> bool:
+    return issubclass(kind, _REAL) and not issubclass(kind, bool)
+
+
+def _python(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _float(value) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer beyond the double range
         return math.inf if value > 0 else -math.inf
 
 
-def _float64(values) -> np.ndarray:
-    """Numbers as a float64 array; an integer beyond the double range reads
-    as +-inf, so the range and finiteness checks flag its sample."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return np.vectorize(_as_float, otypes=[np.float64])(np.asarray(values, dtype=object))
+def _scan(values, rows: bool, typed: bool = False):
+    """The one type scan of arrays read from outside: ``values`` as an
+    array, as float64 and the mask of entries that are no number (None: all are).
+
+    A number is an int or a float, not a bool: numpy would read True as 1
+    and parse "0.5", so types are checked first.  A numeric numpy array
+    counts by its dtype; a list of numbers, or of ``rows`` of numbers, by
+    each numpy row's dtype and each other row's entry types.  ``typed``
+    entries were typed by a record check.  When an entry is no number, the
+    array holds Python values (a row that is no list as long as the longest
+    in each of its entries) and the float64 array NaN.
+    """
+    if typed or isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        with contextlib.suppress(OverflowError):  # an integer beyond the double range
+            real = np.asarray(values, dtype=np.float64)
+            return (real if typed else values), real, None
+    elif not isinstance(values, _ROW):
+        return np.array(values, dtype=object), np.full((), np.nan), np.ones((), dtype=bool)
+    # A row that is no list raises TypeError here, ragged rows ValueError.
+    with contextlib.suppress(TypeError, ValueError):
+        if rows:
+            dtypes = set(map(getattr, values, repeat("dtype"), repeat(None)))
+            types = {d.type for d in dtypes - {None}}
+            if None in dtypes:
+                types.update(*(map(type, row) for row in values if type(row) is not np.ndarray))
+            given = np.array(values, dtype=None if None in dtypes else np.result_type(*dtypes))
+        else:
+            types, given = set(map(type, values)), np.array(values)
+        if (not typed and given.dtype.kind in "iuf" and given.ndim == 1 + rows
+                and all(map(_number_type, types))):
+            return given, given.astype(np.float64, copy=False), None
+    lists = values if rows else [values]
+    width = max([1] + [len(row) for row in lists if isinstance(row, _ROW)])
+    fits = np.array([isinstance(row, _ROW) and len(row) == width for row in lists], dtype=bool)
+    given = np.empty((len(lists), width), dtype=object)
+    for i, row in enumerate(lists):
+        for j, v in enumerate(row if fits[i] else repeat(row, width)):
+            given[i, j] = _python(v)
+    bad = ~np.frompyfunc(_number, 1, 1)(given).astype(bool) | ~fits[:, None]
+    if not rows:
+        given, bad = given[0], bad[0]
+    return given, np.frompyfunc(_float, 1, 1)(np.where(bad, np.nan, given)).astype(float), bad
 
 
-def _python_entries(values, given: np.ndarray) -> np.ndarray | None:
-    """``values`` as an object array of Python values if it holds a bool,
-    else None.  numpy reads bools among numbers as numbers (``given``), True
-    as 1, so the entries of a sequence or object array are checked by type,
-    one level of rows down; a numeric numpy row counts as its dtype."""
-    if given.ndim == 0 or (isinstance(values, np.ndarray) and values.dtype != object):
-        return None
-    rows = values if given.ndim > 1 else [values]
-    dtypes = list(map(getattr, rows, repeat("dtype"), repeat(None)))
-    kinds = set(dtypes)
-    types = {d.type for d in kinds if d is not None}
-    if None in kinds or np.object_ in types:
-        types.update(*(map(type, row) for row, d in zip(rows, dtypes)
-                       if d is None or d.kind == "O"))
-    if types.isdisjoint({bool, np.bool_}):
-        return None
-    python = np.frompyfunc(lambda v: v.item() if isinstance(v, np.generic) else v, 1, 1)
-    return python(np.array(values, dtype=object))
-
-
-def _integral(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(the values as given, as int64, mask of non-integers: fractional, huge
-    or bool).  A bool is flagged wherever it stands, and then the values are
-    given as Python values, so a report names the bool itself."""
-    given = np.asarray(values)
-    entries = _python_entries(values, given)
-    if entries is not None:
-        given = entries
-    elif given.dtype.kind in "iu":
+def _integral(values, rows: bool):
+    """The scan of an integer column: (the values as given, as int64, the
+    mask of entries that are no integer: fractional, huge or no number)."""
+    given, real, bad = _scan(values, rows)
+    if bad is None and given.dtype.kind in "iu":
         return given, given.astype(np.int64), np.zeros(given.shape, dtype=bool)
-    real = _float64(given)
-    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63)) | (given.dtype.kind == "b")
-    if entries is not None:
-        bad |= np.frompyfunc(lambda v: type(v) is bool, 1, 1)(entries).astype(bool)
+    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63))
     return given, np.where(bad, 0.0, real).astype(np.int64), bad
 
 
@@ -340,11 +404,12 @@ def _duplicate_ids(ids: np.ndarray):
 
 def _sample_checks(ids, label, p: int, features):
     """The checks a trace set and a dataset share: integral, distinct ids;
-    integral labels in [0, p); finite features (None: none to check).
+    integral labels in [0, p); finite numbers as features (None: none).
 
-    ``ids`` and ``label`` are as ``_integral`` returns them, and the columns
-    must fit one sample count.  Returns the ids and labels as int64 and the
-    (mask, message) checks for ``_raise_first``, in order.
+    ``ids`` and ``label`` are as ``_integral`` returns them and ``features``
+    is (as given, as canonical float64, NaN where no number stands); the
+    columns must fit one sample count.  Returns the ids and labels as int64
+    and the (mask, message) checks for ``_raise_first``, in order.
     """
     (id_given, ids, id_bad), (label_given, label, label_bad) = ids, label
     checks = [
@@ -356,24 +421,21 @@ def _sample_checks(ids, label, p: int, features):
          lambda i: f"sample {ids[i]}: label {label[i]} outside [0, {p})"),
     ]
     if features is not None:
-        checks.append((~np.isfinite(features),
-                       lambda i: f"sample {ids[i]}: features must be finite"))
+        given, bad = features[0], ~np.isfinite(features[1])
+        checks.append((bad, lambda i: f"sample {ids[i]}: features must be finite numbers, "
+                                      f"got {_entry(given, bad, i)!r}"))
     return ids, label, checks
 
 
-def _matrices(topology: ExitTopology, ids, conf, pred_len, features):
-    """Stack per-sample confidences and features into (samples, width)
-    matrices, once their lengths and the predicted classes' (``pred_len``)
-    fit.  ``conf`` and ``features`` are each (entries end to end or one
-    sequence per sample, each sample's length), a length of -1 marking a
-    sample without features.  Raises _RowError for the first sample whose
+def _lengths(topology: ExitTopology, ids, conf_len, pred_len, feat_len) -> int:
+    """The features' width (-1: none), once each sample's confidences,
+    predicted classes and features fit, given as their lengths, -1 marking
+    a sample without features.  Raises _RowError for the first sample whose
     lengths fit neither the topology nor the set's first sample.
     """
     n, n_exits = len(ids), topology.num_exits
-    (conf, conf_len), (features, feat_len) = (
-        (values, np.array(lengths, dtype=np.int64).reshape(n))
-        for values, lengths in (conf, features))
-    pred_len = np.array(pred_len, dtype=np.int64).reshape(n)
+    conf_len, pred_len, feat_len = (np.array(lengths, dtype=np.int64).reshape(n)
+                                    for lengths in (conf_len, pred_len, feat_len))
     dim = int(feat_len[0]) if n else -1
     _raise_first([
         (conf_len != pred_len, lambda i: f"sample {ids[i]}: confidences and predicted "
@@ -384,8 +446,7 @@ def _matrices(topology: ExitTopology, ids, conf, pred_len, features):
          lambda i: f"sample {ids[i]}: features present for only part of the set"),
         (feat_len != dim, lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {dim}"),
     ])
-    return (_float64(conf).reshape(n, n_exits),
-            None if dim < 0 else _float64(features).reshape(n, dim))
+    return dim
 
 
 class TraceSet:
@@ -401,17 +462,13 @@ class TraceSet:
 
     def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
         rows = tuple(samples)
-        ids, pred = [s.id for s in rows], [s.predicted for s in rows]
-        conf, features = _matrices(
-            topology, ids,
-            ([s.confidences for s in rows], [len(s.confidences) for s in rows]),
-            list(map(len, pred)),
-            ([s.features for s in rows if s.features is not None],
-             [-1 if s.features is None else len(s.features) for s in rows]))
-        # The rows of classes go in unstacked, so that the column check sees a
-        # bool among them.
-        self._set(topology, ids, [s.label for s in rows], conf,
-                  pred if rows else np.zeros((0, topology.num_exits), int), features)
+        empty = np.zeros((0, topology.num_exits), int)
+        ids, label, conf, pred, feats = (map(list, zip(*rows)) if rows
+                                         else ([], [], empty, empty, []))
+        _lengths(topology, ids, list(map(len, conf)), list(map(len, pred)),
+                 [-1 if f is None else len(f) for f in feats])
+        # The rows go in unstacked, so that the column check scans their entries.
+        self._set(topology, ids, label, conf, pred, [f for f in feats if f is not None] or None)
 
     @classmethod
     def from_columns(cls, topology: ExitTopology, ids, label, conf, pred,
@@ -425,31 +482,38 @@ class TraceSet:
     def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
         """The one column canonicaliser and check; stores read-only copies."""
         p, n_exits = topology.num_classes, topology.num_exits
-        id_col, label_col, (pred_given, pred, pred_bad) = map(_integral, (ids, label, pred))
-        ids, label = id_col[1], label_col[1]
+        id_col, label_col = _integral(ids, False), _integral(label, False)
+        pred_given, pred, pred_bad = _integral(pred, True)
+        conf_given, conf, conf_bad = _scan(conf, True)
         conf = canon_array(conf)
-        features = None if features is None else canon_array(features)
-        n = len(ids)
+        if features is not None:
+            given, real, _ = _scan(features, True)
+            features = given, canon_array(real)
+        ids, label = id_col[1], label_col[1]
+        n, feat = len(ids), None if features is None else features[1]
         if (ids.shape != (n,) or label.shape != (n,) or conf.shape != (n, n_exits)
                 or pred.shape != (n, n_exits)
-                or (features is not None and (features.ndim != 2 or len(features) != n))):
+                or (feat is not None and (feat.ndim != 2 or len(feat) != n))):
             raise ValueError(
                 f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
                 f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
-                f"features {None if features is None else features.shape}")
+                f"features {None if feat is None else feat.shape}")
         ids, label, checks = _sample_checks(id_col, label_col, p, features)
+        if conf_bad is not None:
+            checks.append((conf_bad, lambda i: f"sample {ids[i]}: confidences must be numbers, "
+                                               f"got {_entry(conf_given, conf_bad, i)!r}"))
         # Written so that NaN fails too.
-        conf_bad = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
+        conf_out = ~((conf >= 1.0 / p - CONF_TOL) & (conf < 1.0))
         pred_out = (pred < 0) | (pred >= p)
         _raise_first(checks + [
-            (conf_bad, lambda i: f"sample {ids[i]}: confidences entry "
-                                 f"{_entry(conf, conf_bad, i)!r} outside [1/P, 1)"),
+            (conf_out, lambda i: f"sample {ids[i]}: confidences entry "
+                                 f"{_entry(conf, conf_out, i)!r} outside [1/P, 1)"),
             (pred_bad, lambda i: f"sample {ids[i]}: predicted must be an integer, "
                                  f"got {_entry(pred_given, pred_bad, i)!r}"),
             (pred_out, lambda i: f"sample {ids[i]}: predicted class "
                                  f"{_entry(pred, pred_out, i)} outside [0, {p})"),
         ])
-        self._store(topology, ids, label, conf, pred, features)
+        self._store(topology, ids, label, conf, pred, feat)
 
     def _store(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
         """Keep checked columns, made read-only; the caller hands them over."""
@@ -518,24 +582,21 @@ class TraceSet:
         return ts
 
 
-def _check_vector(values, n_early: int | None, name: str, bounds: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1 or not len(vec) or len(vec) != (n_early or len(vec)):
+def _length(vec: np.ndarray, n_early: int | None, name: str) -> np.ndarray:
+    if not len(vec) or len(vec) != (n_early or len(vec)):
         raise ValueError(f"{name} must have length {n_early or '>= 1'}, got shape {vec.shape}")
-    if not within(vec, bounds).all():
-        raise ValueError(f"{name} entries must lie in {bounds}, got {tuple(vec.tolist())}")
     return vec
 
 
 def check_lambda(lam, n_early: int | None = None) -> np.ndarray:
     """The one lambda check: a float64 vector of ``n_early`` (default: >= 1)
     confidence thresholds, each in (0, 1)."""
-    return _check_vector(lam, n_early, "lambda", "(0, 1)")
+    return _length(as_reals(lam, "lambda", "(0, 1)"), n_early, "lambda")
 
 
 def check_gamma(gamma, n_early: int | None = None) -> np.ndarray:
     """The one gamma check: as ``check_lambda``, each prediction threshold in [0, 1]."""
-    return _check_vector(gamma, n_early, "gamma", "[0, 1]")
+    return _length(as_reals(gamma, "gamma", "[0, 1]"), n_early, "gamma")
 
 
 @dataclass(frozen=True)
@@ -814,10 +875,12 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
     topo, lines, ids, labels, (conf, pred, feats) = _read_records(
         path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
     with _record_errors(path, lines):
-        # Rebinding frees the gathered entries before the set is built.
-        conf, feats = _matrices(topo, ids, conf, pred[1], feats)
-        pred = np.array(pred[0]).reshape(len(ids), topo.num_exits)
-        # Records hold no bools, so the ids and labels need no scan by type.
+        n, n_exits = len(ids), topo.num_exits
+        dim = _lengths(topo, ids, conf[1], pred[1], feats[1])
+        # Typed records need no type scan.  Rebinding frees the gathered entries.
+        conf = _scan(conf[0], False, typed=True)[1].reshape(n, n_exits)
+        feats = None if dim < 0 else _scan(feats[0], False, typed=True)[1].reshape(n, dim)
+        pred = np.array(pred[0]).reshape(n, n_exits)
         return TraceSet.from_columns(topo, np.asarray(ids), np.asarray(labels), conf, pred,
                                      feats)
 
@@ -843,10 +906,10 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
         feat_len = np.array(feat_len, dtype=np.int64)
         _raise_first([(feat_len != d,
                        lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {d}")])
-        x = _float64(feats).reshape(len(lines), d)
-        # Records hold no bools, so the ids and labels need no scan by type.
-        _, y, checks = _sample_checks(_integral(np.asarray(ids)), _integral(np.asarray(labels)),
-                                      p, x)
+        x = _scan(feats, False, typed=True)[1].reshape(len(lines), d)
+        # Records are typed, so the columns go in as numpy arrays, not scanned again.
+        _, y, checks = _sample_checks(_integral(np.asarray(ids), False),
+                                      _integral(np.asarray(labels), False), p, (x, x))
         _raise_first(checks)
     if n != len(lines):
         raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")
@@ -898,8 +961,8 @@ def choice(*texts: str) -> Callable[[str], str]:
 
 RATE, COST, SHARE = real("(0, inf)"), real("[0, inf)"), real("[0, 1]")
 FLAG = choice("true", "false")
-LAMBDA = lambda text: tuple(check_lambda(text.split("|")).tolist())
-GAMMA = lambda text: tuple(check_gamma(text.split("|")).tolist())
+LAMBDA = lambda text: tuple(check_lambda(list(map(float, text.split("|")))).tolist())
+GAMMA = lambda text: tuple(check_gamma(list(map(float, text.split("|")))).tolist())
 
 
 def _render(value) -> str:

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .nncore import Mlp, Net, class_labels, softmax, softmax_ce_parts
-from .trace import (ExitTopology, TraceSet, as_int, as_real, atomic_write_text, load_checkpoint,
-                    load_dataset, save_dataset)
+from .trace import (ExitTopology, TraceSet, as_int, as_real, as_reals, atomic_write_text,
+                    load_checkpoint, load_dataset, save_dataset)
 
 # Emitted confidences stay strictly below 1 so 9-digit storage cannot round
 # them onto the open bound.
@@ -43,15 +43,14 @@ class SynthSpec:
         for name, bounds in (("num_samples", "[1, inf)"), ("num_classes", "[2, inf)"),
                              ("input_dim", "[1, inf)"), ("seed", "[0, inf)")):
             object.__setattr__(self, name, as_int(getattr(self, name), name, bounds))
-        object.__setattr__(self, "centers", tuple(
-            tuple(as_real(v, f"centers[{k}][{j}]") for j, v in enumerate(c))
-            for k, c in enumerate(self.centers)))
-        object.__setattr__(self, "spreads", tuple(
-            as_real(v, f"spreads[{k}]", "[0, inf)") for k, v in enumerate(self.spreads)))
+        centers = as_reals(self.centers, "centers", rows=True)
+        object.__setattr__(self, "centers", tuple(map(tuple, centers.tolist())))
+        object.__setattr__(self, "spreads",
+                           tuple(as_reals(self.spreads, "spreads", "[0, inf)").tolist()))
         object.__setattr__(self, "label_noise", as_real(self.label_noise, "label_noise", "[0, 1]"))
-        if len(self.centers) != self.num_classes:
+        if len(centers) != self.num_classes:
             raise ValueError("need one center per class")
-        if any(len(c) != self.input_dim for c in self.centers):
+        if centers.shape[1] != self.input_dim:
             raise ValueError("center dimension must equal input_dim")
         if len(self.spreads) != self.num_classes:
             raise ValueError(f"spreads must have one entry per class, got {len(self.spreads)}")
@@ -94,8 +93,7 @@ def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     rng_sample = np.random.default_rng([spec.seed, 1])
     rng_noise = np.random.default_rng([spec.seed, 2])
     y = labels[rng_order.permutation(n)]
-    centers = np.asarray(spec.centers, dtype=np.float64)
-    spreads = np.asarray(spec.spreads, dtype=np.float64)
+    centers, spreads = np.array(spec.centers), np.array(spec.spreads)
     x = centers[y] + rng_sample.standard_normal((n, d)) * spreads[y][:, None]
     if spec.label_noise > 0.0:
         flip = rng_noise.random(n) < spec.label_noise
@@ -109,10 +107,10 @@ def check_exit_weights(weights: Sequence[float]) -> tuple[float, ...]:
 
     Weight 0 is allowed so individual exits can be switched off.
     """
-    weights = tuple(as_real(w, f"exit weights[{i}]", "[0, inf)") for i, w in enumerate(weights))
-    if sum(weights) <= 0:
+    weights = as_reals(weights, "exit weights", "[0, inf)")
+    if weights.sum() <= 0:
         raise ValueError("exit weights must be >= 0 with positive sum")
-    return weights
+    return tuple(weights.tolist())
 
 
 class ToyEarlyExitNet(Net):
@@ -228,9 +226,9 @@ class ToyEarlyExitNet(Net):
     @classmethod
     def from_dict(cls, d: dict) -> "ToyEarlyExitNet":
         return cls(
-            [Mlp.from_dict(m) for m in d["trunk"]],
-            [Mlp.from_dict(m) for m in d["heads"]],
-            Mlp.from_dict(d["final"]),
+            [Mlp.from_dict(m, f"trunk[{i}].") for i, m in enumerate(d["trunk"])],
+            [Mlp.from_dict(m, f"heads[{i}].") for i, m in enumerate(d["heads"])],
+            Mlp.from_dict(d["final"], "final."),
             d["weights"],
             seed=d.get("seed", 0),
         )
@@ -254,7 +252,7 @@ def emit_traces(net: ToyEarlyExitNet, x, y, topology: ExitTopology,
     """
     final_flip_prob = as_real(final_flip_prob, "final_flip_prob", "[0, 1]")
     seed = as_int(seed, "seed", "[0, inf)")
-    x = np.asarray(x, dtype=np.float64)
+    x = as_reals(x, "x", rows=True)
     if net.num_exits != topology.num_exits:
         raise ValueError(
             f"net has {net.num_exits} exits but topology expects {topology.num_exits}"

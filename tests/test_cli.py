@@ -261,7 +261,8 @@ def _as_mlp_checkpoint(doc):
 
 
 @pytest.mark.parametrize("name, corrupt, where", [
-    ("sweep.csv", _set_field(2, "lambda_1", "1.5"), r"line 2: lambda_1: lambda entries "),
+    ("sweep.csv", _set_field(2, "lambda_1", "1.5"),
+     r"line 2: lambda_1: value must lie in \(0, 1\), got 1.5$"),
     ("sweep.csv", _set_field(3, "accuracy", "nan"),
      r"line 3: accuracy: value must be a finite real number, got nan$"),
     ("sweep.csv", _set_field(2, "feasible", "yes"), r"line 2: feasible: must be one of true, "),
@@ -286,8 +287,8 @@ def _as_mlp_checkpoint(doc):
      r"malformed 'threshold_regressors' document: regressors\[2\]: \d+ train_bandwidths need "
      r"as many lambda and gamma rows, "),
     ("regressors.json", _edit_json(lambda d: d["regressors"][0]["lambda"][0].__setitem__(0, 1.0)),
-     r"malformed 'threshold_regressors' document: regressors\[0\]: lambda entries must lie "
-     r"in \(0, 1\)"),
+     r"malformed 'threshold_regressors' document: regressors\[0\]: lambda\[0\]\[0\] must lie "
+     r"in \(0, 1\), got 1.0$"),
     ("regressors.json", _edit_json(lambda d: d["regressors"][1].update(
         {key: d["regressors"][1][key][:1] for key in ("train_bandwidths", "lambda", "gamma")})),
      r"malformed 'threshold_regressors' document: regressors\[1\]: train_bandwidths must be "
@@ -298,9 +299,10 @@ def _as_mlp_checkpoint(doc):
      r"malformed 'exit_predictor' document: layer 0: unknown activation 'identity'$"),
     ("ep.json", _edit_json(_as_mlp_checkpoint), r"unrecognized JSON artifact kind 'mlp'$"),
     ("thresholds.json", _edit_json(lambda d: d.update(gamma=[0.5, 1.5])),
-     r"malformed 'thresholds' document: gamma entries must lie in \[0, 1\]"),
+     r"malformed 'thresholds' document: gamma\[1\] must lie in \[0, 1\], got 1.5$"),
     ("summary.json", _edit_json(lambda d: d.update(lambda_star=[7])),
-     r"malformed 'summary' document: lambda_star and gamma_star: lambda entries must lie "),
+     r"malformed 'summary' document: lambda_star and gamma_star: lambda\[0\] must lie in "
+     r"\(0, 1\), got 7$"),
     ("summary.json", _edit_json(lambda d: d["test"]["plain"].update(accuracy=-3)),
      r"malformed 'summary' document: test.plain.accuracy must lie in \[0, 1\], got -3$"),
     ("summary.json", _edit_json(lambda d: d.update(sweep_feasible="x")),
@@ -334,6 +336,29 @@ def _as_mlp_checkpoint(doc):
        rf"got {re.escape(repr(v))}$") for v in (math.nan, "0.4", True)],
     ("ep.json", _edit_json(lambda d: d["net"].update(seed="3")),
      r"malformed 'exit_predictor' document: seed must be an integer, got '3'$"),
+    ("thresholds.json", _edit_json(lambda d: d.update({"lambda": list(map(str, d["lambda"]))})),
+     r"malformed 'thresholds' document: lambda\[0\] must be a finite real number, got '0\."),
+    ("thresholds.json", _edit_json(lambda d: d["gamma"].__setitem__(1, False)),
+     r"malformed 'thresholds' document: gamma\[1\] must be a finite real number, got False$"),
+    ("ep.json", _edit_json(lambda d: d["net"]["layers"][0]["w"].__setitem__(0, "0.2")),
+     r"malformed 'exit_predictor' document: net.layers\[0\].w\[0\] must be a finite real "
+     r"number, got '0.2'$"),
+    ("ep.json", _edit_json(lambda d: d["net"]["layers"][0]["b"].__setitem__(0, True)),
+     r"malformed 'exit_predictor' document: net.layers\[0\].b\[0\] must be a finite real "
+     r"number, got True$"),
+    ("ep.json", _edit_json(lambda d: d["net"]["sizes"].append(5)),
+     r"malformed 'exit_predictor' document: net.sizes must have 3 entries, one more than "
+     r"net.layers, got 4$"),
+    ("ee.json", _edit_json(lambda d: d["trunk"][0]["layers"][0]["w"].__setitem__(0, "0.5")),
+     r"malformed 'toy_early_exit' document: trunk\[0\].layers\[0\].w\[0\] must be a finite "
+     r"real number, got '0.5'$"),
+    ("summary.json", _edit_json(lambda d: d.update(lambda_star=list(map(str, d["lambda_star"])))),
+     r"malformed 'summary' document: lambda_star and gamma_star: lambda\[0\] must be a finite "
+     r"real number, got '0\."),
+    ("regressors.json",
+     _edit_json(lambda d: d["regressors"][0]["lambda"][0].__setitem__(0, "0.8")),
+     r"malformed 'threshold_regressors' document: regressors\[0\]: lambda\[0\]\[0\] must be "
+     r"a finite real number, got '0.8'$"),
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
         "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
@@ -345,7 +370,9 @@ def _as_mlp_checkpoint(doc):
         "summary-negative-latency", "summary-budget-int", "summary-regressor-bool",
         "ee-nan-weight", "ee-infinite-weight", "ee-string-weight", "ee-bool-weight",
         "ee-string-seed", "ee-fractional-seed", "ep-nan-flops", "ep-string-flops",
-        "ep-bool-flops", "ep-string-net-seed"])
+        "ep-bool-flops", "ep-string-net-seed", "thresholds-string-lambda",
+        "thresholds-bool-gamma", "ep-string-weight", "ep-bool-bias", "ep-extra-size",
+        "ee-string-trunk-weight", "summary-string-lambda", "regressors-string-lambda"])
 def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
         small_demo, tmp_path, capsys, name, corrupt, where):
     path = tmp_path / name

@@ -461,25 +461,30 @@ def test_non_finite_scores_and_thresholds_rejected():
     ts = random_trace_set(rng, VGG_TOPOLOGY, n_samples=8)
     scores = rng.uniform(0.0, 1.0, (8, 2))
     scores[3, 1] = np.nan
-    with pytest.raises(ValueError, match="scores must lie in"):
+    nan_score = r"^scores\[3\]\[1\] must be a finite real number, got nan$"
+    with pytest.raises(ValueError, match=nan_score):
         run_with_predictor(ts, Thresholds((0.9, 0.9), (0.5, 0.5)), scores)
-    with pytest.raises(ValueError, match="scores must lie in"):
+    with pytest.raises(ValueError, match=nan_score):
         policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
-    with pytest.raises(ValueError, match="scores must lie in"):
+    with pytest.raises(ValueError, match=nan_score):
         PolicyTable(ts, [(0.9,), (0.9,)], [(0.5,), (0.5,)], scores)
-    with pytest.raises(ValueError, match="lambda entries"):
+    with pytest.raises(ValueError, match=r"^lambda\[1\] must be a finite real number, got nan$"):
         run_plain(ts, (0.9, math.nan))
-    with pytest.raises(ValueError, match="gamma entries"):
+    with pytest.raises(ValueError, match=r"^gamma\[1\] must be a finite real number, got nan$"):
         policy_stats(ts, (0.9, 0.9), (0.5, math.nan), rng.uniform(0.0, 1.0, (8, 2)))
 
 
-@pytest.mark.parametrize("scores", [{0: (0.5, 0.5)}, [[0.5, 0.5]] * 3 + [[0.5]], "0.5"],
-                         ids=["mapping", "ragged", "string"])
-def test_non_numeric_scores_name_scores_and_shape(scores):
+@pytest.mark.parametrize("scores, message", [
+    ({0: (0.5, 0.5)}, r"^scores must be a list of rows of numbers, got \{0: "),
+    ([[0.5, 0.5]] * 3 + [[0.5]],
+     r"^scores\[3\] must be a list of numbers of length 2, got \[0.5\]$"),
+    ("0.5", r"^scores must be a list of rows of numbers, got '0.5'$"),
+], ids=["mapping", "ragged", "string"])
+def test_non_numeric_scores_name_scores_and_shape(scores, message):
     ts = random_trace_set(np.random.default_rng(14), VGG_TOPOLOGY, n_samples=4)
-    with pytest.raises(ValueError, match=r"^scores must be a \(4, 2\) array of numbers"):
+    with pytest.raises(ValueError, match=message):
         run_with_predictor(ts, Thresholds((0.9, 0.9), (0.5, 0.5)), scores)
-    with pytest.raises(ValueError, match=r"^scores must be a \(4, 2\) array of numbers"):
+    with pytest.raises(ValueError, match=message):
         policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
 
 

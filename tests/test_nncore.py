@@ -138,7 +138,7 @@ def test_weighted_ce_dimension_errors():
     with pytest.raises(ValueError, match="weight"):
         ToyEarlyExitNet(net.trunk, net.heads, net.final, (0.5, 0.5, 0.5))
     for label in (3, -1, 1.7):
-        with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 3\)"):
+        with pytest.raises(ValueError, match=r"^labels\[0\] must (be an integer|lie in \[0, 3\))"):
             net.loss_value(np.ones((1, 2)), [label])
 
 
@@ -233,7 +233,8 @@ def test_softmax_ce_rejects_a_label_outside_the_classes(label):
     net = ToyEarlyExitNet.build(2, 4, trunk_widths=(3, 3), final_hidden=3, seed=0)
     labels = np.array([0.0, 3.0, label])
     for call in (net.loss_value, net.loss_and_grads):
-        with pytest.raises(ValueError, match=r"^labels must be integers in \[0, 4\), got "):
+        message = rf"^labels\[2\] must (be an integer|lie in \[0, 4\)), got {float(label)}$"
+        with pytest.raises(ValueError, match=message):
             call(np.ones((3, 2)), labels)
 
 
@@ -267,6 +268,14 @@ def test_checkpoint_round_trip_exact():
     assert loaded.seed == net.seed
     for p, q in zip(loaded.parameters(), net.parameters()):
         assert np.array_equal(p, q)
+    # Integral float sizes read as integers, as they do everywhere else.
+    doc = net.to_dict()
+    doc["sizes"] = [4.0, 7.0, 2.0]
+    assert all(np.array_equal(p, q)
+               for p, q in zip(Mlp.from_dict(doc).parameters(), net.parameters()))
+    doc["sizes"] = [4, 7, 2, 5]
+    with pytest.raises(ValueError, match=r"^net.sizes must have 3 entries, one more than "):
+        Mlp.from_dict(doc, "net.")
 
 
 def test_lr_schedule_endpoints():

@@ -308,9 +308,12 @@ def test_regressor_with_out_of_range_thresholds_is_rejected(tmp_path):
     save_regressors([good], path)
     saved = json.loads(path.read_text())
     for lam, gamma, message in (
-            ([[0.5, 0.5], [1.0, 0.5]], [[0.0, 0.0], [0.5, 1.0]], "lambda entries must lie in "),
-            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, -0.1], [0.5, 1.0]], "gamma entries must lie in "),
-            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [1.5, 1.0]], "gamma entries must lie in ")):
+            ([[0.5, 0.5], [1.0, 0.5]], [[0.0, 0.0], [0.5, 1.0]],
+             r"lambda\[1\]\[0\] must lie in \(0, 1\), got 1.0$"),
+            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, -0.1], [0.5, 1.0]],
+             r"gamma\[0\]\[1\] must lie in \[0, 1\], got -0.1$"),
+            ([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [1.5, 1.0]],
+             r"gamma\[1\]\[0\] must lie in \[0, 1\], got 1.5$")):
         with pytest.raises(ValueError, match=message):
             ThresholdRegressor((1e5, 1e6), (1e5, 1e6), lam, gamma, 0.0)
         saved["regressors"][0].update({"lambda": lam, "gamma": gamma})

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim.cli import emit_frontier, validate_artifact
-from exitsim.engine import AggregateReport
+from exitsim.engine import AggregateReport, PolicyTable, policy_stats
+from exitsim.nncore import Mlp
 from exitsim.optimizer import PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors
 from exitsim.trace import (
     ExitTopology,
@@ -15,15 +17,18 @@ from exitsim.trace import (
     Thresholds,
     TraceFormatError,
     TraceSet,
+    as_reals,
     canon,
     canon_array,
+    check_gamma,
+    check_lambda,
     json_line,
     load_trace_set,
     save_trace_set,
     split_trace_set,
     trace_set_text,
 )
-from exitsim.zoo import load_dataset, save_dataset
+from exitsim.zoo import SynthSpec, check_exit_weights, load_dataset, save_dataset
 
 from helpers import VGG_TOPOLOGY, random_trace_set
 
@@ -215,6 +220,85 @@ def test_a_bool_among_integers_is_rejected_naming_the_sample(name):
     rows = [SampleTrace(i, label, conf, pred) for i, label, conf, pred in zip(*columns.values())]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TraceSet(small_topology(), rows)
+
+
+def _sample_rows(conf, features):
+    return [SampleTrace(0, 0, (0.5, 0.5, 0.5), (0, 0, 0), (0.1, 0.2)),
+            SampleTrace(1, 0, conf, (0, 0, 0), features)]
+
+
+_SET = random_trace_set(np.random.default_rng(16), VGG_TOPOLOGY, n_samples=4)
+_COLUMNS = {"ids": [0, 1], "label": [0, 0], "pred": [[0, 0, 0]] * 2}
+
+# Per vector entry point: (a call on a vector, a good vector, the name of
+# its entry 1, the name of the list it stands in).  A TraceSet column names
+# the sample.
+VECTOR_ENTRY_POINTS = {
+    "check_lambda": (check_lambda, [0.5, 0.6], r"lambda\[1\]", "lambda"),
+    "check_gamma": (check_gamma, [0.5, 0.6], r"gamma\[1\]", "gamma"),
+    "Thresholds": (lambda v: Thresholds((0.5, 0.5), v), [0.5, 0.6], r"gamma\[1\]", "gamma"),
+    "Mlp": (lambda v: Mlp([[v]], [[0.0, 0.0]], ["sigmoid"]), [0.1, 0.2],
+            r"weights\[0\]\[0\]\[1\]", r"weights\[0\]\[0\]"),
+    "ExitTopology": (lambda v: ExitTopology(3, v, (0.5, 0.5), 10.0, 0.1, 10, 1024, 4.0),
+                     [1.0, 2.0], r"segment_flops\[1\]", "segment_flops"),
+    "SynthSpec-centers": (lambda v: SynthSpec(5, 2, 2, (v, (1.0, 1.0)), (0.1, 0.1)),
+                          [0.0, 0.0], r"centers\[0\]\[1\]", r"centers\[0\]"),
+    "SynthSpec-spreads": (lambda v: SynthSpec(5, 2, 2, ((0.0, 0.0), (1.0, 1.0)), v),
+                          [0.1, 0.2], r"spreads\[1\]", "spreads"),
+    "check_exit_weights": (check_exit_weights, [0.5, 0.5], r"exit weights\[1\]",
+                           "exit weights"),
+    "ThresholdRegressor": (lambda v: ThresholdRegressor((1e5, 1e6), (1e5, 1e6),
+                                                        [v, (0.5, 0.5)], [(0.5, 0.5)] * 2, 0.0),
+                           [0.5, 0.6], r"lambda\[0\]\[1\]", r"lambda\[0\]"),
+    "PolicyTable-bandwidths": (
+        lambda v: PolicyTable(_SET, [(0.5,), (0.5,)], compute_speed=3.62e9, bandwidths=v),
+        [1e6, 2e6], r"bandwidths\[1\]", "bandwidths"),
+    "policy_stats-scores": (
+        lambda v: policy_stats(_SET, (0.5, 0.5), (0.5, 0.5), [(0.5, 0.5)] * 3 + [v]),
+        [0.5, 0.6], r"scores\[3\]\[1\]", r"scores\[3\]"),
+    "from_columns-conf": (
+        lambda v: TraceSet.from_columns(small_topology(), conf=[[0.5] * 3, v], **_COLUMNS),
+        [0.5, 0.6, 0.7], "sample 1: confidences", "sample 1: confidences"),
+    "from_columns-features": (
+        lambda v: TraceSet.from_columns(small_topology(), conf=[[0.5] * 3] * 2,
+                                        features=[[0.1, 0.2], v], **_COLUMNS),
+        [0.1, 0.2], "sample 1: features", "sample 1: features"),
+    "rows-conf": (lambda v: TraceSet(small_topology(), _sample_rows(v, (0.1, 0.2))),
+                  [0.5, 0.6, 0.7], "sample 1: confidences", "sample 1: confidences"),
+    "rows-features": (lambda v: TraceSet(small_topology(), _sample_rows((0.5,) * 3, v)),
+                      [0.1, 0.2], "sample 1: features", "sample 1: features"),
+}
+
+
+@pytest.mark.parametrize("kind", ["numeric-string", "bool", "nan", "string-list"])
+@pytest.mark.parametrize("entry_point", list(VECTOR_ENTRY_POINTS))
+def test_vector_entry_points_reject_non_numbers_naming_the_entry(entry_point, kind):
+    # numpy would parse "0.6", read True as 1.0 and iterate "0.5"; every
+    # vector goes through trace.as_reals, or the TraceSet column scan.
+    call, good, entry, where = VECTOR_ENTRY_POINTS[entry_point]
+    call(good)
+    if kind == "string-list":
+        bad, message = "0.5", f"{where} must be a list of "
+    else:
+        value = {"numeric-string": str(good[1]), "bool": True, "nan": math.nan}[kind]
+        bad = [good[0], value, *good[2:]]
+        message = f"{entry} must be a finite real number, got {re.escape(repr(value))}$"
+    if where.startswith("sample"):  # the column check names the sample
+        message = where
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.5, 0.5], [0.5]], r"x\[1\] must be a list of numbers of length 2, got \[0.5\]$"),
+    ([[0.5, 0.5], 0.5], r"x\[1\] must be a list of numbers of length 2, got 0.5$"),
+    (["0.5", [0.5, 0.5]], r"x\[0\] must be a list of numbers of length 2, got '0.5'$"),
+    ([np.float64(0.5)] * 2, r"x\[0\] must be a list of numbers of length 1, got 0.5$"),
+    (np.array([0.5, 0.5]), r"x must be a list of rows of numbers, got array"),
+], ids=["short-row", "number-row", "string-row", "numpy-scalar-rows", "vector"])
+def test_as_reals_names_a_row_that_is_no_row(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        as_reals(rows, "x", rows=True)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
