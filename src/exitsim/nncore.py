@@ -196,6 +196,7 @@ class Mlp(Net):
         sizes = as_ints(sizes, "sizes", "[1, inf)").tolist()
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ValueError("need len(sizes) >= 2 and one activation per layer")
+        seed = as_int(seed, "seed", "[0, inf)")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -29,11 +29,12 @@ field, a CSV field, a constructor argument -- has one check: ``as_int`` or
 ``as_real`` against the interval it must lie in, written as it prints
 ("(0, 1]", "[0, inf)"), and every array of them ``as_reals`` or ``as_ints``,
 which apply that check to each entry.  What counts as a number in an array
-is decided once, by ``_scan``, which the ``TraceSet`` columns share: an int
-or a float, never a bool or a string.  A value that is no finite number or
-no integer fails as such, naming its entry; one outside its interval reads
-``{field} must lie in {bounds}, got {value!r}``.  NaN lies outside every
-interval.
+is decided once, by ``_scan``, which the ``TraceSet`` columns share, and so
+every entry of a trace or dataset file: an int or a float, never a bool or
+a string.  The record loop checks only keys and that each list is one.  A
+value that is no finite number or no integer fails as such, naming its
+entry; one outside its interval reads ``{field} must lie in {bounds}, got
+{value!r}``.  NaN lies outside every interval.
 """
 
 from __future__ import annotations
@@ -312,8 +313,9 @@ def _raise_first(checks) -> None:
 
 
 def _entry(col: np.ndarray, mask: np.ndarray, row: int):
-    """The first entry of ``row`` that ``mask`` flags, as a Python value."""
-    return np.atleast_1d(col[row])[np.atleast_1d(mask[row])].tolist()[0]
+    """The first entry of ``row`` that ``mask`` flags, as a Python value (a
+    list too, where a list stands for a number)."""
+    return _python(col[row][mask[row]][0] if col.ndim > 1 else col[row])
 
 
 _REAL = (int, float, np.integer, np.floating)
@@ -341,23 +343,21 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _scan(values, rows: bool, typed: bool = False):
-    """The one type scan of arrays read from outside: ``values`` as an
-    array, as float64 and the mask of entries that are no number (None: all are).
+def _scan(values, rows: bool):
+    """The one type scan of arrays read from outside, in memory or from a
+    file: ``values`` as an array, as float64 and the mask of entries that
+    are no number (None: all are).
 
     A number is an int or a float, not a bool: numpy would read True as 1
     and parse "0.5", so types are checked first.  A numeric numpy array
     counts by its dtype; a list of numbers, or of ``rows`` of numbers, by
-    each numpy row's dtype and each other row's entry types.  ``typed``
-    entries were typed by a record check.  When an entry is no number, the
-    array holds Python values (a row that is no list as long as the longest
-    in each of its entries) and the float64 array NaN.
+    each numpy row's dtype and each other row's entry types.  When an entry
+    is no number, the array holds Python values (a row that is no list as
+    long as the longest in each of its entries) and the float64 array NaN.
     """
-    if typed or isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        with contextlib.suppress(OverflowError):  # an integer beyond the double range
-            real = np.asarray(values, dtype=np.float64)
-            return (real if typed else values), real, None
-    elif not isinstance(values, _ROW):
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values, values.astype(np.float64, copy=False), None
+    if not isinstance(values, _ROW):
         return np.array(values, dtype=object), np.full((), np.nan), np.ones((), dtype=bool)
     # A row that is no list raises TypeError here, ragged rows ValueError.
     with contextlib.suppress(TypeError, ValueError):
@@ -369,7 +369,7 @@ def _scan(values, rows: bool, typed: bool = False):
             given = np.array(values, dtype=None if None in dtypes else np.result_type(*dtypes))
         else:
             types, given = set(map(type, values)), np.array(values)
-        if (not typed and given.dtype.kind in "iuf" and given.ndim == 1 + rows
+        if (given.dtype.kind in "iuf" and given.ndim == 1 + rows
                 and all(map(_number_type, types))):
             return given, given.astype(np.float64, copy=False), None
     lists = values if rows else [values]
@@ -465,6 +465,13 @@ class TraceSet:
         empty = np.zeros((0, topology.num_exits), int)
         ids, label, conf, pred, feats = (map(list, zip(*rows)) if rows
                                          else ([], [], empty, empty, []))
+        # Each field is a list (a tuple or numpy row too), the record loop's
+        # test, or for features None: a string has a length but is no row.
+        for name, col, kinds in (("confidences", conf, _ROW), ("predicted", pred, _ROW),
+                                 ("features", feats, (*_ROW, type(None)))):
+            if not all(issubclass(kind, kinds) for kind in set(map(type, col))):
+                i = [isinstance(v, kinds) for v in col].index(False)
+                raise ValueError(f"sample {ids[i]}: {name} must be a list of numbers")
         _lengths(topology, ids, list(map(len, conf)), list(map(len, pred)),
                  [-1 if f is None else len(f) for f in feats])
         # The rows go in unstacked, so that the column check scans their entries.
@@ -682,12 +689,16 @@ def save_trace_set(ts: TraceSet, path: str | os.PathLike) -> None:
 
 def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
                  num_classes: int) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    header = {"kind": "dataset", "num_samples": int(x.shape[0]),
-              "num_classes": int(num_classes), "input_dim": int(x.shape[1])}
+    """Write what ``load_dataset`` reads back: finite features ``x`` in
+    rows of at least one, integer labels ``y`` in [0, ``num_classes``).
+    Anything else raises ValueError naming the field, and no file is written."""
+    num_classes = as_int(num_classes, "num_classes", "[2, inf)")
+    x = as_reals(x, "x", rows=True)
+    y = as_ints(y, "labels", f"[0, {num_classes})")
+    header = {"kind": "dataset", "num_samples": int(x.shape[0]), "num_classes": num_classes,
+              "input_dim": as_int(x.shape[1], "input_dim", "[1, inf)")}
     atomic_write_text(path, records_text(header, [
-        ("id", np.arange(x.shape[0])), ("label", np.asarray(y, dtype=np.int64)),
-        ("features", x)]))
+        ("id", np.arange(x.shape[0])), ("label", y), ("features", x)]))
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -784,39 +795,22 @@ def read_jsonl(path: str | os.PathLike, text: str | None = None
         yield lineno, obj
 
 
-_NUMBER = frozenset({int, float})
-
-
-def _numbers(value) -> bool:
-    """Whether a record value is a JSON list of numbers."""
-    return type(value) is list and _NUMBER.issuperset(map(type, value))
-
-
-def _type_error(names: Sequence[str], fields: Sequence) -> str:
-    """What is wrong with a record whose fields, under ``names``, are not
-    all numbers (id, label) or lists of numbers."""
-    for name, value in zip(names, fields):
-        if name in ("id", "label"):
-            if type(value) not in _NUMBER:
-                return f"{name} must be an integer, got {value!r}"
-        elif not _numbers(value):
-            return f"{name} must be a list of numbers"
-
-
 def _read_records(path, text: str | None, header: Callable[[dict], object],
                   lists: Sequence[str], optional: str | None = None) -> tuple:
     """The one record loop of a trace or dataset file (``text``: as for ``read_jsonl``).
 
     ``header(line 1)`` reads the header; a KeyError, TypeError, ValueError
-    or OverflowError it raises names line 1.  Each record needs a number
-    under "id" and "label" and a list of numbers under each of ``lists``;
-    the ``optional`` list may be absent or null.  Keys and types are
-    checked record by record as they are read, raising TraceFormatError
-    naming the path and line.  Returns what ``header`` returned, the
-    records' line numbers, ids and labels, and per list (``lists``, then
-    ``optional``) its entries end to end and each record's length, -1
-    where absent.  Only numbers are kept: a load that kept each record's
-    lists would leave the garbage collector a container per field to scan.
+    or OverflowError it raises names line 1.  Each record needs an "id", a
+    "label" and a JSON list under each of ``lists``; the ``optional`` list
+    may be absent or null.  Only what gathering needs is checked here,
+    record by record as they are read: the keys, and that each list is
+    one, raising TraceFormatError naming the path and line.  The entries'
+    types and values are left to the column check.  Returns what ``header``
+    returned, the records' line numbers, ids and labels, and per list
+    (``lists``, then ``optional``) its entries end to end and each record's
+    length, -1 where absent.  Only the entries are kept: a load that kept
+    each record's lists would leave the garbage collector a container per
+    field to scan.
     """
     rows = read_jsonl(path, text)
     _, first = next(rows)
@@ -826,10 +820,10 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-    names = ("id", "label", *lists, *([optional] if optional else []))
+    names = (*lists, *([optional] if optional else []))
     get = operator.itemgetter("id", "label", *lists)
     lines, ids, labels = [], [], []
-    columns = [([], []) for _ in names[2:]]
+    columns = [([], []) for _ in names]
     for lineno, rec in rows:
         try:
             sid, label, *values = get(rec)
@@ -838,13 +832,12 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         value = rec.get(optional) if optional else None
         if value is not None:
             values.append(value)
-        if not (type(sid) in _NUMBER and type(label) in _NUMBER and all(map(_numbers, values))):
-            raise TraceFormatError(
-                f"{path}: line {lineno}: {_type_error(names, (sid, label, *values))}")
         lines.append(lineno)
         ids.append(sid)
         labels.append(label)
-        for (entries, lengths), v in zip(columns, values):
+        for name, (entries, lengths), v in zip(names, columns, values):
+            if not isinstance(v, _ROW):
+                raise TraceFormatError(f"{path}: line {lineno}: {name} must be a list of numbers")
             entries.extend(v)
             lengths.append(len(v))
         if len(values) < len(columns):
@@ -867,8 +860,9 @@ def _record_errors(path, lines: Sequence[int]):
 def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
     """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
-    Keys and types are checked record by record as they are read
-    (``_read_records``), then lengths, then values a column at a time.  A
+    Keys and list shape are checked record by record as they are read
+    (``_read_records``), then lengths, then types and values a column at a
+    time, by the column check ``TraceSet.from_columns`` runs on arrays.  A
     failure raises TraceFormatError naming the path and the line of the
     first record that fails the earliest failing stage.
     """
@@ -877,12 +871,13 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
     with _record_errors(path, lines):
         n, n_exits = len(ids), topo.num_exits
         dim = _lengths(topo, ids, conf[1], pred[1], feats[1])
-        # Typed records need no type scan.  Rebinding frees the gathered entries.
-        conf = _scan(conf[0], False, typed=True)[1].reshape(n, n_exits)
-        feats = None if dim < 0 else _scan(feats[0], False, typed=True)[1].reshape(n, dim)
-        pred = np.array(pred[0]).reshape(n, n_exits)
-        return TraceSet.from_columns(topo, np.asarray(ids), np.asarray(labels), conf, pred,
-                                     feats)
+        # Each list's entries as rows: numeric if each is a number, else Python
+        # values, which the column check scans again to name the first that is
+        # none.  Rebinding frees the gathered entries.
+        conf = _scan(conf[0], False)[0].reshape(n, n_exits)
+        pred = _scan(pred[0], False)[0].reshape(n, n_exits)
+        feats = None if dim < 0 else _scan(feats[0], False)[0].reshape(n, dim)
+        return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
 
 
 def _dataset_header(header: dict) -> tuple[int, int, int]:
@@ -896,9 +891,9 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a dataset file; returns (features, labels, num_classes).
 
-    ``text`` is as for ``read_jsonl``.  Records go through the record loop
-    and the id, label and feature checks of ``load_trace_set``, after a
-    check of feature lengths against the header, naming the path and line.
+    ``text`` is as for ``read_jsonl``.  Records go through the record loop,
+    a check of feature lengths against the header, and the id, label and
+    feature checks of ``load_trace_set``, naming the path and line.
     """
     (n, p, d), lines, ids, labels, [(feats, feat_len)] = _read_records(
         path, text, _dataset_header, ("features",))
@@ -906,10 +901,10 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
         feat_len = np.array(feat_len, dtype=np.int64)
         _raise_first([(feat_len != d,
                        lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {d}")])
-        x = _scan(feats, False, typed=True)[1].reshape(len(lines), d)
-        # Records are typed, so the columns go in as numpy arrays, not scanned again.
-        _, y, checks = _sample_checks(_integral(np.asarray(ids), False),
-                                      _integral(np.asarray(labels), False), p, (x, x))
+        given, x, _ = _scan(feats, False)
+        x = x.reshape(len(lines), d)
+        _, y, checks = _sample_checks(_integral(ids, False), _integral(labels, False), p,
+                                      (given.reshape(x.shape), x))
         _raise_first(checks)
     if n != len(lines):
         raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")
@@ -932,7 +927,7 @@ def split_trace_set(ts: TraceSet, fraction: float, seed: int = 0) -> tuple[Trace
     the original set.
     """
     n_hold = holdout_size(len(ts), fraction)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed", "[0, inf)"))
     perm = rng.permutation(len(ts))
     hold = np.sort(perm[:n_hold])
     keep = np.sort(perm[n_hold:])

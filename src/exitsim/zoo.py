@@ -170,6 +170,7 @@ class ToyEarlyExitNet(Net):
               weights: Sequence[float] = (0.2, 0.3, 0.5), seed: int = 0) -> "ToyEarlyExitNet":
         if len(trunk_widths) != as_int(num_exits, "num_exits", "[2, inf)") - 1:
             raise ValueError("need one trunk width per early exit")
+        seed = as_int(seed, "seed", "[0, inf)")
         trunk, heads = [], []
         prev = input_dim
         for i, width in enumerate(trunk_widths):

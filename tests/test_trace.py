@@ -28,7 +28,8 @@ from exitsim.trace import (
     split_trace_set,
     trace_set_text,
 )
-from exitsim.zoo import SynthSpec, check_exit_weights, load_dataset, save_dataset
+from exitsim.zoo import (SynthSpec, ToyEarlyExitNet, check_exit_weights, load_dataset,
+                         save_dataset)
 
 from helpers import VGG_TOPOLOGY, random_trace_set
 
@@ -143,9 +144,17 @@ def _second(old, new):
     (_second("[0.5,0.5,0.5]", "[0.5,1" + "0" * 400 + ",0.5]"), load_trace_set, 3,
      r"sample 1: confidences entry inf outside \[1/P, 1\)"),
     (_second("[3,3,3]", '["3",3,3]'), load_trace_set, 3,
-     "predicted must be a list of numbers"),
+     "sample 1: predicted must be an integer, got '3'$"),
     (_second('"label":3', '"label":true'), load_trace_set, 3,
-     "label must be an integer, got True"),
+     "sample 1: label must be an integer, got True$"),
+    (_second("[0.5,0.5,0.5]", '[0.5,"0.5",0.5]'), load_trace_set, 3,
+     "sample 1: confidences must be numbers, got '0.5'$"),
+    (_HEADER + "\n" + _RECORD[:-1] + _FEATURES + "\n"
+     + _RECORD.replace('"id":0', '"id":1')[:-1] + ',"features":[0.1,true]}', load_trace_set, 3,
+     "sample 1: features must be finite numbers, got True$"),
+    (_HEADER + "\n" + _RECORD.replace('"id":0', '"id":[0]'), load_trace_set, 2,
+     r"id must be an integer, got \[0\]$"),
+    (_second("[3,3,3]", '"333"'), load_trace_set, 3, "predicted must be a list of numbers$"),
     # Header costs must be numbers: no string is iterated or parsed, no bool read.
     (_HEADER.replace("[1.0,2.0]", '"12"') + "\n" + _RECORD, load_trace_set, 1,
      "segment_flops must be a list of numbers, got '12'$"),
@@ -163,7 +172,8 @@ def _second(old, new):
         "nan-confidence", "confidence-above-range", "label-out-of-range",
         "predicted-out-of-range", "duplicate-id", "duplicate-id-after-blank-lines",
         "lengths-differ", "short-confidences", "ragged-features", "partial-features",
-        "huge-int-confidence", "string-predicted", "bool-label", "string-segment_flops",
+        "huge-int-confidence", "string-predicted", "bool-label", "string-confidence",
+        "bool-feature", "list-id", "string-for-list", "string-segment_flops",
         "string-exit_flops-entry", "string-server_flops", "bool-predictor_flops",
         "string-compression_ratio"])
 def test_malformed_field_names_its_line(tmp_path, text, loader, lineno, detail):
@@ -194,6 +204,16 @@ def test_sample_trace_rejects_fractional_integer_fields(field, value):
     # A row checks nothing; the set built from it does.
     args = {"id": 0, "label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3, field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TraceSet(small_topology(), (SampleTrace(**args),))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("confidences", 0.5), ("confidences", np.float64(0.5)), ("predicted", "abc"),
+    ("features", 0.1)])
+def test_a_row_field_that_is_no_list_names_the_sample(field, value):
+    # A string is no list of numbers, though it has a length.
+    args = {"id": 0, "label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3, field: value}
+    with pytest.raises(ValueError, match=f"^sample 0: {field} must be a list of numbers$"):
         TraceSet(small_topology(), (SampleTrace(**args),))
 
 
@@ -606,6 +626,27 @@ def test_split_trace_set_partitions_and_is_deterministic():
     assert a1 == a2 and b1 == b2
     assert len(b1) == 8 and len(a1) == 32
     assert sorted([*a1.ids.tolist(), *b1.ids.tolist()]) == sorted(ts.ids.tolist())
+
+
+SEEDED = {
+    "split_trace_set": lambda seed: split_trace_set(
+        random_trace_set(np.random.default_rng(5), n_samples=10), 0.2, seed=seed),
+    "Mlp.init": lambda seed: Mlp.init([2, 3], ["sigmoid"], seed=seed),
+    "ToyEarlyExitNet.build": lambda seed: ToyEarlyExitNet.build(2, 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"), (None, "seed must be an integer, got None"),
+    (0.5, "seed must be an integer, got 0.5"), ("3", "seed must be an integer, got '3'"),
+    (-1, r"seed must lie in \[0, inf\), got -1")],
+    ids=["bool", "none", "fractional", "string", "negative"])
+@pytest.mark.parametrize("entry_point", list(SEEDED))
+def test_seeds_are_checked_before_the_generator_is_made(entry_point, seed, message):
+    # numpy would seed with True as 1 and with None from OS entropy.
+    SEEDED[entry_point](3.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SEEDED[entry_point](seed)
 
 
 @pytest.fixture(scope="module")

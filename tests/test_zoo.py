@@ -255,8 +255,32 @@ def test_save_dataset_bytes_equal_per_record_rendering(tmp_path_factory, data, r
     x = data.draw(arrays(np.float64, (rows, dim)), label="x")
     y = data.draw(arrays(np.int64, rows), label="y")
     path = tmp_path_factory.mktemp("ds") / "d.jsonl"
-    save_dataset(path, x, y, num_classes=3)
-    assert path.read_text() == _per_record_text(x, y, 3)
+    if np.isfinite(x).all() and ((y >= 0) & (y < 3)).all():
+        save_dataset(path, x, y, num_classes=3)
+        assert path.read_text() == _per_record_text(x, y, 3)
+    else:
+        # What load_dataset would not read back is not written.
+        with pytest.raises(ValueError, match=r"^(x\[\d+\]\[\d+\] must be a finite real number"
+                                             r"|labels\[\d+\] must lie in \[0, 3\))"):
+            save_dataset(path, x, y, num_classes=3)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("x, y, num_classes, message", [
+    ([[0.5, math.inf]], [0], 2, r"x\[0\]\[1\] must be a finite real number, got inf"),
+    ([[math.nan]], [0], 2, r"x\[0\]\[0\] must be a finite real number, got nan"),
+    ([[0.5]], [1.7], 2, r"labels\[0\] must be an integer, got 1.7"),
+    ([[0.5], [0.5]], [0, True], 2, r"labels\[1\] must be an integer, got True"),
+    ([[0.5]], [2], 2, r"labels\[0\] must lie in \[0, 2\), got 2"),
+    ([[0.5]], [0], 1.5, "num_classes must be an integer, got 1.5"),
+    ([[], []], [0, 1], 2, r"input_dim must lie in \[1, inf\), got 0"),
+], ids=["inf-feature", "nan-feature", "fractional-label", "bool-label", "label-out-of-range",
+        "fractional-num_classes", "empty-rows"])
+def test_save_dataset_writes_only_what_load_dataset_reads(tmp_path, x, y, num_classes, message):
+    path = tmp_path / "d.jsonl"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_dataset(path, x, y, num_classes)
+    assert not path.exists()
 
 
 def test_synth_spec_validation():
@@ -301,8 +325,13 @@ _RECORD = '{"id":0,"label":1,"features":[0.5,1.5]}'
     (_HEADER, '{"id":0.5,"label":1,"features":[0.5,1.5]}', "line 2: id must be an integer"),
     (_HEADER.replace('"num_samples":1', '"num_samples":2'), f"{_RECORD}\n{_RECORD}",
      "line 3: sample 0: duplicate id"),
+    (_HEADER, '{"id":0,"label":true,"features":[0.5,1.5]}',
+     "line 2: sample 0: label must be an integer, got True"),
+    (_HEADER, '{"id":0,"label":1,"features":[0.5,"1.5"]}',
+     "line 2: sample 0: features must be finite numbers, got '1.5'"),
 ], ids=["no-num_classes", "no-num_samples", "scalar-features", "string-features",
-        "nan-feature", "no-id", "string-id", "fractional-id", "duplicate-id"])
+        "nan-feature", "no-id", "string-id", "fractional-id", "duplicate-id", "bool-label",
+        "string-feature"])
 def test_malformed_dataset_names_path_and_line(tmp_path, header, record, message):
     path = tmp_path / "d.jsonl"
     path.write_text(f"{header}\n{record}\n")
