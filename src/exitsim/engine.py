@@ -28,9 +28,9 @@ one-sample report.  ``run_plain``, ``run_with_predictor``, ``run_oracle``
 and ``policy_stats`` check their arguments once, walk once and price the
 counts.  ``PolicyTable`` never walks: given a value list per early exit,
 it takes the counts of every (lambda, gamma) combination of their
-products from blocked integer products of threshold masks, so threshold
-searches are queries on it and each row equals its ``policy_stats``
-report bit for bit.
+products from blocked float64 BLAS products of 0/1 threshold masks, which
+count exactly, so threshold searches are queries on it and each row
+equals its ``policy_stats`` report bit for bit.
 """
 
 from __future__ import annotations
@@ -265,10 +265,10 @@ def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | No
 # -- the policy table ---------------------------------------------------------
 
 
-# Samples per block of the table's mask products.  Each product is
-# (prefixes x block) @ (block x columns) in int64, which numpy runs in its
-# own loop rather than BLAS: the counts are exact and the working set stays
-# a few hundred KB at any set size.
+# Samples per block of the table's mask products, (prefixes x block) @
+# (block x columns) of 0/1 masks in float64 through BLAS.  Each partial sum
+# is an integer at most the set size, far below 2**53, so the counts are
+# exact in any summation order; the working set stays a few hundred KB.
 _BLOCK = 256
 
 
@@ -280,10 +280,10 @@ def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.
     gamma) values before n, and its pair (lambda_n, gamma_n).  The prefixes
     form a (lambda prefixes, gamma prefixes) grid, each carrying the mask of
     samples alive after it; each pair has the masks of samples its gate
-    passes and of those it terminates.  One int64 product per exit, block
-    of samples and count kind counts every prefix against every pair, and
-    each entry is some combination's count.  The ungated table has one
-    gate per exit, always open.
+    passes and of those it terminates.  One float64 product per exit,
+    block of samples and count kind counts every prefix against every
+    pair, and each entry is some combination's exact count (see
+    ``_BLOCK``).  The ungated table has one gate per exit, always open.
     """
     n_early = ts.topology.num_early_exits
     gated = gamma_grid is not None
@@ -298,7 +298,7 @@ def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.
         rows = slice(start, start + _BLOCK)
         right = ts.pred[rows, :, None, None] == ts.label[rows, None, None, None]
         size = len(right)
-        alive = np.ones((1, 1, size), dtype=np.int64)  # after the empty prefix
+        alive = np.ones((1, 1, size))  # after the empty prefix
         for n, (lams, gammas) in enumerate(zip(lam_grid, gamma_grid)):
             gate = (scores[rows, n, None] >= gammas if gated
                     else np.ones((size, 1), dtype=bool))[:, None]
@@ -308,13 +308,14 @@ def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.
             if n == n_early - 1:
                 masks.append(~stop & right[:, n_early])
             flat = alive.reshape(-1, size)
-            parts = [(flat @ mask.reshape(size, -1).astype(np.int64)).reshape(
+            parts = [(flat @ mask.reshape(size, -1).astype(np.float64)).reshape(
                 *alive.shape[:2], *mask.shape[1:]) for mask in masks]
             sums[n] = parts if sums[n] is None else [a + b for a, b in zip(sums[n], parts)]
             if n + 1 < n_early:  # alive after each prefix one exit longer
                 go = np.ascontiguousarray(np.moveaxis(~stop, 0, -1))
                 alive = (alive[:, None, :, None] * go[:, None]).reshape(
                     -1, alive.shape[1] * len(gammas), size)
+    sums = [[part.astype(np.int64) for part in parts] for parts in sums]
     # Each combination's counts, broadcast from its prefix and pair.
     lam_sizes, gamma_sizes = [len(v) for v in lam_grid], [len(v) for v in gamma_grid]
 

@@ -305,10 +305,12 @@ def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = F
     """Per-row cross entropy of softmax(logits) against checked int64
     ``labels`` and, with ``want_grad``, its gradient in the logits (else None).
 
-    The log-sum-exp and the softmax share one max, exp and sum.
+    The log-sum-exp and the softmax share one max, exp and sum.  The row
+    max runs over a column-major copy, one column at a time: exact in any
+    order (NaN too), and far faster than numpy's reduction of short rows.
     """
     rows = np.arange(len(labels))
-    m = logits.max(axis=-1, keepdims=True)
+    m = np.asfortranarray(logits).max(axis=-1, keepdims=True)
     e = logits - m
     np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)

@@ -465,12 +465,16 @@ class TraceSet:
         empty = np.zeros((0, topology.num_exits), int)
         ids, label, conf, pred, feats = (map(list, zip(*rows)) if rows
                                          else ([], [], empty, empty, []))
-        # Each field is a list (a tuple or numpy row too), the record loop's
-        # test, or for features None: a string has a length but is no row.
+        # Each field is a list (a tuple or 1-d numpy row too), the record
+        # loop's test, or for features None: a string has a length but is no
+        # row, nor is a 0-d array.
         for name, col, kinds in (("confidences", conf, _ROW), ("predicted", pred, _ROW),
                                  ("features", feats, (*_ROW, type(None)))):
-            if not all(issubclass(kind, kinds) for kind in set(map(type, col))):
-                i = [isinstance(v, kinds) for v in col].index(False)
+            seen = set(map(type, col))
+            if not all(issubclass(kind, kinds) for kind in seen) or (
+                    any(issubclass(kind, np.ndarray) for kind in seen)
+                    and {getattr(v, "ndim", 1) for v in col} != {1}):
+                i = [isinstance(v, kinds) and getattr(v, "ndim", 1) == 1 for v in col].index(False)
                 raise ValueError(f"sample {ids[i]}: {name} must be a list of numbers")
         _lengths(topology, ids, list(map(len, conf)), list(map(len, pred)),
                  [-1 if f is None else len(f) for f in feats])

@@ -12,6 +12,7 @@ from exitsim.engine import (
     AggregateReport,
     Environment,
     PolicyTable,
+    _table_counts,
     policy_stats,
     run_oracle,
     run_plain,
@@ -224,6 +225,24 @@ def test_gated_table_build_peaks_below_two_megabytes():
         tracemalloc.stop()
     assert table.mean_latency_s.shape == (1600, 16)
     assert peak < 2 * 2**20
+
+
+def test_table_counts_are_int64_and_conserve_every_sample():
+    # The mask products run in float64; the counts come back as integers
+    # that account for every sample of every combination, across blocks.
+    rng = np.random.default_rng(21)
+    n = 3 * _BLOCK + 5
+    ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=n)
+    lam_grid = [np.sort(rng.uniform(0.1, 0.99, 3)) for _ in range(3)]
+    gamma_grid = [np.array([0.0, 0.5, 1.0])] * 3
+    counts = _table_counts(ts, lam_grid, gamma_grid, rng.uniform(0.0, 1.0, (n, 3)))
+    assert all(c.dtype == np.int64 for c in counts)
+    reach, charged, term, tx, correct = counts
+    assert len(reach) == 27 * 27
+    assert (reach[:, 0] == n).all()
+    assert (term.sum(axis=1) + tx == n).all()
+    assert (charged <= reach).all()
+    assert (correct <= n).all()
 
 
 @pytest.mark.parametrize("gated", [False, True])

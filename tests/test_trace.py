@@ -217,6 +217,18 @@ def test_a_row_field_that_is_no_list_names_the_sample(field, value):
         TraceSet(small_topology(), (SampleTrace(**args),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("confidences", np.array(0.5)), ("predicted", np.array(0)), ("features", np.array(0.1))],
+    ids=["confidences", "predicted", "features"])
+def test_a_0d_array_where_a_row_belongs_names_the_sample(field, value):
+    # A 0-d array is an np.ndarray but has no length; the row before it is sound.
+    good = {"label": 0, "confidences": np.full(3, 0.5), "predicted": np.zeros(3, int),
+            "features": np.array([0.1, 0.2])}
+    rows = (SampleTrace(id=0, **good), SampleTrace(id=1, **{**good, field: value}))
+    with pytest.raises(ValueError, match=f"^sample 1: {field} must be a list of numbers$"):
+        TraceSet(small_topology(), rows)
+
+
 MIXED_BOOL_COLUMNS = {
     "id": ({"ids": [0, True]}, "id must be an integer, got True"),
     "label": ({"label": [0, np.True_]}, "sample 1: label must be an integer, got True"),
