@@ -28,9 +28,10 @@ x_train, y_train = generate_dataset(spec)
 x_test, y_test = generate_dataset(replace(spec, num_samples=600, seed=8))
 
 net = ToyEarlyExitNet.build(8, 10, seed=7)
-net, curve = train(net, x_train, y_train,
-                   TrainConfig(epochs=120, lr_end_epoch=110, weight_decay=5e-4, seed=7))
-print(f"joint training loss: {curve[0]:.3f} -> {curve[-1]:.3f} over {len(curve)} epochs")
+cfg = TrainConfig(epochs=120, lr_end_epoch=110, weight_decay=5e-4, seed=7)
+untrained = net.loss_value(x_train, y_train)
+net, loss = train(net, x_train, y_train, cfg)
+print(f"joint training loss: {untrained:.3f} untrained -> {loss:.3f} after {cfg.epochs} epochs")
 
 probs = net.exit_probs(x_test)
 print(f"\n{'exit':<6}{'accuracy':>10}{'mean confidence':>17}")

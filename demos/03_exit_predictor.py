@@ -46,10 +46,10 @@ test_traces = emit_traces(net, x_test, y_test, topology, seed=8)
 
 lam = (0.9, 0.9)
 fit_traces, select_traces = split_trace_set(train_traces, 0.2, seed=7)
-ep, curve = train_predictor(fit_traces, lam,
-                            cfg=TrainConfig(epochs=150, lr_end_epoch=140,
-                                            weight_decay=2e-4, seed=11))
-print(f"predictor BCE: {curve[0]:.3f} -> {curve[-1]:.3f}")
+ep, loss = train_predictor(fit_traces, lam,
+                           cfg=TrainConfig(epochs=150, lr_end_epoch=140,
+                                           weight_decay=2e-4, seed=11))
+print(f"predictor BCE after training: {loss:.3f}")
 
 gamma = select_gamma(select_traces, predict_scores(ep, select_traces), lam, grid_step=0.05)
 print(f"selected prediction thresholds gamma = {gamma} at lambda = {lam}")

@@ -305,7 +305,7 @@ def stage_gen_data(cfg: Config, which: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stage_train_ee(cfg: Config, x: np.ndarray, y: np.ndarray,
-                   num_classes: int) -> tuple[zoo.ToyEarlyExitNet, list[float]]:
+                   num_classes: int) -> tuple[zoo.ToyEarlyExitNet, float]:
     ee = cfg.doc["ee"]
     net = zoo.ToyEarlyExitNet.build(
         x.shape[1], num_classes, cfg.topology.num_exits, trunk_widths=ee["trunk_widths"],
@@ -320,7 +320,7 @@ def stage_emit_traces(cfg: Config, net: zoo.ToyEarlyExitNet, x: np.ndarray, y: n
 
 
 def stage_train_ep(cfg: Config, ts: trace.TraceSet, lam: Sequence[float]
-                   ) -> tuple[predictor.ExitPredictor, list[float]]:
+                   ) -> tuple[predictor.ExitPredictor, float]:
     return predictor.train_predictor(ts, lam, hidden=cfg.doc["ep"]["hidden"],
                                      cfg=cfg.training["ep"])
 
@@ -410,7 +410,7 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
         x, y = data[which] = stage_gen_data(cfg, which)
         write(zoo.save_dataset, path(f"dataset_{which}.jsonl"), x, y,
               cfg.specs[which].num_classes)
-    net, ee_curve = stage_train_ee(cfg, *data["train"], cfg.specs["train"].num_classes)
+    net, ee_loss = stage_train_ee(cfg, *data["train"], cfg.specs["train"].num_classes)
     write(net.save, path("ee.json"))
     train_ts = stage_emit_traces(cfg, net, *data["train"], flip_seed=cfg.seed)
     write(trace.save_trace_set, train_ts, path("traces_train.jsonl"))
@@ -424,7 +424,7 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
     select_set = test_ts if cfg.doc["policy"]["gamma_split"] == "test" else select_ts
 
     lam_star = best_plain_lambda(select_set, cfg.doc["policy"]["lambda_grid"])
-    ep, ep_curve = stage_train_ep(cfg, fit_ts, lam_star)
+    ep, ep_loss = stage_train_ep(cfg, fit_ts, lam_star)
     write(predictor.save_predictor, ep, path("ep.json"))
     select_scores = predictor.predict_scores(ep, select_set)
     gamma_star = stage_select_gamma(cfg, select_set, select_scores, lam_star)
@@ -456,8 +456,8 @@ def stage_demo(cfg: Config, outdir: str) -> dict:
         "seed": cfg.seed,
         "lambda_star": list(lam_star),
         "gamma_star": list(gamma_star),
-        "ee_final_loss": ee_curve[-1],
-        "ep_final_loss": ep_curve[-1],
+        "ee_final_loss": ee_loss,
+        "ep_final_loss": ep_loss,
         "test": {method: rep.to_dict() for method, _, _, rep, _ in report},
         "sweep_feasible": [p.feasible for p in sweep_points],
         "regressor_max_abs_errors": [r.max_abs_error for r in regressors],
@@ -715,19 +715,19 @@ def run(argv: Sequence[str] | None = None) -> int:
         zoo.save_dataset(args.out, x, y, cfg.specs[args.which].num_classes)
         print(f"wrote {args.out}")
     elif args.command == "train-ee":
-        net, curve = stage_train_ee(cfg, *zoo.load_dataset(args.data))
+        net, loss = stage_train_ee(cfg, *zoo.load_dataset(args.data))
         net.save(args.out)
-        print(f"wrote {args.out} (final loss {curve[-1]:.6f})")
+        print(f"wrote {args.out} (final loss {loss:.6f})")
     elif args.command == "emit-traces":
         net = zoo.ToyEarlyExitNet.load(args.net)
         x, y, _ = zoo.load_dataset(args.data)
         trace.save_trace_set(stage_emit_traces(cfg, net, x, y, flip_seed=cfg.seed), args.out)
         print(f"wrote {args.out}")
     elif args.command == "train-ep":
-        ep, curve = stage_train_ep(cfg, trace.load_trace_set(args.traces),
-                                   _parse_vector(args.lam))
+        ep, loss = stage_train_ep(cfg, trace.load_trace_set(args.traces),
+                                  _parse_vector(args.lam))
         predictor.save_predictor(ep, args.out)
-        print(f"wrote {args.out} (final loss {curve[-1]:.6f})")
+        print(f"wrote {args.out} (final loss {loss:.6f})")
     elif args.command == "select-gamma":
         ts, ep, scores = _load_scored(args.traces, args.ep)
         lam = _parse_vector(args.lam) if args.lam else ep.lam

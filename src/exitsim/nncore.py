@@ -8,14 +8,15 @@ its exits, from ``softmax_ce_parts``.  Both are a ``Net``: every weight and
 bias is a view of one float64 buffer, and one forward and one backward
 loop over the layers serve both.  ``train`` is the one epoch loop: it
 checks the targets once, each minibatch's gradients land in place in a
-second buffer, and the update is one pass over the parameter buffer.
+second buffer, and the update is one pass over the parameter buffer.  One
+full-set loss, after the last epoch, is all it reports.
 ``loss_and_grads`` returns fresh arrays.  Training is single-threaded and
 bit-reproducible for a fixed seed.
 
 Each loss piece is computed once per step.  A softmax-CE head takes its
 softmax and log-sum-exp from one max, exp and sum, and its gradient from
 that softmax; BCE clamps once for its value and its gradient.  The value
-path (``loss_value``, the post-epoch full-set loss) builds no gradients
+path (``loss_value``, ``train``'s final full-set loss) builds no gradients
 and stops a softmax-CE head at its logits.  Every value and gradient has
 the bits of the straightforward form.
 """
@@ -116,12 +117,11 @@ class Net:
             raise ValueError(f"input dimension {x.shape} incompatible with {self.in_dim}")
         return x2, single
 
-    def _forward(self, x2: np.ndarray, work=None) -> list[np.ndarray]:
-        """The activation list of a batch of rows; ``work`` may hold an array
-        per layer to write its output into, as ``train`` does for the full set."""
+    def _forward(self, x2: np.ndarray) -> list[np.ndarray]:
+        """The activation list of a batch of rows."""
         acts = [x2]
-        for i, ((w, b), act, src) in enumerate(zip(self.layers, self.activations, self.sources)):
-            z = np.matmul(acts[src], w, out=None if work is None else work[i])
+        for (w, b), act, src in zip(self.layers, self.activations, self.sources):
+            z = acts[src] @ w
             z += b
             if act == "relu":
                 np.maximum(z, 0.0, out=z)
@@ -236,10 +236,10 @@ class Mlp(Net):
             raise ValueError("BCE expects a sigmoid head")
         return as_reals(targets, "targets", rows=np.ndim(targets) > 1).reshape(rows, self.out_dim)
 
-    def _loss(self, x2: np.ndarray, y: np.ndarray, grads, work=None) -> float:
+    def _loss(self, x2: np.ndarray, y: np.ndarray, grads) -> float:
         """The BCE of the head's output against ``y``; with ``grads``, its
         gradients are written there.  The value path builds no gradient."""
-        acts = self._forward(x2, work)
+        acts = self._forward(x2)
         value, dout = bce_parts(acts[-1], y, grads is not None)
         if grads is not None:
             self._backward(acts, [None] * (len(acts) - 1) + [dout], grads)
@@ -386,35 +386,33 @@ def sgd_epoch(model, inputs, targets, cfg: TrainConfig, lr: float,
 
 
 def train(net, inputs, targets, cfg: TrainConfig = TrainConfig()):
-    """Train the net in place; returns it plus the post-epoch full-set loss curve.
+    """Train the net in place; returns it and its full-set loss after the last epoch.
 
     The one epoch loop: ``net`` is a ``Net`` under its own loss, an Mlp
     under BCE or a ToyEarlyExitNet under its weighted softmax CE.  The input
-    width, the head, the target shape and every label are checked once,
-    before any parameter moves.  Rows are shuffled by one generator seeded
-    ``cfg.seed``.  Only a non-finite loss reads ``training diverged at
-    epoch N``.
+    width, the sample count, the head, the target shape and every label are
+    checked once, before any parameter moves.  Rows are shuffled by one
+    generator seeded ``cfg.seed``.  Only a non-finite loss reads ``training
+    diverged at epoch N``: N is the epoch of a non-finite minibatch loss, or
+    ``cfg.epochs`` for a non-finite final loss.  With no epochs the loss is
+    the untrained net's.
     """
     x, single = net._promote(inputs)
     if single or not len(x):
         raise ValueError("inputs must be a nonempty (samples, dim) array")
-    if len(targets) != len(x):
+    if np.ndim(targets) == 0 or len(targets) != len(x):
         raise ValueError("inputs and targets disagree on sample count")
     t = net.targets(targets, len(x))
     rng = np.random.default_rng(cfg.seed)
-    # The full-set outputs reuse one array per layer: fresh ones this large fault in anew.
-    work = [np.empty((len(x), fan_out)) for _, fan_out in net.shapes]
-    curve: list[float] = []
     for epoch in range(cfg.epochs):
         try:
             sgd_epoch(net, x, t, cfg, lr_at(cfg, epoch), rng)
         except FloatingPointError as exc:
             raise ValueError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-        full = net._loss(x, t, None, work)
-        if not np.isfinite(full):
-            raise ValueError(f"training diverged at epoch {epoch + 1}: loss={full}")
-        curve.append(full)
-    return net, curve
+    loss = net._loss(x, t, None)
+    if not math.isfinite(loss):
+        raise ValueError(f"training diverged at epoch {cfg.epochs}: loss={loss}")
+    return net, loss
 
 
 def numeric_gradient_check(model, x, target, step: float = 1e-4) -> float:

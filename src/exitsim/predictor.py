@@ -50,8 +50,9 @@ def make_labels(ts: TraceSet, lam) -> np.ndarray:
 
 
 def train_predictor(ts: TraceSet, lam, hidden: int = 64,
-                    cfg: TrainConfig | None = None) -> tuple[ExitPredictor, list[float]]:
-    """Fit the skip-score net on the traced features against step labels."""
+                    cfg: TrainConfig | None = None) -> tuple[ExitPredictor, float]:
+    """Fit the skip-score net on the traced features against step labels;
+    returns the predictor and its full-set loss after the last epoch."""
     if not ts.has_features:
         raise ValueError("trace set carries no features; cannot train the predictor")
     if cfg is None:
@@ -60,8 +61,8 @@ def train_predictor(ts: TraceSet, lam, hidden: int = 64,
     x = ts.features
     targets = make_labels(ts, lam)
     net = Mlp.init([x.shape[1], hidden, n_early], ["relu", "sigmoid"], seed=cfg.seed)
-    net, curve = train(net, x, targets, cfg)
-    return ExitPredictor(net=net, lam=lam, predictor_flops=ts.topology.predictor_flops), curve
+    net, loss = train(net, x, targets, cfg)
+    return ExitPredictor(net=net, lam=lam, predictor_flops=ts.topology.predictor_flops), loss
 
 
 def predict_scores(ep: ExitPredictor, ts: TraceSet) -> np.ndarray:

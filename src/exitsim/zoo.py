@@ -198,10 +198,10 @@ class ToyEarlyExitNet(Net):
         """Checked class labels; ``train`` checks them once per call."""
         return class_labels(labels, rows, self.num_classes)
 
-    def _loss(self, x2: np.ndarray, labels: np.ndarray, grads, work=None) -> float:
+    def _loss(self, x2: np.ndarray, labels: np.ndarray, grads) -> float:
         """The weighted sum of the exits' mean cross entropies; with
         ``grads``, its gradients are written there."""
-        acts = self._forward(x2, work)
+        acts = self._forward(x2)
         d = [None] * len(acts)
         value = 0.0
         for w, e in zip(self.weights, self._exits):

@@ -148,17 +148,17 @@ def test_train_separable_two_point_task_converges():
     y = np.array([[1.0], [0.0]])
     cfg = TrainConfig(lr=0.5, lr_end=0.01, lr_end_epoch=200, epochs=200,
                       batch_size=2, seed=5)
-    net, curve = train(net, x, y, cfg)
-    assert curve[-1] < 0.1
-    assert len(curve) == 200
+    net, loss = train(net, x, y, cfg)
+    assert loss < 0.1 and loss == net.loss_value(x, y)
 
 
 def test_train_zero_epochs_is_noop():
     net = Mlp.init([3, 2], ["sigmoid"], seed=8)
     before = [p.copy() for p in net.parameters()]
     cfg = TrainConfig(epochs=0, lr_end_epoch=1, batch_size=4, seed=0)
-    net, curve = train(net, np.zeros((4, 3)), np.zeros((4, 2)), cfg)
-    assert curve == []
+    untrained = net.loss_value(np.zeros((4, 3)), np.zeros((4, 2)))
+    net, loss = train(net, np.zeros((4, 3)), np.zeros((4, 2)), cfg)
+    assert loss == untrained
     for p, q in zip(net.parameters(), before):
         assert np.array_equal(p, q)
 
@@ -178,11 +178,13 @@ def test_train_same_seed_bit_identical():
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_divergence_reports_epoch():
-    # The weight decay flips and scales every parameter by 1e200 per step.
+    # The weight decay flips and scales every parameter by 1e200 per step:
+    # the parameters overflow in epoch 2, and epoch 3's first minibatch loss
+    # is the first loss that reads non-finite.
     net = Mlp.init([2, 2], ["sigmoid"], seed=0)
     cfg = TrainConfig(lr=1.0, lr_end=1.0, lr_end_epoch=5, epochs=5, batch_size=4,
                       weight_decay=1e200, seed=0)
-    with pytest.raises(ValueError, match="training diverged at epoch"):
+    with pytest.raises(ValueError, match="^training diverged at epoch 3: non-finite minibatch"):
         train(net, np.ones((4, 2)), np.ones((4, 2)), cfg)
 
 
@@ -198,6 +200,18 @@ def test_train_reports_a_bad_head_or_target_shape_as_itself(head, targets, messa
         train(net, np.ones((4, 2)), targets, cfg)
     assert "diverged" not in str(err.value)
     assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), before))
+
+
+@pytest.mark.parametrize("kind", ["toy", "mlp"])
+@pytest.mark.parametrize("targets", [
+    lambda t: 5, lambda t: None, lambda t: np.array(1), lambda t: t[:-1],
+], ids=["scalar", "none", "zero-d", "one-row-short"])
+def test_train_rejects_targets_of_another_sample_count(kind, targets):
+    net, x, t = small_net_and_batch(kind)
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="^inputs and targets disagree on sample count$"):
+        train(net, x, targets(t), TrainConfig(epochs=2, lr_end_epoch=2, batch_size=5))
+    assert np.array_equal(net.params, before)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -381,9 +395,9 @@ def test_a_restored_net_rebuilds_its_buffer_and_trains_bit_identically(name, tmp
     assert all(p.base is loaded.params for p in loaded.parameters())
     cfg = TrainConfig(lr=0.3, lr_end=0.01, lr_end_epoch=3, epochs=3, batch_size=7,
                       weight_decay=1e-3, seed=4)
-    _, curve = train(net, x, t, cfg)
-    _, loaded_curve = train(loaded, x, t, cfg)
-    assert all(np.array_equal(a, b) for a, b in zip(curve, loaded_curve))
+    _, loss = train(net, x, t, cfg)
+    _, loaded_loss = train(loaded, x, t, cfg)
+    assert np.array_equal(loss, loaded_loss)
     assert np.array_equal(net.params, loaded.params)
 
 

@@ -97,10 +97,11 @@ def test_train_predictor_learns_linear_labels():
     ts = feature_traces(n=400, seed=3)
     cfg = TrainConfig(lr=0.2, lr_end=1e-3, lr_end_epoch=120, epochs=120,
                       batch_size=64, weight_decay=2e-4, seed=3)
-    ep, curve = train_predictor(ts, (0.9, 0.9), cfg=cfg)
-    assert curve[-1] < curve[0]
-    scores = predict_scores(ep, ts)
+    ep, loss = train_predictor(ts, (0.9, 0.9), cfg=cfg)
     labels = make_labels(ts, (0.9, 0.9))
+    untrained = Mlp.init([ts.features.shape[1], 64, 2], ["relu", "sigmoid"], seed=cfg.seed)
+    assert loss < untrained.loss_value(ts.features, labels)
+    scores = predict_scores(ep, ts)
     for n in range(2):
         acc = np.mean((scores[:, n] >= 0.5) == labels[:, n])
         assert acc >= 0.9
