@@ -105,7 +105,8 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
     feasible point contributes its minimum-latency point flagged infeasible
     instead of aborting the sweep.
     """
-    if not bandwidths:
+    bandwidths = as_reals(bandwidths, "bandwidths", "(0, inf)")
+    if not len(bandwidths):
         raise ValueError("bandwidth list must be nonempty")
     table = _table(ts, scores, env, bandwidths, lambda_grid, gamma_grid)
     bws = table.bandwidths
@@ -230,11 +231,16 @@ def _point_columns(n_early: int) -> list:
 
 
 def policy_points_csv(points: Sequence[PolicyPoint]) -> str:
+    """The policy table of ``points``, read back as ``load_policy_points`` reads
+    it: a point it would reject raises ValueError naming its line and column."""
     if not points:
         raise ValueError("no policy points to serialize")
-    return trace.table_text(_point_columns(len(points[0].lam)), (
+    columns = _point_columns(len(points[0].lam))
+    text = trace.table_text(columns, (
         [p.bandwidth, *p.lam, *p.gamma, p.accuracy, p.mean_latency_s, p.feasible]
         for p in points))
+    trace.read_table("policy points", text, columns)
+    return text
 
 
 def save_policy_points(points: Sequence[PolicyPoint], path: str | os.PathLike) -> None:

@@ -580,12 +580,11 @@ class TraceSet:
         return self.features
 
     def subset(self, indices: Sequence[int]) -> "TraceSet":
-        """The samples at ``indices``, in that order.
-
-        Rows of a checked set stay canonical and in range, so only a
-        repeated index can break the new set: it raises as a duplicate id.
+        """The samples at ``indices``, integers in [0, len(self)), in that
+        order.  Rows of a checked set stay canonical and in range, so only
+        a repeated index can break the new set: it raises as a duplicate id.
         """
-        rows = np.fromiter(map(operator.index, indices), dtype=np.intp)
+        rows = as_ints(indices, "indices", f"[0, {len(self)})")
         columns = [None if c is None else c[rows] for c in self._columns()]
         _raise_first([_duplicate_ids(columns[0])])
         ts = TraceSet.__new__(TraceSet)

@@ -396,6 +396,14 @@ def test_fit_adapt_on_a_corrupted_sweep_fails_instead_of_training(small_demo, sm
     assert not out.exists()
 
 
+def test_sweep_on_the_select_traces_reproduces_the_demo_sweep(small_demo, tmp_path, capsys):
+    demo, out = small_demo[0], tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(demo / "config.json"), "--traces",
+                 str(demo / "traces_select.jsonl"), "--ep", str(demo / "ep.json"),
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert out.read_bytes() == (demo / "sweep.csv").read_bytes()
+
+
 def test_fit_adapt_table_rows_carry_the_points_bandwidths(small_demo, tmp_path, capsys):
     # The points come from SMALL_CONFIG's sweep; the default config sweeps
     # other bandwidths, so rows at those would be at bandwidths never fit.
@@ -720,7 +728,8 @@ def test_regressor_section_is_checked_but_changes_nothing(small_demo):
     pytest.param({"sweep_bandwidths": [-1]}, "config: sweep_bandwidths[0] must lie in (0, inf), "
                  "got -1", id="doc3-config: sweep_bandwidths "),
     ({"synth": {"spreads": [1]}}, "config synth: spreads "),
-    ({"policy": {"gamma_split": "tset"}}, "config policy: gamma_split "),
+    pytest.param({"policy": {"gamma_split": "tset"}}, "config policy: unknown key 'gamma_split'",
+                 id="doc5-config policy: gamma_split "),
     ({"polcy": {"gamma_step": 0.1}}, "config: unknown key 'polcy'"),
     ({"topology": 5}, "config topology: must be an object"),
     ({"ee": {"train": {"epochs": 0}}}, "config ee.train: epochs "),
@@ -731,6 +740,12 @@ def test_regressor_section_is_checked_but_changes_nothing(small_demo):
     ({"ee": {"exit_weights": [0, 0, 0]}}, "config ee: exit weights must be >= 0 with positive sum"),
     ({"policy": {"holdout_fraction": 0.9999}},
      "config policy.holdout_fraction: cannot hold out 2000 of 2000 samples"),
+    ({"synth": {"num_classes": 10}}, "config synth: unknown key 'num_classes'"),
+    ({"regressor_intervals": [[1e5, 1e6], [1e7, 1e6]]},
+     "config: regressor_intervals[1] must be [lo, hi] with lo < hi, got [10000000.0, 1000000.0]"),
+    ({"regressor_intervals": [[1e5, 1e6, 1e7]]}, "config: regressor_intervals[0] must be [lo, hi]"),
+    ({"regressor_intervals": [[1e5, 0]]},
+     "config: regressor_intervals[0][1] must lie in (0, inf), got 0"),
 ])
 def test_malformed_config_fails_at_the_check(tmp_path, capsys, doc, message):
     path = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_sweep_output_sorted_by_bandwidth():
     points = sweep_bandwidths(ts, scores, env, [1e6, 1e4, 1e5],
                               [0.5], [0.0, 1.0])
     assert [p.bandwidth for p in points] == [1e4, 1e5, 1e6]
+
+
+def test_sweep_takes_a_numpy_array_of_bandwidths_and_rejects_an_empty_one(monkeypatch):
+    ts, scores, env = search_setup(8, budget=1.0)
+    grids = [0.3, 0.9], [0.0, 1.0]
+    assert (sweep_bandwidths(ts, scores, env, np.array([1e6, 1e5]), *grids)
+            == sweep_bandwidths(ts, scores, env, [1e6, 1e5], *grids))
+    with pytest.raises(ValueError, match=r"^bandwidths\[1\] must lie in \(0, inf\), got -1\.0$"):
+        sweep_bandwidths(ts, scores, env, np.array([1e5, -1.0]), *grids)
+    monkeypatch.setattr(engine, "PolicyTable", None)  # no table may be built
+    for empty in ([], (), np.array([])):
+        with pytest.raises(ValueError, match="^bandwidth list must be nonempty$"):
+            sweep_bandwidths(ts, scores, env, empty, *grids)
 
 
 def test_sweep_records_infeasible_bandwidths_without_aborting():
@@ -367,6 +381,19 @@ def test_policy_points_csv_round_trip(tmp_path):
     path = tmp_path / "points.csv"
     save_policy_points(pts, path)
     assert load_policy_points(path) == pts
+
+
+@pytest.mark.parametrize("bad, where", [
+    (dict(accuracy=float("nan")), "line 3: accuracy: value must be a finite real number, got nan"),
+    (dict(lam=(1.5, 0.5)), "line 3: lambda_1: value must lie in (0, 1), got 1.5"),
+], ids=["nan-accuracy", "lambda-1.5"])
+def test_policy_points_csv_writes_only_what_load_reads(tmp_path, bad, where):
+    good = PolicyPoint(1e5, (0.2, 0.9), (0.0, 1.0), 0.8123, 0.0291, True)
+    path = tmp_path / "points.csv"
+    with pytest.raises(ValueError) as info:
+        save_policy_points([good, replace(good, bandwidth=1e6, **bad)], path)
+    assert str(info.value) == f"policy points: {where}"
+    assert not path.exists()
 
 
 def test_regressor_bundle_round_trip(tmp_path):

@@ -614,7 +614,7 @@ def test_features_must_be_uniform():
 def test_subset_equals_from_columns_on_the_same_rows(seed, features, data):
     ts = random_trace_set(np.random.default_rng(seed), small_topology(), n_samples=12,
                           with_features=features)
-    rows = data.draw(st.lists(st.integers(-12, 11), max_size=12, unique_by=lambda i: i % 12))
+    rows = data.draw(st.lists(st.integers(0, 11), max_size=12, unique=True))
     part = ts.subset(rows)
     assert part == TraceSet.from_columns(
         ts.topology, *(None if c is None else c[rows] for c in ts._columns()))
@@ -627,7 +627,20 @@ def test_subset_equals_from_columns_on_the_same_rows(seed, features, data):
 def test_subset_with_a_repeated_index_is_a_duplicate_id():
     ts = random_trace_set(np.random.default_rng(3), small_topology(), n_samples=6)
     with pytest.raises(ValueError, match=f"^sample {ts.ids[4]}: duplicate id$"):
-        ts.subset([1, 4, 2, -2])
+        ts.subset([1, 4, 2, 4])
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([-1], "indices[0] must lie in [0, 6), got -1"),
+    ([True, False], "indices[0] must be an integer, got True"),
+    ([2, 6], "indices[1] must lie in [0, 6), got 6"),
+    (np.array([0, 1.5]), "indices[1] must be an integer, got 1.5"),
+], ids=["negative", "bool", "past-the-end", "fractional"])
+def test_subset_takes_only_indices_in_range(indices, message):
+    ts = random_trace_set(np.random.default_rng(3), small_topology(), n_samples=6)
+    with pytest.raises(ValueError) as info:
+        ts.subset(indices)
+    assert str(info.value) == message
 
 
 def test_split_trace_set_partitions_and_is_deterministic():
