@@ -28,14 +28,15 @@ one-sample report.  ``run_plain``, ``run_with_predictor``, ``run_oracle``
 and ``policy_stats`` check their arguments once, walk once and price the
 counts.  ``PolicyTable`` never walks: given a value list per early exit,
 it takes the counts of every (lambda, gamma) combination of their
-products from blocked float64 BLAS products of 0/1 threshold masks, which
-count exactly, so threshold searches are queries on it and each row
-equals its ``policy_stats`` report bit for bit.
+products as exact integer differences of slices of one suffix-summed
+histogram of the samples' grid cells, so threshold searches are queries
+on it and each row equals its ``policy_stats`` report bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -265,72 +266,70 @@ def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | No
 # -- the policy table ---------------------------------------------------------
 
 
-# Samples per block of the table's mask products, (prefixes x block) @
-# (block x columns) of 0/1 masks in float64 through BLAS.  Each partial sum
-# is an integer at most the set size, far below 2**53, so the counts are
-# exact in any summation order; the working set stays a few hundred KB.
-_BLOCK = 256
+def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
+                      gamma_grid: list[np.ndarray] | None, scores: np.ndarray | None) -> np.ndarray:
+    """C[group, u_0, v_0, u_1, v_1, ...]: the samples of each group with
+    j_n >= u_n and k_n >= v_n at every early exit n.
+
+    A sample's cell (j_n, k_n) at exit n counts the lambda values at most
+    its confidence and the gamma values at most its score, so it clears
+    value a exactly when a < j_n and its gate passes value b exactly when
+    b < k_n.  The ungated table has one gate per exit, always open: k_n = 0
+    on an axis of one cell.  The groups are every sample, those right at
+    the server, then those right at each early exit, the last first.  One
+    int64 histogram per group over the joint cells, summed from the end of
+    every axis.
+    """
+    gated = gamma_grid is not None
+    cell, shape = 0, []
+    for n, lams in enumerate(lam_grid):
+        shape += [len(lams) + 1, len(gamma_grid[n]) + 1 if gated else 1]
+        gate = np.searchsorted(gamma_grid[n], scores[:, n], "right") if gated else 0
+        cell = (cell * shape[-2] + np.searchsorted(lams, ts.conf[:, n], "right")) * shape[-1] + gate
+    right = (ts.pred == ts.label[:, None]).T[::-1]
+    hist = np.stack([np.bincount(group, minlength=math.prod(shape))
+                     for group in (cell, *(cell[r] for r in right))]).reshape(-1, *shape)
+    for axis in range(1, hist.ndim):  # in-place adds; np.cumsum is slower across rows
+        rows = hist.reshape(math.prod(hist.shape[:axis]), hist.shape[axis], -1)
+        for u in range(hist.shape[axis] - 1, 0, -1):
+            rows[:, u - 1] += rows[:, u]
+    return hist
 
 
 def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.ndarray] | None,
                   scores: np.ndarray | None) -> _Counts:
     """Counts of every (lambda, gamma) combination, lambda-major; no walk.
 
-    At exit n a combination's walk depends on its prefix, the (lambda,
-    gamma) values before n, and its pair (lambda_n, gamma_n).  The prefixes
-    form a (lambda prefixes, gamma prefixes) grid, each carrying the mask of
-    samples alive after it; each pair has the masks of samples its gate
-    passes and of those it terminates.  One float64 product per exit,
-    block of samples and count kind counts every prefix against every
-    pair, and each entry is some combination's exact count (see
-    ``_BLOCK``).  The ungated table has one gate per exit, always open.
+    At exit n, a pair (a, b) terminates the samples in the slice (a + 1,
+    b + 1) of ``_suffix_histogram`` (b + 1 is cell 0 when ungated), its gate
+    passes those in (0, b + 1), and it passes on the rest, (0, 0) minus the
+    first.  Passing on at every exit before n, then slicing at n with later
+    exits at (0, 0), counts the samples reaching n, charged there and
+    terminating there (of those right at n, correct there); passing on at
+    every exit counts tx (of those right at the server, correct there).
+    Every count is an exact integer difference.
     """
     n_early = ts.topology.num_early_exits
     gated = gamma_grid is not None
-    gamma_grid = gamma_grid if gated else [np.zeros(1)] * n_early
-    # Per exit, (lambda prefixes, gamma prefixes, lambda_n, gamma_n) sums,
-    # of size 1 where a count does not depend on the value: the samples
-    # reaching the exit; those its gate passes; those a pair terminates and
-    # those of them correct; at the last exit, the survivors correct at the
-    # server.
-    sums: list = [None] * n_early
-    for start in range(0, len(ts), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        right = ts.pred[rows, :, None, None] == ts.label[rows, None, None, None]
-        size = len(right)
-        alive = np.ones((1, 1, size))  # after the empty prefix
-        for n, (lams, gammas) in enumerate(zip(lam_grid, gamma_grid)):
-            gate = (scores[rows, n, None] >= gammas if gated
-                    else np.ones((size, 1), dtype=bool))[:, None]
-            # (samples, lambda_n, gamma_n): the samples each pair terminates
-            stop = (ts.conf[rows, n, None] >= lams)[:, :, None] & gate
-            masks = [np.ones((size, 1, 1), dtype=bool), gate, stop, stop & right[:, n]]
-            if n == n_early - 1:
-                masks.append(~stop & right[:, n_early])
-            flat = alive.reshape(-1, size)
-            parts = [(flat @ mask.reshape(size, -1).astype(np.float64)).reshape(
-                *alive.shape[:2], *mask.shape[1:]) for mask in masks]
-            sums[n] = parts if sums[n] is None else [a + b for a, b in zip(sums[n], parts)]
-            if n + 1 < n_early:  # alive after each prefix one exit longer
-                go = np.ascontiguousarray(np.moveaxis(~stop, 0, -1))
-                alive = (alive[:, None, :, None] * go[:, None]).reshape(
-                    -1, alive.shape[1] * len(gammas), size)
-    sums = [[part.astype(np.int64) for part in parts] for parts in sums]
-    # Each combination's counts, broadcast from its prefix and pair.
-    lam_sizes, gamma_sizes = [len(v) for v in lam_grid], [len(v) for v in gamma_grid]
-
-    def spread(part: np.ndarray, n: int) -> np.ndarray:
-        ones = (1,) * (n_early - 1 - n)
-        return np.broadcast_to(part.transpose(0, 2, 1, 3).reshape(
-            *lam_sizes[:n], part.shape[2], *ones, *gamma_sizes[:n], part.shape[3], *ones),
-            (*lam_sizes, *gamma_sizes))
-
-    columns = lambda kind: np.stack([spread(parts[kind], n) for n, parts in enumerate(sums)],
-                                    axis=-1).reshape(-1, n_early)
-    reach, term = columns(0), columns(2)
-    correct = (sum(spread(parts[3], n) for n, parts in enumerate(sums))
-               + spread(sums[-1][4], n_early - 1))
-    return _Counts(reach, columns(1), term, reach[:, -1] - term[:, -1], correct.ravel())
+    hist = _suffix_histogram(ts, lam_grid, gamma_grid, scores)
+    # A slice keeps every axis, of one cell where its count does not depend
+    # on the value, so assigning it lambda-major broadcasts it to every
+    # combination.
+    sizes = [len(v) for v in lam_grid] + ([len(v) for v in gamma_grid] if gated else [1] * n_early)
+    order = [*range(0, 2 * n_early, 2), *range(1, 2 * n_early, 2)]
+    reach, charged, term = (np.empty((*sizes, n_early), dtype=np.int64) for _ in range(3))
+    correct = np.zeros(sizes, dtype=np.int64)
+    one, on, gates = slice(0, 1), slice(1, None), slice(int(gated), None)
+    for n in range(n_early):
+        head, tail = (slice(None),) * (2 * n + 1), (one,) * (2 * (n_early - 1 - n))
+        at = lambda u, v, group=0: hist[head + (u, v) + tail][group].transpose(order)
+        reach[..., n], charged[..., n], term[..., n] = at(one, one), at(one, gates), at(on, gates)
+        correct += at(on, gates, -1)  # the last group: right at exit n
+        # Those each pair passes on at exit n; exit n's right group is done.
+        hist = hist[:-1][head + (one, one)] - hist[:-1][head + (on, gates)]
+    correct += hist[1].transpose(order)
+    return _Counts(reach.reshape(-1, n_early), charged.reshape(-1, n_early),
+                   term.reshape(-1, n_early), hist[0].transpose(order).ravel(), correct.ravel())
 
 
 class PolicyTable:
@@ -341,9 +340,9 @@ class PolicyTable:
     exit, lambda-major, each exit's values ascending (repeats kept), as
     ``combo`` returns them.  ``gamma_grid`` None tabulates the plain
     policy.  With a ``compute_speed`` and ``bandwidths``, each combination's
-    mean latency is priced at every bandwidth.  No sample is walked: blocked
-    mask products count each combination's walk, and the count formula
-    ``policy_stats`` applies to its one walk turns the counts into
+    mean latency is priced at every bandwidth.  No sample is walked: slices
+    of one grid-cell histogram count each combination's walk, and the count
+    formula ``policy_stats`` applies to its one walk turns the counts into
     aggregates, so each row equals its report bit for bit.  Only aggregates
     are kept, never per-sample arrays.
     """

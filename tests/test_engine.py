@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim.engine import (
-    _BLOCK,
     AggregateReport,
     Environment,
     PolicyTable,
@@ -166,7 +165,7 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans(),
-       n_samples=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+       n_samples=st.sampled_from([1, 255, 256, 257, 515]),
        n_lams=st.integers(1, 2), n_gammas=st.integers(1, 2), repeat=st.booleans())
 def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, n_lams,
                                              n_gammas, repeat):
@@ -208,8 +207,8 @@ def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, 
 
 
 def test_gated_table_build_peaks_below_two_megabytes():
-    # Whole-set mask products on this set would take about 16 MB; the
-    # blocked ones keep the build's working set to a few hundred KB.
+    # The build keeps per-sample arrays only until the grid-cell histogram
+    # is made, and no (samples x combinations) array at any point.
     rng = np.random.default_rng(15)
     n = 8192
     ts = TraceSet.from_columns(VGG_TOPOLOGY, np.arange(n), rng.integers(0, 10, n),
@@ -228,10 +227,10 @@ def test_gated_table_build_peaks_below_two_megabytes():
 
 
 def test_table_counts_are_int64_and_conserve_every_sample():
-    # The mask products run in float64; the counts come back as integers
-    # that account for every sample of every combination, across blocks.
+    # The counts are int64 differences of histogram slices that account
+    # for every sample of every combination.
     rng = np.random.default_rng(21)
-    n = 3 * _BLOCK + 5
+    n = 773
     ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=n)
     lam_grid = [np.sort(rng.uniform(0.1, 0.99, 3)) for _ in range(3)]
     gamma_grid = [np.array([0.0, 0.5, 1.0])] * 3
@@ -243,6 +242,54 @@ def test_table_counts_are_int64_and_conserve_every_sample():
     assert (term.sum(axis=1) + tx == n).all()
     assert (charged <= reach).all()
     assert (correct <= n).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans())
+def test_table_counts_do_not_depend_on_sample_order(seed, num_exits, gated):
+    # A histogram forgets the order of the samples it counts.
+    rng = np.random.default_rng(seed)
+    n, n_early = int(rng.integers(1, 300)), num_exits - 1
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n)
+    scores = rng.uniform(0.0, 1.0, (n, n_early)) if gated else None
+    lam_grid = [np.sort(rng.uniform(0.05, 0.99, rng.integers(1, 4))) for _ in range(n_early)]
+    gamma_grid = ([np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 4))) for _ in range(n_early)]
+                  if gated else None)
+    order = rng.permutation(n)
+    counts = _table_counts(ts, lam_grid, gamma_grid, scores)
+    shuffled = _table_counts(ts.subset(order), lam_grid, gamma_grid,
+                             scores[order] if gated else None)
+    for field, a, b in zip(counts._fields, counts, shuffled):
+        assert a.dtype == b.dtype == np.int64, field
+        assert np.array_equal(a, b), field
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans())
+def test_table_rows_equal_policy_stats_when_every_value_ties_a_sample(seed, num_exits, gated):
+    # Every lambda value is some sample's confidence and every gamma value
+    # some sample's score at that exit, and scores of exactly 0 and 1 meet
+    # gamma values 0 and 1: each row sits on the weak inequalities' edge.
+    rng = np.random.default_rng(seed)
+    n, n_early = int(rng.integers(2, 40)), num_exits - 1
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n)
+    scores = rng.choice([0.0, 1.0, 0.5, rng.uniform()], (n, n_early))
+    scores[0], scores[1] = 0.0, 1.0
+    lam_grid = [ts.conf[rng.integers(0, n, 2), e] for e in range(n_early)]
+    gamma_grid = [np.concatenate([[0.0, 1.0], scores[rng.integers(0, n, 1), e]])
+                  for e in range(n_early)]
+    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None,
+                        scores if gated else None, 3.62e9, (1e4, 1e7))
+    for i in range(len(table.accuracy)):
+        lam, gamma = table.combo(i)
+        for b, bandwidth in enumerate(table.bandwidths):
+            rep = policy_stats(ts, lam, gamma, scores if gated else None,
+                               Environment(3.62e9, bandwidth, 0.03))
+            assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
+                         tuple(table.exit_distribution[i].tolist()),
+                         float(table.mean_latency_s[i, b]))) == repr(
+                (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
+                 rep.mean_latency_s))
 
 
 @pytest.mark.parametrize("gated", [False, True])
