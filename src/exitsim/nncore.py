@@ -15,10 +15,13 @@ bit-reproducible for a fixed seed.
 
 Each loss piece is computed once per step.  A softmax-CE head takes its
 softmax and log-sum-exp from one max, exp and sum, and its gradient from
-that softmax; BCE clamps once for its value and its gradient.  The value
-path (``loss_value``, ``train``'s final full-set loss) builds no gradients
-and stops a softmax-CE head at its logits.  Every value and gradient has
-the bits of the straightforward form.
+that softmax; the toy net's heads share one such pass over their stacked
+logits.  BCE clamps once for its value and its gradient.  ``sigmoid`` is
+``where(z >= 0, 1, e) / (1 + e)`` with ``e = exp(-|z|)``, and an epoch
+gathers its shuffled rows once.  The value path (``loss_value``,
+``train``'s final full-set loss) builds no gradients, stops a softmax-CE
+head at its logits and takes one head at a time.  Every value and
+gradient has the bits of the straightforward form.
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ BCE_CLAMP = 1e-7
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, as
+    ``e = exp(-|z|)`` over ``1 + e`` with numerator 1 or ``e``: no exp
+    overflows, and no boolean mask splits the array."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -282,10 +284,12 @@ def bce_parts(scores: np.ndarray, targets: np.ndarray, want_grad: bool):
     scores, zero where the clamp is active (else None).  The value and the
     gradient share one clamp."""
     sc = np.clip(scores, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    value = float(np.mean(-(targets * np.log(sc) + (1.0 - targets) * np.log(1.0 - sc))))
+    rest = 1.0 - sc
+    losses = -(targets * np.log(sc) + (1.0 - targets) * np.log(rest))
+    value = float(np.add.reduce(losses, axis=None) / scores.size)
     if not want_grad:
         return value, None
-    grad = (sc - targets) / (sc * (1.0 - sc)) / scores.size
+    grad = (sc - targets) / (sc * rest) / scores.size
     inside = (scores > BCE_CLAMP) & (scores < 1.0 - BCE_CLAMP)
     return value, np.where(inside, grad, 0.0)
 
@@ -305,6 +309,8 @@ def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = F
     """Per-row cross entropy of softmax(logits) against checked int64
     ``labels`` and, with ``want_grad``, its gradient in the logits (else None).
 
+    ``logits`` is (rows, P), or (H, rows, P) for H heads against the same
+    labels: each head's losses and gradient have the bits of its own call.
     The log-sum-exp and the softmax share one max, exp and sum.  The row
     max runs over a column-major copy, one column at a time: exact in any
     order (NaN too), and far faster than numpy's reduction of short rows.
@@ -314,11 +320,11 @@ def softmax_ce_parts(logits: np.ndarray, labels: np.ndarray, want_grad: bool = F
     e = logits - m
     np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)
-    losses = (m + np.log(s))[..., 0] - logits[rows, labels]
+    losses = (m + np.log(s))[..., 0] - logits[..., rows, labels]
     if not want_grad:
         return losses, None
     e /= s
-    e[rows, labels] -= 1.0
+    e[..., rows, labels] -= 1.0
     return losses, e
 
 
@@ -367,16 +373,18 @@ def sgd_epoch(model, inputs, targets, cfg: TrainConfig, lr: float,
     the model's own loss.
 
     ``targets`` are as ``model.targets`` returns them.  ``rng`` shuffles the
-    rows, and a minibatch is the next ``batch_size`` of them.  Each step
+    rows, gathered once per epoch, and a minibatch is the next
+    ``batch_size`` of them, a slice of that copy.  Each step
     writes its gradients into ``model.grads`` and updates all of
     ``model.params`` in one pass.  A non-finite minibatch loss raises
     FloatingPointError.
     """
     params, grads = model.params, model.grads
     perm = rng.permutation(inputs.shape[0])
+    x, t = inputs[perm], targets[perm]
     for start in range(0, len(perm), cfg.batch_size):
-        idx = perm[start:start + cfg.batch_size]
-        if not math.isfinite(model._loss(inputs[idx], targets[idx], model._grad_layers)):
+        batch = slice(start, start + cfg.batch_size)
+        if not math.isfinite(model._loss(x[batch], t[batch], model._grad_layers)):
             raise FloatingPointError("non-finite minibatch loss")
         # params -= lr * (grads + wd * params), in place on the fresh
         # gradient: the same products and sums, and products commute exactly.

@@ -77,7 +77,8 @@ def canon_array(values) -> np.ndarray:
     rounded, which holds for e in [-14, 30].  A decade estimate one too
     high only coarsens the grid and one too low pushes |m| to 10**9, so
     neither lets through a value canon would change.  Every other value
-    (more digits, zero, subnormal, huge, non-finite) goes through ``canon``.
+    (more digits, zero, subnormal, huge, non-finite) is formatted as
+    ``canon`` formats it, all in one string, and parsed back.
     """
     out = np.array(values, dtype=np.float64)
     flat = out.reshape(-1)
@@ -91,7 +92,8 @@ def canon_array(values) -> np.ndarray:
     ok &= (np.abs(m) < 1e9) & (np.where(up, m / scale, m * scale) == flat)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        flat[slow] = [canon(v) for v in flat[slow].tolist()]
+        text = f"%{_FLOAT_FMT} " * slow.size % tuple(flat[slow].tolist())
+        flat[slow] = np.array(text.split(), dtype=np.float64)
     return out
 
 

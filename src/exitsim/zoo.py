@@ -200,19 +200,26 @@ class ToyEarlyExitNet(Net):
 
     def _loss(self, x2: np.ndarray, labels: np.ndarray, grads) -> float:
         """The weighted sum of the exits' mean cross entropies; with
-        ``grads``, its gradients are written there."""
+        ``grads``, its gradients are written there.
+
+        A training step stacks the heads' logits for one softmax-CE pass,
+        and each head's gradient is its slice of the pass's.  The value
+        path takes one head at a time, so that only one head's temporaries
+        are alive on the full set."""
         acts = self._forward(x2)
-        d = [None] * len(acts)
-        value = 0.0
-        for w, e in zip(self.weights, self._exits):
-            losses, dlogits = softmax_ce_parts(acts[e], labels, grads is not None)
-            value += w * float(np.mean(losses))
-            if grads is not None:
-                dlogits *= w / len(labels)
-                d[e] = dlogits
-        if grads is not None:
+        logits = [acts[e] for e in self._exits]
+        n = len(labels)
+        if grads is None:
+            means = [np.add.reduce(softmax_ce_parts(z, labels)[0]) / n for z in logits]
+        else:
+            losses, dlogits = softmax_ce_parts(np.array(logits), labels, True)
+            means = np.add.reduce(losses, axis=-1) / n
+            dlogits *= (np.array(self.weights) / n)[:, None, None]
+            d = [None] * len(acts)
+            for e, dz in zip(self._exits, dlogits):
+                d[e] = dz
             self._backward(acts, d, grads)
-        return value
+        return sum(w * float(m) for w, m in zip(self.weights, means))
 
     def to_dict(self) -> dict:
         return {

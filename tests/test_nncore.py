@@ -15,9 +15,12 @@ from exitsim.nncore import (
     numeric_gradient_check,
     sigmoid,
     softmax,
+    softmax_ce_parts,
     train,
 )
 from exitsim.zoo import ToyEarlyExitNet
+
+from helpers import ref_sigmoid
 
 
 def bce(scores, targets) -> float:
@@ -272,6 +275,40 @@ def test_sigmoid_stays_inside_unit_interval(z):
     s = sigmoid(np.array([z]))[0]
     assert 0.0 < s < 1.0 or (s in (0.0, 1.0) and abs(z) > 30)
     assert 0.0 <= s <= 1.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("classes", [2, 10, 12])
+@pytest.mark.parametrize("rows", [1, 7, 8, 127, 128, 129, 2000])
+def test_stacked_softmax_ce_equals_one_call_per_head(rows, classes):
+    # The toy net's training step takes all heads in one pass.  Row counts
+    # around 8 and 128 put numpy's unrolled and pairwise sums at their edges.
+    rng = np.random.default_rng(rows * 100 + classes)
+    logits = rng.normal(scale=4.0, size=(3, rows, classes))
+    labels = rng.integers(0, classes, rows)
+    for want_grad in (False, True):
+        losses, grads = softmax_ce_parts(logits, labels, want_grad)
+        assert losses.shape == (3, rows)
+        means = np.add.reduce(losses, axis=-1) / rows
+        for k in range(3):
+            own, own_grad = softmax_ce_parts(logits[k].copy(), labels, want_grad)
+            assert np.array_equal(_bits(losses[k]), _bits(own))
+            assert np.array_equal(_bits(means[k]), _bits(np.mean(own)))
+            if want_grad:
+                assert np.array_equal(_bits(grads[k]), _bits(own_grad))
+            else:
+                assert grads is None and own_grad is None
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    z = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 1e-320, -1e-320],
+                        rng.normal(scale=30.0, size=100_000)])
+    assert np.array_equal(_bits(sigmoid(z)), _bits(ref_sigmoid(z)))
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_checkpoint_round_trip_exact():

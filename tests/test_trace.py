@@ -440,6 +440,22 @@ def test_canon_array_matches_canon(values):
     assert _bits(got.ravel()) == _bits([canon(v) for v in values])
 
 
+def test_canon_array_formats_its_slow_values_as_canon_does():
+    # None of these has at most 9 significant digits in a decade the exact
+    # test covers, so all of them go through the one formatted string.
+    rng = np.random.default_rng(6)
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e300, -1e300,
+         1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan],
+        np.nextafter(_DECADES, 0.0), np.nextafter(_DECADES, np.inf),
+        [1234567891.0, -0.1234567891, 9999999999e-5, 12345678901234567.0, 0.1 + 0.2],
+        rng.uniform(-1e3, 1e3, 500),
+    ])
+    got = canon_array(values.reshape(-1, 2))
+    assert got.shape == (len(values) // 2, 2)
+    assert _bits(got.ravel()) == _bits([canon(v) for v in values])
+
+
 @st.composite
 def _trace_sets(draw):
     n_exits, p = draw(st.integers(2, 4)), draw(st.integers(2, 12))

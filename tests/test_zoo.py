@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_default_scale_training_completes_quickly():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     assert loss < untrained
+
+
+def test_full_set_loss_peaks_below_two_and_a_half_mebibytes():
+    # The value path takes one head at a time: stacking the three heads'
+    # logits for one pass, as a training step does, held about 3.15 MiB here.
+    x, y = generate_dataset(SynthSpec.ring(2000, 10, 8, seed=7))
+    net = ToyEarlyExitNet.build(8, 10, trunk_widths=(32, 32), final_hidden=32, seed=7)
+    tracemalloc.start()
+    try:
+        loss = net.loss_value(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(loss)
+    assert peak < 2.5 * 2**20
 
 
 def test_emitted_confidences_within_softmax_bounds():
