@@ -11,7 +11,6 @@ import numpy as np
 from exitsim import (
     Environment,
     ExitTopology,
-    SampleTrace,
     Thresholds,
     TraceSet,
     run_oracle,
@@ -30,17 +29,16 @@ topology = ExitTopology(
     compression_ratio=64.0,        # spatial/channel/bit-width combined
 )
 
-samples = []
-i = 0
-for count, conf in [
-    (6662, (0.95, 0.50, 0.90)),    # confident at exit 1
-    (1981, (0.50, 0.95, 0.90)),    # needs exit 2
-    (1357, (0.50, 0.50, 0.90)),    # offloaded to the server exit
-]:
-    for _ in range(count):
-        samples.append(SampleTrace(id=i, label=0, confidences=conf, predicted=(0, 0, 0)))
-        i += 1
-traces = TraceSet(topology, tuple(samples))
+counts = [6662, 1981, 1357]
+groups = [
+    (0.95, 0.50, 0.90),            # confident at exit 1
+    (0.50, 0.95, 0.90),            # needs exit 2
+    (0.50, 0.50, 0.90),            # offloaded to the server exit
+]
+n = sum(counts)
+traces = TraceSet.from_columns(topology, ids=np.arange(n), label=np.zeros(n, dtype=int),
+                               conf=np.repeat(groups, counts, axis=0),
+                               pred=np.zeros((n, 3), dtype=int))
 
 lam = (0.9, 0.9)
 env = Environment(compute_speed=3.62e9, bandwidth=1e6, latency_budget=0.030)

@@ -11,7 +11,6 @@ from .engine import (
 )
 from .nncore import Mlp, TrainConfig, numeric_gradient_check, train
 from .optimizer import (
-    InfeasibleError,
     PolicyPoint,
     ThresholdRegressor,
     adapt,
@@ -46,7 +45,6 @@ __all__ = [
     "Environment",
     "ExitPredictor",
     "ExitTopology",
-    "InfeasibleError",
     "Mlp",
     "PolicyPoint",
     "SampleTrace",

@@ -24,7 +24,9 @@ reruns for a fixed config and seed.  The CSV tables (``report.csv``,
 ``frontier.csv``, ``adapt_table.csv``, ``sweep.csv``) go through the one
 table codec in ``trace``; ``validate`` knows a table by its exact header and
 parses every row.  Exit codes: 0 success, 1 runtime failure (one JSON error
-line on stderr), 2 usage.
+line on stderr), 2 usage.  An infeasible latency budget is an answer, not a
+runtime failure: ``optimize`` prints the minimum-latency point with
+``"feasible": false`` and exits 0, as ``sweep`` records such a bandwidth.
 """
 
 from __future__ import annotations
@@ -224,10 +226,8 @@ def check_config(*docs: Mapping) -> Config:
             training[name] = TrainConfig(**cfg[name]["train"], seed=seed + offset)
     with _at("policy.gamma_step"):
         predictor.gamma_grid(cfg["policy"]["gamma_step"])
-    for i, iv in enumerate(cfg["regressor_intervals"]):
-        if not (len(iv) == 2 and iv[0] < iv[1]):
-            raise ValueError(f"config: regressor_intervals[{i}] must be [lo, hi] with lo < hi, "
-                             f"got {iv!r}")
+    with _at(""):
+        optimizer.check_intervals(cfg["regressor_intervals"], "regressor_intervals")
     return Config(doc=cfg, seed=seed, topology=topology, env=env, specs=specs,
                   training=training)
 
@@ -795,12 +795,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as exc:  # single machine-readable error record
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, optimizer.InfeasibleError):
-            point = exc.min_latency_point
-            record["min_latency_point"] = {"lambda": list(point.lam), "gamma": list(point.gamma),
-                                           "mean_latency_s": point.mean_latency_s}
-        sys.stderr.write(json.dumps(record) + "\n")
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 
 

@@ -377,19 +377,17 @@ class PolicyTable:
         j, k = divmod(i, len(self.gammas))
         return self.lams[j], self.gammas[k]
 
-    def optimum(self, b: int, budget: float) -> tuple[int, bool]:
+    def optimum(self, b: int, budget: float) -> int:
         """Best combination at bandwidth index ``b`` under a mean-latency budget.
 
         The highest accuracy within budget, then the lowest latency, then
-        the first in combination order, flagged feasible.  When nothing
-        fits, the first minimum-latency combination, flagged infeasible.
+        the first in combination order.  When nothing fits, every
+        combination ties at accuracy -inf, so this is the first
+        minimum-latency combination.
         """
         lat = self.mean_latency_s[:, b]
-        feasible = lat <= budget
-        if not feasible.any():
-            return int(np.argmin(lat)), False
-        acc = np.where(feasible, self.accuracy, -np.inf)
-        return int(np.argmin(np.where(acc == acc.max(), lat, np.inf))), True
+        acc = np.where(lat <= budget, self.accuracy, -np.inf)
+        return int(np.argmin(np.where(acc == acc.max(), lat, np.inf)))
 
     def cheapest(self, allowed: np.ndarray) -> int:
         """First combination of least on-device MFLOPs among ``allowed``."""

@@ -2,8 +2,9 @@
 
 ``grid_search`` exhaustively enumerates threshold combinations and returns
 the feasible point with the highest accuracy (ties: lower mean latency,
-then lexicographically smallest thresholds).  ``sweep_bandwidths`` answers
-the same question across link rates.  Both are queries on one
+then lexicographically smallest thresholds), or, when none is feasible,
+the first minimum-latency point flagged infeasible.  ``sweep_bandwidths``
+answers the same question across link rates.  Both are queries on one
 ``engine.PolicyTable`` given each grid as the value list of every early
 exit: each (lambda, gamma) combination's integer counts are taken once,
 without walking a sample, and every bandwidth is priced from them by the
@@ -27,14 +28,6 @@ import numpy as np
 
 from . import engine, trace
 from .trace import Thresholds, TraceSet, as_real, as_reals, atomic_write_text, load_checkpoint
-
-
-class InfeasibleError(RuntimeError):
-    """No grid point satisfies the latency budget; carries the closest miss."""
-
-    def __init__(self, message: str, min_latency_point: "PolicyPoint"):
-        super().__init__(message)
-        self.min_latency_point = min_latency_point
 
 
 @dataclass(frozen=True)
@@ -75,22 +68,15 @@ def grid_search(ts: TraceSet, scores, env: engine.Environment,
     """Accuracy-maximizing thresholds under the mean-latency budget.
 
     Both grids are value lists applied to every early exit, so the search
-    space is their Cartesian powers.  Returns the best feasible point and
-    the full list of evaluated points; raises InfeasibleError (with the
-    minimum-latency point attached) when nothing fits the budget.
+    space is their Cartesian powers.  Returns the best point and the full
+    list of evaluated points.  When nothing fits the budget, the best point
+    is the first minimum-latency one, flagged infeasible, as in
+    ``sweep_bandwidths``.
     """
     table = _table(ts, scores, env, [env.bandwidth], lambda_grid, gamma_grid)
-    budget = env.latency_budget
-    frontier = [_point(table, i, 0, env.bandwidth, budget)
+    frontier = [_point(table, i, 0, env.bandwidth, env.latency_budget)
                 for i in range(len(table.accuracy))]
-    i, feasible = table.optimum(0, budget)
-    if not feasible:
-        raise InfeasibleError(
-            f"no grid point meets the {budget * 1e3:.3g} ms budget at "
-            f"{env.bandwidth:.6g} bit/s (closest: {frontier[i].mean_latency_s * 1e3:.3g} ms)",
-            frontier[i],
-        )
-    return frontier[i], frontier
+    return frontier[table.optimum(0, env.latency_budget)], frontier
 
 
 def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
@@ -102,15 +88,15 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
     Every bandwidth is a query on one table, so each (lambda, gamma)
     combination is counted once however many bandwidths there are, and
     each bandwidth's latencies follow from those counts.  A bandwidth with no
-    feasible point contributes its minimum-latency point flagged infeasible
-    instead of aborting the sweep.
+    feasible point contributes its minimum-latency point flagged infeasible,
+    as ``grid_search`` returns it.
     """
     bandwidths = as_reals(bandwidths, "bandwidths", "(0, inf)")
     if not len(bandwidths):
         raise ValueError("bandwidth list must be nonempty")
     table = _table(ts, scores, env, bandwidths, lambda_grid, gamma_grid)
     bws = table.bandwidths
-    return [_point(table, table.optimum(b, env.latency_budget)[0], b, bws[b], env.latency_budget)
+    return [_point(table, table.optimum(b, env.latency_budget), b, bws[b], env.latency_budget)
             for b in sorted(range(len(bws)), key=bws.__getitem__)]
 
 
@@ -158,6 +144,16 @@ class ThresholdRegressor:
             object.__setattr__(self, name, value)
 
 
+def check_intervals(intervals, field: str = "intervals") -> list[tuple[float, float]]:
+    """``intervals`` as (lo, hi) pairs with 0 < lo < hi.  The first row that is
+    not a pair in order fails as ``{field}[i] must be [lo, hi] with lo < hi``."""
+    rows = as_reals(intervals, field, "(0, inf)", rows=True).tolist()
+    for i, iv in enumerate(rows):
+        if not (len(iv) == 2 and iv[0] < iv[1]):
+            raise ValueError(f"{field}[{i}] must be [lo, hi] with lo < hi, got {iv}")
+    return [tuple(iv) for iv in rows]
+
+
 def fit_regressors(points: Sequence[PolicyPoint],
                    intervals: Sequence[tuple[float, float]]) -> list[ThresholdRegressor]:
     """One threshold schedule per bandwidth interval, through its points.
@@ -169,10 +165,7 @@ def fit_regressors(points: Sequence[PolicyPoint],
     max_abs_error is the worst distance from a point to its row.
     """
     out: list[ThresholdRegressor] = []
-    for lo, hi in sorted(map(tuple, as_reals(intervals, "intervals", "(0, inf)",
-                                             rows=True).tolist())):
-        if not lo < hi:
-            raise ValueError(f"bad interval ({lo}, {hi})")
+    for lo, hi in sorted(check_intervals(intervals)):
         members = [p for p in points if lo <= p.bandwidth <= hi]
         bws, which = np.unique([p.bandwidth for p in members], return_inverse=True)
         if len(bws) < 2:

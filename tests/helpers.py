@@ -98,6 +98,15 @@ def literal_latency(device_mflops, transmitted, topo, env):
     return lat
 
 
+def assert_min_latency_fallback(best, frontier):
+    """``best`` is a search's answer when no point of ``frontier`` meets the
+    budget: the first minimum-latency point, flagged infeasible."""
+    assert not best.feasible
+    assert not any(p.feasible for p in frontier)
+    # repr tells every float apart bit for bit
+    assert repr(best) == repr(min(frontier, key=lambda p: p.mean_latency_s))
+
+
 def walk_counts(walks, topo):
     """The integer counts of literal walks, each given as (exit_taken,
     computed_exits, transmitted, correct): per early exit the samples

@@ -199,6 +199,24 @@ def test_demo_reads_back_none_of_its_outputs(small_demo):
     assert len(list(out.iterdir())) == 16
 
 
+def test_optimize_answers_an_impossible_budget_with_its_min_latency_point(small_demo, tmp_path,
+                                                                          capsys):
+    out = small_demo[0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "environment": {"latency_budget": 1e-9}}))
+    frontier = tmp_path / "frontier.csv"
+    assert main(["optimize", "--config", str(config), "--traces", f"{out}/traces_test.jsonl",
+                 "--ep", f"{out}/ep.json", "--frontier", str(frontier)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    points = load_policy_points(frontier)
+    assert not any(p.feasible for p in points)
+    best = min(points, key=lambda p: p.mean_latency_s)
+    assert json.loads(captured.out) == {
+        "bandwidth_bps": best.bandwidth, "lambda": list(best.lam), "gamma": list(best.gamma),
+        "accuracy": best.accuracy, "mean_latency_s": best.mean_latency_s, "feasible": False}
+
+
 def test_validate_opens_each_file_once(small_demo, monkeypatch):
     paths = sorted(str(p) for p in small_demo[0].iterdir())
     opened = []

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from exitsim import engine
 from exitsim.engine import Environment, policy_stats
 from exitsim.optimizer import (
-    InfeasibleError,
     PolicyPoint,
     ThresholdRegressor,
     adapt,
@@ -25,6 +24,7 @@ from exitsim.optimizer import (
 from exitsim.trace import SampleTrace, TraceSet
 
 from helpers import (
+    assert_min_latency_fallback,
     literal_latency,
     literal_predictor_walk,
     random_trace_set,
@@ -84,25 +84,25 @@ def test_grid_search_matches_brute_force_across_random_trials():
         scores = rng.uniform(0.0, 1.0, (len(ts), n_early))
         lam_vals = sorted(rng.uniform(0.05, 0.99, int(rng.integers(2, 5))).tolist())
         gam_vals = sorted(rng.uniform(0.0, 1.0, int(rng.integers(2, 5))).tolist())
-        env = Environment(3.62e9, float(rng.uniform(1e4, 1e7)),
-                          float(rng.uniform(0.005, 0.2)))
-        oracle = brute_force_best(ts, scores, env, lam_vals, gam_vals)
-        if oracle is None:
-            with pytest.raises(InfeasibleError):
-                grid_search(ts, scores, env, lam_vals, gam_vals)
-            continue
-        best, _ = grid_search(ts, scores, env, lam_vals, gam_vals)
-        assert (best.lam, best.gamma) == (oracle[0], oracle[1])
-        assert best.accuracy == oracle[2]
+        drawn = Environment(3.62e9, float(rng.uniform(1e4, 1e7)),
+                            float(rng.uniform(0.005, 0.2)))
+        # the drawn budget, and one no point can meet
+        for env in (drawn, replace(drawn, latency_budget=1e-6)):
+            oracle = brute_force_best(ts, scores, env, lam_vals, gam_vals)
+            best, frontier = grid_search(ts, scores, env, lam_vals, gam_vals)
+            if oracle is None:
+                assert_min_latency_fallback(best, frontier)
+                continue
+            assert best.feasible
+            assert (best.lam, best.gamma) == (oracle[0], oracle[1])
+            assert best.accuracy == oracle[2]
 
 
-def test_impossible_budget_raises_with_minimum_latency_point():
+def test_impossible_budget_returns_flagged_minimum_latency_point():
     ts, scores, env = search_setup(1, budget=1e-9)
-    with pytest.raises(InfeasibleError) as exc:
-        grid_search(ts, scores, env, [0.3, 0.7], [0.0, 0.5])
-    point = exc.value.min_latency_point
+    point, frontier = grid_search(ts, scores, env, [0.3, 0.7], [0.0, 0.5])
     assert isinstance(point, PolicyPoint)
-    assert not point.feasible
+    assert_min_latency_fallback(point, frontier)
     stats = policy_stats(ts, point.lam, point.gamma, scores, env)
     assert stats.mean_latency_s == pytest.approx(point.mean_latency_s, abs=0)
 
@@ -121,10 +121,9 @@ def test_lambda_grid_of_eight_values_yields_64_combinations_per_gamma_point():
 
 def test_feasible_points_reevaluate_within_budget():
     ts, scores, env = search_setup(3, budget=0.02, bandwidth=2e5)
-    try:
-        best, frontier = grid_search(ts, scores, env, [0.2, 0.5, 0.9], [0.0, 0.5, 1.0])
-    except InfeasibleError:
-        pytest.skip("setup happened to be infeasible")
+    best, frontier = grid_search(ts, scores, env, [0.2, 0.5, 0.9], [0.0, 0.5, 1.0])
+    if not any(p.feasible for p in frontier):
+        assert_min_latency_fallback(best, frontier)
     for p in frontier:
         if p.feasible:
             stats = policy_stats(ts, p.lam, p.gamma, scores, env)
@@ -244,11 +243,11 @@ def test_sweep_equals_grid_search_per_bandwidth_bit_for_bit(search):
     expected = []
     for bw in sorted(bandwidths):
         env_bw = Environment(env.compute_speed, bw, env.latency_budget)
-        try:
-            expected.append(grid_search(ts, scores, env_bw, lam_vals, gam_vals)[0])
-        except InfeasibleError as exc:
-            expected.append(exc.min_latency_point)
+        best, frontier = grid_search(ts, scores, env_bw, lam_vals, gam_vals)
+        expected.append(best)
         reference = per_combination_optimum(ts, scores, env_bw, lam_vals, gam_vals)
+        if not reference.feasible:
+            assert_min_latency_fallback(best, frontier)
         # repr tells every float apart bit for bit, signed zeros included
         assert repr(reference) == repr(expected[-1])
     assert repr(points) == repr(expected)
@@ -350,6 +349,18 @@ def test_fit_regressors_rejects_sparse_intervals():
     pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 2e5])
     with pytest.raises(ValueError, match="training"):
         fit_regressors(pts, [(1e5, 2e5), (3e5, 4e5)])
+
+
+@pytest.mark.parametrize("interval, got", [
+    ([1e5, 1e6, 1e7], "[100000.0, 1000000.0, 10000000.0]"),
+    ([1e5], "[100000.0]"),
+    ([1e6, 1e5], "[1000000.0, 100000.0]"),
+])
+def test_fit_regressors_names_a_malformed_interval(interval, got):
+    pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 1e6])
+    with pytest.raises(ValueError) as exc:
+        fit_regressors(pts, [interval])
+    assert str(exc.value) == f"intervals[0] must be [lo, hi] with lo < hi, got {got}"
 
 
 def test_adapted_accuracy_stays_within_two_points_of_optimum():
