@@ -31,6 +31,13 @@ it takes the counts of every (lambda, gamma) combination of their
 products as exact integer differences of slices of one suffix-summed
 histogram of the samples' grid cells, so threshold searches are queries
 on it and each row equals its ``policy_stats`` report bit for bit.
+
+Per-sample records are built in bulk, since a run hands out one per sample.
+Each field is one numpy column turned into Python values at once, and each
+record is ``tuple.__new__`` over a zipped row: what ``_make`` does, without
+its Python frame per record.  ``exits_computed`` comes from one tuple per
+distinct pattern, found by vectorised codes, not a new tuple per sample;
+records share these tuples, which is harmless as tuples are immutable.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,6 +188,31 @@ def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool,
             shares, latency)
 
 
+def _shared_columns(mask: np.ndarray) -> Iterator[tuple[bool, ...]]:
+    """Each column of the (exits, samples) bool ``mask`` as a tuple of bools,
+    one tuple object shared by every column of the same pattern.
+
+    The distinct patterns are found without a Python step per sample.  A
+    column's bits are read a run of exits at a time: each run appends its
+    bits to the column's id so far as one int64 code, and ``np.unique``
+    turns the codes back into dense ids, below S.  A run is
+    ``63 - S.bit_length()`` exits wide, so an id shifted past a run stays
+    below 2**63: at 50k samples one run covers 47 exits, and more exits
+    take more runs on the same path.
+    """
+    n_samples = mask.shape[1]
+    width = 63 - n_samples.bit_length()
+    ids = np.zeros(n_samples, dtype=np.int64)
+    for start in range(0, len(mask), width):
+        bits = mask[start:start + width]
+        codes = ids << len(bits) | (1 << np.arange(len(bits), dtype=np.int64)) @ bits
+        distinct, ids = np.unique(codes, return_inverse=True)
+    some = np.empty(len(distinct), dtype=np.int64)  # a sample of each pattern
+    some[ids] = np.arange(n_samples)
+    patterns = list(map(tuple, mask[:, some].T.tolist()))
+    return map(patterns.__getitem__, ids.tolist())
+
+
 def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | None = None,
               oracle: bool = False, records: bool = False
               ) -> tuple[list[DecisionRecord] | None, AggregateReport]:
@@ -189,7 +221,9 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     ``gamma`` None walks ungated (plain, or oracle routing when ``oracle``);
     otherwise exits are gated by ``scores >= gamma``.  ``_aggregate``
     prices each sample's 0/1 counts with S = 1 for its record, built only
-    when ``records`` is set, and their column sums for the report.
+    when ``records`` is set, and their column sums for the report.  Records
+    are built from whole columns with no Python frame per record, and share
+    one ``exits_computed`` tuple per distinct pattern (``_shared_columns``).
     """
     topo = ts.topology
     n_early = topo.num_early_exits
@@ -223,8 +257,8 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
         return None, report
     _, device, _, _, latency = price(1, counts)
     latencies = [0.0] * len(ts) if env is None else latency[:, 0].tolist()
-    return list(map(DecisionRecord._make, zip(
-        ts.ids.tolist(), (exit_idx + 1).tolist(), map(tuple, counts.charged.tolist()),
+    return list(map(tuple.__new__, itertools.repeat(DecisionRecord), zip(
+        ts.ids.tolist(), (exit_idx + 1).tolist(), _shared_columns(charged),
         device.tolist(), counts.tx.tolist(), (counts.tx * topo.transmitted_bits).tolist(),
         counts.correct.tolist(), latencies))), report
 

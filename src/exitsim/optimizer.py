@@ -145,9 +145,12 @@ class ThresholdRegressor:
 
 
 def check_intervals(intervals, field: str = "intervals") -> list[tuple[float, float]]:
-    """``intervals`` as (lo, hi) pairs with 0 < lo < hi.  The first row that is
-    not a pair in order fails as ``{field}[i] must be [lo, hi] with lo < hi``."""
+    """``intervals`` as (lo, hi) pairs with 0 < lo < hi, at least one.  The
+    first row that is not a pair in order fails as ``{field}[i] must be
+    [lo, hi] with lo < hi``."""
     rows = as_reals(intervals, field, "(0, inf)", rows=True).tolist()
+    if not rows:
+        raise ValueError(f"{field} must be a nonempty list, got {rows}")
     for i, iv in enumerate(rows):
         if not (len(iv) == 2 and iv[0] < iv[1]):
             raise ValueError(f"{field}[{i}] must be [lo, hi] with lo < hi, got {iv}")
@@ -251,6 +254,9 @@ def load_policy_points(path: str | os.PathLike, text: str | None = None
 
 
 def regressors_json(regressors: Sequence[ThresholdRegressor]) -> str:
+    """The checkpoint ``load_regressors`` reads: at least one regressor."""
+    if not regressors:
+        raise ValueError(f"regressors must be a nonempty list, got {list(regressors)!r}")
     doc = {
         "kind": "threshold_regressors",
         "regressors": [

@@ -47,7 +47,7 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -640,30 +640,42 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def _json_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return fmt_real(value)
+    if isinstance(value, list):
+        return "[" + ",".join(map(_json_value, value)) + "]"
+    return json.dumps(value)
+
+
 def json_line(obj: dict) -> str:
-    """Render one flat record as a JSON line, reals at stored precision."""
+    """Render one flat record as a JSON line, reals at stored precision.
+
+    Every value, and every entry of a list, renders by its own type, so a
+    list that mixes ints, floats and bools keeps each entry as it is.  A
+    value JSON has no form for raises TypeError naming its key."""
     parts = []
     for key, value in obj.items():
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, int):
-            rendered = str(value)
-        elif isinstance(value, float):
-            rendered = fmt_real(value)
-        elif isinstance(value, list):
-            if value and isinstance(value[0], float):
-                rendered = "[" + ",".join(fmt_real(v) for v in value) + "]"
-            else:
-                rendered = "[" + ",".join(str(int(v)) for v in value) + "]"
-        else:
-            rendered = json.dumps(value)
-        parts.append(f'"{key}":{rendered}')
+        try:
+            parts.append(f'"{key}":{_json_value(value)}')
+        except TypeError as exc:
+            raise TypeError(f"json_line: key {key!r}: {exc}") from exc
     return "{" + ",".join(parts) + "}"
 
 
 def records_text(header: dict, fields: Sequence[tuple[str, np.ndarray]]) -> str:
     """A line-delimited file: ``header``, then a record per row of the
-    (key, column) ``fields``, a (rows, width) column as a list."""
+    (key, column) ``fields``, a (rows, width) column as a list.
+
+    The file is rendered in one ``%`` call: the header line, then the
+    record template repeated once per row, over the values of every column
+    in row-major order.  That replaces a ``%`` and a string per row, the
+    join of those rows and the copies that add the header and last line
+    end, so less is alive at once."""
     keys, columns = [], []
     for key, col in fields:
         fmt = "%d" if col.dtype.kind in "iu" else "%.9g"
@@ -673,10 +685,13 @@ def records_text(header: dict, fields: Sequence[tuple[str, np.ndarray]]) -> str:
         else:
             keys.append(f'"{key}":[' + ",".join([fmt] * col.shape[1]) + "]")
             columns.extend(col.T.tolist())
-    template = "{" + ",".join(keys) + "}"
-    lines = [json_line(header)]
-    lines.extend(template % row for row in zip(*columns, strict=True))
-    return "\n".join(lines) + "\n"
+    template = "{" + ",".join(keys) + "}\n"
+    values = tuple(chain.from_iterable(zip(*columns, strict=True)))
+    del columns  # the lists' pointer arrays; ``values`` holds the numbers now
+    # The header, its "%" escaped, opens the format string, so the body is
+    # never copied to prepend it.
+    return (json_line(header).replace("%", "%%") + "\n"
+            + template * len(fields[0][1])) % values
 
 
 def trace_set_text(ts: TraceSet) -> str:

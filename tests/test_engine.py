@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from exitsim.engine import (
     AggregateReport,
+    DecisionRecord,
     Environment,
     PolicyTable,
     _table_counts,
@@ -657,3 +658,48 @@ def test_a_record_is_its_one_sample_report(policy, priced, seed, n_samples, num_
         assert [n for n, f in enumerate(rec.exits_computed) if f] == computed
         assert rec.transmitted == transmitted
         assert rec.correct == (ts.pred[i, taken - 1] == ts.label[i])
+
+
+# 70 exits: more early exits than one int64 code has bits.
+@pytest.mark.parametrize("num_exits, n_samples", [(2, 30), (3, 30), (4, 30), (70, 6)])
+@pytest.mark.parametrize("priced", [False, True])
+@pytest.mark.parametrize("policy", ["plain", "predictor", "oracle"])
+def test_records_equal_literal_records_field_by_field(policy, priced, num_exits, n_samples):
+    rng = np.random.default_rng(num_exits)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
+    topo, n_early = ts.topology, num_exits - 1
+    # Near-certain thresholds walk the 70-exit samples deep, through varied gates.
+    lam = tuple(rng.uniform(0.05 if n_early < 62 else 0.99, 0.999, n_early).tolist())
+    gamma = random_gamma(rng, n_early)
+    scores = rng.uniform(0.0, 1.0, (n_samples, n_early))
+    env = Environment(3.62e9, 1e5, 0.03) if priced else None
+    if policy == "plain":
+        recs, _ = run_plain(ts, lam, env)
+    elif policy == "predictor":
+        recs, _ = run_with_predictor(ts, Thresholds(lam, gamma), scores, env)
+    else:
+        recs, _ = run_oracle(ts, lam, env)
+    assert len(recs) == n_samples
+    for i, rec in enumerate(recs):
+        one = (policy_stats(ts.subset([i]), lam, gamma, scores[i:i + 1], env)
+               if policy == "predictor" else
+               policy_stats(ts.subset([i]), lam, env=env, oracle=policy == "oracle"))
+        taken, _, computed, transmitted = (
+            literal_plain_walk(ts.conf[i], lam, topo) if policy == "plain" else
+            literal_predictor_walk(ts.conf[i], scores[i], lam, gamma, topo)
+            if policy == "predictor" else literal_oracle_walk(ts.conf[i], lam, topo))
+        literal = DecisionRecord(
+            sample_id=int(ts.ids[i]), exit_taken=taken,
+            exits_computed=tuple(n in computed for n in range(n_early)),
+            on_device_mflops=one.mean_on_device_mflops, transmitted=transmitted,
+            transmitted_bits=topo.transmitted_bits if transmitted else 0,
+            correct=bool(ts.pred[i, taken - 1] == ts.label[i]),
+            latency_s=one.mean_latency_s)
+        assert rec == literal
+        assert repr(rec) == repr(literal)
+        assert type(rec) is DecisionRecord
+        assert all(type(flag) is bool for flag in rec.exits_computed)
+        for name, kind in (("sample_id", int), ("exit_taken", int), ("transmitted_bits", int),
+                           ("transmitted", bool), ("correct", bool),
+                           ("on_device_mflops", float), ("latency_s", float)):
+            assert type(getattr(rec, name)) is kind, name

@@ -363,6 +363,22 @@ def test_fit_regressors_names_a_malformed_interval(interval, got):
     assert str(exc.value) == f"intervals[0] must be [lo, hi] with lo < hi, got {got}"
 
 
+def test_fit_regressors_rejects_no_intervals():
+    pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 1e6])
+    with pytest.raises(ValueError) as exc:
+        fit_regressors(pts, [])
+    assert str(exc.value) == "intervals must be a nonempty list, got []"
+
+
+def test_no_regressors_are_not_written(tmp_path):
+    path = tmp_path / "regs.json"
+    with pytest.raises(ValueError) as exc:
+        save_regressors([], path)
+    # The wording load_regressors rejects such a file with.
+    assert str(exc.value) == "regressors must be a nonempty list, got []"
+    assert not path.exists()
+
+
 def test_adapted_accuracy_stays_within_two_points_of_optimum():
     rng = np.random.default_rng(77)
     ts = random_trace_set(rng, n_samples=300)

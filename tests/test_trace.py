@@ -491,6 +491,37 @@ def test_trace_set_text_matches_record_rendering(ts):
     assert trace_set_text(ts) == "\n".join(lines) + "\n"
 
 
+_SMALL_HEADER = ('{"N":3,"P":10,"segment_flops":[1,1],"exit_flops":[0.5,0.5],'
+                 '"server_flops":10,"predictor_flops":0.1,"raw_feature_bits":1024,'
+                 '"compression_ratio":4}\n')
+
+
+def test_trace_set_text_of_no_rows_and_one_row():
+    ts = TraceSet(small_topology(), [SampleTrace(7, 3, (0.25, 0.5, 0.875), (3, 1, 3),
+                                                 (-1.5, 0.1))])
+    assert trace_set_text(ts.subset([])) == _SMALL_HEADER
+    assert trace_set_text(ts) == _SMALL_HEADER + (
+        '{"id":7,"label":3,"confidences":[0.25,0.5,0.875],"predicted":[3,1,3],'
+        '"features":[-1.5,0.1]}\n')
+
+
+def test_save_dataset_of_no_rows_and_one_row(tmp_path):
+    header = '{"kind":"dataset","num_samples":%d,"num_classes":3,"input_dim":3}\n'
+    save_dataset(tmp_path / "none.jsonl", np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 3)
+    assert (tmp_path / "none.jsonl").read_text() == header % 0
+    save_dataset(tmp_path / "one.jsonl", np.array([[0.5, -2.0, 1e-7]]), np.array([1]), 3)
+    assert (tmp_path / "one.jsonl").read_text() == (
+        header % 1 + '{"id":0,"label":1,"features":[0.5,-2,1e-07]}\n')
+
+
+def test_json_line_renders_each_list_entry_by_its_own_type():
+    assert json_line(small_topology().header_dict()) + "\n" == _SMALL_HEADER
+    assert json_line({"a": [1, 0.5], "b": [True, 2], "c": [0.25, False, -3, None, "x"]}) == (
+        '{"a":[1,0.5],"b":[true,2],"c":[0.25,false,-3,null,"x"]}')
+    with pytest.raises(TypeError, match="^json_line: key 'k': .*int64"):
+        json_line({"ok": 1, "k": [1, np.int64(2)]})
+
+
 def test_columns_are_read_only_and_samples_are_views():
     rng = np.random.default_rng(8)
     ts = random_trace_set(rng, small_topology(), n_samples=5, with_features=True)
