@@ -18,19 +18,20 @@ compute when s >= gamma.  Server-side FLOPs count toward total cost but
 never toward latency (the server is assumed fast); transmission charges
 ceil(raw_feature_bits / compression_ratio) bits against the link.
 
-Every figure -- accuracy, device and total MFLOPs, exit shares and the
-latency at each bandwidth -- is linear in five integer counts of a walk:
+Every figure but latency is linear in five integer counts of a walk:
 samples reaching each early exit, charged its classifier, terminating
 there, transmitted, and classified correctly.  ``_aggregate`` is the one
-formula from counts to figures, for a per-sample record (its 0/1 counts),
-a report (their sums) and a table row alike, so a record equals its
-one-sample report.  ``run_plain``, ``run_with_predictor``, ``run_oracle``
-and ``policy_stats`` check their arguments once, walk once and price the
-counts.  ``PolicyTable`` never walks: given a value list per early exit,
-it takes the counts of every (lambda, gamma) combination of their
-products as exact integer differences of slices of one suffix-summed
-histogram of the samples' grid cells, so threshold searches are queries
-on it and each row equals its ``policy_stats`` report bit for bit.
+formula from counts to figures, and ``_latency`` the one from device MFLOPs
+and transmitted share to latency on a link, for a per-sample record (its
+0/1 counts), a report (their sums) and a table row alike, so a record
+equals its one-sample report.  ``run_plain``, ``run_with_predictor``,
+``run_oracle`` and ``policy_stats`` check their arguments once, walk once
+and price the counts.  ``PolicyTable`` never walks and holds no link: it
+takes the counts of every (lambda, gamma) combination of a value list per
+early exit as exact integer differences of slices of one suffix-summed
+histogram of the samples' grid cells, so threshold searches are queries on
+it, each pricing every row on its own link, and each row equals its
+``policy_stats`` report bit for bit.
 
 Per-sample records are built in bulk, since a run hands out one per sample.
 Each field is one numpy column turned into Python values at once, and each
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -89,26 +90,10 @@ class AggregateReport:
     budget_satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "mean_on_device_mflops": self.mean_on_device_mflops,
-            "mean_total_mflops": self.mean_total_mflops,
-            "mean_latency_s": self.mean_latency_s,
-            "exit_distribution": list(self.exit_distribution),
-            "budget_satisfied": self.budget_satisfied,
-        }
+        return {**asdict(self), "exit_distribution": list(self.exit_distribution)}
 
 
 # -- validation ---------------------------------------------------------------
-
-
-def _scores_matrix(ts: TraceSet, scores) -> np.ndarray:
-    shape = (len(ts), ts.topology.num_early_exits)
-    # NaN fails too: NaN >= gamma is false, a silent skip.
-    mat = as_reals(scores, "scores", "[0, 1]", rows=True)
-    if mat.shape != shape:
-        raise ValueError(f"scores must have shape {shape}, got {mat.shape}")
-    return mat
 
 
 def _checked(ts: TraceSet, gated: bool, scores) -> np.ndarray | None:
@@ -120,7 +105,11 @@ def _checked(ts: TraceSet, gated: bool, scores) -> np.ndarray | None:
         return None
     if scores is None:
         raise ValueError("gamma given without predictor scores")
-    return _scores_matrix(ts, scores)
+    # NaN fails too: NaN >= gamma is false, a silent skip.
+    mat = as_reals(scores, "scores", "[0, 1]", rows=True)
+    if mat.shape != (shape := (len(ts), ts.topology.num_early_exits)):
+        raise ValueError(f"scores must have shape {shape}, got {mat.shape}")
+    return mat
 
 
 # -- the walk and its aggregates ----------------------------------------------
@@ -156,17 +145,15 @@ class _Counts(NamedTuple):
     correct: np.ndarray   # samples classified correctly
 
 
-def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool,
-               compute_speed: float | None, bandwidths: Sequence[float]):
+def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool):
     """The one count formula, from counts to aggregates.
 
-    Returns accuracy, mean device MFLOPs, mean total MFLOPs, exit shares
-    (server last) and the (walks x bandwidths) mean latencies:
+    Returns accuracy, mean device MFLOPs, mean total MFLOPs and exit shares
+    (server last: the transmitted share, which ``_latency`` prices):
 
-    * device  = (sum_n segment_n * reach_n + sum_n exit_n * charged_n) / S,
-                plus the predictor when ``gated``;
-    * total   = device + (tx / S) * server;
-    * latency = device * 1e6 / compute_speed + (tx / S) * bits / bandwidth.
+    * device = (sum_n segment_n * reach_n + sum_n exit_n * charged_n) / S,
+               plus the predictor when ``gated``;
+    * total  = device + (tx / S) * server.
 
     Equal counts give bit-equal floats, however the counts were taken.
     """
@@ -178,14 +165,14 @@ def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool,
     device = device / n_samples
     if gated:
         device = device + topo.predictor_flops
-    tx_share = counts.tx / n_samples
     shares = np.concatenate([counts.term, counts.tx[..., None]], axis=-1) / n_samples
-    # Compute time is added in place: no second (walks x bandwidths) array.
-    latency = tx_share[..., None] * topo.transmitted_bits / np.asarray(bandwidths, dtype=float)
-    if len(bandwidths):
-        latency += (device * 1e6 / compute_speed)[..., None]
-    return (counts.correct / n_samples, device, device + tx_share * topo.server_flops,
-            shares, latency)
+    return counts.correct / n_samples, device, device + shares[..., -1] * topo.server_flops, shares
+
+
+def _latency(tx_share, device_mflops, bits: int, compute_speed, bandwidth):
+    """Mean latency (s): the transmitted share's ``bits`` over the link plus
+    device compute time; the server's takes none.  Arrays broadcast."""
+    return tx_share * bits / bandwidth + device_mflops * 1e6 / compute_speed
 
 
 def _shared_columns(mask: np.ndarray) -> Iterator[tuple[bool, ...]]:
@@ -219,9 +206,10 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     """The evaluator behind every entry point: check, walk once, count, aggregate.
 
     ``gamma`` None walks ungated (plain, or oracle routing when ``oracle``);
-    otherwise exits are gated by ``scores >= gamma``.  ``_aggregate``
-    prices each sample's 0/1 counts with S = 1 for its record, built only
-    when ``records`` is set, and their column sums for the report.  Records
+    otherwise exits are gated by ``scores >= gamma``.  ``_aggregate`` and
+    ``_latency`` price each sample's 0/1 counts with S = 1 for its record,
+    built only when ``records`` is set, and their column sums for the
+    report, on ``env``'s link (latency 0.0 without one).  Records
     are built from whole columns with no Python frame per record, and share
     one ``exits_computed`` tuple per distinct pattern (``_shared_columns``).
     """
@@ -240,11 +228,12 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     charged = term if oracle else reach if gate is None else reach & gate.T
     counts = _Counts(reach.T, charged.T, term.T, exit_idx == n_early,
                      ts.pred[np.arange(len(ts)), exit_idx] == ts.label)
-    speed, bandwidths = (None, ()) if env is None else (env.compute_speed, (env.bandwidth,))
-    price = lambda n, c: _aggregate(topo, n, c, gate is not None, speed, bandwidths)
-    accuracy, mean_device, mean_total, shares, latency = price(
+    price = lambda n, c: _aggregate(topo, n, c, gate is not None)
+    latency = lambda device, shares: [0.0] * len(device) if env is None else _latency(
+        shares[:, -1], device, topo.transmitted_bits, env.compute_speed, env.bandwidth).tolist()
+    accuracy, mean_device, mean_total, shares = price(
         len(ts), _Counts(*(np.count_nonzero(c, axis=0, keepdims=True) for c in counts)))
-    mean_latency = 0.0 if env is None else float(latency[0, 0])
+    mean_latency = latency(mean_device, shares)[0]
     report = AggregateReport(
         accuracy=float(accuracy[0]),
         mean_on_device_mflops=float(mean_device[0]),
@@ -255,12 +244,11 @@ def _evaluate(ts: TraceSet, lam, gamma=None, scores=None, env: Environment | Non
     )
     if not records:
         return None, report
-    _, device, _, _, latency = price(1, counts)
-    latencies = [0.0] * len(ts) if env is None else latency[:, 0].tolist()
+    _, device, _, shares = price(1, counts)
     return list(map(tuple.__new__, itertools.repeat(DecisionRecord), zip(
         ts.ids.tolist(), (exit_idx + 1).tolist(), _shared_columns(charged),
         device.tolist(), counts.tx.tolist(), (counts.tx * topo.transmitted_bits).tolist(),
-        counts.correct.tolist(), latencies))), report
+        counts.correct.tolist(), latency(device, shares)))), report
 
 
 def run_plain(ts: TraceSet, lam: Sequence[float],
@@ -373,17 +361,16 @@ class PolicyTable:
     list per early exit; the combinations are every choice of one value per
     exit, lambda-major, each exit's values ascending (repeats kept), as
     ``combo`` returns them.  ``gamma_grid`` None tabulates the plain
-    policy.  With a ``compute_speed`` and ``bandwidths``, each combination's
-    mean latency is priced at every bandwidth.  No sample is walked: slices
-    of one grid-cell histogram count each combination's walk, and the count
-    formula ``policy_stats`` applies to its one walk turns the counts into
-    aggregates, so each row equals its report bit for bit.  Only aggregates
-    are kept, never per-sample arrays.
+    policy.  No sample is walked: slices of one grid-cell histogram count
+    each combination's walk, and the count formula ``policy_stats`` applies
+    to its one walk turns the counts into aggregates, so each row equals its
+    report bit for bit.  The table holds no link: a walk does not depend on
+    one, and ``latency_s`` prices every row on the link a query names.  Only
+    aggregates are kept, never per-sample arrays.
     """
 
     def __init__(self, ts: TraceSet, lam_grid: Sequence[Sequence[float]],
-                 gamma_grid: Sequence[Sequence[float]] | None = None, scores=None,
-                 compute_speed: float | None = None, bandwidths: Sequence[float] = ()):
+                 gamma_grid: Sequence[Sequence[float]] | None = None, scores=None):
         n_early = ts.topology.num_early_exits
         if len(lam_grid) != n_early or gamma_grid is not None and len(gamma_grid) != n_early:
             raise ValueError(f"lam_grid and gamma_grid need {n_early} value lists each, "
@@ -396,13 +383,10 @@ class PolicyTable:
         product = lambda grid: list(itertools.product(*(values.tolist() for values in grid)))
         self.lams = product(lam_grid)
         self.gammas = None if gamma_grid is None else product(gamma_grid)
-        self.bandwidths = tuple(as_reals(bandwidths, "bandwidths", "(0, inf)").tolist())
-        if self.bandwidths:
-            compute_speed = as_real(compute_speed, "compute_speed", "(0, inf)")
-        (self.accuracy, self.on_device_mflops, _, self.exit_distribution,
-         self.mean_latency_s) = _aggregate(
+        self.transmitted_bits = ts.topology.transmitted_bits
+        self.accuracy, self.on_device_mflops, _, self.exit_distribution = _aggregate(
             ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores),
-            gamma_grid is not None, compute_speed, self.bandwidths)
+            gamma_grid is not None)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
         """(lambda, gamma) of combination ``i``; gamma None for the plain policy."""
@@ -411,17 +395,21 @@ class PolicyTable:
         j, k = divmod(i, len(self.gammas))
         return self.lams[j], self.gammas[k]
 
-    def optimum(self, b: int, budget: float) -> int:
-        """Best combination at bandwidth index ``b`` under a mean-latency budget.
+    def latency_s(self, compute_speed: float, bandwidth: float) -> np.ndarray:
+        """Each row's mean latency on a checked link, as ``policy_stats`` prices it."""
+        return _latency(self.exit_distribution[:, -1], self.on_device_mflops,
+                        self.transmitted_bits, compute_speed, bandwidth)
+
+    def optimum(self, latency: np.ndarray, budget: float) -> int:
+        """Best combination by each one's mean ``latency`` under a budget.
 
         The highest accuracy within budget, then the lowest latency, then
         the first in combination order.  When nothing fits, every
         combination ties at accuracy -inf, so this is the first
         minimum-latency combination.
         """
-        lat = self.mean_latency_s[:, b]
-        acc = np.where(lat <= budget, self.accuracy, -np.inf)
-        return int(np.argmin(np.where(acc == acc.max(), lat, np.inf)))
+        acc = np.where(latency <= budget, self.accuracy, -np.inf)
+        return int(np.argmin(np.where(acc == acc.max(), latency, np.inf)))
 
     def cheapest(self, allowed: np.ndarray) -> int:
         """First combination of least on-device MFLOPs among ``allowed``."""

@@ -8,7 +8,7 @@ answers the same question across link rates.  Both are queries on one
 ``engine.PolicyTable`` given each grid as the value list of every early
 exit: each (lambda, gamma) combination's integer counts are taken once,
 without walking a sample, and every bandwidth is priced from them by the
-engine's count formula, since only latency depends on the link.
+engine's one latency formula, since only latency depends on the link.
 ``fit_regressors`` turns the recorded optima into one schedule per
 bandwidth interval, piecewise linear in log10(bandwidth) through the optima
 themselves, so one predictor serves every channel condition and nothing is
@@ -46,20 +46,19 @@ class PolicyPoint:
         object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
 
 
-def _table(ts: TraceSet, scores, env: engine.Environment, bandwidths: Sequence[float],
-           lambda_grid: Sequence[float], gamma_grid: Sequence[float]) -> engine.PolicyTable:
+def _table(ts: TraceSet, scores, lambda_grid: Sequence[float],
+           gamma_grid: Sequence[float]) -> engine.PolicyTable:
     n_early = ts.topology.num_early_exits
-    return engine.PolicyTable(ts, [lambda_grid] * n_early, [gamma_grid] * n_early,
-                              scores, env.compute_speed, bandwidths)
+    return engine.PolicyTable(ts, [lambda_grid] * n_early, [gamma_grid] * n_early, scores)
 
 
-def _point(table: engine.PolicyTable, i: int, b: int, bandwidth: float,
+def _point(table: engine.PolicyTable, i: int, latency: np.ndarray, bandwidth: float,
            budget: float) -> PolicyPoint:
     lam, gamma = table.combo(i)
-    latency = float(table.mean_latency_s[i, b])
+    mean_latency = float(latency[i])
     return PolicyPoint(bandwidth=bandwidth, lam=lam, gamma=gamma,
-                       accuracy=float(table.accuracy[i]), mean_latency_s=latency,
-                       feasible=latency <= budget)
+                       accuracy=float(table.accuracy[i]), mean_latency_s=mean_latency,
+                       feasible=mean_latency <= budget)
 
 
 def grid_search(ts: TraceSet, scores, env: engine.Environment,
@@ -73,10 +72,11 @@ def grid_search(ts: TraceSet, scores, env: engine.Environment,
     is the first minimum-latency one, flagged infeasible, as in
     ``sweep_bandwidths``.
     """
-    table = _table(ts, scores, env, [env.bandwidth], lambda_grid, gamma_grid)
-    frontier = [_point(table, i, 0, env.bandwidth, env.latency_budget)
-                for i in range(len(table.accuracy))]
-    return frontier[table.optimum(0, env.latency_budget)], frontier
+    table = _table(ts, scores, lambda_grid, gamma_grid)
+    latency = table.latency_s(env.compute_speed, env.bandwidth)
+    frontier = [_point(table, i, latency, env.bandwidth, env.latency_budget)
+                for i in range(len(latency))]
+    return frontier[table.optimum(latency, env.latency_budget)], frontier
 
 
 def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
@@ -87,17 +87,17 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
 
     Every bandwidth is a query on one table, so each (lambda, gamma)
     combination is counted once however many bandwidths there are, and
-    each bandwidth's latencies follow from those counts.  A bandwidth with no
-    feasible point contributes its minimum-latency point flagged infeasible,
-    as ``grid_search`` returns it.
+    each bandwidth prices its latencies from those counts.  A bandwidth with
+    no feasible point contributes its minimum-latency point flagged
+    infeasible, as ``grid_search`` returns it.
     """
-    bandwidths = as_reals(bandwidths, "bandwidths", "(0, inf)")
+    bandwidths = np.sort(as_reals(bandwidths, "bandwidths", "(0, inf)"))
     if not len(bandwidths):
         raise ValueError("bandwidth list must be nonempty")
-    table = _table(ts, scores, env, bandwidths, lambda_grid, gamma_grid)
-    bws = table.bandwidths
-    return [_point(table, table.optimum(b, env.latency_budget), b, bws[b], env.latency_budget)
-            for b in sorted(range(len(bws)), key=bws.__getitem__)]
+    table = _table(ts, scores, lambda_grid, gamma_grid)
+    latency = table.latency_s(env.compute_speed, bandwidths[:, None])
+    return [_point(table, table.optimum(row, env.latency_budget), row, bandwidth,
+                   env.latency_budget) for bandwidth, row in zip(bandwidths.tolist(), latency)]
 
 
 @dataclass(frozen=True)

@@ -120,26 +120,32 @@ def within(values, bounds: str):
 
 def _bounded(number, value, field: str, bounds: str | None):
     """``number`` if it lies in ``bounds`` (None: anywhere), else ValueError."""
-    try:
-        if bounds is None or within(float(number), bounds):
-            return number
-    except OverflowError:  # an integer beyond the double range
-        pass
+    if bounds is None or within(float(number), bounds):
+        return number
     raise ValueError(f"{field} must lie in {bounds}, got {value!r}")
+
+
+def _not_int64(field: str, value) -> str | None:
+    """The complaint about ``field`` if ``value`` is no int64 integer, else None."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return f"{field} must be an integer, got {value!r}"
+    if not -2**63 <= int(value) < 2**63:
+        return f"{field} must be an integer within int64, got {value!r}"
+    return None
 
 
 def as_int(value, field: str, bounds: str | None = None) -> int:
     """An integer field's value, in the interval ``bounds`` if given (see
     ``within``); an integral float such as 3.0 is accepted.
 
-    A fractional or non-finite number, a bool or a non-number raises
-    ValueError naming ``field`` rather than being truncated, and so does a
-    value outside ``bounds``.
+    A fractional or non-finite number, a bool, a non-number or an integer
+    beyond int64 raises ValueError naming ``field`` rather than being
+    truncated or wrapped, and so does a value outside ``bounds``.
     """
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        return _bounded(int(value), value, field, bounds)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+    if complaint := _not_int64(field, value):
+        raise ValueError(complaint)
+    return _bounded(int(value), value, field, bounds)
 
 
 def as_real(value, field: str, bounds: str | None = None) -> float:
@@ -389,12 +395,16 @@ def _scan(values, rows: bool):
 
 def _integral(values, rows: bool):
     """The scan of an integer column: (the values as given, as int64, the
-    mask of entries that are no integer: fractional, huge or no number)."""
-    given, real, bad = _scan(values, rows)
-    if bad is None and given.dtype.kind in "iu":
+    mask of entries ``as_int`` rejects).  Unless numpy reads them as int64,
+    each entry is checked exactly, on its own: numpy reads a list's ints as
+    doubles beside a float, and as uint64 past int64."""
+    given = _scan(values, rows)[0]
+    if given.dtype.kind == "i":
         return given, given.astype(np.int64), np.zeros(given.shape, dtype=bool)
-    bad = ~((real == np.rint(real)) & (np.abs(real) < 2.0 ** 63))
-    return given, np.where(bad, 0.0, real).astype(np.int64), bad
+    given = given if given.dtype == object else np.array(values, dtype=object)
+    bad = np.frompyfunc(functools.partial(_not_int64, ""), 1, 1)(given.ravel()).astype(bool)
+    bad = bad.reshape(given.shape)
+    return given, np.where(bad, 0, given).astype(np.int64), bad
 
 
 def _duplicate_ids(ids: np.ndarray):
@@ -406,7 +416,7 @@ def _duplicate_ids(ids: np.ndarray):
 
 def _sample_checks(ids, label, p: int, features):
     """The checks a trace set and a dataset share: integral, distinct ids;
-    integral labels in [0, p); finite numbers as features (None: none).
+    integral labels in [0, p); nonempty finite features (None: none).
 
     ``ids`` and ``label`` are as ``_integral`` returns them and ``features``
     is (as given, as canonical float64, NaN where no number stands); the
@@ -415,17 +425,19 @@ def _sample_checks(ids, label, p: int, features):
     """
     (id_given, ids, id_bad), (label_given, label, label_bad) = ids, label
     checks = [
-        (id_bad, lambda i: f"id must be an integer, got {_entry(id_given, id_bad, i)!r}"),
+        (id_bad, lambda i: _not_int64("id", _entry(id_given, id_bad, i))),
         _duplicate_ids(ids),
-        (label_bad, lambda i: f"sample {ids[i]}: label must be an integer, "
-                              f"got {_entry(label_given, label_bad, i)!r}"),
+        (label_bad, lambda i: _not_int64(f"sample {ids[i]}: label",
+                                         _entry(label_given, label_bad, i))),
         ((label < 0) | (label >= p),
          lambda i: f"sample {ids[i]}: label {label[i]} outside [0, {p})"),
     ]
     if features is not None:
         given, bad = features[0], ~np.isfinite(features[1])
-        checks.append((bad, lambda i: f"sample {ids[i]}: features must be finite numbers, "
-                                      f"got {_entry(given, bad, i)!r}"))
+        checks += [(np.full(len(ids), not bad.shape[1]),
+                    lambda i: f"sample {ids[i]}: features must not be empty"),
+                   (bad, lambda i: f"sample {ids[i]}: features must be finite numbers, "
+                                   f"got {_entry(given, bad, i)!r}")]
     return ids, label, checks
 
 
@@ -521,8 +533,8 @@ class TraceSet:
         _raise_first(checks + [
             (conf_out, lambda i: f"sample {ids[i]}: confidences entry "
                                  f"{_entry(conf, conf_out, i)!r} outside [1/P, 1)"),
-            (pred_bad, lambda i: f"sample {ids[i]}: predicted must be an integer, "
-                                 f"got {_entry(pred_given, pred_bad, i)!r}"),
+            (pred_bad, lambda i: _not_int64(f"sample {ids[i]}: predicted",
+                                            _entry(pred_given, pred_bad, i))),
             (pred_out, lambda i: f"sample {ids[i]}: predicted class "
                                  f"{_entry(pred, pred_out, i)} outside [0, {p})"),
         ])

@@ -18,6 +18,7 @@ from exitsim.engine import (
     run_plain,
     run_with_predictor,
 )
+from exitsim.optimizer import sweep_bandwidths
 from exitsim.predictor import make_labels
 from exitsim.trace import SampleTrace, Thresholds, TraceSet, check_gamma, check_lambda
 
@@ -150,16 +151,16 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
     lam_grid = np.transpose([random_lambda(rng, n_early) for _ in range(2)])
     gamma_grid = np.transpose([random_gamma(rng, n_early) for _ in range(2)]) if gated else None
     scores = rng.uniform(0.0, 1.0, (n_samples, n_early)) if gated else None
-    bandwidths = (1e3, 1e5, 1e7)
-    table = PolicyTable(ts, lam_grid, gamma_grid, scores, 3.62e9, bandwidths)
-    for i in range(len(table.accuracy)):
-        lam, gamma = table.combo(i)
-        for b, bandwidth in enumerate(bandwidths):
+    table = PolicyTable(ts, lam_grid, gamma_grid, scores)
+    for bandwidth in (1e3, 1e5, 1e7):
+        latency = table.latency_s(3.62e9, bandwidth)
+        for i in range(len(table.accuracy)):
+            lam, gamma = table.combo(i)
             rep = policy_stats(ts, lam, gamma, scores, Environment(3.62e9, bandwidth, 0.03))
             # repr tells every float apart bit for bit
             assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
                          tuple(table.exit_distribution[i].tolist()),
-                         float(table.mean_latency_s[i, b]))) == repr(
+                         float(latency[i]))) == repr(
                 (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
                  rep.mean_latency_s))
 
@@ -185,9 +186,7 @@ def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, 
     if repeat:
         lam_grid[0].append(lam_grid[0][0])
         gamma_grid[-1].append(gamma_grid[-1][-1])
-    bandwidths = (1e3, 1e5, 1e7)
-    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None, scores if gated else None,
-                        3.62e9, bandwidths)
+    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None, scores if gated else None)
     assert len(table.accuracy) == math.prod(map(len, lam_grid + gamma_grid if gated else lam_grid))
     for i in range(len(table.accuracy)):
         lam, gamma = table.combo(i)
@@ -200,16 +199,17 @@ def test_count_table_matches_literal_walkers(seed, num_exits, gated, n_samples, 
         assert table.exit_distribution[i].tolist() == (ends / n_samples).tolist()
         assert table.on_device_mflops[i] == pytest.approx(
             np.mean([device for _, device, _, _ in walks]), rel=1e-12, abs=0)
-        for b, bandwidth in enumerate(bandwidths):
+        for bandwidth in (1e3, 1e5, 1e7):
             env = Environment(3.62e9, bandwidth, 0.03)
-            assert table.mean_latency_s[i, b] == pytest.approx(np.mean(
+            assert table.latency_s(3.62e9, bandwidth)[i] == pytest.approx(np.mean(
                 [literal_latency(device, tx, topo, env) for _, device, _, tx in walks]),
                 rel=1e-12, abs=0)
 
 
 def test_gated_table_build_peaks_below_two_megabytes():
     # The build keeps per-sample arrays only until the grid-cell histogram
-    # is made, and no (samples x combinations) array at any point.
+    # is made, and no (samples x combinations) array at any point; pricing
+    # 16 bandwidths adds only their (bandwidths x combinations) latencies.
     rng = np.random.default_rng(15)
     n = 8192
     ts = TraceSet.from_columns(VGG_TOPOLOGY, np.arange(n), rng.integers(0, 10, n),
@@ -219,11 +219,12 @@ def test_gated_table_build_peaks_below_two_megabytes():
     gamma_grid = [np.linspace(0.0, 1.0, 5)] * 2
     tracemalloc.start()
     try:
-        table = PolicyTable(ts, lam_grid, gamma_grid, scores, 3.62e9, np.geomspace(1e4, 1e8, 16))
+        latency = PolicyTable(ts, lam_grid, gamma_grid, scores).latency_s(
+            3.62e9, np.geomspace(1e4, 1e8, 16)[:, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.mean_latency_s.shape == (1600, 16)
+    assert latency.shape == (16, 1600)
     assert peak < 2 * 2**20
 
 
@@ -279,16 +280,16 @@ def test_table_rows_equal_policy_stats_when_every_value_ties_a_sample(seed, num_
     lam_grid = [ts.conf[rng.integers(0, n, 2), e] for e in range(n_early)]
     gamma_grid = [np.concatenate([[0.0, 1.0], scores[rng.integers(0, n, 1), e]])
                   for e in range(n_early)]
-    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None,
-                        scores if gated else None, 3.62e9, (1e4, 1e7))
-    for i in range(len(table.accuracy)):
-        lam, gamma = table.combo(i)
-        for b, bandwidth in enumerate(table.bandwidths):
+    table = PolicyTable(ts, lam_grid, gamma_grid if gated else None, scores if gated else None)
+    for bandwidth in (1e4, 1e7):
+        latency = table.latency_s(3.62e9, bandwidth)
+        for i in range(len(table.accuracy)):
+            lam, gamma = table.combo(i)
             rep = policy_stats(ts, lam, gamma, scores if gated else None,
                                Environment(3.62e9, bandwidth, 0.03))
             assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
                          tuple(table.exit_distribution[i].tolist()),
-                         float(table.mean_latency_s[i, b]))) == repr(
+                         float(latency[i]))) == repr(
                 (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
                  rep.mean_latency_s))
 
@@ -315,16 +316,18 @@ def test_four_exit_default_grid_rows_equal_policy_stats():
     scores = rng.uniform(0.0, 1.0, (1000, 3))
     bandwidths = (1e5, 1e6, 1e8)
     table = PolicyTable(ts, [np.linspace(0.2, 0.9, 8)] * 3, [np.linspace(0.0, 1.0, 5)] * 3,
-                        scores, 3.62e9, bandwidths)
+                        scores)
+    # One query prices every bandwidth: a column of them broadcasts.
+    latency = table.latency_s(3.62e9, np.array(bandwidths)[:, None])
     n_combos = 8**3 * 5**3
-    assert table.mean_latency_s.shape == (n_combos, 3)
+    assert latency.shape == (3, n_combos)
     for i in [0, n_combos - 1, *rng.integers(0, n_combos, 20).tolist()]:
         lam, gamma = table.combo(i)
         for b, bandwidth in enumerate(bandwidths):
             rep = policy_stats(ts, lam, gamma, scores, Environment(3.62e9, bandwidth, 0.03))
             assert repr((float(table.accuracy[i]), float(table.on_device_mflops[i]),
                          tuple(table.exit_distribution[i].tolist()),
-                         float(table.mean_latency_s[i, b]))) == repr(
+                         float(latency[b, i]))) == repr(
                 (rep.accuracy, rep.mean_on_device_mflops, rep.exit_distribution,
                  rep.mean_latency_s))
 
@@ -514,7 +517,7 @@ def test_a_bad_vector_in_a_threshold_list_raises_its_own_check(bad):
         # A table checks each exit's value list as a vector of any length.
         cases += [(check_lambda, None, lambda: PolicyTable(ts, [(0.5, 0.9), bad])),
                   (check_gamma, None, lambda: PolicyTable(ts, [(0.5,), (0.5,)], [bad, (0.0, 1.0)],
-                                                          scores, 3.62e9, [1e6]))]
+                                                          scores))]
     for check, n_early, tabulate in cases:
         with pytest.raises(ValueError) as want:
             check(bad, n_early)
@@ -561,10 +564,11 @@ def test_environment_rejects_non_finite_and_non_positive(field, value):
     args = {"compute_speed": 3.62e9, "bandwidth": 1e6, "latency_budget": 0.03, field: value}
     with pytest.raises(ValueError, match=field):
         Environment(**args)
-    if field == "bandwidth":  # a policy table prices its bandwidths under the same check
+    if field == "bandwidth":  # a sweep checks its bandwidths under the same check
         ts = random_trace_set(np.random.default_rng(15), VGG_TOPOLOGY, n_samples=4)
         with pytest.raises(ValueError, match=r"^bandwidths\[1\] must "):
-            PolicyTable(ts, [(0.5,), (0.5,)], compute_speed=3.62e9, bandwidths=[1e6, value])
+            sweep_bandwidths(ts, np.full((4, 2), 0.5), Environment(3.62e9, 1e6, 0.03),
+                             [1e6, value], [0.5], [0.0])
 
 
 def plus_predictor(recs, report, topo, env):

@@ -222,8 +222,9 @@ def tied_searches(draw):
                              unique=True))
     gam_vals = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=3,
                              unique=True))
+    # Repeats in any order: the sweep prices each one and sorts them.
     bandwidths = draw(st.lists(st.sampled_from([1e1, 1e3, 1e4, 1e5, 1e6, 1e8]), min_size=1,
-                               max_size=6, unique=True))
+                               max_size=6))
     env = Environment(1e9, 1e6, draw(st.sampled_from([0.002, 0.005, 0.05])))
     return ts, scores, env, bandwidths, lam_vals, gam_vals
 

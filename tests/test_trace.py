@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitsim.cli import emit_frontier, validate_artifact
-from exitsim.engine import AggregateReport, PolicyTable, policy_stats
+from exitsim.cli import check_config, emit_frontier, main, validate_artifact
+from exitsim.engine import AggregateReport, Environment, policy_stats
 from exitsim.nncore import Mlp
-from exitsim.optimizer import PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors
+from exitsim.optimizer import (PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors,
+                               sweep_bandwidths)
 from exitsim.trace import (
     ExitTopology,
     SampleTrace,
     Thresholds,
     TraceFormatError,
     TraceSet,
+    as_int,
+    as_ints,
     as_reals,
     canon,
     canon_array,
@@ -254,6 +257,71 @@ def test_a_bool_among_integers_is_rejected_naming_the_sample(name):
         TraceSet(small_topology(), rows)
 
 
+# (values, the index of the first entry beyond int64, that entry)
+BEYOND_INT64 = {
+    "python-ints": ([1, 2**63 + 5], 1, 2**63 + 5),  # numpy reads these as uint64
+    "uint64-array": (np.array([1, 2**63 + 5], dtype=np.uint64), 1, 2**63 + 5),
+    "beyond-uint64": ([2**64, 1], 0, 2**64),  # numpy reads these as objects
+    "below-int64": ([1, -2**63 - 1], 1, -2**63 - 1),
+}
+
+
+@pytest.mark.parametrize("bounds", [None, "[0, inf)"], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("name", list(BEYOND_INT64))
+def test_an_integer_beyond_int64_fails_naming_its_entry(name, bounds):
+    # It never wraps, and the scalar check agrees with the array check.
+    values, at, value = BEYOND_INT64[name]
+    message = f"must be an integer within int64, got {value}$"
+    with pytest.raises(ValueError, match=rf"^x\[{at}\] {message}"):
+        as_ints(values, "x", bounds)
+    with pytest.raises(ValueError, match=f"^x {message}"):
+        as_int(value, "x", bounds)
+
+
+def test_int64_integers_are_read_exactly():
+    assert as_ints([-2**63, 2**63 - 1], "x").tolist() == [-2**63, 2**63 - 1]
+    # numpy reads ints beside a float as doubles, which round past 2**53.
+    assert as_ints([2**53 + 1, 2.0], "x").tolist() == [2**53 + 1, 2]
+    with pytest.raises(ValueError, match=r"^x\[1\] must be an integer, got 0.5$"):
+        as_ints([2**63 - 1, 0.5], "x")
+    with pytest.raises(ValueError, match=r"^x\[1\] must be an integer, got 'a'$"):
+        as_ints([2**63 - 1, "a"], "x")
+
+
+def test_config_and_trace_ids_beyond_int64_fail_naming_the_entry(tmp_path):
+    with pytest.raises(ValueError, match=r"^config ee: trunk_widths\[0\] must be an integer "
+                                         r"within int64, got 9223372036854775813$"):
+        check_config({"ee": {"trunk_widths": [2**63 + 5, 32]}})
+    columns = {"label": [0, 0], "conf": [[0.5] * 3] * 2, "pred": [[0] * 3] * 2}
+    message = "^id must be an integer within int64, got 9223372036854775813$"
+    for ids in ([0, 2**63 + 5], np.array([0, 2**63 + 5], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=message):
+            TraceSet.from_columns(small_topology(), ids, **columns)
+    with pytest.raises(ValueError, match="^sample 0: label must be an integer within int64"):
+        TraceSet(small_topology(), [SampleTrace(0, 2**63 + 5, (0.5,) * 3, (0,) * 3)])
+    path = tmp_path / "t.jsonl"
+    path.write_text(_HEADER + "\n" + _RECORD.replace('"id":0', f'"id":{2**63 + 5}') + "\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 2: "
+                                               f"{message[1:]}"):
+        load_trace_set(path)
+
+
+def test_zero_width_features_are_rejected_naming_the_sample(tmp_path, capsys):
+    topo, message = small_topology(), "features must not be empty$"
+    with pytest.raises(ValueError, match=f"^sample 4: {message}"):
+        TraceSet.from_columns(topo, [4, 5], [0, 0], [[0.5] * 3] * 2, [[0] * 3] * 2,
+                              features=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match=f"^sample 4: {message}"):
+        TraceSet(topo, [SampleTrace(i, 0, (0.5,) * 3, (0,) * 3, ()) for i in (4, 5)])
+    path = tmp_path / "t.jsonl"
+    path.write_text(_HEADER + "\n" + _RECORD[:-1] + ',"features":[]}\n')
+    with pytest.raises(TraceFormatError,
+                       match=f"^{re.escape(str(path))}: line 2: sample 0: {message}"):
+        load_trace_set(path)
+    assert main(["validate", str(path)]) == 1
+    assert f"line 2: sample 0: {message[:-1]}" in capsys.readouterr().err
+
+
 def _sample_rows(conf, features):
     return [SampleTrace(0, 0, (0.5, 0.5, 0.5), (0, 0, 0), (0.1, 0.2)),
             SampleTrace(1, 0, conf, (0, 0, 0), features)]
@@ -282,8 +350,9 @@ VECTOR_ENTRY_POINTS = {
     "ThresholdRegressor": (lambda v: ThresholdRegressor((1e5, 1e6), (1e5, 1e6),
                                                         [v, (0.5, 0.5)], [(0.5, 0.5)] * 2, 0.0),
                            [0.5, 0.6], r"lambda\[0\]\[1\]", r"lambda\[0\]"),
-    "PolicyTable-bandwidths": (
-        lambda v: PolicyTable(_SET, [(0.5,), (0.5,)], compute_speed=3.62e9, bandwidths=v),
+    "sweep_bandwidths": (
+        lambda v: sweep_bandwidths(_SET, [(0.5, 0.5)] * 4, Environment(3.62e9, 1e6, 0.03), v,
+                                   [0.5], [0.0]),
         [1e6, 2e6], r"bandwidths\[1\]", "bandwidths"),
     "policy_stats-scores": (
         lambda v: policy_stats(_SET, (0.5, 0.5), (0.5, 0.5), [(0.5, 0.5)] * 3 + [v]),
@@ -460,7 +529,7 @@ def test_canon_array_formats_its_slow_values_as_canon_does():
 def _trace_sets(draw):
     n_exits, p = draw(st.integers(2, 4)), draw(st.integers(2, 12))
     n = draw(st.integers(0, 6))
-    dim = draw(st.none() | st.integers(0, 4))
+    dim = draw(st.none() | st.integers(1, 4))
     ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n, unique=True))
 
     def row(values, width):
