@@ -10,10 +10,10 @@ exactly through an IEEE double, so values are canonicalised to that
 precision at construction time and save -> load is the identity.
 
 A ``TraceSet`` keeps its samples as read-only numpy columns.  Building one
-from ``SampleTrace`` rows, from arrays or from a file goes through one
-column canonicaliser and one column check, the only place sample values are
-canonicalised and checked; a row checks nothing itself.  ``subset`` takes
-rows of a checked set, so it checks only that no index repeats.
+from ``SampleTrace`` rows, from arrays or from a file ends in one column
+check, ``TraceSet._set``: row shapes, then lengths, then values, the only
+place sample values are canonicalised and checked; a row checks nothing
+itself.  ``subset`` takes checked rows, so it checks only that no index repeats.
 
 Each input shape has one reader here: ``read_json`` for whole-file JSON
 documents, ``read_jsonl`` for line-delimited files (whose records
@@ -441,16 +441,38 @@ def _sample_checks(ids, label, p: int, features):
     return ids, label, checks
 
 
-def _lengths(topology: ExitTopology, ids, conf_len, pred_len, feat_len) -> int:
-    """The features' width (-1: none), once each sample's confidences,
-    predicted classes and features fit, given as their lengths, -1 marking
-    a sample without features.  Raises _RowError for the first sample whose
-    lengths fit neither the topology nor the set's first sample.
-    """
-    n, n_exits = len(ids), topology.num_exits
-    conf_len, pred_len, feat_len = (np.array(lengths, dtype=np.int64).reshape(n)
+def _row_lengths(name: str, col, ids) -> list[int] | int:
+    """The lengths of ``col``'s rows, one per id (-1: no features, or a
+    feature row of None), a 2-d array's from its shape.  A row is a list, a
+    tuple or a 1-d numpy row; a string has a length but is no row.  Raises
+    ValueError for a column of another count, _RowError for a row of none."""
+    if col is None and name == "features":
+        return -1
+    count = len(col) if isinstance(col, _ROW) and getattr(col, "ndim", 1) else None
+    if count != len(ids):
+        raise ValueError(f"{name} must hold {len(ids)} rows, one per id, got {count or col!r}")
+    if isinstance(col, np.ndarray) and col.ndim == 2:
+        return col.shape[1]
+    kinds = (*_ROW, type(None)) if name == "features" else _ROW
+    seen = set(map(type, col))
+    if not all(issubclass(kind, kinds) for kind in seen) or (
+            any(issubclass(kind, np.ndarray) for kind in seen)
+            and {getattr(v, "ndim", 1) for v in col} != {1}):
+        i = [isinstance(v, kinds) and getattr(v, "ndim", 1) == 1 for v in col].index(False)
+        raise _RowError(i, f"sample {ids[i]}: {name} must be a list of numbers")
+    return [-1 if v is None else len(v) for v in col] if type(None) in seen else list(map(len, col))
+
+
+def _lengths(ids, conf_len, pred_len, feat_len, n_exits: int, dim: int | None = None) -> int:
+    """The features' width (-1: none), once each sample's lengths fit; every
+    length complaint comes from here.  Lengths come per sample or one for
+    all (-1: no features).  Confidences must be as long as the predicted
+    classes and ``n_exits``, features on every sample or none and ``dim``
+    long (None: as the first sample's).  Raises _RowError at the first misfit."""
+    n = len(ids)
+    conf_len, pred_len, feat_len = (np.broadcast_to(np.asarray(lengths, dtype=np.int64), n)
                                     for lengths in (conf_len, pred_len, feat_len))
-    dim = int(feat_len[0]) if n else -1
+    dim = (int(feat_len[0]) if n else -1) if dim is None else dim
     _raise_first([
         (conf_len != pred_len, lambda i: f"sample {ids[i]}: confidences and predicted "
                                          f"lengths differ ({conf_len[i]} vs {pred_len[i]})"),
@@ -475,25 +497,8 @@ class TraceSet:
     _CHUNK = 4096  # rows ``samples`` converts at a time
 
     def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
-        rows = tuple(samples)
-        empty = np.zeros((0, topology.num_exits), int)
-        ids, label, conf, pred, feats = (map(list, zip(*rows)) if rows
-                                         else ([], [], empty, empty, []))
-        # Each field is a list (a tuple or 1-d numpy row too), the record
-        # loop's test, or for features None: a string has a length but is no
-        # row, nor is a 0-d array.
-        for name, col, kinds in (("confidences", conf, _ROW), ("predicted", pred, _ROW),
-                                 ("features", feats, (*_ROW, type(None)))):
-            seen = set(map(type, col))
-            if not all(issubclass(kind, kinds) for kind in seen) or (
-                    any(issubclass(kind, np.ndarray) for kind in seen)
-                    and {getattr(v, "ndim", 1) for v in col} != {1}):
-                i = [isinstance(v, kinds) and getattr(v, "ndim", 1) == 1 for v in col].index(False)
-                raise ValueError(f"sample {ids[i]}: {name} must be a list of numbers")
-        _lengths(topology, ids, list(map(len, conf)), list(map(len, pred)),
-                 [-1 if f is None else len(f) for f in feats])
         # The rows go in unstacked, so that the column check scans their entries.
-        self._set(topology, ids, label, conf, pred, [f for f in feats if f is not None] or None)
+        self._set(topology, *(tuple(zip(*samples)) or ([],) * 5))
 
     @classmethod
     def from_columns(cls, topology: ExitTopology, ids, label, conf, pred,
@@ -505,24 +510,24 @@ class TraceSet:
         return ts
 
     def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
-        """The one column canonicaliser and check; stores read-only copies."""
+        """The one column check and canonicaliser, which every builder reaches:
+        each column's count, its rows' shapes (``_row_lengths``) and lengths
+        (``_lengths``), then every entry's type and value; stores read-only copies."""
         p, n_exits = topology.num_classes, topology.num_exits
         id_col, label_col = _integral(ids, False), _integral(label, False)
+        if id_col[1].ndim != 1:
+            raise ValueError(f"id must be a list of integers, got {ids!r}")
+        if label_col[1].shape != (n := len(id_col[1]),):
+            raise ValueError(f"label must be a list of {n} integers, one per id, got {label!r}")
+        dim = _lengths(id_col[0], *(_row_lengths(name, col, id_col[0]) for name, col in (
+            ("confidences", conf), ("predicted", pred), ("features", features))), n_exits)
         pred_given, pred, pred_bad = _integral(pred, True)
         conf_given, conf, conf_bad = _scan(conf, True)
-        conf = canon_array(conf)
-        if features is not None:
-            given, real, _ = _scan(features, True)
-            features = given, canon_array(real)
-        ids, label = id_col[1], label_col[1]
-        n, feat = len(ids), None if features is None else features[1]
-        if (ids.shape != (n,) or label.shape != (n,) or conf.shape != (n, n_exits)
-                or pred.shape != (n, n_exits)
-                or (feat is not None and (feat.ndim != 2 or len(feat) != n))):
-            raise ValueError(
-                f"columns do not fit {n} samples and N={n_exits}: id {ids.shape}, "
-                f"label {label.shape}, confidences {conf.shape}, predicted {pred.shape}, "
-                f"features {None if feat is None else feat.shape}")
+        # The scan reads no rows as (0, 1).
+        pred, conf = pred.reshape(n, n_exits), canon_array(conf).reshape(n, n_exits)
+        # Canonical before the checks make their masks, for a lower peak memory.
+        given, real, _ = _scan(features, True) if dim >= 0 else (None,) * 3
+        features = None if dim < 0 else (given, canon_array(real))
         ids, label, checks = _sample_checks(id_col, label_col, p, features)
         if conf_bad is not None:
             checks.append((conf_bad, lambda i: f"sample {ids[i]}: confidences must be numbers, "
@@ -538,12 +543,13 @@ class TraceSet:
             (pred_out, lambda i: f"sample {ids[i]}: predicted class "
                                  f"{_entry(pred, pred_out, i)} outside [0, {p})"),
         ])
-        self._store(topology, ids, label, conf, pred, feat)
+        self._store(topology, ids, label, conf, pred, None if features is None else features[1])
 
     def _store(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
         """Keep checked columns, made read-only; the caller hands them over."""
+        # A set of no rows holds no features: its file cannot say their width.
         for name, col in (("ids", ids), ("label", label), ("conf", conf), ("pred", pred),
-                          ("features", features)):
+                          ("features", features if len(ids) else None)):
             if col is not None:
                 col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -902,7 +908,7 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
         path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
     with _record_errors(path, lines):
         n, n_exits = len(ids), topo.num_exits
-        dim = _lengths(topo, ids, conf[1], pred[1], feats[1])
+        dim = _lengths(ids, conf[1], pred[1], feats[1], n_exits)
         # Each list's entries as rows: numeric if each is a number, else Python
         # values, which the column check scans again to name the first that is
         # none.  Rebinding frees the gathered entries.
@@ -930,9 +936,7 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
     (n, p, d), lines, ids, labels, [(feats, feat_len)] = _read_records(
         path, text, _dataset_header, ("features",))
     with _record_errors(path, lines):
-        feat_len = np.array(feat_len, dtype=np.int64)
-        _raise_first([(feat_len != d,
-                       lambda i: f"sample {ids[i]}: features length {feat_len[i]} != {d}")])
+        _lengths(ids, 0, 0, feat_len, 0, d)  # a dataset holds no confidences or predictions
         given, x, _ = _scan(feats, False)
         x = x.reshape(len(lines), d)
         _, y, checks = _sample_checks(_integral(ids, False), _integral(labels, False), p,
@@ -1011,8 +1015,8 @@ def table_text(columns: Sequence[tuple[str, Callable]], rows: Iterable[Sequence]
 def read_table(path: str | os.PathLike, text: str,
                columns: Sequence[tuple[str, Callable]]) -> list[list]:
     """The rows of a CSV table (no quoting), parsed by ``columns``.  The
-    header must be exactly their names and every row as wide; a failure
-    raises ValueError naming the path, the line and, for a field, its column."""
+    header must be exactly their names, then one row or more, each as wide;
+    a failure raises ValueError naming the path, the line and any column."""
     names = [name for name, _ in columns]
     lines = text.split("\n")
     if lines[0].split(",") != names:
@@ -1028,4 +1032,6 @@ def read_table(path: str | os.PathLike, text: str,
                 rows[-1].append(parse(field))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {name}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: line 2: table has no rows")
     return rows

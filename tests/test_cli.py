@@ -259,6 +259,11 @@ def _set_method_gamma(line: int, method: str, gamma: str):
     return lambda text: _set_field(line, "gamma", gamma)(_set_field(line, "method", method)(text))
 
 
+def _header_only(text):
+    """A corruption of a CSV table: every row dropped."""
+    return text.partition("\n")[0] + "\n"
+
+
 def _edit_json(edit):
     def corrupt(text):
         doc = json.loads(text)
@@ -377,6 +382,9 @@ def _as_mlp_checkpoint(doc):
      _edit_json(lambda d: d["regressors"][0]["lambda"][0].__setitem__(0, "0.8")),
      r"malformed 'threshold_regressors' document: regressors\[0\]: lambda\[0\]\[0\] must be "
      r"a finite real number, got '0.8'$"),
+    # No writer emits a table of no rows.
+    ("sweep.csv", _header_only, r"line 2: table has no rows$"),
+    ("frontier.csv", _header_only, r"line 2: table has no rows$"),
 ], ids=["sweep-lambda", "sweep-nan-accuracy", "sweep-feasible-yes", "frontier-banana",
         "report-method", "adapt-feasible-maybe", "adapt-short-row", "adapt-short-gamma",
         "frontier-plain-gamma", "frontier-short-gamma", "frontier-no-gamma",
@@ -390,7 +398,8 @@ def _as_mlp_checkpoint(doc):
         "ee-string-seed", "ee-fractional-seed", "ep-nan-flops", "ep-string-flops",
         "ep-bool-flops", "ep-string-net-seed", "thresholds-string-lambda",
         "thresholds-bool-gamma", "ep-string-weight", "ep-bool-bias", "ep-extra-size",
-        "ee-string-trunk-weight", "summary-string-lambda", "regressors-string-lambda"])
+        "ee-string-trunk-weight", "summary-string-lambda", "regressors-string-lambda",
+        "sweep-no-rows", "frontier-no-rows"])
 def test_corrupted_demo_artifact_fails_validate_naming_path_and_place(
         small_demo, tmp_path, capsys, name, corrupt, where):
     path = tmp_path / name

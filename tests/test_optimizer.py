@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,9 @@ def test_policy_points_csv_round_trip(tmp_path):
     path = tmp_path / "points.csv"
     save_policy_points(pts, path)
     assert load_policy_points(path) == pts
+    path.write_text(path.read_text().partition("\n")[0] + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: table has no rows$"):
+        load_policy_points(path)
 
 
 @pytest.mark.parametrize("bad, where", [

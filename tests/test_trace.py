@@ -210,26 +210,61 @@ def test_sample_trace_rejects_fractional_integer_fields(field, value):
         TraceSet(small_topology(), (SampleTrace(**args),))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("confidences", 0.5), ("confidences", np.float64(0.5)), ("predicted", "abc"),
-    ("features", 0.1)])
-def test_a_row_field_that_is_no_list_names_the_sample(field, value):
-    # A string is no list of numbers, though it has a length.
-    args = {"id": 0, "label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3, field: value}
+BUILDERS = ["rows", "from_columns"]
+
+
+def _build(builder, rows):
+    """A set of ``rows`` built by one in-memory builder: from the rows
+    themselves, or from their columns."""
+    if builder == "rows":
+        return TraceSet(small_topology(), rows)
+    return TraceSet.from_columns(small_topology(), *zip(*rows))
+
+
+def _per_builder(cases):
+    """``cases`` (id -> arguments) as parameters for each in-memory builder;
+    the rows builder's cases keep their plain ids."""
+    return [pytest.param(builder, *args, id=case if builder == "rows" else f"{case}-{builder}")
+            for case, args in cases.items() for builder in BUILDERS]
+
+
+def _trace_file(tmp_path, rows):
+    """A trace file of ``rows``, a record per line from line 2."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(f"{line}\n" for line in [_HEADER, *(
+        json.dumps({k: v for k, v in row._asdict().items() if v is not None}) for row in rows)]))
+    return path
+
+
+@pytest.mark.parametrize("builder, field, value", _per_builder({
+    "confidences-0.5_0": ("confidences", 0.5),
+    "confidences-0.5_1": ("confidences", np.float64(0.5)),
+    "predicted-abc": ("predicted", "abc"), "features-0.1": ("features", 0.1),
+    "predicted-5": ("predicted", 5), "confidences-2d-row": ("confidences", np.full((3, 1), 0.5))}))
+def test_a_row_field_that_is_no_list_names_the_sample(tmp_path, builder, field, value):
+    # A string is no list of numbers, though it has a length, nor is a 2-d
+    # numpy row; a number is not broadcast to the width of the sound row after it.
+    good = {"label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3}
+    rows = (SampleTrace(id=0, **{**good, field: value}), SampleTrace(id=1, **good))
     with pytest.raises(ValueError, match=f"^sample 0: {field} must be a list of numbers$"):
-        TraceSet(small_topology(), (SampleTrace(**args),))
+        _build(builder, rows)
+    if not isinstance(value, np.ndarray):  # a file names the line, before any id is read
+        path = _trace_file(tmp_path, rows)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 2: "
+                                                   f"{field} must be a list of numbers$"):
+            load_trace_set(path)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("confidences", np.array(0.5)), ("predicted", np.array(0)), ("features", np.array(0.1))],
-    ids=["confidences", "predicted", "features"])
-def test_a_0d_array_where_a_row_belongs_names_the_sample(field, value):
+@pytest.mark.parametrize("builder, field, value", _per_builder({
+    "confidences": ("confidences", np.array(0.5)), "predicted": ("predicted", np.array(0)),
+    "features": ("features", np.array(0.1))}))
+def test_a_0d_array_where_a_row_belongs_names_the_sample(builder, field, value):
     # A 0-d array is an np.ndarray but has no length; the row before it is sound.
     good = {"label": 0, "confidences": np.full(3, 0.5), "predicted": np.zeros(3, int),
             "features": np.array([0.1, 0.2])}
     rows = (SampleTrace(id=0, **good), SampleTrace(id=1, **{**good, field: value}))
     with pytest.raises(ValueError, match=f"^sample 1: {field} must be a list of numbers$"):
-        TraceSet(small_topology(), rows)
+        _build(builder, rows)
 
 
 MIXED_BOOL_COLUMNS = {
@@ -614,11 +649,34 @@ def test_columns_are_read_only_and_samples_are_views():
     assert [(s.id, s.features) for s in big.samples] == [(i, None) for i in range(n)]
 
 
-def test_mismatched_lengths_rejected():
-    topo = small_topology(n=3)
-    with pytest.raises(ValueError, match="confidences length"):
-        TraceSet(topo, (SampleTrace(id=0, label=0, confidences=(0.5, 0.5),
-                                    predicted=(0, 0)),))
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("change, message", [
+    ({"confidences": (0.5, 0.5), "predicted": (0, 0)}, "confidences length 2 != N=3"),
+    ({"features": None}, "features present for only part of the set"),
+    ({"features": (0.1,)}, "features length 1 != 2"),
+], ids=["short", "partial-features", "features-width"])
+def test_mismatched_lengths_rejected(tmp_path, change, message, builder):
+    # In memory and, naming the line, in a file alike.
+    good = SampleTrace(0, 0, (0.5,) * 3, (0,) * 3, (0.1, 0.2))
+    rows = (good, good._replace(id=1, **change))
+    with pytest.raises(ValueError, match=f"^sample 1: {message}$"):
+        _build(builder, rows)
+    path = _trace_file(tmp_path, rows)
+    with pytest.raises(TraceFormatError,
+                       match=f"^{re.escape(str(path))}: line 3: sample 1: {message}$"):
+        load_trace_set(path)
+
+
+def test_a_set_of_no_rows_holds_no_features(tmp_path):
+    # Its file cannot say their width, so no builder keeps any.
+    topo = small_topology()
+    none = TraceSet.from_columns(topo, [], [], np.zeros((0, 3)), np.zeros((0, 3), int),
+                                 features=np.zeros((0, 2)))
+    part = TraceSet(topo, [SampleTrace(0, 0, (0.5,) * 3, (0,) * 3, (0.1, 0.2))]).subset([])
+    assert not none.has_features and not part.has_features
+    assert none == part == TraceSet(topo, []) == TraceSet.from_columns(topo, [], [], [], [])
+    save_trace_set(none, tmp_path / "t.jsonl")
+    assert load_trace_set(tmp_path / "t.jsonl") == none
 
 
 def test_duplicate_ids_rejected():
