@@ -528,10 +528,9 @@ def validate_artifact(path: str) -> str:
     """Validate one artifact; returns a short type tag or raises.
 
     The file is read once; every check parses that text.  A JSON file is
-    line-delimited (a trace or dataset file) when more lines follow a line 1
-    that is a JSON object on its own, or a damaged line 1 followed by a
-    line 2 that is; any other JSON file is one document.  Either way a
-    damaged file is named at the line of the damage.
+    line-delimited when its line 1 is a JSON object on its own that is a
+    trace or dataset header or that more lines follow, or a damaged line
+    before a line 2 that is one; else one document.  Damage names its line.
     """
     text = trace.read_text(path)
     stripped = text.lstrip()
@@ -539,11 +538,12 @@ def validate_artifact(path: str) -> str:
         raise ValueError(f"{path}: empty file")
     if stripped.startswith("{"):
         first, _, rest = text.partition("\n")
-        header, second = _json_object(first), rest.partition("\n")[0]
-        if rest.strip() and (header is not None or _json_object(second) is not None):
-            if header is not None and header.get("kind") == "dataset":
-                zoo.load_dataset(path, text)
-                return "dataset"
+        header = _json_object(first)
+        if header is not None and header.get("kind") == "dataset":
+            zoo.load_dataset(path, text)
+            return "dataset"
+        if (header is not None and (rest.strip() or {"N", "P", "segment_flops"} <= header.keys())
+                or rest.strip() and _json_object(rest.partition("\n")[0]) is not None):
             trace.load_trace_set(path, text)
             return "trace_set"
         whole = trace.read_json(path, text)
@@ -551,9 +551,6 @@ def validate_artifact(path: str) -> str:
         if kind in _JSON_LOADERS:
             _JSON_LOADERS[kind](path, whole)
             return kind
-        if "N" in whole and "P" in whole and "segment_flops" in whole:
-            trace.load_trace_set(path, text)
-            return "trace_set"
         raise ValueError(f"{path}: unrecognized JSON artifact kind {kind!r}")
     # CSV tables, recognised by their exact header; every row is parsed
     header = text.partition("\n")[0]

@@ -119,9 +119,7 @@ class ThresholdRegressor:
     max_abs_error: float
 
     def __post_init__(self) -> None:
-        iv = tuple(as_reals(self.interval, "interval", "(0, inf)").tolist())
-        if not (len(iv) == 2 and iv[0] < iv[1]):
-            raise ValueError(f"interval must be [lo, hi] with 0 < lo < hi, got {list(iv)}")
+        iv = check_interval(self.interval, "interval")
         bws = tuple(as_reals(self.train_bandwidths, "train_bandwidths").tolist())
         if len(bws) < 2 or not all(iv[0] <= b <= iv[1] for b in bws):
             raise ValueError(f"train_bandwidths must be at least 2 values in the interval "
@@ -144,17 +142,20 @@ class ThresholdRegressor:
             object.__setattr__(self, name, value)
 
 
+def check_interval(values, field: str) -> tuple[float, float]:
+    """The one interval rule: ``values`` as (lo, hi) with 0 < lo < hi, else ValueError."""
+    iv = as_reals(values, field, "(0, inf)").tolist()
+    if not (len(iv) == 2 and iv[0] < iv[1]):
+        raise ValueError(f"{field} must be [lo, hi] with lo < hi, got {iv}")
+    return tuple(iv)
+
+
 def check_intervals(intervals, field: str = "intervals") -> list[tuple[float, float]]:
-    """``intervals`` as (lo, hi) pairs with 0 < lo < hi, at least one.  The
-    first row that is not a pair in order fails as ``{field}[i] must be
-    [lo, hi] with lo < hi``."""
+    """``intervals`` as ``check_interval`` pairs, at least one, row i named ``{field}[i]``."""
     rows = as_reals(intervals, field, "(0, inf)", rows=True).tolist()
     if not rows:
         raise ValueError(f"{field} must be a nonempty list, got {rows}")
-    for i, iv in enumerate(rows):
-        if not (len(iv) == 2 and iv[0] < iv[1]):
-            raise ValueError(f"{field}[{i}] must be [lo, hi] with lo < hi, got {iv}")
-    return [tuple(iv) for iv in rows]
+    return [check_interval(iv, f"{field}[{i}]") for i, iv in enumerate(rows)]
 
 
 def fit_regressors(points: Sequence[PolicyPoint],

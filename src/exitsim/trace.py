@@ -11,9 +11,9 @@ precision at construction time and save -> load is the identity.
 
 A ``TraceSet`` keeps its samples as read-only numpy columns.  Building one
 from ``SampleTrace`` rows, from arrays or from a file ends in one column
-check, ``TraceSet._set``: row shapes, then lengths, then values, the only
-place sample values are canonicalised and checked; a row checks nothing
-itself.  ``subset`` takes checked rows, so it checks only that no index repeats.
+check, ``TraceSet._set``: ids (``_ids``, first on every way in), row shapes,
+lengths, then values, the only place sample values are canonicalised and
+checked; a row checks nothing itself.  ``subset`` runs only ``_ids``.
 
 Each input shape has one reader here: ``read_json`` for whole-file JSON
 documents, ``read_jsonl`` for line-delimited files (whose records
@@ -31,7 +31,7 @@ field, a CSV field, a constructor argument -- has one check: ``as_int`` or
 which apply that check to each entry.  What counts as a number in an array
 is decided once, by ``_scan``, which the ``TraceSet`` columns share, and so
 every entry of a trace or dataset file: an int or a float, never a bool or
-a string.  The record loop checks only keys and that each list is one.  A
+a string.  The record loop checks only keys, ids and that each list is one.  A
 value that is no finite number or no integer fails as such, naming its
 entry; one outside its interval reads ``{field} must lie in {bounds}, got
 {value!r}``.  NaN lies outside every interval.
@@ -407,26 +407,27 @@ def _integral(values, rows: bool):
     return given, np.where(bad, 0, given).astype(np.int64), bad
 
 
-def _duplicate_ids(ids: np.ndarray):
-    """The check that flags every use of an id after its first."""
-    first_use = np.zeros(len(ids), dtype=bool)
-    first_use[np.unique(ids, return_index=True)[1]] = True
-    return ~first_use, lambda i: f"sample {ids[i]}: duplicate id"
+def _ids(values) -> np.ndarray:
+    """The one id check, first on every way into a set: ``values`` as int64
+    ids, a 1-d list of integers within int64, each used once.  Raises
+    ValueError for no list, _RowError at the first bad or repeated id."""
+    given, ids, bad = _integral(values, False)
+    if ids.ndim != 1:
+        raise ValueError(f"id must be a list of integers, got {values!r}")
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    _raise_first([(bad, lambda i: _not_int64("id", _entry(given, bad, i))),
+                  (repeated, lambda i: f"sample {ids[i]}: duplicate id")])
+    return ids
 
 
 def _sample_checks(ids, label, p: int, features):
-    """The checks a trace set and a dataset share: integral, distinct ids;
-    integral labels in [0, p); nonempty finite features (None: none).
-
-    ``ids`` and ``label`` are as ``_integral`` returns them and ``features``
-    is (as given, as canonical float64, NaN where no number stands); the
-    columns must fit one sample count.  Returns the ids and labels as int64
-    and the (mask, message) checks for ``_raise_first``, in order.
-    """
-    (id_given, ids, id_bad), (label_given, label, label_bad) = ids, label
+    """The checks a trace set and a dataset share, naming samples by the
+    checked ``ids``: integral labels (as ``_integral`` returns them) in [0,
+    p), nonempty finite features (as given, as canonical float64, NaN where
+    no number stands; None: none).  Returns int64 labels and the checks."""
+    label_given, label, label_bad = label
     checks = [
-        (id_bad, lambda i: _not_int64("id", _entry(id_given, id_bad, i))),
-        _duplicate_ids(ids),
         (label_bad, lambda i: _not_int64(f"sample {ids[i]}: label",
                                          _entry(label_given, label_bad, i))),
         ((label < 0) | (label >= p),
@@ -438,7 +439,7 @@ def _sample_checks(ids, label, p: int, features):
                     lambda i: f"sample {ids[i]}: features must not be empty"),
                    (bad, lambda i: f"sample {ids[i]}: features must be finite numbers, "
                                    f"got {_entry(given, bad, i)!r}")]
-    return ids, label, checks
+    return label, checks
 
 
 def _row_lengths(name: str, col, ids) -> list[int] | int:
@@ -510,16 +511,14 @@ class TraceSet:
         return ts
 
     def _set(self, topology: ExitTopology, ids, label, conf, pred, features) -> None:
-        """The one column check and canonicaliser, which every builder reaches:
-        each column's count, its rows' shapes (``_row_lengths``) and lengths
-        (``_lengths``), then every entry's type and value; stores read-only copies."""
+        """The one column check and canonicaliser, which every builder reaches: ids
+        (``_ids``), then column counts and row shapes (``_row_lengths``), lengths
+        (``_lengths``) and values, naming samples by int64 id; stores read-only copies."""
         p, n_exits = topology.num_classes, topology.num_exits
-        id_col, label_col = _integral(ids, False), _integral(label, False)
-        if id_col[1].ndim != 1:
-            raise ValueError(f"id must be a list of integers, got {ids!r}")
-        if label_col[1].shape != (n := len(id_col[1]),):
+        ids, label_col = _ids(ids), _integral(label, False)
+        if label_col[1].shape != (n := len(ids),):
             raise ValueError(f"label must be a list of {n} integers, one per id, got {label!r}")
-        dim = _lengths(id_col[0], *(_row_lengths(name, col, id_col[0]) for name, col in (
+        dim = _lengths(ids, *(_row_lengths(name, col, ids) for name, col in (
             ("confidences", conf), ("predicted", pred), ("features", features))), n_exits)
         pred_given, pred, pred_bad = _integral(pred, True)
         conf_given, conf, conf_bad = _scan(conf, True)
@@ -528,7 +527,7 @@ class TraceSet:
         # Canonical before the checks make their masks, for a lower peak memory.
         given, real, _ = _scan(features, True) if dim >= 0 else (None,) * 3
         features = None if dim < 0 else (given, canon_array(real))
-        ids, label, checks = _sample_checks(id_col, label_col, p, features)
+        label, checks = _sample_checks(ids, label_col, p, features)
         if conf_bad is not None:
             checks.append((conf_bad, lambda i: f"sample {ids[i]}: confidences must be numbers, "
                                                f"got {_entry(conf_given, conf_bad, i)!r}"))
@@ -602,11 +601,11 @@ class TraceSet:
     def subset(self, indices: Sequence[int]) -> "TraceSet":
         """The samples at ``indices``, integers in [0, len(self)), in that
         order.  Rows of a checked set stay canonical and in range, so only
-        a repeated index can break the new set: it raises as a duplicate id.
+        a repeated index can break the new set: ``_ids`` raises it as a duplicate id.
         """
         rows = as_ints(indices, "indices", f"[0, {len(self)})")
         columns = [None if c is None else c[rows] for c in self._columns()]
-        _raise_first([_duplicate_ids(columns[0])])
+        _ids(columns[0])
         ts = TraceSet.__new__(TraceSet)
         ts._store(self.topology, *columns)
         return ts
@@ -840,15 +839,14 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
     ``header(line 1)`` reads the header; a KeyError, TypeError, ValueError
     or OverflowError it raises names line 1.  Each record needs an "id", a
     "label" and a JSON list under each of ``lists``; the ``optional`` list
-    may be absent or null.  Only what gathering needs is checked here,
-    record by record as they are read: the keys, and that each list is
-    one, raising TraceFormatError naming the path and line.  The entries'
-    types and values are left to the column check.  Returns what ``header``
-    returned, the records' line numbers, ids and labels, and per list
-    (``lists``, then ``optional``) its entries end to end and each record's
-    length, -1 where absent.  Only the entries are kept: a load that kept
-    each record's lists would leave the garbage collector a container per
-    field to scan.
+    may be absent or null.  Keys are checked as records are read, then ids
+    (``_ids``), then lists: the loop notes the first record whose field is
+    none, which fails in ``_row_lengths``' words; each names the path and
+    line.  Returns what ``header`` returned, the records' line numbers,
+    int64 ids and labels, and per list (``lists``, then ``optional``) its
+    entries end to end and each record's length, -1 where absent.  Only the
+    entries are kept: a load that kept each record's lists would leave the
+    garbage collector a container per field to scan.
     """
     rows = read_jsonl(path, text)
     _, first = next(rows)
@@ -861,7 +859,7 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
     names = (*lists, *([optional] if optional else []))
     get = operator.itemgetter("id", "label", *lists)
     lines, ids, labels = [], [], []
-    columns = [([], []) for _ in names]
+    columns, no_list = [([], []) for _ in names], {}
     for lineno, rec in rows:
         try:
             sid, label, *values = get(rec)
@@ -874,12 +872,17 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         ids.append(sid)
         labels.append(label)
         for name, (entries, lengths), v in zip(names, columns, values):
-            if not isinstance(v, _ROW):
-                raise TraceFormatError(f"{path}: line {lineno}: {name} must be a list of numbers")
+            if not isinstance(v, _ROW):  # noted as NaN: a null dataset "features" fails too
+                no_list.setdefault(name, [()] * (len(lines) - 1) + [math.nan])
+                v = ()
             entries.extend(v)
             lengths.append(len(v))
         if len(values) < len(columns):
             columns[-1][1].append(-1)
+    with _record_errors(path, lines):
+        ids = _ids(ids)
+        for name in filter(no_list.__contains__, names):  # the records up to the noted one
+            _row_lengths(name, no_list[name], ids[:len(no_list[name])])
     return head, lines, ids, labels, columns
 
 
@@ -898,11 +901,11 @@ def _record_errors(path, lines: Sequence[int]):
 def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
     """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
-    Keys and list shape are checked record by record as they are read
-    (``_read_records``), then lengths, then types and values a column at a
-    time, by the column check ``TraceSet.from_columns`` runs on arrays.  A
-    failure raises TraceFormatError naming the path and the line of the
-    first record that fails the earliest failing stage.
+    JSON syntax and keys, then ids and that each field is a list, are
+    checked by ``_read_records``, then lengths, types and values in the
+    order of ``TraceSet._set``, which ``from_columns`` runs.  A failure
+    raises TraceFormatError naming the path and the line of the first
+    record that fails the earliest failing stage.
     """
     topo, lines, ids, labels, (conf, pred, feats) = _read_records(
         path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
@@ -929,9 +932,9 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a dataset file; returns (features, labels, num_classes).
 
-    ``text`` is as for ``read_jsonl``.  Records go through the record loop,
-    a check of feature lengths against the header, and the id, label and
-    feature checks of ``load_trace_set``, naming the path and line.
+    ``text`` is as for ``read_jsonl``.  Records go through the record loop
+    and its id check, a check of feature lengths against the header, and the
+    label and feature checks of ``load_trace_set``, naming the path and line.
     """
     (n, p, d), lines, ids, labels, [(feats, feat_len)] = _read_records(
         path, text, _dataset_header, ("features",))
@@ -939,8 +942,7 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
         _lengths(ids, 0, 0, feat_len, 0, d)  # a dataset holds no confidences or predictions
         given, x, _ = _scan(feats, False)
         x = x.reshape(len(lines), d)
-        _, y, checks = _sample_checks(_integral(ids, False), _integral(labels, False), p,
-                                      (given.reshape(x.shape), x))
+        y, checks = _sample_checks(ids, _integral(labels, False), p, (given.reshape(x.shape), x))
         _raise_first(checks)
     if n != len(lines):
         raise TraceFormatError(f"{path}: header claims {n} samples, file has {len(lines)}")

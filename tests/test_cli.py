@@ -25,7 +25,8 @@ from exitsim.cli import (
 from exitsim.engine import run_oracle, run_plain, run_with_predictor
 from exitsim.optimizer import load_policy_points, save_policy_points
 from exitsim.predictor import make_labels, select_gamma
-from exitsim.trace import Thresholds, save_trace_set
+from exitsim.trace import Thresholds, TraceSet, save_trace_set
+from exitsim.zoo import load_dataset, save_dataset
 
 from helpers import golden_fraction_traces
 
@@ -675,6 +676,17 @@ def test_emit_frontier_rows_sorted_by_flops_and_dominance_holds():
 def test_emit_frontier_requires_reports():
     with pytest.raises(ValueError):
         emit_frontier([])
+
+
+def test_validate_reads_a_header_only_record_file(tmp_path, capsys):
+    # Line 1 decides: a dataset or trace header makes a record file, whatever follows.
+    dataset, traces = tmp_path / "dataset.jsonl", tmp_path / "traces.jsonl"
+    save_dataset(dataset, np.zeros((0, 3)), np.zeros(0, int), 10)
+    save_trace_set(TraceSet(golden_fraction_traces().topology, []), traces)
+    assert load_dataset(dataset)[0].shape == (0, 3)
+    assert [validate_artifact(str(p)) for p in (dataset, traces)] == ["dataset", "trace_set"]
+    assert main(["validate", str(dataset), str(traces)]) == 0
+    assert capsys.readouterr().out == f"ok {dataset} (dataset)\nok {traces} (trace_set)\n"
 
 
 def test_validate_rejects_garbage(tmp_path):

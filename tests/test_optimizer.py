@@ -358,11 +358,21 @@ def test_fit_regressors_rejects_sparse_intervals():
     ([1e5], "[100000.0]"),
     ([1e6, 1e5], "[1000000.0, 100000.0]"),
 ])
-def test_fit_regressors_names_a_malformed_interval(interval, got):
+def test_fit_regressors_names_a_malformed_interval(tmp_path, interval, got):
     pts = constant_points((0.5, 0.5), (0.5, 0.5), [1e5, 1e6])
     with pytest.raises(ValueError) as exc:
         fit_regressors(pts, [interval])
     assert str(exc.value) == f"intervals[0] must be [lo, hi] with lo < hi, got {got}"
+    # A regressor read back holds its interval to the same rule.
+    path = tmp_path / "regs.json"
+    save_regressors(fit_regressors(pts, [(1e5, 1e6)]), path)
+    doc = json.loads(path.read_text())
+    doc["regressors"][0]["interval"] = interval
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_regressors(path)
+    assert str(exc.value) == (f"{path}: malformed 'threshold_regressors' document: regressors[0]: "
+                              f"interval must be [lo, hi] with lo < hi, got {got}")
 
 
 def test_fit_regressors_rejects_no_intervals():

@@ -157,7 +157,8 @@ def _second(old, new):
      "sample 1: features must be finite numbers, got True$"),
     (_HEADER + "\n" + _RECORD.replace('"id":0', '"id":[0]'), load_trace_set, 2,
      r"id must be an integer, got \[0\]$"),
-    (_second("[3,3,3]", '"333"'), load_trace_set, 3, "predicted must be a list of numbers$"),
+    (_second("[3,3,3]", '"333"'), load_trace_set, 3,
+     "sample 1: predicted must be a list of numbers$"),
     # Header costs must be numbers: no string is iterated or parsed, no bool read.
     (_HEADER.replace("[1.0,2.0]", '"12"') + "\n" + _RECORD, load_trace_set, 1,
      "segment_flops must be a list of numbers, got '12'$"),
@@ -246,12 +247,12 @@ def test_a_row_field_that_is_no_list_names_the_sample(tmp_path, builder, field, 
     # numpy row; a number is not broadcast to the width of the sound row after it.
     good = {"label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3}
     rows = (SampleTrace(id=0, **{**good, field: value}), SampleTrace(id=1, **good))
-    with pytest.raises(ValueError, match=f"^sample 0: {field} must be a list of numbers$"):
+    message = f"sample 0: {field} must be a list of numbers$"
+    with pytest.raises(ValueError, match=f"^{message}"):
         _build(builder, rows)
-    if not isinstance(value, np.ndarray):  # a file names the line, before any id is read
+    if not isinstance(value, np.ndarray):  # a file says the same after its line
         path = _trace_file(tmp_path, rows)
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 2: "
-                                                   f"{field} must be a list of numbers$"):
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 2: {message}"):
             load_trace_set(path)
 
 
@@ -265,6 +266,40 @@ def test_a_0d_array_where_a_row_belongs_names_the_sample(builder, field, value):
     rows = (SampleTrace(id=0, **good), SampleTrace(id=1, **{**good, field: value}))
     with pytest.raises(ValueError, match=f"^sample 1: {field} must be a list of numbers$"):
         _build(builder, rows)
+
+
+_GOOD_ROW = {"label": 0, "confidences": (0.5,) * 3, "predicted": (0,) * 3}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"confidences": 0.5}, "sample 7: confidences must be a list of numbers"),
+    ({"confidences": (0.5, 0.5), "predicted": (0, 0)}, "sample 7: confidences length 2 != N=3"),
+    ({"label": 10}, r"sample 7: label 10 outside \[0, 10\)"),
+], ids=["no-list", "short", "label"])
+def test_every_way_in_names_a_sample_by_its_int64_id(tmp_path, edit, message):
+    # The ids are checked first, so a shape, length or value complaint names
+    # id 7.0 as 7: from rows, from columns and, after its line, from a file.
+    rows = (SampleTrace(id=0, **_GOOD_ROW), SampleTrace(id=7.0, **{**_GOOD_ROW, **edit}))
+    for builder in BUILDERS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _build(builder, rows)
+    path = _trace_file(tmp_path, rows)
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 3: {message}$"):
+        load_trace_set(path)
+
+
+@pytest.mark.parametrize("edit", [{"confidences": (0.5, 0.5), "predicted": (0, 0)},
+                                  {"predicted": 0}], ids=["short", "no-list"])
+def test_a_bad_id_is_reported_before_an_earlier_malformed_row(tmp_path, edit):
+    # Every way in checks the ids before any row's shape or length.
+    rows = (SampleTrace(id=0, **{**_GOOD_ROW, **edit}), SampleTrace(id=0.5, **_GOOD_ROW))
+    message = r"id must be an integer, got 0\.5$"
+    for builder in BUILDERS:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _build(builder, rows)
+    path = _trace_file(tmp_path, rows)
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: line 3: {message}"):
+        load_trace_set(path)
 
 
 MIXED_BOOL_COLUMNS = {

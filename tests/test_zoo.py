@@ -334,7 +334,7 @@ _RECORD = '{"id":0,"label":1,"features":[0.5,1.5]}'
      "line 1: header missing key 'num_classes'"),
     ('{"kind":"dataset","num_classes":2,"input_dim":2}', _RECORD,
      "line 1: header missing key 'num_samples'"),
-    (_HEADER, '{"id":0,"label":1,"features":5}', "line 2: features must be a list"),
+    (_HEADER, '{"id":0,"label":1,"features":5}', "line 2: sample 0: features must be a list"),
     (_HEADER, '{"id":0,"label":1,"features":["a","b"]}', "line 2: "),
     (_HEADER, '{"id":0,"label":1,"features":[NaN,1]}', "line 2: sample 0: features must be finite"),
     (_HEADER, '{"label":1,"features":[0.5,1.5]}', "line 2: record missing key 'id'"),
