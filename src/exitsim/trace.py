@@ -35,6 +35,12 @@ a string.  The record loop checks only keys, ids and that each list is one.  A
 value that is no finite number or no integer fails as such, naming its
 entry; one outside its interval reads ``{field} must lie in {bounds}, got
 {value!r}``.  NaN lies outside every interval.
+
+Files load and save in blocks of ``_CHUNK`` rows, so a load holds the file
+text plus about twice the set's columns and a save one block of text.  The
+record loop converts each block of a list's entries as it fills, and
+``canon_array`` and ``records_text`` work a block at a time; the arrays,
+errors and bytes are those of one pass over the whole file.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ CONF_TOL = 1e-9
 # 10**k for k = 0..22, each exactly representable as a double.
 _POW10 = 10.0 ** np.arange(23)
 
+# Rows each bulk loop takes at a time: file records gathered, reals made
+# canonical, records rendered and ``SampleTrace`` rows built.
+_CHUNK = 4096
+
 
 def canon(x: float) -> float:
     """Round a real to the stored precision (9 significant digits)."""
@@ -68,7 +78,8 @@ def canon(x: float) -> float:
 
 
 def canon_array(values) -> np.ndarray:
-    """``canon`` applied element by element, as a new float64 array.
+    """``canon`` applied element by element, as a new float64 array, made
+    canonical ``_CHUNK`` rows at a time so that its temporaries stay small.
 
     A value with at most 9 significant digits is already canonical: it is
     the double nearest to m * 10**(e-8) for an integer |m| < 10**9, e its
@@ -78,22 +89,24 @@ def canon_array(values) -> np.ndarray:
     high only coarsens the grid and one too low pushes |m| to 10**9, so
     neither lets through a value canon would change.  Every other value
     (more digits, zero, subnormal, huge, non-finite) is formatted as
-    ``canon`` formats it, all in one string, and parsed back.
+    ``canon`` formats it, a block's all in one string, and parsed back.
     """
     out = np.array(values, dtype=np.float64)
     flat = out.reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decade = np.floor(np.log10(np.abs(flat)))
-    ok = (decade >= -14) & (decade <= 30)
-    k = 8 - np.where(ok, decade, 8).astype(np.int64)
-    scale = _POW10[np.abs(k)]
-    up = k >= 0
-    m = np.rint(np.where(up, flat * scale, flat / scale))
-    ok &= (np.abs(m) < 1e9) & (np.where(up, m / scale, m * scale) == flat)
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        text = f"%{_FLOAT_FMT} " * slow.size % tuple(flat[slow].tolist())
-        flat[slow] = np.array(text.split(), dtype=np.float64)
+    step = _CHUNK * max(1, math.prod(out.shape[1:]))
+    for block in (flat[start:start + step] for start in range(0, flat.size, step)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            decade = np.floor(np.log10(np.abs(block)))
+        ok = (decade >= -14) & (decade <= 30)
+        k = 8 - np.where(ok, decade, 8).astype(np.int64)
+        scale = _POW10[np.abs(k)]
+        up = k >= 0
+        m = np.rint(np.where(up, block * scale, block / scale))
+        ok &= (np.abs(m) < 1e9) & (np.where(up, m / scale, m * scale) == block)
+        slow = np.flatnonzero(~ok)
+        if slow.size:
+            text = f"%{_FLOAT_FMT} " * slow.size % tuple(block[slow].tolist())
+            block[slow] = np.array(text.split(), dtype=np.float64)
     return out
 
 
@@ -495,8 +508,6 @@ class TraceSet:
     columns are read-only.  ``samples`` yields the rows as ``SampleTrace``.
     """
 
-    _CHUNK = 4096  # rows ``samples`` converts at a time
-
     def __init__(self, topology: ExitTopology, samples: Iterable[SampleTrace]):
         # The rows go in unstacked, so that the column check scans their entries.
         self._set(topology, *(tuple(zip(*samples)) or ([],) * 5))
@@ -579,8 +590,8 @@ class TraceSet:
     def samples(self) -> Iterator[SampleTrace]:
         """The samples as ``SampleTrace`` rows of Python values, built
         ``_CHUNK`` rows at a time as they are read."""
-        for start in range(0, len(self), self._CHUNK):
-            part = slice(start, start + self._CHUNK)
+        for start in range(0, len(self), _CHUNK):
+            part = slice(start, start + _CHUNK)
             features = (repeat(None) if self.features is None
                         else map(tuple, self.features[part].tolist()))
             yield from map(SampleTrace, self.ids[part].tolist(), self.label[part].tolist(),
@@ -641,15 +652,18 @@ class Thresholds:
         object.__setattr__(self, "gamma", tuple(check_gamma(self.gamma, len(lam)).tolist()))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write a file atomically (temp file in the same directory + rename)."""
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or the strings an iterable yields in turn, to
+    a file atomically (temp file in the same directory + rename).  The file
+    is UTF-8 with line ends as given, the form ``read_text`` reads; if the
+    iterable raises, no file is written and one at ``path`` is kept."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -684,35 +698,36 @@ def json_line(obj: dict) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def records_text(header: dict, fields: Sequence[tuple[str, np.ndarray]]) -> str:
-    """A line-delimited file: ``header``, then a record per row of the
-    (key, column) ``fields``, a (rows, width) column as a list.
+def records_text(header: dict, fields: Sequence[tuple[str, np.ndarray]]) -> Iterator[str]:
+    """A line-delimited file as the texts of its blocks: the ``header``
+    line, then a record per row of the (key, column) ``fields``, a (rows,
+    width) column as a list, ``_CHUNK`` rows to a block.
 
-    The file is rendered in one ``%`` call: the header line, then the
-    record template repeated once per row, over the values of every column
-    in row-major order.  That replaces a ``%`` and a string per row, the
-    join of those rows and the copies that add the header and last line
-    end, so less is alive at once."""
-    keys, columns = [], []
+    Each block is rendered in one ``%`` call: the record template repeated
+    once per row, over the block's values of every column in row-major
+    order.  So a save holds one block's values and text whatever its rows,
+    and the blocks joined are the file."""
+    keys = []
     for key, col in fields:
         fmt = "%d" if col.dtype.kind in "iu" else "%.9g"
-        if col.ndim == 1:
-            keys.append(f'"{key}":{fmt}')
-            columns.append(col.tolist())
-        else:
-            keys.append(f'"{key}":[' + ",".join([fmt] * col.shape[1]) + "]")
-            columns.extend(col.T.tolist())
+        keys.append(f'"{key}":{fmt}' if col.ndim == 1
+                    else f'"{key}":[' + ",".join([fmt] * col.shape[1]) + "]")
     template = "{" + ",".join(keys) + "}\n"
-    values = tuple(chain.from_iterable(zip(*columns, strict=True)))
-    del columns  # the lists' pointer arrays; ``values`` holds the numbers now
-    # The header, its "%" escaped, opens the format string, so the body is
-    # never copied to prepend it.
-    return (json_line(header).replace("%", "%%") + "\n"
-            + template * len(fields[0][1])) % values
+    yield json_line(header) + "\n"
+    n = len(fields[0][1])
+    for start in range(0, n, _CHUNK):
+        columns = []
+        for _, col in fields:
+            part = col[start:start + _CHUNK]
+            columns.extend([part.tolist()] if part.ndim == 1 else part.T.tolist())
+        values = tuple(chain.from_iterable(zip(*columns, strict=True)))
+        del columns  # the lists' pointer arrays; ``values`` holds the numbers now
+        yield template * (min(n, start + _CHUNK) - start) % values
 
 
-def trace_set_text(ts: TraceSet) -> str:
-    """The file text of a set: the header line, then one record per sample."""
+def _trace_blocks(ts: TraceSet) -> Iterator[str]:
+    """The file text of a set in blocks (see ``records_text``): the header
+    line, then one record per sample."""
     fields = [("id", ts.ids), ("label", ts.label), ("confidences", ts.conf),
               ("predicted", ts.pred)]
     if ts.features is not None:
@@ -720,18 +735,26 @@ def trace_set_text(ts: TraceSet) -> str:
     return records_text(ts.topology.header_dict(), fields)
 
 
+def trace_set_text(ts: TraceSet) -> str:
+    """The file text of a set: the header line, then one record per sample."""
+    return "".join(_trace_blocks(ts))
+
+
 def save_trace_set(ts: TraceSet, path: str | os.PathLike) -> None:
-    atomic_write_text(path, trace_set_text(ts))
+    atomic_write_text(path, _trace_blocks(ts))
 
 
 def save_dataset(path: str | os.PathLike, x: np.ndarray, y: np.ndarray,
                  num_classes: int) -> None:
     """Write what ``load_dataset`` reads back: finite features ``x`` in
-    rows of at least one, integer labels ``y`` in [0, ``num_classes``).
-    Anything else raises ValueError naming the field, and no file is written."""
+    rows of at least one, integer labels ``y`` in [0, ``num_classes``), one
+    per row.  Anything else raises ValueError naming the field, and no file
+    is written."""
     num_classes = as_int(num_classes, "num_classes", "[2, inf)")
     x = as_reals(x, "x", rows=True)
     y = as_ints(y, "labels", f"[0, {num_classes})")
+    if len(y) != len(x):
+        raise ValueError(f"labels must have length {len(x)}, one per row of x, got {len(y)}")
     header = {"kind": "dataset", "num_samples": int(x.shape[0]), "num_classes": num_classes,
               "input_dim": as_int(x.shape[1], "input_dim", "[1, inf)")}
     atomic_write_text(path, records_text(header, [
@@ -805,12 +828,17 @@ def read_jsonl(path: str | os.PathLike, text: str | None = None
     header; blank lines after it are skipped.  Lines are counted at newline
     bytes only.  An empty file, bytes that are not UTF-8, a line that is not
     JSON or a value that is not an object raise TraceFormatError naming the
-    path and line.  Records are parsed as the caller consumes them.
+    path and line.  Lines are cut from the text and parsed as the caller
+    consumes them, so no list of them is made.
     """
-    lines = (read_text(path) if text is None else text).split("\n")
-    if lines == [""]:
+    text = read_text(path) if text is None else text
+    if not text:
         raise TraceFormatError(f"{path}: empty file")
-    for lineno, line in enumerate(lines, start=1):
+    start, lineno = 0, 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line, start, lineno = text[start:end], end + 1, lineno + 1
         if lineno > 1 and not line.strip():
             continue
         what = "header" if lineno == 1 else "record"
@@ -844,9 +872,10 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
     none, which fails in ``_row_lengths``' words; each names the path and
     line.  Returns what ``header`` returned, the records' line numbers,
     int64 ids and labels, and per list (``lists``, then ``optional``) its
-    entries end to end and each record's length, -1 where absent.  Only the
-    entries are kept: a load that kept each record's lists would leave the
-    garbage collector a container per field to scan.
+    entries end to end, as ``_scan`` reads their whole list, and each
+    record's length, -1 where absent.  A list's entries are gathered
+    ``_CHUNK`` records at a time and each full block is converted at once
+    (``_convert``), so a load of numbers holds Python values for one block only.
     """
     rows = read_jsonl(path, text)
     _, first = next(rows)
@@ -858,8 +887,10 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
     names = (*lists, *([optional] if optional else []))
     get = operator.itemgetter("id", "label", *lists)
-    lines, ids, labels = [], [], []
-    columns, no_list = [([], []) for _ in names], {}
+    lines, ids, labels, no_list = [], [], [], {}
+    # Per list: its converted blocks, the entries of the block being
+    # gathered and each record's length.
+    blocks, entries, lengths = ([[] for _ in names] for _ in range(3))
     for lineno, rec in rows:
         try:
             sid, label, *values = get(rec)
@@ -871,19 +902,48 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         lines.append(lineno)
         ids.append(sid)
         labels.append(label)
-        for name, (entries, lengths), v in zip(names, columns, values):
+        for k, v in enumerate(values):
             if not isinstance(v, _ROW):  # noted as NaN: a null dataset "features" fails too
-                no_list.setdefault(name, [()] * (len(lines) - 1) + [math.nan])
+                no_list.setdefault(names[k], [()] * (len(lines) - 1) + [math.nan])
                 v = ()
-            entries.extend(v)
-            lengths.append(len(v))
-        if len(values) < len(columns):
-            columns[-1][1].append(-1)
+            entries[k].extend(v)
+            lengths[k].append(len(v))
+        if len(values) < len(names):
+            lengths[-1].append(-1)
+        if len(lines) % _CHUNK == 0:
+            _convert(blocks, entries)
+    _convert(blocks, entries)
     with _record_errors(path, lines):
         ids = _ids(ids)
         for name in filter(no_list.__contains__, names):  # the records up to the noted one
             _row_lengths(name, no_list[name], ids[:len(no_list[name])])
-    return head, lines, ids, labels, columns
+    return head, lines, ids, labels, [(_joined(b), n) for b, n in zip(blocks, lengths)]
+
+
+def _convert(blocks: list[list], entries: list[list]) -> None:
+    """Move each list's gathered ``entries``, unless none, to its ``blocks``:
+    as ``_scan`` reads them if that is int64, or float64 below 2**53 in
+    magnitude, where each integer entry is exact; else as given (a bool, a
+    string, uint64 or a number too large for either)."""
+    for k, block in enumerate(entries):
+        if block:
+            given = _scan(block, False)[0]
+            exact = given.dtype == np.int64 or (given.dtype == np.float64
+                                                and not (np.abs(given) >= 2.0**53).any())
+            blocks[k].append(given if exact else block)
+            entries[k] = []
+
+
+def _joined(blocks: list) -> np.ndarray:
+    """The entries of a list's ``blocks`` end to end, as ``_scan`` reads
+    their whole list.  Numeric blocks are joined, int64 beside float64 as
+    float64, as numpy reads ints beside floats.  If any block is kept as
+    given, the whole list is scanned again, numeric blocks as their Python
+    values, which equal those read."""
+    if all(isinstance(b, np.ndarray) for b in blocks):
+        return np.concatenate(blocks) if blocks else np.empty(0)
+    return _scan(list(chain.from_iterable(
+        b.tolist() if isinstance(b, np.ndarray) else b for b in blocks)), False)[0]
 
 
 @contextlib.contextmanager
@@ -914,10 +974,9 @@ def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet
         dim = _lengths(ids, conf[1], pred[1], feats[1], n_exits)
         # Each list's entries as rows: numeric if each is a number, else Python
         # values, which the column check scans again to name the first that is
-        # none.  Rebinding frees the gathered entries.
-        conf = _scan(conf[0], False)[0].reshape(n, n_exits)
-        pred = _scan(pred[0], False)[0].reshape(n, n_exits)
-        feats = None if dim < 0 else _scan(feats[0], False)[0].reshape(n, dim)
+        # none.
+        conf, pred = conf[0].reshape(n, n_exits), pred[0].reshape(n, n_exits)
+        feats = None if dim < 0 else feats[0].reshape(n, dim)
         return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
 
 

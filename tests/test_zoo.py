@@ -291,8 +291,11 @@ def test_save_dataset_bytes_equal_per_record_rendering(tmp_path_factory, data, r
     ([[0.5]], [2], 2, r"labels\[0\] must lie in \[0, 2\), got 2"),
     ([[0.5]], [0], 1.5, "num_classes must be an integer, got 1.5"),
     ([[], []], [0, 1], 2, r"input_dim must lie in \[1, inf\), got 0"),
+    ([[0.5]], [0, 1], 2, "labels must have length 1, one per row of x, got 2"),
+    ([[0.5], [0.5]], [0], 2, "labels must have length 2, one per row of x, got 1"),
 ], ids=["inf-feature", "nan-feature", "fractional-label", "bool-label", "label-out-of-range",
-        "fractional-num_classes", "empty-rows"])
+        "fractional-num_classes", "empty-rows", "more-labels-than-rows",
+        "fewer-labels-than-rows"])
 def test_save_dataset_writes_only_what_load_dataset_reads(tmp_path, x, y, num_classes, message):
     path = tmp_path / "d.jsonl"
     with pytest.raises(ValueError, match=f"^{message}$"):
