@@ -142,14 +142,15 @@ class _Counts(NamedTuple):
     charged: np.ndarray   # samples charged exit n's classifier
     term: np.ndarray      # samples terminating at early exit n
     tx: np.ndarray        # samples transmitted to the server exit
-    correct: np.ndarray   # samples classified correctly
+    correct: np.ndarray | None   # samples classified correctly; None when not counted
 
 
 def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool):
     """The one count formula, from counts to aggregates.
 
-    Returns accuracy, mean device MFLOPs, mean total MFLOPs and exit shares
-    (server last: the transmitted share, which ``_latency`` prices):
+    Returns accuracy (None when ``counts`` hold no correct count), mean
+    device MFLOPs, mean total MFLOPs and exit shares (server last: the
+    transmitted share, which ``_latency`` prices):
 
     * device = (sum_n segment_n * reach_n + sum_n exit_n * charged_n) / S,
                plus the predictor when ``gated``;
@@ -166,7 +167,8 @@ def _aggregate(topo: ExitTopology, n_samples: int, counts: _Counts, gated: bool)
     if gated:
         device = device + topo.predictor_flops
     shares = np.concatenate([counts.term, counts.tx[..., None]], axis=-1) / n_samples
-    return counts.correct / n_samples, device, device + shares[..., -1] * topo.server_flops, shares
+    accuracy = None if counts.correct is None else counts.correct / n_samples
+    return accuracy, device, device + shares[..., -1] * topo.server_flops, shares
 
 
 def _latency(tx_share, device_mflops, bits: int, compute_speed, bandwidth):
@@ -289,7 +291,8 @@ def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | No
 
 
 def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
-                      gamma_grid: list[np.ndarray] | None, scores: np.ndarray | None) -> np.ndarray:
+                      gamma_grid: list[np.ndarray] | None, scores: np.ndarray | None,
+                      accuracy: bool = True) -> np.ndarray:
     """C[group, u_0, v_0, u_1, v_1, ...]: the samples of each group with
     j_n >= u_n and k_n >= v_n at every early exit n.
 
@@ -297,10 +300,11 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
     its confidence and the gamma values at most its score, so it clears
     value a exactly when a < j_n and its gate passes value b exactly when
     b < k_n.  The ungated table has one gate per exit, always open: k_n = 0
-    on an axis of one cell.  The groups are every sample, those right at
-    the server, then those right at each early exit, the last first.  One
-    int64 histogram per group over the joint cells, summed from the end of
-    every axis.
+    on an axis of one cell.  The groups are every sample, then, only when
+    ``accuracy`` (only correct counts read them), those right at the
+    server and those right at each early exit, the last first.  One int64
+    histogram per group over the joint cells, summed from the end of every
+    axis.
     """
     gated = gamma_grid is not None
     cell, shape = 0, []
@@ -308,7 +312,7 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
         shape += [len(lams) + 1, len(gamma_grid[n]) + 1 if gated else 1]
         gate = np.searchsorted(gamma_grid[n], scores[:, n], "right") if gated else 0
         cell = (cell * shape[-2] + np.searchsorted(lams, ts.conf[:, n], "right")) * shape[-1] + gate
-    right = (ts.pred == ts.label[:, None]).T[::-1]
+    right = (ts.pred == ts.label[:, None]).T[::-1] if accuracy else ()
     hist = np.stack([np.bincount(group, minlength=math.prod(shape))
                      for group in (cell, *(cell[r] for r in right))]).reshape(-1, *shape)
     for axis in range(1, hist.ndim):  # in-place adds; np.cumsum is slower across rows
@@ -319,7 +323,7 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
 
 
 def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.ndarray] | None,
-                  scores: np.ndarray | None) -> _Counts:
+                  scores: np.ndarray | None, accuracy: bool = True) -> _Counts:
     """Counts of every (lambda, gamma) combination, lambda-major; no walk.
 
     At exit n, a pair (a, b) terminates the samples in the slice (a + 1,
@@ -329,29 +333,33 @@ def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.
     exits at (0, 0), counts the samples reaching n, charged there and
     terminating there (of those right at n, correct there); passing on at
     every exit counts tx (of those right at the server, correct there).
-    Every count is an exact integer difference.
+    Every count is an exact integer difference.  Without ``accuracy`` the
+    histogram holds every sample alone and ``correct`` is None.
     """
     n_early = ts.topology.num_early_exits
     gated = gamma_grid is not None
-    hist = _suffix_histogram(ts, lam_grid, gamma_grid, scores)
+    hist = _suffix_histogram(ts, lam_grid, gamma_grid, scores, accuracy)
     # A slice keeps every axis, of one cell where its count does not depend
     # on the value, so assigning it lambda-major broadcasts it to every
     # combination.
     sizes = [len(v) for v in lam_grid] + ([len(v) for v in gamma_grid] if gated else [1] * n_early)
     order = [*range(0, 2 * n_early, 2), *range(1, 2 * n_early, 2)]
     reach, charged, term = (np.empty((*sizes, n_early), dtype=np.int64) for _ in range(3))
-    correct = np.zeros(sizes, dtype=np.int64)
+    correct = np.zeros(sizes, dtype=np.int64) if accuracy else None
     one, on, gates = slice(0, 1), slice(1, None), slice(int(gated), None)
     for n in range(n_early):
         head, tail = (slice(None),) * (2 * n + 1), (one,) * (2 * (n_early - 1 - n))
         at = lambda u, v, group=0: hist[head + (u, v) + tail][group].transpose(order)
         reach[..., n], charged[..., n], term[..., n] = at(one, one), at(one, gates), at(on, gates)
-        correct += at(on, gates, -1)  # the last group: right at exit n
-        # Those each pair passes on at exit n; exit n's right group is done.
-        hist = hist[:-1][head + (one, one)] - hist[:-1][head + (on, gates)]
-    correct += hist[1].transpose(order)
+        if accuracy:
+            correct += at(on, gates, -1)  # the last group: right at exit n, now done
+            hist = hist[:-1]
+        # Those each pair passes on at exit n.
+        hist = hist[head + (one, one)] - hist[head + (on, gates)]
+    if accuracy:
+        correct = (correct + hist[1].transpose(order)).ravel()
     return _Counts(reach.reshape(-1, n_early), charged.reshape(-1, n_early),
-                   term.reshape(-1, n_early), hist[0].transpose(order).ravel(), correct.ravel())
+                   term.reshape(-1, n_early), hist[0].transpose(order).ravel(), correct)
 
 
 class PolicyTable:
@@ -367,10 +375,17 @@ class PolicyTable:
     report bit for bit.  The table holds no link: a walk does not depend on
     one, and ``latency_s`` prices every row on the link a query names.  Only
     aggregates are kept, never per-sample arrays.
+
+    With ``accuracy`` off the table counts no correct answers: it bins only
+    the every-sample histogram group, ``accuracy`` is None and ``optimum``
+    raises, while exit shares, device MFLOPs and latencies stay bit-equal to
+    the full table's.  A search that reads no accuracy (``select_gamma``)
+    builds it so.
     """
 
     def __init__(self, ts: TraceSet, lam_grid: Sequence[Sequence[float]],
-                 gamma_grid: Sequence[Sequence[float]] | None = None, scores=None):
+                 gamma_grid: Sequence[Sequence[float]] | None = None, scores=None,
+                 accuracy: bool = True):
         n_early = ts.topology.num_early_exits
         if len(lam_grid) != n_early or gamma_grid is not None and len(gamma_grid) != n_early:
             raise ValueError(f"lam_grid and gamma_grid need {n_early} value lists each, "
@@ -385,7 +400,7 @@ class PolicyTable:
         self.gammas = None if gamma_grid is None else product(gamma_grid)
         self.transmitted_bits = ts.topology.transmitted_bits
         self.accuracy, self.on_device_mflops, _, self.exit_distribution = _aggregate(
-            ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores),
+            ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores, accuracy),
             gamma_grid is not None)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
@@ -400,16 +415,22 @@ class PolicyTable:
         return _latency(self.exit_distribution[:, -1], self.on_device_mflops,
                         self.transmitted_bits, compute_speed, bandwidth)
 
-    def optimum(self, latency: np.ndarray, budget: float) -> int:
-        """Best combination by each one's mean ``latency`` under a budget.
+    def optimum(self, latency: np.ndarray, budget: float) -> np.ndarray:
+        """Best combination of each row of ``latency`` under a budget.
 
-        The highest accuracy within budget, then the lowest latency, then
-        the first in combination order.  When nothing fits, every
-        combination ties at accuracy -inf, so this is the first
+        ``latency`` holds each combination's mean latency on its last axis,
+        one row per link (``latency_s`` at a column of bandwidths); the
+        result holds one index per row, a scalar for a single row.  In each
+        row: the highest accuracy within budget, then the lowest latency,
+        then the first in combination order.  When nothing in a row fits,
+        every combination ties at accuracy -inf, so its answer is the first
         minimum-latency combination.
         """
+        if self.accuracy is None:
+            raise ValueError("this table holds no accuracy (built with accuracy=False)")
         acc = np.where(latency <= budget, self.accuracy, -np.inf)
-        return int(np.argmin(np.where(acc == acc.max(), latency, np.inf)))
+        best = acc == acc.max(axis=-1, keepdims=True)
+        return np.argmin(np.where(best, latency, np.inf), axis=-1)
 
     def cheapest(self, allowed: np.ndarray) -> int:
         """First combination of least on-device MFLOPs among ``allowed``."""

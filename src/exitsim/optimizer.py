@@ -85,10 +85,11 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
                      gamma_grid: Sequence[float]) -> list[PolicyPoint]:
     """grid_search per bandwidth, budget fixed; results in ascending order.
 
-    Every bandwidth is a query on one table, so each (lambda, gamma)
-    combination is counted once however many bandwidths there are, and
-    each bandwidth prices its latencies from those counts.  A bandwidth with
-    no feasible point contributes its minimum-latency point flagged
+    All bandwidths are one query on one table, so each (lambda, gamma)
+    combination is counted once however many bandwidths there are: one
+    call prices every bandwidth's latencies from those counts, and one
+    ``optimum`` call picks each bandwidth's point.  A bandwidth with no
+    feasible point contributes its minimum-latency point flagged
     infeasible, as ``grid_search`` returns it.
     """
     bandwidths = np.sort(as_reals(bandwidths, "bandwidths", "(0, inf)"))
@@ -96,8 +97,9 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
         raise ValueError("bandwidth list must be nonempty")
     table = _table(ts, scores, lambda_grid, gamma_grid)
     latency = table.latency_s(env.compute_speed, bandwidths[:, None])
-    return [_point(table, table.optimum(row, env.latency_budget), row, bandwidth,
-                   env.latency_budget) for bandwidth, row in zip(bandwidths.tolist(), latency)]
+    best = table.optimum(latency, env.latency_budget).tolist()
+    return [_point(table, i, row, bandwidth, env.latency_budget)
+            for bandwidth, row, i in zip(bandwidths.tolist(), latency, best)]
 
 
 @dataclass(frozen=True)

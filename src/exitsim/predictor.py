@@ -90,12 +90,14 @@ def select_gamma(ts: TraceSet, scores, lam, grid_step: float = 0.05,
 
     ``scores`` is the predictor's score matrix on ``ts``.  The zero vector
     reproduces the plain policy exactly, so a feasible point always exists;
-    ties go to the lexicographically smallest gamma.
+    ties go to the lexicographically smallest gamma.  The search reads exit
+    shares and device MFLOPs only, so its table counts no correct answers
+    (``accuracy=False``).
     """
     budget_fraction = as_real(budget_fraction, "budget_fraction", "(0, 1]")
     n_early = ts.topology.num_early_exits
     table = engine.PolicyTable(ts, [[v] for v in check_lambda(lam, n_early)],
-                               [gamma_grid(grid_step)] * n_early, scores)
+                               [gamma_grid(grid_step)] * n_early, scores, accuracy=False)
     # Row 0 is gamma = 0: every score passes, so it is the plain walk.
     extra = table.exit_distribution[:, -1] - table.exit_distribution[0, -1]
     return table.combo(table.cheapest(extra < budget_fraction))[1]

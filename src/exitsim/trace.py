@@ -51,7 +51,7 @@ import json
 import math
 import operator
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -656,13 +656,20 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     """Write ``text``, a string or the strings an iterable yields in turn, to
     a file atomically (temp file in the same directory + rename).  The file
     is UTF-8 with line ends as given, the form ``read_text`` reads; if the
-    iterable raises, no file is written and one at ``path`` is kept."""
+    iterable raises, no file is written and one at ``path`` is kept.  Its
+    mode is what ``open(path, "w")`` leaves: an existing file's own, else
+    0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # Created as open() creates a file, so the kernel applies the umask;
+    # O_EXCL never opens a file that is already there.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:

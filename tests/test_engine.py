@@ -152,8 +152,17 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
     gamma_grid = np.transpose([random_gamma(rng, n_early) for _ in range(2)]) if gated else None
     scores = rng.uniform(0.0, 1.0, (n_samples, n_early)) if gated else None
     table = PolicyTable(ts, lam_grid, gamma_grid, scores)
+    # Without accuracy the table prices every row bit for bit as the full
+    # one does, and refuses the one query that reads accuracy.
+    free = PolicyTable(ts, lam_grid, gamma_grid, scores, accuracy=False)
+    assert free.accuracy is None
+    with pytest.raises(ValueError, match="holds no accuracy"):
+        free.optimum(free.latency_s(3.62e9, 1e5), 0.03)
     for bandwidth in (1e3, 1e5, 1e7):
         latency = table.latency_s(3.62e9, bandwidth)
+        assert repr((free.exit_distribution.tolist(), free.on_device_mflops.tolist(),
+                     free.latency_s(3.62e9, bandwidth).tolist())) == repr(
+            (table.exit_distribution.tolist(), table.on_device_mflops.tolist(), latency.tolist()))
         for i in range(len(table.accuracy)):
             lam, gamma = table.combo(i)
             rep = policy_stats(ts, lam, gamma, scores, Environment(3.62e9, bandwidth, 0.03))
@@ -236,7 +245,8 @@ def test_table_counts_are_int64_and_conserve_every_sample():
     ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=n)
     lam_grid = [np.sort(rng.uniform(0.1, 0.99, 3)) for _ in range(3)]
     gamma_grid = [np.array([0.0, 0.5, 1.0])] * 3
-    counts = _table_counts(ts, lam_grid, gamma_grid, rng.uniform(0.0, 1.0, (n, 3)))
+    scores = rng.uniform(0.0, 1.0, (n, 3))
+    counts = _table_counts(ts, lam_grid, gamma_grid, scores)
     assert all(c.dtype == np.int64 for c in counts)
     reach, charged, term, tx, correct = counts
     assert len(reach) == 27 * 27
@@ -244,6 +254,36 @@ def test_table_counts_are_int64_and_conserve_every_sample():
     assert (term.sum(axis=1) + tx == n).all()
     assert (charged <= reach).all()
     assert (correct <= n).all()
+    # Without accuracy: no correct counts, and the same int64 counts else.
+    free = _table_counts(ts, lam_grid, gamma_grid, scores, accuracy=False)
+    assert free.correct is None
+    for field, a, b in zip(counts._fields[:-1], counts, free):
+        assert b.dtype == np.int64 and np.array_equal(a, b), field
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans())
+def test_optimum_of_a_latency_matrix_equals_optimum_per_row(seed, num_exits, gated):
+    # Repeated grid values repeat combinations, so accuracies tie.  The
+    # budgets run from none feasible at any bandwidth, through the lowest
+    # bandwidth alone infeasible and a budget equal to a latency, to all.
+    rng = np.random.default_rng(seed)
+    n, n_early = int(rng.integers(1, 60)), num_exits - 1
+    ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n)
+    lam_grid = [rng.choice(rng.uniform(0.05, 0.99, 2), 3) for _ in range(n_early)]
+    gamma_grid = [rng.choice([0.0, 0.5, 1.0], 2) for _ in range(n_early)] if gated else None
+    scores = rng.uniform(0.0, 1.0, (n, n_early)) if gated else None
+    table = PolicyTable(ts, lam_grid, gamma_grid, scores)
+    latency = table.latency_s(3.62e9, np.geomspace(1e2, 1e8, 7)[:, None])
+    lows = latency.min(axis=1)
+    for budget in (lows.min() / 2, (lows[0] + lows[-1]) / 2, lows[0], float(np.median(latency)),
+                   latency.max()):
+        best = table.optimum(latency, budget)
+        assert best.shape == (7,)
+        assert best.tolist() == [table.optimum(row, budget) for row in latency]
+        # Highest accuracy within budget, then lowest latency, then first.
+        assert best.tolist() == [min(range(len(row)), key=lambda i: (
+            -table.accuracy[i] if row[i] <= budget else np.inf, row[i], i)) for row in latency]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -9,6 +9,7 @@ import gc
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -240,6 +241,31 @@ def test_atomic_write_text_writes_utf8_with_line_ends_as_given(tmp_path):
                     "atomic_write_text; atomic_write_text(sys.argv[1], '\\xe9\\r\\n')",
                     str(path)], env=env, check=True)
     assert path.read_bytes() == "é\r\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_atomic_write_text_leaves_the_mode_open_w_would(tmp_path, umask):
+    # A new file gets 0o666 less the umask; a file written over keeps its
+    # own mode, as a plain open(path, "w") leaves them.
+    mode = lambda path: stat.S_IMODE(os.stat(path).st_mode)
+    kept = {0o640: tmp_path / "kept-640.txt", 0o666: tmp_path / "kept-666.txt"}
+    for old_mode, path in kept.items():
+        path.write_text("old\n")
+        os.chmod(path, old_mode)
+    old_umask = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "new.txt", "x\n")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x\n")
+        for path in kept.values():
+            atomic_write_text(path, "x\n")
+    finally:
+        os.umask(old_umask)
+    assert mode(tmp_path / "new.txt") == mode(tmp_path / "plain.txt") == 0o666 & ~umask
+    for old_mode, path in kept.items():
+        assert mode(path) == old_mode, path.name
+    assert sorted(os.listdir(tmp_path)) == ["kept-640.txt", "kept-666.txt", "new.txt",
+                                            "plain.txt"]
 
 
 def _peak(fn, *args) -> int:
