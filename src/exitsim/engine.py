@@ -290,6 +290,39 @@ def policy_stats(ts: TraceSet, lam: Sequence[float], gamma: Sequence[float] | No
 # -- the policy table ---------------------------------------------------------
 
 
+def _cell_counter(grid: np.ndarray):
+    """A function of ``values`` equal to ``np.searchsorted(grid, values,
+    "right")`` for the ascending ``grid``, by exact key lookup; values and
+    entries all lie in [0, 1].
+
+    A value's key is trunc(x * k), k = 2**ceil(log2(2 / least positive gap))
+    clamped to [16, 4096].  A power of two scales a value in [0, 1] exactly
+    and truncation never decreases, so an entry of a lower key lies below
+    the value and one of a higher key above it.  ``below[key]`` counts the
+    first, and one ``values >= entry`` test per entry sharing the value's
+    key (inf where a key has fewer) counts the rest.  Entries 2/k apart or
+    more never share a key, so only repeats and grids denser than 2/4096
+    take more than one test, and no grid takes a binary search.
+    """
+    gaps = grid[1:] - grid[:-1]
+    gap, k = gaps[gaps > 0].min(initial=1.0), 16
+    while k < 4096 and k * gap < 2:
+        k *= 2
+    keys = (grid * k).astype(np.intp)
+    below = np.searchsorted(keys, np.arange(k + 1))  # entries of a lower key
+    rank = np.arange(len(grid)) - below[keys]  # among the entries of its key
+    shared = np.full((rank.max() + 1, k + 1), np.inf)
+    shared[rank, keys] = grid
+
+    def cells(values: np.ndarray) -> np.ndarray:
+        key = (values * k).astype(np.intp)
+        cell = below[key]
+        for entry in shared:
+            cell += values >= entry[key]
+        return cell
+    return cells
+
+
 def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
                       gamma_grid: list[np.ndarray] | None, scores: np.ndarray | None,
                       accuracy: bool = True) -> np.ndarray:
@@ -299,19 +332,27 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
     A sample's cell (j_n, k_n) at exit n counts the lambda values at most
     its confidence and the gamma values at most its score, so it clears
     value a exactly when a < j_n and its gate passes value b exactly when
-    b < k_n.  The ungated table has one gate per exit, always open: k_n = 0
-    on an axis of one cell.  The groups are every sample, then, only when
-    ``accuracy`` (only correct counts read them), those right at the
-    server and those right at each early exit, the last first.  One int64
-    histogram per group over the joint cells, summed from the end of every
-    axis.
+    b < k_n.  Each distinct grid is tabulated once (``_cell_counter``), and
+    its counter finds every column's cells by key lookup.  The ungated
+    table has one gate per exit, always open: k_n = 0 on an axis of one
+    cell.  The groups are every sample, then, only when ``accuracy`` (only
+    correct counts read them), those right at the server and those right
+    at each early exit, the last first.  One int64 histogram per group over
+    the joint cells, summed from the end of every axis.
     """
+    counters = {}
+
+    def cells(grid, values):
+        if (key := grid.tobytes()) not in counters:
+            counters[key] = _cell_counter(grid)
+        return counters[key](values)
+
     gated = gamma_grid is not None
     cell, shape = 0, []
     for n, lams in enumerate(lam_grid):
         shape += [len(lams) + 1, len(gamma_grid[n]) + 1 if gated else 1]
-        gate = np.searchsorted(gamma_grid[n], scores[:, n], "right") if gated else 0
-        cell = (cell * shape[-2] + np.searchsorted(lams, ts.conf[:, n], "right")) * shape[-1] + gate
+        gate = cells(gamma_grid[n], scores[:, n]) if gated else 0
+        cell = (cell * shape[-2] + cells(lams, ts.conf[:, n])) * shape[-1] + gate
     right = (ts.pred == ts.label[:, None]).T[::-1] if accuracy else ()
     hist = np.stack([np.bincount(group, minlength=math.prod(shape))
                      for group in (cell, *(cell[r] for r in right))]).reshape(-1, *shape)
@@ -369,12 +410,14 @@ class PolicyTable:
     list per early exit; the combinations are every choice of one value per
     exit, lambda-major, each exit's values ascending (repeats kept), as
     ``combo`` returns them.  ``gamma_grid`` None tabulates the plain
-    policy.  No sample is walked: slices of one grid-cell histogram count
-    each combination's walk, and the count formula ``policy_stats`` applies
-    to its one walk turns the counts into aggregates, so each row equals its
-    report bit for bit.  The table holds no link: a walk does not depend on
-    one, and ``latency_s`` prices every row on the link a query names.  Only
-    aggregates are kept, never per-sample arrays.
+    policy.  No sample is walked: its grid cells are found by exact key
+    lookup (``_cell_counter``, one per distinct value list), slices of one
+    grid-cell histogram count each combination's walk, and the count
+    formula ``policy_stats`` applies to its one walk turns the counts into
+    aggregates, so each row equals its report bit for bit.  The table holds
+    no link: a walk does not depend on one, and ``latency_s`` prices every
+    row on the link a query names.  Only aggregates are kept, never
+    per-sample arrays.
 
     With ``accuracy`` off the table counts no correct answers: it bins only
     the every-sample histogram group, ``accuracy`` is None and ``optimum``
@@ -422,13 +465,15 @@ class PolicyTable:
         one row per link (``latency_s`` at a column of bandwidths); the
         result holds one index per row, a scalar for a single row.  In each
         row: the highest accuracy within budget, then the lowest latency,
-        then the first in combination order.  When nothing in a row fits,
-        every combination ties at accuracy -inf, so its answer is the first
+        then the first in combination order.  An infeasible combination
+        reads accuracy 0: accuracy is never negative, so it ties only
+        feasible zeros, which have the lower latency.  When nothing in a row
+        fits, every combination ties at 0, so its answer is the first
         minimum-latency combination.
         """
         if self.accuracy is None:
             raise ValueError("this table holds no accuracy (built with accuracy=False)")
-        acc = np.where(latency <= budget, self.accuracy, -np.inf)
+        acc = (latency <= budget) * self.accuracy
         best = acc == acc.max(axis=-1, keepdims=True)
         return np.argmin(np.where(best, latency, np.inf), axis=-1)
 

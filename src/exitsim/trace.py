@@ -658,9 +658,11 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     is UTF-8 with line ends as given, the form ``read_text`` reads; if the
     iterable raises, no file is written and one at ``path`` is kept.  Its
     mode is what ``open(path, "w")`` leaves: an existing file's own, else
-    0o666 less the umask."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
+    0o666 less the umask.  A symbolic link is written through, as ``open``
+    writes it: the link stays, and its target (created when missing) gets
+    the text."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     # Created as open() creates a file, so the kernel applies the umask;

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitsim.engine import (
@@ -12,6 +12,7 @@ from exitsim.engine import (
     DecisionRecord,
     Environment,
     PolicyTable,
+    _cell_counter,
     _table_counts,
     policy_stats,
     run_oracle,
@@ -142,8 +143,11 @@ def test_plain_and_oracle_match_literal_walks():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), n_samples=st.integers(1, 40), num_exits=st.integers(2, 4),
-       gated=st.booleans())
-def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated):
+       gated=st.booleans(), dense=st.booleans())
+@example(seed=2, n_samples=40, num_exits=2, gated=True, dense=True)
+@example(seed=3, n_samples=40, num_exits=3, gated=True, dense=True)
+@example(seed=4, n_samples=40, num_exits=4, gated=True, dense=True)
+def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated, dense):
     rng = np.random.default_rng(seed)
     ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=n_samples)
     n_early = num_exits - 1
@@ -151,6 +155,14 @@ def test_policy_table_rows_equal_policy_stats(seed, n_samples, num_exits, gated)
     lam_grid = np.transpose([random_lambda(rng, n_early) for _ in range(2)])
     gamma_grid = np.transpose([random_gamma(rng, n_early) for _ in range(2)]) if gated else None
     scores = rng.uniform(0.0, 1.0, (n_samples, n_early)) if gated else None
+    if dense:
+        # Values 2**-20 apart, below 2/4096, that end at a sample's
+        # confidence (and score): several share a key of the cell counter.
+        near = lambda x: np.clip(x + np.arange(-3, 1) * 2.0**-20, 0.0, 1.0).tolist() + [
+            np.nextafter(x, 0.0)]
+        lam_grid = [near(ts.conf[0, 0]), *lam_grid[1:]]
+        if gated:
+            gamma_grid = [*gamma_grid[:-1], near(scores[0, -1])]
     table = PolicyTable(ts, lam_grid, gamma_grid, scores)
     # Without accuracy the table prices every row bit for bit as the full
     # one does, and refuses the one query that reads accuracy.
@@ -261,6 +273,31 @@ def test_table_counts_are_int64_and_conserve_every_sample():
         assert b.dtype == np.int64 and np.array_equal(a, b), field
 
 
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), dense=st.booleans())
+def test_cell_counter_equals_searchsorted(data, dense):
+    # Grids from a small pool of values, repeats kept, or dense ones (gaps
+    # of multiples of 2**-20, below 2/4096), so that entries share a key;
+    # values at every entry, its neighbours, 0, -0 and 1.
+    if dense:
+        base = data.draw(_UNIT)
+        steps = data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=12))
+        grid = np.clip(base + np.array(steps) * 2.0**-20, 0.0, 1.0)
+    else:
+        pool = data.draw(st.lists(_UNIT, min_size=1, max_size=4))
+        grid = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+    grid = np.sort(grid)
+    values = np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),
+                             [0.0, -0.0, 1.0], data.draw(st.lists(_UNIT, max_size=8))])
+    values = values[(values >= 0.0) & (values <= 1.0)]
+    cells = _cell_counter(grid)(values)
+    assert cells.dtype == np.intp
+    assert cells.tolist() == np.searchsorted(grid, values, "right").tolist()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans())
 def test_optimum_of_a_latency_matrix_equals_optimum_per_row(seed, num_exits, gated):
@@ -284,6 +321,19 @@ def test_optimum_of_a_latency_matrix_equals_optimum_per_row(seed, num_exits, gat
         # Highest accuracy within budget, then lowest latency, then first.
         assert best.tolist() == [min(range(len(row)), key=lambda i: (
             -table.accuracy[i] if row[i] <= budget else np.inf, row[i], i)) for row in latency]
+    # An explicit row: every feasible combination reads accuracy 0, beside
+    # infeasible ones.  No sample is right at an early exit, so lambda 0.01
+    # (gamma 0) at every exit ends all at the first, at accuracy 0, and
+    # lambda 1 - 1e-6 sends all to the server, at accuracy 1.
+    pred = np.where(np.arange(num_exits) < n_early, ts.label[:, None] + 1, ts.label[:, None])
+    wrong = TraceSet.from_columns(ts.topology, ts.ids, ts.label, ts.conf,
+                                  pred % ts.topology.num_classes)
+    zeros = PolicyTable(wrong, [(0.01, 1 - 1e-6)] * n_early,
+                        [(0.0, 1.0)] * n_early if gated else None, scores)
+    zero = zeros.accuracy == 0
+    assert zero[0] and not zero.all()
+    row = np.where(zero, rng.uniform(0.5, 1.0, len(zero)), rng.uniform(1.5, 2.0, len(zero)))
+    assert zeros.optimum(row, 1.0) == min(np.flatnonzero(zero), key=lambda i: (row[i], i))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

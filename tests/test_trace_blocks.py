@@ -268,6 +268,25 @@ def test_atomic_write_text_leaves_the_mode_open_w_would(tmp_path, umask):
                                             "plain.txt"]
 
 
+def test_atomic_write_text_writes_through_a_symbolic_link(tmp_path):
+    # As open(path, "w") does: the link stays a link, its target gets the
+    # text and keeps its mode, and a dangling link's target is created.
+    mode = lambda path: stat.S_IMODE(os.stat(path).st_mode)
+    (tmp_path / "real.txt").write_text("old\n")
+    os.chmod(tmp_path / "real.txt", 0o640)
+    (tmp_path / "link.txt").symlink_to("real.txt")
+    (tmp_path / "dangling.txt").symlink_to("made.txt")
+    atomic_write_text(tmp_path / "link.txt", "x\n")
+    atomic_write_text(tmp_path / "dangling.txt", "y\n")
+    for link, target, text in (("link.txt", "real.txt", "x\n"),
+                               ("dangling.txt", "made.txt", "y\n")):
+        assert (tmp_path / link).is_symlink(), link
+        assert (tmp_path / link).resolve() == (tmp_path / target).resolve()
+        assert (tmp_path / target).read_text() == text
+    assert mode(tmp_path / "real.txt") == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["dangling.txt", "link.txt", "made.txt", "real.txt"]
+
+
 def _peak(fn, *args) -> int:
     """The tracemalloc peak, in bytes, of one call."""
     gc.collect()
