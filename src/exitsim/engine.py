@@ -31,7 +31,10 @@ takes the counts of every (lambda, gamma) combination of a value list per
 early exit as exact integer differences of slices of one suffix-summed
 histogram of the samples' grid cells, so threshold searches are queries on
 it, each pricing every row on its own link, and each row equals its
-``policy_stats`` report bit for bit.
+``policy_stats`` report bit for bit.  The suffix sums are one float64 BLAS
+product per histogram axis, exact since every partial sum is a count far
+below 2**53.  A table keeps each exit's values, not its combinations, and
+reads a row's thresholds when a query asks for them.
 
 Per-sample records are built in bulk, since a run hands out one per sample.
 Each field is one numpy column turned into Python values at once, and each
@@ -339,6 +342,14 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
     correct counts read them), those right at the server and those right
     at each early exit, the last first.  One int64 histogram per group over
     the joint cells, summed from the end of every axis.
+
+    The sums are one product per axis of more than one cell by that axis's
+    upper-triangular ones matrix, in float64 through BLAS: one 2-D product
+    for the last such axis and, for each other, one product stacked over
+    the axes before it.  Every partial sum counts samples, an integer at
+    most S and so below 2**53, which float64 adds exactly in any order, so
+    the int64 result is exact at any BLAS thread count.  The sums hold at
+    most two histogram-sized arrays at a time.
     """
     counters = {}
 
@@ -356,11 +367,17 @@ def _suffix_histogram(ts: TraceSet, lam_grid: list[np.ndarray],
     right = (ts.pred == ts.label[:, None]).T[::-1] if accuracy else ()
     hist = np.stack([np.bincount(group, minlength=math.prod(shape))
                      for group in (cell, *(cell[r] for r in right))]).reshape(-1, *shape)
-    for axis in range(1, hist.ndim):  # in-place adds; np.cumsum is slower across rows
-        rows = hist.reshape(math.prod(hist.shape[:axis]), hist.shape[axis], -1)
-        for u in range(hist.shape[axis] - 1, 0, -1):
-            rows[:, u - 1] += rows[:, u]
-    return hist
+    # upper[:s, :s] is an s-cell axis's upper-triangular ones matrix.
+    ranks = np.arange(max(shape))
+    upper = np.less_equal.outer(ranks, ranks).astype(np.float64)
+    size, hist = hist.shape, hist.astype(np.float64)
+    axes = [axis for axis in range(1, len(size)) if size[axis] > 1]
+    for axis in axes[:-1]:
+        s = size[axis]
+        hist = upper[:s, :s] @ hist.reshape(math.prod(size[:axis]), s, -1)
+    s = size[axes[-1]]  # later axes have one cell each
+    hist = hist.reshape(-1, s) @ upper[:s, :s].T
+    return hist.astype(np.int64).reshape(size)
 
 
 def _table_counts(ts: TraceSet, lam_grid: list[np.ndarray], gamma_grid: list[np.ndarray] | None,
@@ -414,10 +431,13 @@ class PolicyTable:
     lookup (``_cell_counter``, one per distinct value list), slices of one
     grid-cell histogram count each combination's walk, and the count
     formula ``policy_stats`` applies to its one walk turns the counts into
-    aggregates, so each row equals its report bit for bit.  The table holds
-    no link: a walk does not depend on one, and ``latency_s`` prices every
-    row on the link a query names.  Only aggregates are kept, never
-    per-sample arrays.
+    aggregates, so each row equals its report bit for bit.  The histogram's
+    suffix sums are exact float64 products by triangular ones matrices
+    (``_suffix_histogram``).  The table holds no link: a walk does not
+    depend on one, and ``latency_s`` prices every row on the link a query
+    names.  Only aggregates and each exit's sorted values are kept, never
+    per-sample arrays nor a list of combinations: ``combo`` reads one row's
+    thresholds, and ``combos`` every row's in order.
 
     With ``accuracy`` off the table counts no correct answers: it bins only
     the every-sample histogram group, ``accuracy`` is None and ``optimum``
@@ -438,20 +458,40 @@ class PolicyTable:
         if gamma_grid is not None:
             gamma_grid = [np.sort(check_gamma(values)) for values in gamma_grid]
         scores = _checked(ts, gamma_grid is not None, scores)
-        product = lambda grid: list(itertools.product(*(values.tolist() for values in grid)))
-        self.lams = product(lam_grid)
-        self.gammas = None if gamma_grid is None else product(gamma_grid)
+        self._lam_grid = [values.tolist() for values in lam_grid]
+        self._gamma_grid = None if gamma_grid is None else [v.tolist() for v in gamma_grid]
         self.transmitted_bits = ts.topology.transmitted_bits
         self.accuracy, self.on_device_mflops, _, self.exit_distribution = _aggregate(
             ts.topology, len(ts), _table_counts(ts, lam_grid, gamma_grid, scores, accuracy),
             gamma_grid is not None)
 
     def combo(self, i: int) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
-        """(lambda, gamma) of combination ``i``; gamma None for the plain policy."""
-        if self.gammas is None:
-            return self.lams[i], None
-        j, k = divmod(i, len(self.gammas))
-        return self.lams[j], self.gammas[k]
+        """(lambda, gamma) of combination ``i``; gamma None for the plain policy.
+
+        Row ``i`` is read from the per-exit value lists by a ``divmod``
+        chain, the last list varying fastest, as ``combos`` lists the rows;
+        no list of combinations is built.  An ``i`` outside [0, rows), -1
+        among them, raises IndexError.
+        """
+        rows = len(self.on_device_mflops)
+        if not 0 <= i < rows:
+            raise IndexError(f"combination {i} is not a row of this table")
+        picked = []
+        for values in self._lam_grid + (self._gamma_grid or []):
+            rows //= len(values)  # the rows each of these values spans
+            k, i = divmod(i, rows)
+            picked.append(values[k])
+        n_early = len(self._lam_grid)
+        gamma = None if self._gamma_grid is None else tuple(picked[n_early:])
+        return tuple(picked[:n_early]), gamma
+
+    def combos(self) -> Iterator[tuple[tuple[float, ...], tuple[float, ...] | None]]:
+        """Every row's (lambda, gamma) in row order, as ``combo`` reads them,
+        from one ``itertools.product``: for a query that reads every row."""
+        lams = itertools.product(*self._lam_grid)
+        if self._gamma_grid is None:
+            return zip(lams, itertools.repeat(None))
+        return itertools.product(lams, itertools.product(*self._gamma_grid))
 
     def latency_s(self, compute_speed: float, bandwidth: float) -> np.ndarray:
         """Each row's mean latency on a checked link, as ``policy_stats`` prices it."""

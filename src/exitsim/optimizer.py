@@ -52,13 +52,11 @@ def _table(ts: TraceSet, scores, lambda_grid: Sequence[float],
     return engine.PolicyTable(ts, [lambda_grid] * n_early, [gamma_grid] * n_early, scores)
 
 
-def _point(table: engine.PolicyTable, i: int, latency: np.ndarray, bandwidth: float,
+def _point(combo: tuple, accuracy: float, mean_latency: float, bandwidth: float,
            budget: float) -> PolicyPoint:
-    lam, gamma = table.combo(i)
-    mean_latency = float(latency[i])
-    return PolicyPoint(bandwidth=bandwidth, lam=lam, gamma=gamma,
-                       accuracy=float(table.accuracy[i]), mean_latency_s=mean_latency,
-                       feasible=mean_latency <= budget)
+    lam, gamma = combo
+    return PolicyPoint(bandwidth=bandwidth, lam=lam, gamma=gamma, accuracy=accuracy,
+                       mean_latency_s=mean_latency, feasible=mean_latency <= budget)
 
 
 def grid_search(ts: TraceSet, scores, env: engine.Environment,
@@ -74,8 +72,9 @@ def grid_search(ts: TraceSet, scores, env: engine.Environment,
     """
     table = _table(ts, scores, lambda_grid, gamma_grid)
     latency = table.latency_s(env.compute_speed, env.bandwidth)
-    frontier = [_point(table, i, latency, env.bandwidth, env.latency_budget)
-                for i in range(len(latency))]
+    frontier = [_point(combo, accuracy, mean_latency, env.bandwidth, env.latency_budget)
+                for combo, accuracy, mean_latency in zip(
+                    table.combos(), table.accuracy.tolist(), latency.tolist())]
     return frontier[table.optimum(latency, env.latency_budget)], frontier
 
 
@@ -98,7 +97,8 @@ def sweep_bandwidths(ts: TraceSet, scores, env: engine.Environment,
     table = _table(ts, scores, lambda_grid, gamma_grid)
     latency = table.latency_s(env.compute_speed, bandwidths[:, None])
     best = table.optimum(latency, env.latency_budget).tolist()
-    return [_point(table, i, row, bandwidth, env.latency_budget)
+    return [_point(table.combo(i), float(table.accuracy[i]), float(row[i]), bandwidth,
+                   env.latency_budget)
             for bandwidth, row, i in zip(bandwidths.tolist(), latency, best)]
 
 

@@ -13,6 +13,7 @@ from exitsim.engine import (
     Environment,
     PolicyTable,
     _cell_counter,
+    _suffix_histogram,
     _table_counts,
     policy_stats,
     run_oracle,
@@ -249,6 +250,73 @@ def test_gated_table_build_peaks_below_two_megabytes():
     assert peak < 2 * 2**20
 
 
+def test_four_exit_table_build_peaks_below_24_mib():
+    # 1,000 samples, N = 4, 9 lambda and 5 gamma values per exit: the
+    # (5, 10, 6, 10, 6, 10, 6) histogram is 8.6 MB in int64 and in float64.
+    # The suffix sums hold two such arrays at once, never three.
+    rng = np.random.default_rng(19)
+    ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=1000)
+    scores = rng.uniform(0.0, 1.0, (1000, 3))
+    tracemalloc.start()
+    try:
+        table = PolicyTable(ts, [np.linspace(0.1, 0.9, 9)] * 3, [np.linspace(0.0, 1.0, 5)] * 3,
+                            scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.accuracy) == 9**3 * 5**3
+    assert peak < 24 * 2**20
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), num_exits=st.integers(2, 4), gated=st.booleans(),
+       accuracy=st.booleans(), n_samples=st.integers(1, 60), repeat=st.booleans())
+@example(seed=5, num_exits=4, gated=True, accuracy=True, n_samples=60, repeat=True)
+@example(seed=6, num_exits=4, gated=False, accuracy=False, n_samples=1, repeat=False)
+def test_suffix_histogram_counts_the_samples_at_or_above_each_cell(seed, num_exits, gated,
+                                                                    accuracy, n_samples, repeat):
+    # Entry [g, u_0, v_0, u_1, v_1, ...] is the number of samples of group g
+    # with j_n >= u_n and k_n >= v_n at every early exit n, counted here one
+    # sample at a time.  Grids hold one to three values drawn from a pool
+    # holding sample values, so values repeat and tie samples; a one-value
+    # grid is an axis of 2 cells.
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, num_exits=num_exits, num_classes=2)
+    ts = random_trace_set(rng, topo, n_samples=n_samples)
+    n_early = num_exits - 1
+    scores = rng.choice([0.0, 0.5, 1.0, rng.uniform()], (n_samples, n_early))
+    lam_pool = [0.3, 0.6, *ts.conf[rng.integers(0, n_samples, 2), 0]]
+    lam_grid = [rng.choice(lam_pool, rng.integers(1, 4)) for _ in range(n_early)]
+    gamma_grid = [rng.choice([0.0, 0.5, 1.0, scores[0, n]], rng.integers(1, 4))
+                  for n in range(n_early)]
+    if repeat:
+        lam_grid[0] = np.append(lam_grid[0], lam_grid[0][0])
+        gamma_grid[-1] = np.append(gamma_grid[-1], gamma_grid[-1][-1])
+    lam_grid, gamma_grid = [np.sort(v) for v in lam_grid], [np.sort(v) for v in gamma_grid]
+    hist = _suffix_histogram(ts, lam_grid, gamma_grid if gated else None,
+                             scores if gated else None, accuracy)
+    # Every sample, then those right at the server, then at each early
+    # exit, the last first.
+    groups = [np.ones(n_samples, dtype=bool)]
+    if accuracy:
+        groups += [ts.pred[:, e] == ts.label for e in range(n_early, -1, -1)]
+    shape = [len(groups)]
+    for n in range(n_early):
+        shape += [len(lam_grid[n]) + 1, len(gamma_grid[n]) + 1 if gated else 1]
+    expected = np.zeros(shape, dtype=np.int64)
+    for s in range(n_samples):
+        box = ()
+        for n in range(n_early):
+            j = sum(a <= ts.conf[s, n] for a in lam_grid[n])
+            k = sum(b <= scores[s, n] for b in gamma_grid[n]) if gated else 0
+            box += (slice(0, j + 1), slice(0, k + 1))
+        for g, member in enumerate(groups):
+            expected[(g, *box)] += member[s]
+    assert hist.dtype == np.int64
+    assert hist.shape == expected.shape
+    assert np.array_equal(hist, expected)
+
+
 def test_table_counts_are_int64_and_conserve_every_sample():
     # The counts are int64 differences of histogram slices that account
     # for every sample of every combination.
@@ -386,16 +454,24 @@ def test_table_rows_equal_policy_stats_when_every_value_ties_a_sample(seed, num_
 
 @pytest.mark.parametrize("gated", [False, True])
 def test_combos_enumerate_the_product_of_sorted_values_lambda_major(gated):
+    # combo(i) and combos() read the rows of the lambda-major product of
+    # each exit's sorted values, repeats kept, and no other index.
     rng = np.random.default_rng(17)
-    ts = random_trace_set(rng, random_topology(rng, num_exits=4), n_samples=10)
-    lam_grid = [(0.7, 0.3), (0.5,), (0.9, 0.2, 0.9)]
-    gamma_grid = [(1.0, 0.0), (0.5, 0.25), (0.75,)] if gated else None
-    table = PolicyTable(ts, lam_grid, gamma_grid, rng.uniform(0.0, 1.0, (10, 3)))
-    lams = list(itertools.product(*map(sorted, lam_grid)))
-    gammas = list(itertools.product(*map(sorted, gamma_grid))) if gated else [None]
-    combos = list(itertools.product(lams, gammas))
-    assert len(table.accuracy) == len(combos) == (24 if gated else 6)
-    assert [table.combo(i) for i in range(len(combos))] == combos
+    for num_exits in (2, 3, 4):
+        n_early = num_exits - 1
+        ts = random_trace_set(rng, random_topology(rng, num_exits=num_exits), n_samples=10)
+        lam_grid = [(0.9, 0.2, 0.9), (0.7, 0.3), (0.5,)][:n_early]
+        gamma_grid = [(0.5, 0.25, 0.5), (1.0, 0.0), (0.75,)][:n_early] if gated else None
+        table = PolicyTable(ts, lam_grid, gamma_grid, rng.uniform(0.0, 1.0, (10, n_early)))
+        lams = list(itertools.product(*map(sorted, lam_grid)))
+        gammas = list(itertools.product(*map(sorted, gamma_grid))) if gated else [None]
+        combos = list(itertools.product(lams, gammas))
+        assert len(table.accuracy) == len(combos) == math.prod(
+            map(len, lam_grid + gamma_grid if gated else lam_grid))
+        assert [table.combo(i) for i in range(len(combos))] == list(table.combos()) == combos
+        for i in (len(combos), -1):
+            with pytest.raises(IndexError, match="not a row"):
+                table.combo(i)
 
 
 def test_four_exit_default_grid_rows_equal_policy_stats():
