@@ -167,8 +167,10 @@ def fit_regressors(points: Sequence[PolicyPoint],
     Interval membership is inclusive on both ends, so a point on a shared
     endpoint serves both intervals.  Points that share a bandwidth give
     that bandwidth their mean row (their least-squares value); an interval
-    needs at least 2 distinct bandwidths.  Nothing is trained, and
-    max_abs_error is the worst distance from a point to its row.
+    needs at least 2 distinct bandwidths, and its points must all hold as
+    many lambda thresholds as its first point and as many gamma ones.
+    Nothing is trained, and max_abs_error is the worst distance from a
+    point to its row.
     """
     out: list[ThresholdRegressor] = []
     for lo, hi in sorted(check_intervals(intervals)):
@@ -177,9 +179,14 @@ def fit_regressors(points: Sequence[PolicyPoint],
         if len(bws) < 2:
             raise ValueError(f"interval {lo:.6g}-{hi:.6g} bit/s has {len(bws)} training "
                              "bandwidths; need at least 2")
+        lengths = (len(members[0].lam), len(members[0].gamma))
+        if odd := next((p for p in members if (len(p.lam), len(p.gamma)) != lengths), None):
+            raise ValueError(f"interval {lo:.6g}-{hi:.6g} bit/s: the point at {odd.bandwidth:.6g} "
+                             f"bit/s has {len(odd.lam)} lambda and {len(odd.gamma)} gamma "
+                             f"thresholds, its first point {lengths[0]} and {lengths[1]}")
         targets = np.array([p.lam + p.gamma for p in members])
         rows = np.array([targets[which == k].mean(axis=0) for k in range(len(bws))])
-        n_early = len(members[0].lam)
+        n_early = lengths[0]
         out.append(ThresholdRegressor(
             interval=(lo, hi), train_bandwidths=tuple(bws.tolist()),
             lam=tuple(map(tuple, rows[:, :n_early].tolist())),

@@ -10,10 +10,11 @@ exactly through an IEEE double, so values are canonicalised to that
 precision at construction time and save -> load is the identity.
 
 A ``TraceSet`` keeps its samples as read-only numpy columns.  Building one
-from ``SampleTrace`` rows, from arrays or from a file ends in one column
-check, ``TraceSet._set``: ids (``_ids``, first on every way in), row shapes,
+from ``SampleTrace`` rows, from arrays or from a file runs one column check
+once, ``TraceSet._set``: ids (``_ids``, first on every way in), row shapes,
 lengths, then values, the only place sample values are canonicalised and
-checked; a row checks nothing itself.  ``subset`` runs only ``_ids``.
+checked.  Neither a row nor the record loop checks anything itself: a file's
+records reach ``from_columns`` as read.  ``subset`` runs only ``_ids``.
 
 Each input shape has one reader here: ``read_json`` for whole-file JSON
 documents, ``read_jsonl`` for line-delimited files (whose records
@@ -31,7 +32,7 @@ field, a CSV field, a constructor argument -- has one check: ``as_int`` or
 which apply that check to each entry.  What counts as a number in an array
 is decided once, by ``_scan``, which the ``TraceSet`` columns share, and so
 every entry of a trace or dataset file: an int or a float, never a bool or
-a string.  The record loop checks only keys, ids and that each list is one.  A
+a string.  The record loop checks only that each record has its keys.  A
 value that is no finite number or no integer fails as such, naming its
 entry; one outside its interval reads ``{field} must lie in {bounds}, got
 {value!r}``.  NaN lies outside every interval.
@@ -875,16 +876,15 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
 
     ``header(line 1)`` reads the header; a KeyError, TypeError, ValueError
     or OverflowError it raises names line 1.  Each record needs an "id", a
-    "label" and a JSON list under each of ``lists``; the ``optional`` list
-    may be absent or null.  Keys are checked as records are read, then ids
-    (``_ids``), then lists: the loop notes the first record whose field is
-    none, which fails in ``_row_lengths``' words; each names the path and
-    line.  Returns what ``header`` returned, the records' line numbers,
-    int64 ids and labels, and per list (``lists``, then ``optional``) its
-    entries end to end, as ``_scan`` reads their whole list, and each
-    record's length, -1 where absent.  A list's entries are gathered
-    ``_CHUNK`` records at a time and each full block is converted at once
-    (``_convert``), so a load of numbers holds Python values for one block only.
+    "label" and each of ``lists``; the ``optional`` list may be absent or
+    null.  A missing key names the path and line; nothing else is checked
+    here, since the column check (``TraceSet._set``) checks what is read.
+    Returns what ``header`` returned, the records' line numbers (int64),
+    ids and labels as read, and per list (``lists``, then ``optional``) its
+    column (``_column``).  A list's entries and the line numbers are
+    gathered ``_CHUNK`` records at a time and each full block is converted
+    at once (``_convert``), so a load of numbers holds Python values for
+    one block only.
     """
     rows = read_jsonl(path, text)
     _, first = next(rows)
@@ -894,39 +894,49 @@ def _read_records(path, text: str | None, header: Callable[[dict], object],
         raise TraceFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{path}: line 1: {exc}") from exc
-    names = (*lists, *([optional] if optional else []))
     get = operator.itemgetter("id", "label", *lists)
-    lines, ids, labels, no_list = [], [], [], {}
-    # Per list: its converted blocks, the entries of the block being
-    # gathered and each record's length.
-    blocks, entries, lengths = ([[] for _ in names] for _ in range(3))
+    ids, labels = [], []
+    # Per list, then for the line numbers, which a load holds to its end:
+    # its converted blocks and the entries of the block being gathered.
+    # Per list: each record's length (-1: absent, -2: no list).
+    lengths = [[] for _ in range(len(lists) + bool(optional))]
+    blocks, entries = ([[] for _ in range(len(lengths) + 1)] for _ in range(2))
     for lineno, rec in rows:
         try:
             sid, label, *values = get(rec)
         except KeyError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: record missing key {exc}") from exc
-        value = rec.get(optional) if optional else None
-        if value is not None:
-            values.append(value)
-        lines.append(lineno)
+        if optional:
+            values.append(rec.get(optional))
+        entries[-1].append(lineno)
         ids.append(sid)
         labels.append(label)
         for k, v in enumerate(values):
-            if not isinstance(v, _ROW):  # noted as NaN: a null dataset "features" fails too
-                no_list.setdefault(names[k], [()] * (len(lines) - 1) + [math.nan])
-                v = ()
-            entries[k].extend(v)
-            lengths[k].append(len(v))
-        if len(values) < len(names):
-            lengths[-1].append(-1)
-        if len(lines) % _CHUNK == 0:
+            row = isinstance(v, _ROW)  # a null dataset "features" is no list
+            entries[k].extend(v if row else ())
+            lengths[k].append(len(v) if row else -1 if v is None and k == len(lists) else -2)
+        if len(ids) % _CHUNK == 0:
             _convert(blocks, entries)
     _convert(blocks, entries)
-    with _record_errors(path, lines):
-        ids = _ids(ids)
-        for name in filter(no_list.__contains__, names):  # the records up to the noted one
-            _row_lengths(name, no_list[name], ids[:len(no_list[name])])
-    return head, lines, ids, labels, [(_joined(b), n) for b, n in zip(blocks, lengths)]
+    *columns, lines = map(_joined, blocks)
+    return head, lines, ids, labels, [_column(c, n) for c, n in zip(columns, lengths)]
+
+
+def _column(entries: np.ndarray, lengths: list[int]):
+    """A list's column as ``from_columns`` takes it, from its ``entries`` end
+    to end and each record's length (-1: absent, -2: no list): a (records,
+    length) view of the entries when every record holds a list of one
+    length, None when no record holds the list, else a row per record: its
+    entries, None where absent and NaN where no list, which
+    ``_row_lengths`` and ``_lengths`` reject."""
+    kinds = set(lengths)
+    if kinds == {-1}:
+        return None
+    if len(kinds) < 2 and (width := max(kinds, default=0)) >= 0:
+        return entries.reshape(len(lengths), width)
+    ends = np.cumsum(np.maximum(lengths, 0)).tolist()
+    return [entries[end - k:end] if k >= 0 else (None if k == -1 else math.nan)
+            for end, k in zip(ends, lengths)]
 
 
 def _convert(blocks: list[list], entries: list[list]) -> None:
@@ -970,22 +980,15 @@ def _record_errors(path, lines: Sequence[int]):
 def load_trace_set(path: str | os.PathLike, text: str | None = None) -> TraceSet:
     """Parse and validate a trace file (``text``: as for ``read_jsonl``).
 
-    JSON syntax and keys, then ids and that each field is a list, are
-    checked by ``_read_records``, then lengths, types and values in the
-    order of ``TraceSet._set``, which ``from_columns`` runs.  A failure
-    raises TraceFormatError naming the path and the line of the first
-    record that fails the earliest failing stage.
+    ``_read_records`` checks JSON syntax and record keys; the columns it
+    gathers go to ``TraceSet.from_columns``, whose one check runs as on
+    columns from memory: ids, row shapes, lengths, then types and values.
+    A failure raises TraceFormatError naming the path and the line of the
+    first record that fails the earliest failing stage.
     """
     topo, lines, ids, labels, (conf, pred, feats) = _read_records(
         path, text, ExitTopology.from_header, ("confidences", "predicted"), "features")
     with _record_errors(path, lines):
-        n, n_exits = len(ids), topo.num_exits
-        dim = _lengths(ids, conf[1], pred[1], feats[1], n_exits)
-        # Each list's entries as rows: numeric if each is a number, else Python
-        # values, which the column check scans again to name the first that is
-        # none.
-        conf, pred = conf[0].reshape(n, n_exits), pred[0].reshape(n, n_exits)
-        feats = None if dim < 0 else feats[0].reshape(n, dim)
         return TraceSet.from_columns(topo, ids, labels, conf, pred, feats)
 
 
@@ -1000,16 +1003,20 @@ def load_dataset(path: str | os.PathLike, text: str | None = None
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a dataset file; returns (features, labels, num_classes).
 
-    ``text`` is as for ``read_jsonl``.  Records go through the record loop
-    and its id check, a check of feature lengths against the header, and the
-    label and feature checks of ``load_trace_set``, naming the path and line.
+    ``text`` is as for ``read_jsonl``.  The records gathered by the record
+    loop are checked in the order of ``TraceSet._set``: ids, row shapes,
+    lengths (feature rows as long as the header says), then the label and
+    feature checks of a trace set, naming the path and line; then the
+    header's sample count.
     """
-    (n, p, d), lines, ids, labels, [(feats, feat_len)] = _read_records(
+    (n, p, d), lines, ids, labels, [feats] = _read_records(
         path, text, _dataset_header, ("features",))
     with _record_errors(path, lines):
-        _lengths(ids, 0, 0, feat_len, 0, d)  # a dataset holds no confidences or predictions
-        given, x, _ = _scan(feats, False)
-        x = x.reshape(len(lines), d)
+        ids = _ids(ids)
+        # A dataset holds no confidences or predictions.
+        _lengths(ids, 0, 0, _row_lengths("features", feats, ids), 0, d)
+        given, x, _ = _scan(feats, True)
+        x = x.reshape(len(ids), d)  # a file of no records reads as (0, 0)
         y, checks = _sample_checks(ids, _integral(labels, False), p, (given.reshape(x.shape), x))
         _raise_first(checks)
     if n != len(lines):

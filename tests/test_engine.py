@@ -20,8 +20,8 @@ from exitsim.engine import (
     run_plain,
     run_with_predictor,
 )
-from exitsim.optimizer import sweep_bandwidths
-from exitsim.predictor import make_labels
+from exitsim.optimizer import grid_search, sweep_bandwidths
+from exitsim.predictor import make_labels, select_gamma
 from exitsim.trace import SampleTrace, Thresholds, TraceSet, check_gamma, check_lambda
 
 from helpers import (
@@ -722,6 +722,45 @@ def test_non_numeric_scores_name_scores_and_shape(scores, message):
         run_with_predictor(ts, Thresholds((0.9, 0.9), (0.5, 0.5)), scores)
     with pytest.raises(ValueError, match=message):
         policy_stats(ts, (0.9, 0.9), (0.5, 0.5), scores)
+
+
+def _evaluators(ts, scores):
+    """Every entry point that evaluates ``ts``, by name: the gated ones
+    (``GATED``) take gamma and ``scores``."""
+    lam, gamma, env = (0.9, 0.9), (0.5, 0.5), Environment(3.62e9, 1e6, 0.03)
+    return {
+        "run_plain": lambda: run_plain(ts, lam),
+        "run_oracle": lambda: run_oracle(ts, lam),
+        "policy_stats": lambda: policy_stats(ts, lam),
+        "PolicyTable": lambda: PolicyTable(ts, [lam, lam]),
+        "run_with_predictor": lambda: run_with_predictor(ts, Thresholds(lam, gamma), scores),
+        "policy_stats-gated": lambda: policy_stats(ts, lam, gamma, scores),
+        "PolicyTable-gated": lambda: PolicyTable(ts, [lam, lam], [gamma, gamma], scores),
+        "select_gamma": lambda: select_gamma(ts, scores, lam),
+        "grid_search": lambda: grid_search(ts, scores, env, [0.9], [0.5]),
+        "sweep_bandwidths": lambda: sweep_bandwidths(ts, scores, env, [1e6], [0.9], [0.5]),
+    }
+
+
+GATED = ["run_with_predictor", "policy_stats-gated", "PolicyTable-gated", "select_gamma",
+         "grid_search", "sweep_bandwidths"]
+
+
+@pytest.mark.parametrize("name", list(_evaluators(None, None)))
+def test_every_evaluator_rejects_an_empty_trace_set(name):
+    with pytest.raises(ValueError, match="^empty trace set$"):
+        _evaluators(TraceSet(VGG_TOPOLOGY, []), np.zeros((0, 2)))[name]()
+
+
+@pytest.mark.parametrize("scores, message", [
+    (None, "gamma given without predictor scores"),
+    (np.full((2, 3), 0.5), r"scores must have shape \(2, 2\), got \(2, 3\)"),
+], ids=["none", "wrong-shape"])
+@pytest.mark.parametrize("name", GATED)
+def test_every_gated_evaluator_checks_its_scores(name, scores, message):
+    ts = random_trace_set(np.random.default_rng(17), VGG_TOPOLOGY, n_samples=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _evaluators(ts, scores)[name]()
 
 
 @pytest.mark.parametrize("field", ["compute_speed", "bandwidth", "latency_budget"])

@@ -296,6 +296,20 @@ def test_fit_regressors_midpoints_stay_near_neighbor_hull():
             assert lo <= th.gamma[j] <= hi
 
 
+@pytest.mark.parametrize("odd", [((0.7,), (0.3, 0.5)), ((0.7, 0.85), (0.3, 0.5, 0.5)),
+                                 ((0.7, 0.85, 0.9), (0.3,))], ids=["lambda", "gamma", "both"])
+def test_fit_regressors_names_a_point_whose_vectors_differ_in_length(odd):
+    # A point outside the interval may differ; the first one inside that does is named.
+    pts = (constant_points((0.7,), (0.3,), [5e4])
+           + constant_points((0.7, 0.85), (0.3, 0.5), [1e5, 2e5])
+           + constant_points(*odd, [3e5, 4e5]))
+    message = (r"^interval 100000-1e\+06 bit/s: the point at 300000 bit/s has "
+               rf"{len(odd[0])} lambda and {len(odd[1])} gamma thresholds, "
+               "its first point 2 and 2$")
+    with pytest.raises(ValueError, match=message):
+        fit_regressors(pts, [(1e5, 1e6)])
+
+
 def test_adapt_at_training_bandwidth_matches_recorded_optimum():
     bws = [1e5, 3e5, 5e5, 7e5, 1e6]
     pts = [PolicyPoint(bw, (0.5 + 0.08 * i, 0.6), (0.2, 0.1 * i), 0.9, 0.01, True)

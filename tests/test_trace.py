@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitsim.cli import check_config, emit_frontier, main, validate_artifact
+from exitsim import trace
 from exitsim.engine import AggregateReport, Environment, policy_stats
 from exitsim.nncore import Mlp
 from exitsim.optimizer import (PolicyPoint, ThresholdRegressor, policy_points_csv, save_regressors,
@@ -186,6 +187,48 @@ def test_malformed_field_names_its_line(tmp_path, text, loader, lineno, detail):
     with pytest.raises(TraceFormatError,
                        match=f"^{re.escape(str(path))}: line {lineno}: {detail}"):
         loader(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_DATASET.replace('"num_samples":1', '"num_samples":3')
+     + '\n{"id":0,"label":1,"features":[0.5]}', "header claims 3 samples, file has 1"),
+    (_DATASET.replace('"kind":"dataset",', "") + '\n{"id":0,"label":1,"features":[0.5]}',
+     "line 1: not a dataset header"),
+], ids=["sample-count", "no-kind"])
+def test_a_dataset_header_that_does_not_fit_names_the_path(tmp_path, text, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text + "\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0, 1], [0, 0], [(0.5,) * 3], [(0,) * 3] * 2),
+     "confidences must hold 2 rows, one per id, got 1"),
+    (([0, 1], [0], [(0.5,) * 3] * 2, [(0,) * 3] * 2),
+     r"label must be a list of 2 integers, one per id, got \[0\]"),
+], ids=["confidences", "label"])
+def test_from_columns_names_a_column_of_another_count(columns, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TraceSet.from_columns(small_topology(), *columns)
+
+
+@pytest.mark.parametrize("with_features", [False, True], ids=["plain", "features"])
+def test_a_trace_file_load_makes_the_checks_of_from_columns_once(tmp_path, monkeypatch,
+                                                                 with_features):
+    # A file's records reach from_columns as read: its one check is the load's only one.
+    ts = random_trace_set(np.random.default_rng(3), small_topology(), 1000, with_features)
+    save_trace_set(ts, tmp_path / "t.jsonl")
+    calls = {}
+    for name in ("_ids", "_row_lengths", "_lengths", "_raise_first"):
+        def counted(*args, _check=getattr(trace, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _check(*args)
+        monkeypatch.setattr(trace, name, counted)
+    assert load_trace_set(tmp_path / "t.jsonl") == ts
+    from_file, calls = calls, {}
+    TraceSet.from_columns(ts.topology, ts.ids, ts.label, ts.conf, ts.pred, ts.features)
+    assert from_file == calls == {"_ids": 1, "_row_lengths": 3, "_lengths": 1, "_raise_first": 3}
 
 
 def test_integral_floats_are_accepted_as_integers(tmp_path):
